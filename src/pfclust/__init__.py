@@ -22,9 +22,12 @@ from .fuzzy import (
     update_memberships,
 )
 from .harness import (
+    DEFAULTS,
+    PARAMS,
     ExperimentGrid,
     ExperimentResult,
     generate_synthetic,
+    run_algorithm,
     run_grid,
     subset_genes,
     preset_pairs,
@@ -32,7 +35,7 @@ from .harness import (
 from .heatmap import cluster_row_order, render_ppm, render_rgb, write_ppm
 from .io import ParseError, parse_matrix, sniff_format, write_tsv
 from .kmeans import HardPartition, kmeans
-from .matrix import ExpressionMatrix, GeneVector
+from .matrix import ExpressionMatrix
 from .normalize import DegenerateRowsError, mean_relative, normalize, z_score
 from .rough import RoughPartition, rough_kmeans
 from .serialize import (
@@ -57,15 +60,16 @@ __all__ = [
     "__version__",
     "ALGORITHMS",
     "ALPHA_FLOOR",
+    "DEFAULTS",
     "DegenerateRowsError",
     "ExperimentGrid",
     "ExperimentResult",
     "ExpressionMatrix",
     "FuzzyConfig",
     "FuzzyPartition",
-    "GeneVector",
     "HardPartition",
     "NumericalError",
+    "PARAMS",
     "ParseError",
     "PartitionFile",
     "RoughPartition",
@@ -89,6 +93,7 @@ __all__ = [
     "render_rgb",
     "rmse",
     "rough_kmeans",
+    "run_algorithm",
     "run_grid",
     "sniff_format",
     "subset_genes",

@@ -2,9 +2,28 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 
 from .matrix import ExpressionMatrix
+
+
+@contextmanager
+def opened(target, mode: str = "w"):
+    """Yield `target` itself if it is an open handle, else open it as a path.
+
+    Paths are opened as UTF-8 text without newline translation (or in
+    binary when `mode` has "b"), so written bytes do not depend on the
+    platform.
+    """
+    if not isinstance(target, (str, Path)):
+        yield target
+        return
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    with open(target, mode, **text) as handle:
+        yield handle
 
 
 def as_values(data) -> np.ndarray:

@@ -24,21 +24,24 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .fuzzy import FuzzyConfig, NumericalError, fcm, pfcm
+from .fuzzy import FuzzyPartition, NumericalError
 from .harness import (
+    DEFAULTS,
     NORMALIZATIONS,
+    PARAMS,
     SUBSET_POLICIES,
     ExperimentGrid,
+    run_algorithm,
     run_grid,
     preset_pairs,
 )
 from .heatmap import cluster_row_order, render_ppm
 from .io import FORMATS, ParseError, parse_matrix, sniff_format, write_tsv
-from .kmeans import kmeans
+from .kmeans import HardPartition
 from .matrix import ExpressionMatrix
 from .normalize import DegenerateRowsError, normalize
-from .rough import rough_kmeans
 from .serialize import (
+    PartitionFile,
     read_centroids_csv,
     read_partition_csv,
     write_centroids_csv,
@@ -70,9 +73,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _canon_method(name: str) -> str:
+def _canon_method(name) -> str:
     """Accept dashed/underscored spellings of the normalization names."""
-    flat = name.replace("-", "_").lower()
+    flat = name.replace("-", "_").lower() if isinstance(name, str) else name
     if flat == "zscore":
         flat = "z_score"
     if flat not in NORMALIZATIONS:
@@ -82,8 +85,8 @@ def _canon_method(name: str) -> str:
     return flat
 
 
-def _canon_algorithm(name: str) -> str:
-    flat = name.replace("-", "_").lower()
+def _canon_algorithm(name) -> str:
+    flat = name.replace("-", "_").lower() if isinstance(name, str) else name
     if flat not in ALGORITHMS:
         raise UsageError(
             f"unknown algorithm {name!r}; expected one of "
@@ -190,6 +193,10 @@ def _cmd_cluster(args) -> int:
     if method != "none":
         m = normalize(m, method, drop_degenerate=args.drop_degenerate)
 
+    params = {key: getattr(args, key) for key in PARAMS[alg]}
+    part = run_algorithm(
+        alg, m, args.k, seed=args.seed, farthest_init=args.farthest_init, **params
+    )
     meta: dict = {
         "command": "cluster",
         "input": args.input,
@@ -200,58 +207,26 @@ def _cmd_cluster(args) -> int:
         "drop_degenerate": bool(args.drop_degenerate),
         "n_genes": m.n_genes,
         "n_samples": m.n_samples,
-        "eps": args.eps,
-        "max_iter": args.max_iter,
+        **params,
+        "iterations": part.iterations,
+        "converged": part.converged,
     }
-    converged = True
-    if alg == "kmeans":
-        part = kmeans(
-            m, args.k, seed=args.seed, max_iter=args.max_iter, eps=args.eps,
-            farthest_init=args.farthest_init,
-        )
-        converged = part.iterations < args.max_iter
+    if isinstance(part, HardPartition):
+        meta.update(sse=part.sse, sse_trace=list(part.sse_trace))
+    if isinstance(part, FuzzyPartition):
         meta.update(
-            farthest_init=bool(args.farthest_init),
-            iterations=part.iterations,
-            sse=part.sse,
-            sse_trace=list(part.sse_trace),
-        )
-        centroids = part.centroids
-    elif alg == "rough_kmeans":
-        part = rough_kmeans(
-            m, args.k, zeta=args.zeta, w_lower=args.w_lower, seed=args.seed,
-            max_iter=args.max_iter, eps=args.eps, farthest_init=args.farthest_init,
-        )
-        converged = part.iterations < args.max_iter
-        meta.update(
-            farthest_init=bool(args.farthest_init),
-            zeta=args.zeta,
-            w_lower=args.w_lower,
-            iterations=part.iterations,
-        )
-        centroids = part.centroids
-    else:
-        cfg = FuzzyConfig(
-            c=args.k, m=args.m, v=args.v, eps=args.eps,
-            max_iter=args.max_iter, seed=args.seed,
-        )
-        part = pfcm(m, cfg) if alg == "pfcm" else fcm(m, cfg)
-        converged = part.converged
-        meta.update(
-            m=args.m,
-            iterations=part.iterations,
             objective=part.objective_trace[-1],
             objective_trace=list(part.objective_trace),
         )
-        if alg == "pfcm":
-            meta.update(v=args.v, alpha=list(part.alpha))
-        centroids = part.centroids
-    meta["converged"] = converged
+        if part.alpha is not None:
+            meta["alpha"] = list(part.alpha)
+    else:
+        meta["farthest_init"] = bool(args.farthest_init)
 
     prefix = Path(args.out) if args.out else _default_prefix(args.input)
     part_buf, cent_buf, meta_buf = _stdio.StringIO(), _stdio.StringIO(), _stdio.StringIO()
     write_partition_csv(part, m.gene_ids, part_buf)
-    write_centroids_csv(centroids, m.sample_ids, cent_buf)
+    write_centroids_csv(part.centroids, m.sample_ids, cent_buf)
     write_metadata_json(meta, meta_buf)
     outputs = [
         (prefix.with_name(prefix.name + ".partition.csv"), part_buf.getvalue()),
@@ -259,7 +234,7 @@ def _cmd_cluster(args) -> int:
         (prefix.with_name(prefix.name + ".meta.json"), meta_buf.getvalue()),
     ]
     _atomic_write(outputs)
-    if not converged:
+    if not part.converged:
         _warn(args, f"did not converge within {args.max_iter} iterations")
     for path, _ in outputs:
         print(f"wrote {path}")
@@ -268,25 +243,30 @@ def _cmd_cluster(args) -> int:
 
 # ----------------------------------------------------------------- validate
 
-def _cmd_validate(args) -> int:
-    if args.m < 1.0:
-        raise UsageError(f"--m must be 1 or greater, got {args.m}")
-    m = _read_matrix(args.input, args.format)
+def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.ndarray]:
+    """Read a partition CSV and the row in it of each matrix gene, in matrix order."""
     try:
-        pf = read_partition_csv(args.partition)
-        centroids, _ = read_centroids_csv(args.centroids)
-    except OSError as exc:
+        pf = read_partition_csv(path)
+    except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-
     if sorted(pf.gene_ids) != sorted(m.gene_ids):
         raise DataError(
             f"partition gene ids do not match the matrix "
             f"({len(pf.gene_ids)} vs {m.n_genes} genes)"
         )
     index = {gid: i for i, gid in enumerate(pf.gene_ids)}
-    order = np.array([index[gid] for gid in m.gene_ids])
+    return pf, np.array([index[gid] for gid in m.gene_ids])
+
+
+def _cmd_validate(args) -> int:
+    if args.m < 1.0:
+        raise UsageError(f"--m must be 1 or greater, got {args.m}")
+    m = _read_matrix(args.input, args.format)
+    pf, order = _read_partition(args.partition, m)
+    try:
+        centroids, _ = read_centroids_csv(args.centroids)
+    except (OSError, ValueError) as exc:
+        raise DataError(str(exc)) from exc
     k = centroids.shape[0]
     u = pf.padded_memberships(k)[order]
     if centroids.shape[1] != m.n_samples:
@@ -347,25 +327,12 @@ def _grid_from_config(path: str) -> ExperimentGrid:
             f"unknown grid config key(s): {', '.join(sorted(unknown))}; "
             f"expected {', '.join(sorted(_GRID_CONFIG_KEYS))}"
         )
-    kwargs: dict = {}
-    if "subset_sizes" in doc:
-        kwargs["subset_sizes"] = tuple(doc["subset_sizes"])
-    if "ks" in doc:
-        kwargs["ks"] = tuple(doc["ks"])
-    if "pairs" in doc and doc["pairs"] is not None:
-        kwargs["pairs"] = tuple((int(s), int(k)) for s, k in doc["pairs"])
-    if "algorithms" in doc:
-        kwargs["algorithms"] = tuple(_canon_algorithm(a) for a in doc["algorithms"])
-    if "normalization" in doc:
-        kwargs["normalization"] = _canon_method(doc["normalization"])
-    if "subset_policy" in doc:
-        kwargs["subset_policy"] = doc["subset_policy"]
-    if "seeds" in doc:
-        kwargs["seeds"] = tuple(doc["seeds"])
-    if "overrides" in doc:
-        kwargs["overrides"] = doc["overrides"]
     try:
-        return ExperimentGrid(**kwargs)
+        if "algorithms" in doc:
+            doc["algorithms"] = tuple(_canon_algorithm(a) for a in doc["algorithms"])
+        if "normalization" in doc:
+            doc["normalization"] = _canon_method(doc["normalization"])
+        return ExperimentGrid(**doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
@@ -432,17 +399,8 @@ def _cmd_heatmap(args) -> int:
     m = _read_matrix(args.input, args.format)
     order = None
     if args.partition:
-        try:
-            pf = read_partition_csv(args.partition)
-        except OSError as exc:
-            raise DataError(str(exc)) from exc
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-        if sorted(pf.gene_ids) != sorted(m.gene_ids):
-            raise DataError("partition gene ids do not match the matrix")
-        index = {gid: i for i, gid in enumerate(pf.gene_ids)}
-        assign = np.array([pf.assignments[index[gid]] for gid in m.gene_ids])
-        order = cluster_row_order(assign)
+        pf, rows = _read_partition(args.partition, m)
+        order = cluster_row_order(pf.assignments[rows])
     data = render_ppm(m, row_order=order, scale=args.scale)
     dest = Path(args.output) if args.output else _default_prefix(args.input).with_name(
         _default_prefix(args.input).name + ".ppm"
@@ -481,14 +439,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--alg", required=True,
                    help="kmeans, rough-kmeans, fcm or pfcm")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--m", type=float, default=2.0, help="fuzzifier (fcm/pfcm)")
-    p.add_argument("--v", type=float, default=1.0, help="penalty weight (pfcm)")
-    p.add_argument("--zeta", type=float, default=1.3,
+    p.add_argument("--m", type=float, default=DEFAULTS["m"], help="fuzzifier (fcm/pfcm)")
+    p.add_argument("--v", type=float, default=DEFAULTS["v"], help="penalty weight (pfcm)")
+    p.add_argument("--zeta", type=float, default=DEFAULTS["zeta"],
                    help="distance-ratio threshold (rough-kmeans)")
-    p.add_argument("--w-lower", type=float, default=0.7,
+    p.add_argument("--w-lower", type=float, default=DEFAULTS["w_lower"],
                    help="lower-approximation weight (rough-kmeans)")
-    p.add_argument("--eps", type=float, default=1e-5, help="convergence tolerance")
-    p.add_argument("--max-iter", type=int, default=300, help="iteration cap")
+    p.add_argument("--eps", type=float, default=DEFAULTS["eps"], help="convergence tolerance")
+    p.add_argument("--max-iter", type=int, default=DEFAULTS["max_iter"], help="iteration cap")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--farthest-init", action="store_true",
                    help="greedy farthest-point initialization (kmeans/rough-kmeans)")

@@ -22,7 +22,7 @@ and stops when the elementwise max change of U falls to eps or below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,7 +48,7 @@ _SINGULARITY_TOL = 1e-12
 
 
 class NumericalError(RuntimeError):
-    """The objective became non-finite during iteration."""
+    """The iteration met a non-finite objective or a cluster with zero mass."""
 
 
 @dataclass(frozen=True)
@@ -245,31 +245,37 @@ def _run(
     trace: list[float] = []
     iterations = 0
     converged = False
-    for t in range(cfg.max_iter):
+    try:
+        for t in range(cfg.max_iter):
+            alpha = compute_alpha(u, cfg.m, cfg.alpha_floor)
+            w = compute_centroids(u, cfg.m, x)
+            j_val = pfcm_objective(u, w, alpha, x, cfg.m, v)
+            if not np.isfinite(j_val):
+                raise NumericalError(
+                    f"objective became non-finite at iteration {t} (J={j_val!r}); "
+                    f"c={c} m={cfg.m} v={v} seed={cfg.seed}"
+                )
+            trace.append(j_val)
+            u_new = update_memberships(x, w, alpha, cfg.m, v)
+            delta = float(np.abs(u_new - u).max())
+            u = u_new
+            iterations = t + 1
+            if on_iteration is not None:
+                on_iteration(u.copy(), w.copy(), alpha.copy())
+            if delta <= cfg.eps:
+                converged = True
+                break
+
+        # recompute the returned state from the final memberships so the
+        # (U, W, alpha) triple is mutually consistent
         alpha = compute_alpha(u, cfg.m, cfg.alpha_floor)
         w = compute_centroids(u, cfg.m, x)
-        j_val = pfcm_objective(u, w, alpha, x, cfg.m, v)
-        if not np.isfinite(j_val):
-            raise NumericalError(
-                f"objective became non-finite at iteration {t} (J={j_val!r}); "
-                f"c={c} m={cfg.m} v={v} seed={cfg.seed}"
-            )
-        trace.append(j_val)
-        u_new = update_memberships(x, w, alpha, cfg.m, v)
-        delta = float(np.abs(u_new - u).max())
-        u = u_new
-        iterations = t + 1
-        if on_iteration is not None:
-            on_iteration(u.copy(), w.copy(), alpha.copy())
-        if delta <= cfg.eps:
-            converged = True
-            break
-
-    # recompute the returned state from the final memberships so the
-    # (U, W, alpha) triple is mutually consistent
-    alpha = compute_alpha(u, cfg.m, cfg.alpha_floor)
-    w = compute_centroids(u, cfg.m, x)
-    trace.append(pfcm_objective(u, w, alpha, x, cfg.m, v))
+        trace.append(pfcm_objective(u, w, alpha, x, cfg.m, v))
+    except ValueError as exc:
+        # u**m underflowing to zero mass is a numerical failure of the run
+        raise NumericalError(
+            f"{exc} at iteration {iterations}; c={c} m={cfg.m} v={v} seed={cfg.seed}"
+        ) from exc
 
     return FuzzyPartition(
         memberships=u,
@@ -320,12 +326,4 @@ def fcm(
 
     cfg.v is ignored and the result carries alpha=None.
     """
-    part = _run(m_x, cfg, 0.0, u_init, on_iteration)
-    return FuzzyPartition(
-        memberships=part.memberships,
-        centroids=part.centroids,
-        alpha=None,
-        objective_trace=part.objective_trace,
-        iterations=part.iterations,
-        converged=part.converged,
-    )
+    return replace(_run(m_x, cfg, 0.0, u_init, on_iteration), alpha=None)

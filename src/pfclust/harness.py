@@ -13,31 +13,34 @@ the same grid produce byte-identical report files.
 from __future__ import annotations
 
 import csv
-import json
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .fuzzy import FuzzyConfig, fcm, pfcm
-from .kmeans import kmeans
+from ._util import opened
+from .fuzzy import FuzzyConfig, FuzzyPartition, fcm, pfcm
+from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
 from .normalize import normalize
-from .rough import rough_kmeans
+from .rough import RoughPartition, rough_kmeans
+from .serialize import _jsonable, write_metadata_json
 from .validity import ALGORITHMS, ValidityReport, evaluate
 
 __all__ = [
+    "DEFAULTS",
     "NORMALIZATIONS",
+    "PARAMS",
     "SUBSET_POLICIES",
     "ExperimentGrid",
     "CellResult",
     "ExperimentResult",
     "subset_genes",
     "preset_pairs",
+    "run_algorithm",
     "run_grid",
     "generate_synthetic",
 ]
@@ -47,7 +50,15 @@ NORMALIZATIONS = ("none", "mean_relative", "z_score")
 SUBSET_POLICIES = ("first_n", "variance_top_n", "seeded_random")
 
 # defaults echoed into every result row that uses them
-_DEFAULTS = {"m": 2.0, "v": 1.0, "zeta": 1.3, "w_lower": 0.7, "eps": 1e-5, "max_iter": 300}
+DEFAULTS = {"m": 2.0, "v": 1.0, "zeta": 1.3, "w_lower": 0.7, "eps": 1e-5, "max_iter": 300}
+
+# the DEFAULTS keys each algorithm reads; every other key is ignored
+PARAMS = {
+    "kmeans": ("eps", "max_iter"),
+    "rough_kmeans": ("zeta", "w_lower", "eps", "max_iter"),
+    "fcm": ("m", "eps", "max_iter"),
+    "pfcm": ("m", "v", "eps", "max_iter"),
+}
 
 _PAIR_BASE = ((7129, 7), (5000, 5), (3000, 3), (1000, 7))
 
@@ -108,9 +119,8 @@ class ExperimentGrid:
     Cells are either the cross product subset_sizes x ks or, when
     `pairs` is given, exactly those (size, k) cells. Every cell runs
     once per algorithm per seed. `overrides` maps an algorithm name to
-    parameter overrides, e.g. {"pfcm": {"v": 0.5}}; recognized keys are
-    m, v, eps, max_iter (fuzzy) and zeta, w_lower, eps, max_iter (rough)
-    and eps, max_iter (kmeans).
+    parameter overrides, e.g. {"pfcm": {"v": 0.5}}; keys are those of
+    DEFAULTS, and PARAMS names the ones each algorithm reads.
     """
 
     subset_sizes: tuple[int, ...] = ()
@@ -157,14 +167,18 @@ class ExperimentGrid:
                 raise ValueError(f"subset size must be >= 1, got {s}")
             if k < 1:
                 raise ValueError(f"k must be >= 1, got {k}")
+        if not isinstance(self.overrides, dict) or not all(
+            isinstance(params, dict) for params in self.overrides.values()
+        ):
+            raise TypeError("overrides must map algorithm names to parameter objects")
         for a, params in self.overrides.items():
             if a not in ALGORITHMS:
                 raise ValueError(f"override for unknown algorithm {a!r}")
             for key in params:
-                if key not in _DEFAULTS:
+                if key not in DEFAULTS:
                     raise ValueError(
                         f"unknown override key {key!r} for {a}; "
-                        f"expected one of {tuple(_DEFAULTS)}"
+                        f"expected one of {tuple(DEFAULTS)}"
                     )
 
     def cells(self) -> tuple[tuple[int, int], ...]:
@@ -176,7 +190,7 @@ class ExperimentGrid:
         return tuple(sorted(base))
 
     def config_for(self, algorithm: str) -> dict:
-        cfg = dict(_DEFAULTS)
+        cfg = dict(DEFAULTS)
         cfg.update(self.overrides.get(algorithm, {}))
         return cfg
 
@@ -215,24 +229,11 @@ class ExperimentResult:
 
     def write_report_json(self, dest: Union[str, Path, IO[str]]) -> None:
         doc = {
-            "grid": {
-                "subset_sizes": list(self.grid.subset_sizes),
-                "ks": list(self.grid.ks),
-                "pairs": None if self.grid.pairs is None else [list(p) for p in self.grid.pairs],
-                "algorithms": list(self.grid.algorithms),
-                "normalization": self.grid.normalization,
-                "subset_policy": self.grid.subset_policy,
-                "seeds": list(self.grid.seeds),
-                "overrides": self.grid.overrides,
-            },
+            "grid": asdict(self.grid),
             "matrix": {"n_genes": self.n_genes, "n_samples": self.n_samples},
             "rows": [_json_row(r) for r in self.rows],
         }
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        if isinstance(dest, (str, Path)):
-            Path(dest).write_text(text, encoding="utf-8")
-        else:
-            dest.write(text)
+        write_metadata_json(doc, dest)
 
     def write_timings_csv(self, dest: Union[str, Path, IO[str]]) -> None:
         """Wall-clock seconds per row; the one output that is not reproducible."""
@@ -260,18 +261,13 @@ _SUMMARY_COLUMNS = [
 def _fmt(x: Optional[float]) -> str:
     if x is None:
         return ""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
+    x = _jsonable(float(x))
+    return x if isinstance(x, str) else repr(x)
 
 
 def _csv_row(r: CellResult) -> list[str]:
     cfg = r.config
-    fuzzy = r.algorithm in ("fcm", "pfcm")
-    rough = r.algorithm == "rough_kmeans"
+    read = PARAMS[r.algorithm]
     return [
         str(r.size),
         str(r.k),
@@ -281,10 +277,7 @@ def _csv_row(r: CellResult) -> list[str]:
         "" if r.report is None else str(r.report.n_samples),
         cfg["normalization"],
         cfg["subset_policy"],
-        _fmt(cfg["m"]) if fuzzy else "",
-        _fmt(cfg["v"]) if r.algorithm == "pfcm" else "",
-        _fmt(cfg["zeta"]) if rough else "",
-        _fmt(cfg["w_lower"]) if rough else "",
+        *(_fmt(cfg[key]) if key in read else "" for key in ("m", "v", "zeta", "w_lower")),
         "" if r.iterations is None else str(r.iterations),
         "" if r.converged is None else ("true" if r.converged else "false"),
         "" if r.report is None else _fmt(r.report.rmse),
@@ -294,34 +287,25 @@ def _csv_row(r: CellResult) -> list[str]:
     ]
 
 
-def _json_num(x: float):
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return x
-
-
 def _json_row(r: CellResult) -> dict:
     row = {
         "size": r.size,
         "k": r.k,
         "algorithm": r.algorithm,
         "seed": r.seed,
-        "config": {k: _json_num(v) if isinstance(v, float) else v for k, v in r.config.items()},
+        "config": r.config,
         "iterations": r.iterations,
         "converged": r.converged,
-        "trace": [_json_num(t) for t in r.trace],
+        "trace": r.trace,
         "error": r.error,
     }
     if r.report is None:
         row["validity"] = None
     else:
         row["validity"] = {
-            "rmse": _json_num(r.report.rmse),
-            "mae": _json_num(r.report.mae),
-            "xie_beni": _json_num(r.report.xie_beni),
+            "rmse": r.report.rmse,
+            "mae": r.report.mae,
+            "xie_beni": r.report.xie_beni,
             "n_genes": r.report.n_genes,
             "n_samples": r.report.n_samples,
             "k": r.report.k,
@@ -330,16 +314,10 @@ def _json_row(r: CellResult) -> dict:
 
 
 def _write_csv(dest: Union[str, Path, IO[str]], header: Sequence[str], rows) -> None:
-    def _emit(handle) -> None:
+    with opened(dest) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            _emit(handle)
-    else:
-        _emit(dest)
 
 
 def _stats(values: list[float]) -> tuple[str, str, str]:
@@ -369,6 +347,33 @@ def _summarize(rows: Sequence[CellResult]) -> list[list[str]]:
     return out
 
 
+def run_algorithm(
+    name: str, x, k: int, seed: int = 0, farthest_init: bool = False, **params
+) -> Union[HardPartition, RoughPartition, FuzzyPartition]:
+    """Run one of the four algorithms on `x` with k clusters.
+
+    `params` may hold any DEFAULTS key; the algorithm reads the keys
+    PARAMS[name] lists, falling back to DEFAULTS, and ignores the rest.
+    farthest_init applies to kmeans and rough_kmeans only. Returns the
+    algorithm's own partition, which carries `iterations` and
+    `converged`.
+    """
+    if name not in PARAMS:
+        raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    unknown = set(params) - set(DEFAULTS)
+    if unknown:
+        raise TypeError(f"unknown parameter(s) {', '.join(sorted(unknown))}")
+    p = {key: params.get(key, DEFAULTS[key]) for key in PARAMS[name]}
+    # grid overrides read from JSON may give the cap as a float
+    p["max_iter"] = int(p["max_iter"])
+    if name == "kmeans":
+        return kmeans(x, k, seed=seed, farthest_init=farthest_init, **p)
+    if name == "rough_kmeans":
+        return rough_kmeans(x, k, seed=seed, farthest_init=farthest_init, **p)
+    cfg = FuzzyConfig(c=k, seed=seed, **p)
+    return pfcm(x, cfg) if name == "pfcm" else fcm(x, cfg)
+
+
 def _run_cell(
     m: ExpressionMatrix, grid: ExperimentGrid, size: int, k: int, algorithm: str, seed: int
 ) -> CellResult:
@@ -381,33 +386,14 @@ def _run_cell(
         sub = subset_genes(m, size, grid.subset_policy, seed)
         if grid.normalization != "none":
             sub = normalize(sub, grid.normalization, drop_degenerate=True)
-        max_iter = int(cfg["max_iter"])
-        if algorithm == "kmeans":
-            part = kmeans(sub, k, seed=seed, max_iter=max_iter, eps=cfg["eps"])
-            report = evaluate(sub, part, m=1.0, algorithm="kmeans")
-            iterations, converged = part.iterations, part.iterations < max_iter
-            trace = part.sse_trace
-        elif algorithm == "rough_kmeans":
-            part = rough_kmeans(
-                sub, k, zeta=cfg["zeta"], w_lower=cfg["w_lower"],
-                seed=seed, max_iter=max_iter, eps=cfg["eps"],
-            )
-            report = evaluate(sub, part, m=1.0, algorithm="rough_kmeans")
-            iterations, converged = part.iterations, part.iterations < max_iter
-            trace = ()
-        else:
-            fuzzy_cfg = FuzzyConfig(
-                c=k, m=cfg["m"], v=cfg["v"], eps=cfg["eps"],
-                max_iter=max_iter, seed=seed,
-            )
-            part = pfcm(sub, fuzzy_cfg) if algorithm == "pfcm" else fcm(sub, fuzzy_cfg)
-            report = evaluate(sub, part, m=cfg["m"], algorithm=algorithm)
-            iterations, converged = part.iterations, part.converged
-            trace = part.objective_trace
+        part = run_algorithm(algorithm, sub, k, seed=seed, **cfg)
+        fuzzifier = cfg["m"] if "m" in PARAMS[algorithm] else 1.0
+        report = evaluate(sub, part, m=fuzzifier, algorithm=algorithm)
+        trace = getattr(part, "objective_trace", getattr(part, "sse_trace", ()))
         runtime = time.perf_counter() - start
         return CellResult(
             size=size, k=k, algorithm=algorithm, seed=seed, report=report,
-            iterations=iterations, converged=converged, config=echo,
+            iterations=part.iterations, converged=part.converged, config=echo,
             runtime=runtime, trace=tuple(float(t) for t in trace),
         )
     except Exception as exc:

@@ -14,6 +14,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
+from ._util import opened
 from .matrix import ExpressionMatrix
 
 __all__ = ["render_rgb", "render_ppm", "write_ppm", "cluster_row_order"]
@@ -77,7 +78,5 @@ def write_ppm(
     scale: int = 1,
 ) -> None:
     data = render_ppm(matrix, row_order, scale)
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_bytes(data)
-    else:
-        dest.write(data)
+    with opened(dest, "wb") as handle:
+        handle.write(data)

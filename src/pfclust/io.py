@@ -24,6 +24,7 @@ import math
 from pathlib import Path
 from typing import IO, Union
 
+from ._util import opened
 from .matrix import ExpressionMatrix
 
 __all__ = ["ParseError", "parse_matrix", "write_tsv", "sniff_format", "FORMATS"]
@@ -242,8 +243,5 @@ def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None
     lines = ["\t".join(matrix.sample_ids)]
     for gene_id, row in zip(matrix.gene_ids, matrix.values):
         lines.append(gene_id + "\t" + "\t".join(_format_value(x) for x in row))
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
-    else:
-        dest.write(text)
+    with opened(dest) as handle:
+        handle.write("\n".join(lines) + "\n")

@@ -28,6 +28,8 @@ class HardPartition:
         Number of assign/update rounds performed.
     sse_trace : tuple of float
         SSE after each round's centroid update; non-increasing.
+    converged : bool
+        Whether the stop test fired within max_iter rounds.
     """
 
     assignments: np.ndarray
@@ -35,6 +37,7 @@ class HardPartition:
     sse: float
     iterations: int
     sse_trace: tuple[float, ...]
+    converged: bool = False
 
     @property
     def k(self) -> int:
@@ -112,6 +115,7 @@ def kmeans(
     assign = np.full(n, -1, dtype=np.intp)
     trace: list[float] = []
     iterations = 0
+    converged = False
     for _ in range(max_iter):
         dists = sq_distances(x, w)
         new_assign = np.argmin(dists, axis=1)
@@ -129,6 +133,7 @@ def kmeans(
         if on_iteration is not None:
             on_iteration(assign.copy(), w.copy())
         if stable or movement < eps:
+            converged = True
             break
 
     return HardPartition(
@@ -137,4 +142,5 @@ def kmeans(
         sse=trace[-1],
         iterations=iterations,
         sse_trace=tuple(trace),
+        converged=converged,
     )

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ExpressionMatrix", "GeneVector"]
+__all__ = ["ExpressionMatrix"]
 
 
 def _check_unique(ids: Sequence[str], kind: str) -> None:
@@ -18,25 +18,6 @@ def _check_unique(ids: Sequence[str], kind: str) -> None:
                 f"duplicate {kind} id {name!r} at positions {seen[name]} and {pos}"
             )
         seen[name] = pos
-
-
-@dataclass(frozen=True)
-class GeneVector:
-    """One gene's measurements across all samples, with row statistics on demand."""
-
-    gene_id: str
-    values: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    @property
-    def sample_std(self) -> float:
-        """Standard deviation with the n-1 denominator; 0.0 for a single sample."""
-        if self.values.size < 2:
-            return 0.0
-        return float(self.values.std(ddof=1))
 
 
 @dataclass(frozen=True)
@@ -109,13 +90,6 @@ class ExpressionMatrix:
         if self.n_samples < 2:
             return np.zeros(self.n_genes)
         return self.values.var(axis=1, ddof=1)
-
-    def gene_vector(self, index: int) -> GeneVector:
-        return GeneVector(self.gene_ids[index], self.values[index])
-
-    def gene_index(self) -> dict[str, int]:
-        """Map from gene id to row position."""
-        return {name: pos for pos, name in enumerate(self.gene_ids)}
 
     def take_genes(self, indices: Sequence[int]) -> "ExpressionMatrix":
         """New matrix containing the given rows, in the given order."""

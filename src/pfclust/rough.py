@@ -27,13 +27,15 @@ class RoughPartition:
     upper[j] additionally holds the genes possibly in it. Invariants:
     lower[j] is a subset of upper[j]; every gene is in at least one upper
     set; a gene in any lower set is in exactly one upper set; a gene in
-    two or more upper sets belongs to no lower set.
+    two or more upper sets belongs to no lower set. converged tells
+    whether the stop test fired within max_iter rounds.
     """
 
     lower: tuple[frozenset[int], ...]
     upper: tuple[frozenset[int], ...]
     centroids: np.ndarray
     iterations: int
+    converged: bool = False
 
     @property
     def k(self) -> int:
@@ -130,6 +132,7 @@ def rough_kmeans(
     lower: tuple[frozenset[int], ...] = ()
     upper: tuple[frozenset[int], ...] = ()
     iterations = 0
+    converged = False
     for _ in range(max_iter):
         member = _memberships(x, w, zeta)
         lower, upper = _collect(member)
@@ -153,6 +156,9 @@ def rough_kmeans(
         stable = (lower, upper) == prev_sets
         prev_sets = (lower, upper)
         if stable or movement < eps:
+            converged = True
             break
 
-    return RoughPartition(lower=lower, upper=upper, centroids=w, iterations=iterations)
+    return RoughPartition(
+        lower=lower, upper=upper, centroids=w, iterations=iterations, converged=converged
+    )

@@ -23,6 +23,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
+from ._util import opened
 from .fuzzy import FuzzyPartition
 from .kmeans import HardPartition
 from .rough import RoughPartition
@@ -70,12 +71,6 @@ class PartitionFile:
         return out
 
 
-def _open_out(dest: Union[str, Path, IO[str]]):
-    if isinstance(dest, (str, Path)):
-        return open(dest, "w", encoding="utf-8", newline=""), True
-    return dest, False
-
-
 def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
@@ -86,8 +81,7 @@ def write_partition_csv(
     dest: Union[str, Path, IO[str]],
 ) -> None:
     """Write any partition kind in its CSV layout, rows in gene order."""
-    handle, close = _open_out(dest)
-    try:
+    with opened(dest) as handle:
         w = _writer(handle)
         if isinstance(part, HardPartition):
             if len(gene_ids) != part.assignments.size:
@@ -115,9 +109,6 @@ def write_partition_csv(
                 w.writerow([gid] + [repr(float(v)) for v in row])
         else:
             raise TypeError(f"unsupported partition type {type(part).__name__}")
-    finally:
-        if close:
-            handle.close()
 
 
 def write_centroids_csv(
@@ -129,15 +120,11 @@ def write_centroids_csv(
             f"centroids have {centroids.shape[1]} columns but {len(sample_ids)} "
             f"sample ids were given"
         )
-    handle, close = _open_out(dest)
-    try:
+    with opened(dest) as handle:
         w = _writer(handle)
         w.writerow(list(sample_ids))
         for row in centroids:
             w.writerow([repr(float(v)) for v in row])
-    finally:
-        if close:
-            handle.close()
 
 
 def _jsonable(obj):
@@ -162,17 +149,13 @@ def _jsonable(obj):
 def write_metadata_json(meta: dict, dest: Union[str, Path, IO[str]]) -> None:
     """Stable JSON document: sorted keys, non-finite numbers as strings."""
     text = json.dumps(_jsonable(meta), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
-    else:
-        dest.write(text)
+    with opened(dest) as handle:
+        handle.write(text)
 
 
 def _read_rows(source: Union[str, Path, IO[str]]) -> list[list[str]]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return [row for row in csv.reader(handle) if row]
-    return [row for row in csv.reader(source) if row]
+    with opened(source, "r") as handle:
+        return [row for row in csv.reader(handle) if row]
 
 
 def read_partition_csv(source: Union[str, Path, IO[str]]) -> PartitionFile:

@@ -157,6 +157,26 @@ def test_cluster_nonconvergence_warns_but_succeeds(bundled_tsv, tmp_path, capsys
     assert meta["converged"] is False
 
 
+@pytest.mark.parametrize("alg,seed,stop", [("kmeans", 1, 4), ("rough-kmeans", 0, 6)])
+def test_cluster_converged_on_last_allowed_iteration(bundled_tsv, tmp_path, capsys, alg, seed, stop):
+    # these runs stop on their own at iteration `stop`; capping them there
+    # must still report convergence
+    code = main(["cluster", str(bundled_tsv), "--alg", alg, "--k", "3", "--seed", str(seed),
+                 "--normalize", "zscore", "--max-iter", str(stop)])
+    assert code == 0
+    assert "did not converge" not in capsys.readouterr().err
+    meta = json.loads((tmp_path / "synth.meta.json").read_text())
+    assert meta["iterations"] == stop
+    assert meta["converged"] is True
+
+
+def test_cluster_zero_membership_mass_is_numerical_failure(bundled_tsv, capsys):
+    # u**m underflows to zero mass at this fuzzifier
+    code = main(["cluster", str(bundled_tsv), "--alg", "pfcm", "--k", "3", "--m", "2000"])
+    assert code == 3
+    assert "zero total mass" in capsys.readouterr().err
+
+
 def test_cluster_rerun_byte_identical(four_tsv, tmp_path):
     args = ["cluster", str(four_tsv), "--alg", "pfcm", "--k", "2", "--seed", "1"]
     assert main(args) == 0
@@ -288,6 +308,39 @@ def test_grid_config_unknown_key(bundled_tsv, tmp_path, capsys):
     code = main(["grid", str(bundled_tsv), "--config", str(cfg)])
     assert code == 1
     assert "unknown grid config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"subset_sizes": 5, "ks": [2]}',
+    '{"ks": null, "subset_sizes": [5]}',
+    '{"algorithms": [5], "pairs": [[5, 2]]}',
+    '{"normalization": 3, "pairs": [[5, 2]]}',
+    '{"overrides": [], "pairs": [[5, 2]]}',
+])
+def test_grid_config_malformed_values(bundled_tsv, tmp_path, capsys, doc):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(doc, encoding="utf-8")
+    args = ["grid", str(bundled_tsv), "--config", str(cfg)]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert main(args + ["--json"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["exit_code"] == 1
+
+
+def test_grid_row_converged_on_last_allowed_iteration(bundled_tsv, tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({
+        "pairs": [[100, 3]], "algorithms": ["kmeans", "rough_kmeans"],
+        "overrides": {"kmeans": {"max_iter": 4}, "rough_kmeans": {"max_iter": 6}},
+    }), encoding="utf-8")
+    assert main(["grid", str(bundled_tsv), "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
+    rows = json.loads((tmp_path / "g.report.json").read_text())["rows"]
+    assert [(r["iterations"], r["converged"]) for r in rows] == [(4, True), (6, True)]
+    report = (tmp_path / "g.report.csv").read_text().splitlines()
+    col = report[0].split(",").index("converged")
+    assert [line.split(",")[col] for line in report[1:]] == ["true", "true"]
 
 
 def test_grid_config_conflicts_with_flags(bundled_tsv, tmp_path, capsys):

@@ -12,6 +12,7 @@ from pfclust import (
     kmeans,
     parse_matrix,
     pfcm,
+    run_algorithm,
     run_grid,
     subset_genes,
     preset_pairs,
@@ -143,6 +144,20 @@ def test_grid_config_overrides():
     cfg = grid.config_for("pfcm")
     assert cfg["v"] == 0.25 and cfg["m"] == 3.0
     assert grid.config_for("fcm")["m"] == 2.0
+
+
+def test_run_algorithm_reads_only_its_params(bundled):
+    x = bundled.values[:30]
+    # kmeans ignores the fuzzifier; fcm rejects it only when it reads it
+    ref = kmeans(x, 2, seed=3, eps=1e-4)
+    part = run_algorithm("kmeans", x, 2, seed=3, eps=1e-4, m=0.5)
+    assert np.array_equal(part.assignments, ref.assignments)
+    with pytest.raises(ValueError, match="m must be"):
+        run_algorithm("fcm", x, 2, m=0.5)
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        run_algorithm("kmedoids", x, 2)
+    with pytest.raises(TypeError, match="mm"):
+        run_algorithm("pfcm", x, 2, mm=3.0)
 
 
 def test_run_grid_row_count_and_order(bundled):

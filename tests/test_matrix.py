@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfclust import ExpressionMatrix, GeneVector
+from pfclust import ExpressionMatrix
 
 
 def test_basic_construction(small_matrix):
@@ -62,18 +62,6 @@ def test_row_means_and_sample_stds(small_matrix):
 def test_single_sample_std_is_zero():
     m = ExpressionMatrix(("a",), ("x",), [[3.0]])
     assert m.row_sample_stds()[0] == 0.0
-
-
-def test_gene_vector(small_matrix):
-    gv = small_matrix.gene_vector(0)
-    assert isinstance(gv, GeneVector)
-    assert gv.gene_id == "g1"
-    assert gv.mean == pytest.approx(4.0)
-    assert gv.sample_std == pytest.approx(2.0)
-
-
-def test_gene_index(small_matrix):
-    assert small_matrix.gene_index()["g2"] == 1
 
 
 def test_take_genes(small_matrix):
