@@ -38,10 +38,40 @@ def as_values(data) -> np.ndarray:
     return arr
 
 
+# entries below this fraction of ||x_i - mu||^2 + ||w_j - mu||^2 are
+# recomputed from the row difference: far above it the GEMM expansion's
+# rounding error (about d * 1e-16 of that sum) is negligible, while below it
+# cancellation could hide a coincidence or fake one
+_RECOMPUTE_FRAC = 1e-6
+
+
 def sq_distances(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (n_rows_x, n_rows_w)."""
-    diff = x[:, None, :] - w[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared Euclidean distances, shape (n_rows_x, n_rows_w).
+
+    Uses the expansion ||a||^2 - 2 a.b + ||b||^2 on rows centred by the
+    column mean mu of x, so one matrix product does the work and no
+    (n, k, d) array is built. Results are clamped at 0, and every entry
+    small next to ||x_i - mu||^2 + ||w_j - mu||^2 is recomputed exactly
+    from x_i - w_j, so a row equal to a centroid gets exactly 0. Entries
+    the expansion leaves inf or nan by overflow are recomputed the same
+    way, which is why its floating-point warnings are silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = x.mean(axis=0)
+        xc = x - mu
+        wc = w - mu
+        xn = np.einsum("ij,ij->i", xc, xc)
+        wn = np.einsum("ij,ij->i", wc, wc)
+        d2 = xc @ wc.T
+        d2 *= -2.0
+        d2 += xn[:, None]
+        d2 += wn[None, :]
+        np.maximum(d2, 0.0, out=d2)
+        rows, cols = np.nonzero(~(d2 > _RECOMPUTE_FRAC * (xn[:, None] + wn[None, :])))
+    if rows.size:
+        diff = x[rows] - w[cols]
+        d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
+    return d2
 
 
 def sample_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

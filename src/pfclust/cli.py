@@ -183,6 +183,8 @@ def _validate_cluster_flags(args) -> str:
         raise UsageError(f"--eps must be positive, got {args.eps}")
     if args.max_iter < 1:
         raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
+    if args.farthest_init and alg in ("fcm", "pfcm"):
+        raise UsageError("--farthest-init applies to kmeans and rough-kmeans only")
     return alg
 
 

@@ -119,8 +119,8 @@ class ExperimentGrid:
     Cells are either the cross product subset_sizes x ks or, when
     `pairs` is given, exactly those (size, k) cells. Every cell runs
     once per algorithm per seed. `overrides` maps an algorithm name to
-    parameter overrides, e.g. {"pfcm": {"v": 0.5}}; keys are those of
-    DEFAULTS, and PARAMS names the ones each algorithm reads.
+    parameter overrides, e.g. {"pfcm": {"v": 0.5}}; the keys must be
+    ones PARAMS lists for that algorithm.
     """
 
     subset_sizes: tuple[int, ...] = ()
@@ -175,10 +175,10 @@ class ExperimentGrid:
             if a not in ALGORITHMS:
                 raise ValueError(f"override for unknown algorithm {a!r}")
             for key in params:
-                if key not in DEFAULTS:
+                if key not in PARAMS[a]:
                     raise ValueError(
                         f"unknown override key {key!r} for {a}; "
-                        f"expected one of {tuple(DEFAULTS)}"
+                        f"expected one of {', '.join(PARAMS[a])}"
                     )
 
     def cells(self) -> tuple[tuple[int, int], ...]:
@@ -354,15 +354,18 @@ def run_algorithm(
 
     `params` may hold any DEFAULTS key; the algorithm reads the keys
     PARAMS[name] lists, falling back to DEFAULTS, and ignores the rest.
-    farthest_init applies to kmeans and rough_kmeans only. Returns the
-    algorithm's own partition, which carries `iterations` and
-    `converged`.
+    farthest_init applies to kmeans and rough_kmeans only, and is a
+    ValueError for fcm and pfcm, which start from a random membership
+    matrix. Returns the algorithm's own partition, which carries
+    `iterations` and `converged`.
     """
     if name not in PARAMS:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
     unknown = set(params) - set(DEFAULTS)
     if unknown:
         raise TypeError(f"unknown parameter(s) {', '.join(sorted(unknown))}")
+    if farthest_init and name in ("fcm", "pfcm"):
+        raise ValueError(f"farthest_init applies to kmeans and rough_kmeans, not {name}")
     p = {key: params.get(key, DEFAULTS[key]) for key in PARAMS[name]}
     # grid overrides read from JSON may give the cap as a float
     p["max_iter"] = int(p["max_iter"])

@@ -127,7 +127,8 @@ def kmeans(
             w_new[j] = x[assign == j].mean(axis=0)
         movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
         w = w_new
-        sse = float(sq_distances(x, w)[np.arange(n), assign].sum())
+        resid = x - w[assign]
+        sse = float(np.einsum("ij,ij->i", resid, resid).sum())
         trace.append(sse)
         iterations += 1
         if on_iteration is not None:

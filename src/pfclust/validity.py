@@ -112,7 +112,14 @@ def mae(x, u: np.ndarray, w: np.ndarray, m: float = 2.0) -> float:
     """Mean membership-weighted L1 residual per cell."""
     xv = as_values(x)
     _check_shapes(xv, u, w)
-    l1 = np.abs(xv[:, None, :] - w[None, :, :]).sum(axis=2)
+    # one cluster at a time through one reused buffer, so no (n, k, d)
+    # array is built and no fresh (n, d) array is paged in per cluster
+    l1 = np.empty((xv.shape[0], w.shape[0]))
+    diff = np.empty_like(xv)
+    for j in range(w.shape[0]):
+        np.subtract(xv, w[j], out=diff)
+        np.abs(diff, out=diff)
+        diff.sum(axis=1, out=l1[:, j])
     return float(((u ** m) * l1).sum()) / (xv.shape[0] * xv.shape[1])
 
 

@@ -133,3 +133,14 @@ def grid_min_induced_objective(x, m, v, step):
         alpha = mass / mass.sum(axis=1, keepdims=True)
         j -= 0.5 * v * (um * np.log(alpha)[:, None, :]).sum(axis=(1, 2))
     return float(j.min())
+
+
+def sq_distances(x, w):
+    """Squared Euclidean distances between rows, summed term by term."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    out = np.zeros((x.shape[0], w.shape[0]))
+    for i in range(x.shape[0]):
+        for j in range(w.shape[0]):
+            out[i, j] = sum((a - b) ** 2 for a, b in zip(x[i].tolist(), w[j].tolist()))
+    return out

@@ -398,3 +398,23 @@ def test_gct_extension_sniffed(tmp_path):
     assert code == 0
     pf = read_partition_csv(tmp_path / "mini.partition.csv")
     assert pf.gene_ids == ("ga", "gb")
+
+
+def test_grid_config_override_key_the_algorithm_ignores(bundled_tsv, tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(
+        '{"pairs": [[5, 2]], "overrides": {"kmeans": {"m": 0.5, "v": -3}}}', encoding="utf-8"
+    )
+    assert main(["grid", str(bundled_tsv), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "expected one of eps, max_iter" in err[0]
+
+
+@pytest.mark.parametrize("alg", ["fcm", "pfcm"])
+def test_cluster_farthest_init_is_usage_error_for_fuzzy(four_tsv, tmp_path, capsys, alg):
+    out = tmp_path / "run"
+    args = ["cluster", str(four_tsv), "--alg", alg, "--k", "2", "--farthest-init", "--out", str(out)]
+    assert main(args) == 1
+    assert "--farthest-init" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run.*"))

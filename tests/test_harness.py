@@ -362,3 +362,19 @@ def test_cluster_recovery_across_seeds():
     )
     assert km_hits >= 8
     assert pf_hits >= 9
+
+
+def test_grid_overrides_accept_only_keys_the_algorithm_reads():
+    with pytest.raises(ValueError, match="'m' for kmeans; expected one of eps, max_iter"):
+        ExperimentGrid(subset_sizes=(5,), ks=(2,), overrides={"kmeans": {"m": 0.5, "v": -3}})
+    with pytest.raises(ValueError, match="'v' for fcm"):
+        ExperimentGrid(subset_sizes=(5,), ks=(2,), overrides={"fcm": {"v": 0.5}})
+    grid = ExperimentGrid(subset_sizes=(5,), ks=(2,), overrides={"rough_kmeans": {"zeta": 1.5}})
+    assert grid.config_for("rough_kmeans")["zeta"] == 1.5
+
+
+def test_run_algorithm_rejects_farthest_init_for_fuzzy(bundled):
+    x = bundled.values[:30]
+    for name in ("fcm", "pfcm"):
+        with pytest.raises(ValueError, match=f"farthest_init .* not {name}"):
+            run_algorithm(name, x, 2, farthest_init=True)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pfclust import kmeans
+from pfclust import kmeans, parse_matrix
 
-from _oracles import enumerate_kmeans_sse
+from _oracles import enumerate_kmeans_sse, sq_distances
 
 
 def test_four_point_fixture(four_points):
@@ -127,3 +127,12 @@ def test_iteration_callback_sees_progress():
     part = kmeans(x, 3, seed=1, on_iteration=lambda a, w: seen.append((a, w)))
     assert len(seen) == part.iterations
     assert np.array_equal(seen[-1][0], part.assignments)
+
+
+def test_sse_is_sum_of_assigned_squared_residuals(bundled_path):
+    x = parse_matrix(bundled_path.read_text(), "tsv").values
+    part = kmeans(x, 4, seed=2)
+    d2 = sq_distances(x, part.centroids)
+    want = sum(d2[i, part.assignments[i]] for i in range(x.shape[0]))
+    assert part.sse == pytest.approx(want, rel=1e-12)
+    assert part.sse_trace[-1] == part.sse
