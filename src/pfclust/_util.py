@@ -82,14 +82,14 @@ def sample_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def farthest_point_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy farthest-point row selection; the first row is drawn uniformly."""
-    n = x.shape[0]
-    chosen = [int(rng.integers(n))]
-    # nearest-chosen squared distance per row, updated incrementally
-    nearest = sq_distances(x, x[chosen])[:, 0]
-    while len(chosen) < k:
-        nxt = int(np.argmax(nearest))
-        chosen.append(nxt)
-        nearest = np.minimum(nearest, sq_distances(x, x[[nxt]])[:, 0])
+    chosen = [int(rng.integers(x.shape[0]))]
+    # nearest-chosen squared distance per row, from exact row differences
+    nearest = np.full(x.shape[0], np.inf)
+    diff = np.empty_like(x)
+    for _ in range(k - 1):
+        np.subtract(x, x[chosen[-1]], out=diff)
+        np.minimum(nearest, np.einsum("ij,ij->i", diff, diff), out=nearest)
+        chosen.append(int(np.argmax(nearest)))
     return x[chosen].copy()
 
 

@@ -18,6 +18,7 @@ import io as _stdio
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -48,7 +49,7 @@ from .serialize import (
     write_metadata_json,
     write_partition_csv,
 )
-from .validity import ALGORITHMS, mae, rmse, xie_beni
+from .validity import ALGORITHMS, score
 
 __all__ = ["main", "entry"]
 
@@ -280,21 +281,14 @@ def _cmd_validate(args) -> int:
     algorithm = _canon_algorithm(args.algorithm) if args.algorithm else {
         "hard": "kmeans", "rough": "rough_kmeans", "fuzzy": "fcm",
     }[pf.kind]
-    xb = float("inf") if k < 2 else xie_beni(m, u, centroids)
     report = {
         "command": "validate",
         "input": args.input,
         "partition_file": args.partition,
         "centroids_file": args.centroids,
         "partition_kind": pf.kind,
-        "algorithm": algorithm,
         "m": args.m,
-        "k": k,
-        "n_genes": m.n_genes,
-        "n_samples": m.n_samples,
-        "rmse": rmse(m, u, centroids, args.m),
-        "mae": mae(m, u, centroids, args.m),
-        "xie_beni": xb,
+        **asdict(score(m, u, centroids, args.m, algorithm)),
     }
     buf = _stdio.StringIO()
     write_metadata_json(report, buf)

@@ -2,8 +2,9 @@
 
 A gene always joins the upper set of its nearest centroid, and also the
 upper set of any other cluster whose distance is within a ratio threshold
-zeta of the nearest distance. Genes claimed by exactly one upper set form
-that cluster's lower set; the rest sit in boundary regions. Centroids are
+zeta of the nearest distance. A partition is one boolean (n_genes, k)
+upper-set matrix. Genes claimed by exactly one upper set form that
+cluster's lower set; the rest sit in boundary regions. Centroids are
 weighted combinations of lower and boundary means.
 """
 
@@ -21,18 +22,18 @@ __all__ = ["RoughPartition", "rough_kmeans"]
 
 @dataclass(frozen=True)
 class RoughPartition:
-    """Lower/upper approximations per cluster plus the final centroids.
+    """Upper-set memberships per cluster plus the final centroids.
 
-    lower[j] is a frozenset of gene indices certainly in cluster j;
-    upper[j] additionally holds the genes possibly in it. Invariants:
-    lower[j] is a subset of upper[j]; every gene is in at least one upper
-    set; a gene in any lower set is in exactly one upper set; a gene in
-    two or more upper sets belongs to no lower set. converged tells
-    whether the stop test fired within max_iter rounds.
+    member is a boolean (n_genes, k) matrix: member[i, j] says gene i is
+    in cluster j's upper set. Every gene is in at least one upper set. A
+    gene in exactly one upper set (the lone mask) is in that cluster's
+    lower set; a gene in two or more is in no lower set and sits in the
+    boundary of each. lower, upper and boundary(j) give the same
+    structure as frozensets of gene indices. converged tells whether the
+    stop test fired within max_iter rounds.
     """
 
-    lower: tuple[frozenset[int], ...]
-    upper: tuple[frozenset[int], ...]
+    member: np.ndarray
     centroids: np.ndarray
     iterations: int
     converged: bool = False
@@ -41,32 +42,37 @@ class RoughPartition:
     def k(self) -> int:
         return self.centroids.shape[0]
 
+    @property
+    def lone(self) -> np.ndarray:
+        """Per-gene mask: in exactly one upper set, hence in its lower set."""
+        return _lone(self.member)
+
+    @property
+    def upper(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(np.flatnonzero(col).tolist()) for col in self.member.T)
+
+    @property
+    def lower(self) -> tuple[frozenset[int], ...]:
+        lone = self.lone
+        return tuple(frozenset(np.flatnonzero(col & lone).tolist()) for col in self.member.T)
+
     def boundary(self, j: int) -> frozenset[int]:
         """Genes in cluster j's upper set but not its lower set."""
-        return self.upper[j] - self.lower[j]
+        return frozenset(np.flatnonzero(self.member[:, j] & ~self.lone).tolist())
+
+
+def _lone(member: np.ndarray) -> np.ndarray:
+    return member.sum(axis=1) == 1
 
 
 def _memberships(x: np.ndarray, w: np.ndarray, zeta: float) -> np.ndarray:
     """Boolean (n, k) upper-set membership under the distance-ratio test."""
     d = np.sqrt(sq_distances(x, w))
-    nearest = np.argmin(d, axis=1)
-    d_near = d[np.arange(x.shape[0]), nearest]
-    member = np.zeros(d.shape, dtype=bool)
-    member[np.arange(x.shape[0]), nearest] = True
-    positive = d_near > 0.0
-    # exact coincidence with a centroid pins the gene to that cluster only
-    ratio_ok = d <= zeta * d_near[:, None]
-    member[positive] |= ratio_ok[positive]
+    d_near = d.min(axis=1)[:, None]
+    # exact coincidence with a centroid pins the gene to its nearest cluster only
+    member = (d <= zeta * d_near) & (d_near > 0.0)
+    member[np.arange(d.shape[0]), np.argmin(d, axis=1)] = True
     return member
-
-
-def _collect(member: np.ndarray) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    counts = member.sum(axis=1)
-    upper = tuple(frozenset(np.flatnonzero(member[:, j]).tolist()) for j in range(member.shape[1]))
-    lower = tuple(
-        frozenset(i for i in up if counts[i] == 1) for up in upper
-    )
-    return lower, upper
 
 
 def rough_kmeans(
@@ -128,37 +134,34 @@ def rough_kmeans(
     else:
         w = initial_centroids(x, k, np.random.default_rng(seed), farthest_init)
 
-    prev_sets: Optional[tuple] = None
-    lower: tuple[frozenset[int], ...] = ()
-    upper: tuple[frozenset[int], ...] = ()
+    prev: Optional[np.ndarray] = None
     iterations = 0
     converged = False
     for _ in range(max_iter):
         member = _memberships(x, w, zeta)
-        lower, upper = _collect(member)
+        lone = _lone(member)
         w_new = np.empty_like(w)
         for j in range(k):
-            low = sorted(lower[j])
-            bound = sorted(upper[j] - lower[j])
-            if low and bound:
-                w_new[j] = w_lower * x[low].mean(axis=0) + (1.0 - w_lower) * x[bound].mean(axis=0)
-            elif low:
-                w_new[j] = x[low].mean(axis=0)
-            elif bound:
-                w_new[j] = x[bound].mean(axis=0)
+            # masks keep rows in gene order, which fixes each mean's summation order
+            low = x[member[:, j] & lone]
+            bound = x[member[:, j] & ~lone]
+            if len(low) and len(bound):
+                w_new[j] = w_lower * low.mean(axis=0) + (1.0 - w_lower) * bound.mean(axis=0)
+            elif len(low):
+                w_new[j] = low.mean(axis=0)
+            elif len(bound):
+                w_new[j] = bound.mean(axis=0)
             else:
                 w_new[j] = w[j]
         movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
         w = w_new
         iterations += 1
         if on_iteration is not None:
-            on_iteration(RoughPartition(lower, upper, w.copy(), iterations))
-        stable = (lower, upper) == prev_sets
-        prev_sets = (lower, upper)
+            on_iteration(RoughPartition(member, w.copy(), iterations))
+        stable = prev is not None and np.array_equal(member, prev)
+        prev = member
         if stable or movement < eps:
             converged = True
             break
 
-    return RoughPartition(
-        lower=lower, upper=upper, centroids=w, iterations=iterations, converged=converged
-    )
+    return RoughPartition(member, w, iterations, converged)

@@ -81,34 +81,32 @@ def write_partition_csv(
     dest: Union[str, Path, IO[str]],
 ) -> None:
     """Write any partition kind in its CSV layout, rows in gene order."""
+    if isinstance(part, HardPartition):
+        header = ["gene_id", "cluster"]
+        n = part.assignments.size
+        genes = range(n)
+        cells = part.assignments[:, None].tolist()
+    elif isinstance(part, RoughPartition):
+        header = ["gene_id", "cluster", "membership_kind"]
+        n = part.member.shape[0]
+        # nonzero walks the matrix row-major: gene order, then cluster order
+        rows, clusters = np.nonzero(part.member)
+        kinds = np.where(part.lone[rows], "lower", "boundary")
+        genes = rows.tolist()
+        cells = zip(clusters.tolist(), kinds.tolist())
+    elif isinstance(part, FuzzyPartition):
+        header = ["gene_id"] + [f"u{j}" for j in range(part.c)]
+        n = part.memberships.shape[0]
+        genes = range(n)
+        cells = [[repr(v) for v in row] for row in part.memberships.tolist()]
+    else:
+        raise TypeError(f"unsupported partition type {type(part).__name__}")
+    if len(gene_ids) != n:
+        raise ValueError("gene id count does not match the partition")
     with opened(dest) as handle:
         w = _writer(handle)
-        if isinstance(part, HardPartition):
-            if len(gene_ids) != part.assignments.size:
-                raise ValueError("gene id count does not match the partition")
-            w.writerow(["gene_id", "cluster"])
-            for gid, a in zip(gene_ids, part.assignments):
-                w.writerow([gid, int(a)])
-        elif isinstance(part, RoughPartition):
-            n = len(gene_ids)
-            w.writerow(["gene_id", "cluster", "membership_kind"])
-            rows_per_gene: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-            for j in range(part.k):
-                for i in part.lower[j]:
-                    rows_per_gene[i].append((j, "lower"))
-                for i in part.upper[j] - part.lower[j]:
-                    rows_per_gene[i].append((j, "boundary"))
-            for i, gid in enumerate(gene_ids):
-                for j, kind in sorted(rows_per_gene[i]):
-                    w.writerow([gid, j, kind])
-        elif isinstance(part, FuzzyPartition):
-            if len(gene_ids) != part.memberships.shape[0]:
-                raise ValueError("gene id count does not match the partition")
-            w.writerow(["gene_id"] + [f"u{j}" for j in range(part.c)])
-            for gid, row in zip(gene_ids, part.memberships):
-                w.writerow([gid] + [repr(float(v)) for v in row])
-        else:
-            raise TypeError(f"unsupported partition type {type(part).__name__}")
+        w.writerow(header)
+        w.writerows([gene_ids[i], *c] for i, c in zip(genes, cells))
 
 
 def write_centroids_csv(
@@ -198,33 +196,33 @@ def _hard_from_rows(body: list[list[str]]) -> PartitionFile:
 
 
 def _rough_from_rows(body: list[list[str]]) -> PartitionFile:
-    order: list[str] = []
-    entries: dict[str, list[tuple[int, str]]] = {}
+    index: dict[str, int] = {}
+    genes, clusters, lower = [], [], []
     for row in body:
         if len(row) != 3:
             raise ValueError(f"expected 3 fields per row, found {len(row)}: {row!r}")
         gid, cluster_s, kind = row
         if kind not in ("lower", "boundary"):
             raise ValueError(f"membership_kind must be lower or boundary, got {kind!r}")
-        if gid not in entries:
-            entries[gid] = []
-            order.append(gid)
-        entries[gid].append((int(cluster_s), kind))
-    k = 1 + max(c for memb in entries.values() for c, _ in memb)
-    u = np.zeros((len(order), k))
-    assigns = np.zeros(len(order), dtype=np.intp)
-    for i, gid in enumerate(order):
-        memb = sorted(entries[gid])
-        kinds = {kind for _, kind in memb}
-        if "lower" in kinds and (len(memb) > 1 or "boundary" in kinds):
-            raise ValueError(f"gene {gid!r} mixes lower membership with other rows")
-        if kinds == {"lower"}:
-            u[i, memb[0][0]] = 1.0
-        else:
-            for c, _ in memb:
-                u[i, c] = 1.0 / len(memb)
-        assigns[i] = memb[0][0]
-    return PartitionFile("rough", tuple(order), u, assigns)
+        genes.append(index.setdefault(gid, len(index)))
+        clusters.append(int(cluster_s))
+        lower.append(kind == "lower")
+    g = np.asarray(genes, dtype=np.intp)
+    c = np.asarray(clusters, dtype=np.intp)
+    if c.min() < 0:
+        raise ValueError("negative cluster index")
+    # a lower row must be its gene's only row; genes are numbered in file
+    # order, so the smallest offending number is the first such gene
+    mixed = np.asarray(lower) & (np.bincount(g)[g] > 1)
+    if mixed.any():
+        gid = list(index)[g[mixed].min()]
+        raise ValueError(f"gene {gid!r} mixes lower membership with other rows")
+    member = np.zeros((len(index), c.max() + 1), dtype=bool)
+    member[g, c] = True
+    if np.count_nonzero(member) != g.size:
+        raise ValueError("duplicate (gene id, cluster) row in partition file")
+    u = member / member.sum(axis=1, keepdims=True)
+    return PartitionFile("rough", tuple(index), u, np.argmax(member, axis=1))
 
 
 def _fuzzy_from_rows(body: list[list[str]], c: int) -> PartitionFile:

@@ -38,6 +38,7 @@ __all__ = [
     "rmse",
     "mae",
     "xie_beni",
+    "score",
     "evaluate",
 ]
 
@@ -82,13 +83,7 @@ def unified_memberships(p: Partition) -> np.ndarray:
         u[np.arange(p.assignments.size), p.assignments] = 1.0
         return u
     if isinstance(p, RoughPartition):
-        n = max(max(up, default=-1) for up in p.upper) + 1
-        u = np.zeros((n, p.k))
-        for j, up in enumerate(p.upper):
-            for i in up:
-                u[i, j] = 1.0
-        counts = u.sum(axis=1, keepdims=True)
-        return u / counts
+        return p.member / p.member.sum(axis=1, keepdims=True)
     raise TypeError(f"unsupported partition type {type(p).__name__}")
 
 
@@ -143,22 +138,13 @@ def xie_beni(x, u: np.ndarray, w: np.ndarray) -> float:
     return scatter / (xv.shape[0] * min_sep)
 
 
-def evaluate(x, p: Partition, m: float = 2.0, algorithm: str | None = None) -> ValidityReport:
-    """Build a full ValidityReport for a partition of x.
+def score(x, u: np.ndarray, w: np.ndarray, m: float, algorithm: str) -> ValidityReport:
+    """Score memberships u and centroids w of x as a ValidityReport.
 
-    The fuzzifier m weights the rmse/mae residuals; pass 1.0 to score a
-    hard or rough partition by plain membership fractions. With a single
-    cluster the Xie-Beni index is undefined and reported as infinity.
+    The fuzzifier m weights the rmse/mae residuals. With a single cluster
+    the Xie-Beni index is undefined and reported as infinity.
     """
     xv = as_values(x)
-    u = unified_memberships(p)
-    w = p.centroids
-    if algorithm is None:
-        algorithm = {
-            HardPartition: "kmeans",
-            RoughPartition: "rough_kmeans",
-            FuzzyPartition: "fcm" if getattr(p, "alpha", None) is None else "pfcm",
-        }[type(p)]
     xb = math.inf if w.shape[0] < 2 else xie_beni(xv, u, w)
     return ValidityReport(
         rmse=rmse(xv, u, w, m),
@@ -169,3 +155,18 @@ def evaluate(x, p: Partition, m: float = 2.0, algorithm: str | None = None) -> V
         k=w.shape[0],
         algorithm=algorithm,
     )
+
+
+def evaluate(x, p: Partition, m: float = 2.0, algorithm: str | None = None) -> ValidityReport:
+    """Score a partition of x: score() on its unified memberships.
+
+    Pass m=1.0 to score a hard or rough partition by plain membership
+    fractions.
+    """
+    if algorithm is None:
+        algorithm = {
+            HardPartition: "kmeans",
+            RoughPartition: "rough_kmeans",
+            FuzzyPartition: "fcm" if getattr(p, "alpha", None) is None else "pfcm",
+        }[type(p)]
+    return score(x, unified_memberships(p), p.centroids, m, algorithm)

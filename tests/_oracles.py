@@ -144,3 +144,56 @@ def sq_distances(x, w):
         for j in range(w.shape[0]):
             out[i, j] = sum((a - b) ** 2 for a, b in zip(x[i].tolist(), w[j].tolist()))
     return out
+
+
+def rough_kmeans(x, k, init_centroids, zeta=1.3, w_lower=0.7, max_iter=300, eps=1e-5):
+    """Rough k-means kept as frozensets of gene indices.
+
+    Lower and upper sets are tuples of frozensets, each mean averages the
+    rows of a sorted index list, and the run stops when the (lower, upper)
+    tuples repeat or no centroid moves eps. Distances come from the
+    package kernel, so the ratio test sees the same bits as the package
+    and only the set bookkeeping is independent.
+
+    Returns (lower, upper, centroids, iterations, converged).
+    """
+    from pfclust._util import sq_distances
+
+    x = np.asarray(x, dtype=float)
+    w = np.array(init_centroids, dtype=float)
+    n = x.shape[0]
+    prev = None
+    iterations = 0
+    converged = False
+    for _ in range(max_iter):
+        d = np.sqrt(sq_distances(x, w))
+        upper_lists = [[] for _ in range(k)]
+        for i in range(n):
+            near = int(np.argmin(d[i]))
+            for j in range(k):
+                if j == near or (d[i, near] > 0.0 and d[i, j] <= zeta * d[i, near]):
+                    upper_lists[j].append(i)
+        upper = tuple(frozenset(up) for up in upper_lists)
+        counts = [sum(i in up for up in upper) for i in range(n)]
+        lower = tuple(frozenset(i for i in up if counts[i] == 1) for up in upper)
+        w_new = np.empty_like(w)
+        for j in range(k):
+            low = sorted(lower[j])
+            bound = sorted(upper[j] - lower[j])
+            if low and bound:
+                w_new[j] = w_lower * x[low].mean(axis=0) + (1.0 - w_lower) * x[bound].mean(axis=0)
+            elif low:
+                w_new[j] = x[low].mean(axis=0)
+            elif bound:
+                w_new[j] = x[bound].mean(axis=0)
+            else:
+                w_new[j] = w[j]
+        movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
+        w = w_new
+        iterations += 1
+        stable = (lower, upper) == prev
+        prev = (lower, upper)
+        if stable or movement < eps:
+            converged = True
+            break
+    return lower, upper, w, iterations, converged

@@ -1,10 +1,12 @@
 import json
+import math
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from pfclust import parse_matrix, read_partition_csv
+from pfclust import evaluate, parse_matrix, read_partition_csv, run_algorithm
 from pfclust.cli import main
 
 
@@ -218,6 +220,22 @@ def test_validate_output_file_and_algorithm_override(four_tsv, tmp_path, capsys)
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["algorithm"] == "rough_kmeans"
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_validate_scores_a_rough_partition_like_evaluate(bundled_tsv, tmp_path, capsys, k):
+    prefix = tmp_path / "r"
+    assert main(["cluster", str(bundled_tsv), "--alg", "rough-kmeans", "--k", str(k),
+                 "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(bundled_tsv), "--partition", f"{prefix}.partition.csv",
+                 "--centroids", f"{prefix}.centroids.csv", "--m", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    m = parse_matrix(bundled_tsv.read_text(), "tsv")
+    want = asdict(evaluate(m, run_algorithm("rough_kmeans", m, k), m=1.0))
+    if math.isinf(want["xie_beni"]):
+        want["xie_beni"] = "inf"
+    assert {key: doc[key] for key in want} == want
 
 
 def test_validate_gene_id_mismatch(four_tsv, tmp_path, capsys):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfclust import kmeans, rough_kmeans
+
+import _oracles
 
 
 def _check_structure(part):
@@ -134,3 +138,43 @@ def test_deterministic_per_seed():
     assert a.lower == b.lower
     assert a.upper == b.upper
     assert np.array_equal(a.centroids, b.centroids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    k=st.integers(1, 5),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    lattice=st.booleans(),
+    n_dup=st.integers(0, 4),
+    n_shared=st.integers(0, 3),
+    zeta=st.sampled_from([1.0, 1.05, 1.3, 2.0, 1e6]),
+    w_lower=st.sampled_from([0.5, 0.7, 1.0]),
+    max_iter=st.integers(1, 25),
+)
+def test_matches_set_based_oracle(
+    n, k, d, seed, lattice, n_dup, n_shared, zeta, w_lower, max_iter
+):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    if lattice:
+        # small integers give ties in distance and in the ratio test
+        x = np.round(2.0 * x)
+    # duplicate rows, and init centroids that are exact copies of genes
+    x[rng.integers(n, size=n_dup)] = x[rng.integers(n, size=n_dup)]
+    init = rng.standard_normal((k, d))
+    shared = min(n_shared, k)
+    init[:shared] = x[rng.integers(n, size=shared)]
+    part = rough_kmeans(
+        x, k, zeta=zeta, w_lower=w_lower, max_iter=max_iter, init_centroids=init
+    )
+    lower, upper, w, iterations, converged = _oracles.rough_kmeans(
+        x, k, init, zeta=zeta, w_lower=w_lower, max_iter=max_iter
+    )
+    assert np.array_equal(part.centroids, w)
+    assert part.iterations == iterations
+    assert part.converged == converged
+    assert part.lower == lower
+    assert part.upper == upper

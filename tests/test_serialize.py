@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfclust import (
     FuzzyConfig,
@@ -15,6 +17,7 @@ from pfclust import (
     read_centroids_csv,
     read_partition_csv,
     rough_kmeans,
+    unified_memberships,
     write_centroids_csv,
     write_metadata_json,
     write_partition_csv,
@@ -75,6 +78,38 @@ def test_rough_round_trip():
 def test_rough_lower_mixed_with_boundary_rejected():
     text = "gene_id,cluster,membership_kind\ng1,0,lower\ng1,1,boundary\n"
     with pytest.raises(ValueError, match="mixes lower"):
+        read_partition_csv(io.StringIO(text))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    zeta=st.sampled_from([1.0, 1.3, 2.0, 1e6]),
+    max_iter=st.integers(1, 5),
+)
+def test_rough_round_trip_matches_unified_memberships(n, k, seed, zeta, max_iter):
+    k = min(k, n)
+    x = np.round(2.0 * np.random.default_rng(seed).standard_normal((n, 2)))
+    part = rough_kmeans(x, k, zeta=zeta, seed=seed, max_iter=max_iter)
+    gene_ids = tuple(f"g{i}" for i in range(n))
+    _, back = _roundtrip(part, gene_ids)
+    assert back.gene_ids == gene_ids
+    assert np.array_equal(back.padded_memberships(k), unified_memberships(part))
+    first_upper = [min(j for j in range(k) if i in part.upper[j]) for i in range(n)]
+    assert back.assignments.tolist() == first_upper
+
+
+def test_rough_reader_rejects_negative_and_duplicate_rows():
+    head = "gene_id,cluster,membership_kind\n"
+    with pytest.raises(ValueError, match="negative cluster index"):
+        read_partition_csv(io.StringIO(head + "g1,0,boundary\ng1,-1,boundary\n"))
+    with pytest.raises(ValueError, match="duplicate"):
+        read_partition_csv(io.StringIO(head + "g1,0,boundary\ng1,0,boundary\ng2,1,lower\n"))
+    # the first offending gene in file order is named
+    text = head + "g2,0,boundary\ng1,0,lower\ng1,1,boundary\ng2,1,lower\n"
+    with pytest.raises(ValueError, match="gene 'g2' mixes lower"):
         read_partition_csv(io.StringIO(text))
 
 
@@ -140,6 +175,21 @@ def test_gene_id_count_checked():
     part = kmeans(np.array([[0.0], [10.0]]), 2, seed=0)
     with pytest.raises(ValueError, match="gene id count"):
         write_partition_csv(part, ("only_one",), io.StringIO())
+
+
+@pytest.mark.parametrize("n_ids", [2, 4])
+@pytest.mark.parametrize("kind", ["hard", "rough", "fuzzy"])
+def test_gene_id_count_checked_for_every_kind(tmp_path, kind, n_ids):
+    x = np.array([[0.0], [1.0], [10.0]])
+    part = {
+        "hard": lambda: kmeans(x, 2, seed=0),
+        "rough": lambda: rough_kmeans(x, 2, seed=0),
+        "fuzzy": lambda: pfcm(x, FuzzyConfig(c=2, seed=0)),
+    }[kind]()
+    dest = tmp_path / "part.csv"
+    with pytest.raises(ValueError, match="gene id count"):
+        write_partition_csv(part, tuple("abcd"[:n_ids]), dest)
+    assert not dest.exists()
 
 
 def test_metadata_json_stable_and_nonfinite():

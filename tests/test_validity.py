@@ -52,8 +52,7 @@ def test_unified_fuzzy_is_a_copy():
 
 def test_unified_rough_splits_boundary():
     p = RoughPartition(
-        lower=(frozenset({0}), frozenset({1})),
-        upper=(frozenset({0, 2}), frozenset({1, 2})),
+        member=np.array([[True, False], [False, True], [True, True]]),
         centroids=np.zeros((2, 1)),
         iterations=1,
     )
