@@ -2,12 +2,45 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from .matrix import ExpressionMatrix
+
+# the six run parameters: default, the condition a value must meet, and the
+# rule errors name. Each condition is written as what must hold, so NaN
+# fails every one of them.
+PARAMETERS = {
+    "m": (2.0, lambda v: v > 1.0, "must be strictly greater than 1"),
+    "v": (1.0, lambda v: v >= 0.0, "must be >= 0"),
+    "zeta": (1.3, lambda v: v >= 1.0, "must be >= 1"),
+    "w_lower": (0.7, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    "eps": (1e-5, lambda v: v > 0.0, "must be positive"),
+    "max_iter": (300, lambda v: 1 <= v < math.inf, "must be >= 1"),
+}
+
+DEFAULTS = {name: default for name, (default, _, _) in PARAMETERS.items()}
+
+
+def check_params(flags: bool = False, **values) -> None:
+    """Raise ValueError for the first value, in the order given, that breaks its rule.
+
+    With flags the error names the parameter as its command-line flag
+    (``--w-lower``). Values that are not real numbers (bools included)
+    are rejected too.
+    """
+    for name, value in values.items():
+        _, holds, rule = PARAMETERS[name]
+        label = "--" + name.replace("_", "-") if flags else name
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{label} must be a number, got {value!r}")
+        if not holds(value):
+            raise ValueError(f"{label} {rule}, got {value}")
 
 
 @contextmanager
@@ -74,12 +107,6 @@ def sq_distances(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return d2
 
 
-def sample_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k distinct rows chosen uniformly without replacement."""
-    idx = rng.choice(x.shape[0], size=k, replace=False)
-    return x[idx].copy()
-
-
 def farthest_point_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy farthest-point row selection; the first row is drawn uniformly."""
     chosen = [int(rng.integers(x.shape[0]))]
@@ -94,8 +121,23 @@ def farthest_point_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def initial_centroids(
-    x: np.ndarray, k: int, rng: np.random.Generator, farthest: bool
+    x: np.ndarray, k: int, seed: int, farthest: bool, init: Optional[np.ndarray] = None
 ) -> np.ndarray:
+    """Starting centroids for k clusters, 1 <= k <= n_rows.
+
+    `init`, when given, is copied after its (k, n_cols) shape is checked;
+    otherwise k distinct rows are picked by a seeded uniform sample or by
+    greedy farthest-point selection.
+    """
+    n, d = x.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if init is not None:
+        w = np.array(init, dtype=np.float64)
+        if w.shape != (k, d):
+            raise ValueError(f"init_centroids must have shape {(k, d)}, got {w.shape}")
+        return w
+    rng = np.random.default_rng(seed)
     if farthest:
         return farthest_point_rows(x, k, rng)
-    return sample_rows(x, k, rng)
+    return x[rng.choice(n, size=k, replace=False)]

@@ -25,6 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
+from ._util import check_params
 from .fuzzy import FuzzyPartition, NumericalError
 from .harness import (
     DEFAULTS,
@@ -172,18 +173,8 @@ def _validate_cluster_flags(args) -> str:
     alg = _canon_algorithm(args.alg)
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
-    if not args.m > 1.0:
-        raise UsageError(f"--m must be strictly greater than 1, got {args.m}")
-    if args.v < 0.0:
-        raise UsageError(f"--v must be >= 0, got {args.v}")
-    if args.zeta < 1.0:
-        raise UsageError(f"--zeta must be >= 1, got {args.zeta}")
-    if not 0.0 < args.w_lower <= 1.0:
-        raise UsageError(f"--w-lower must be in (0, 1], got {args.w_lower}")
-    if args.eps <= 0.0:
-        raise UsageError(f"--eps must be positive, got {args.eps}")
-    if args.max_iter < 1:
-        raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
+    # every flag is checked, also those the chosen algorithm ignores
+    check_params(flags=True, **{key: getattr(args, key) for key in DEFAULTS})
     if args.farthest_init and alg in ("fcm", "pfcm"):
         raise UsageError("--farthest-init applies to kmeans and rough-kmeans only")
     return alg
@@ -268,10 +259,9 @@ def _cmd_validate(args) -> int:
     pf, order = _read_partition(args.partition, m)
     try:
         centroids, _ = read_centroids_csv(args.centroids)
+        u = pf.padded_memberships(centroids.shape[0])[order]
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
-    k = centroids.shape[0]
-    u = pf.padded_memberships(k)[order]
     if centroids.shape[1] != m.n_samples:
         raise DataError(
             f"centroids have {centroids.shape[1]} columns but the matrix has "

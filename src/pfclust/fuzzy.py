@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import as_values, sq_distances
+from ._util import DEFAULTS, as_values, check_params, sq_distances
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -70,31 +70,19 @@ class FuzzyConfig:
         Iteration cap.
     seed : int
         Seeds the random initial membership matrix.
-    alpha_floor : float
-        Lower clamp applied to cluster proportions before taking logs.
     """
 
     c: int
-    m: float = 2.0
-    v: float = 1.0
-    eps: float = 1e-5
-    max_iter: int = 300
+    m: float = DEFAULTS["m"]
+    v: float = DEFAULTS["v"]
+    eps: float = DEFAULTS["eps"]
+    max_iter: int = DEFAULTS["max_iter"]
     seed: int = 0
-    alpha_floor: float = ALPHA_FLOOR
 
     def __post_init__(self):
         if self.c < 1:
             raise ValueError(f"c must be >= 1, got {self.c}")
-        if not self.m > 1.0:
-            raise ValueError(f"m must be strictly greater than 1, got {self.m}")
-        if self.v < 0.0:
-            raise ValueError(f"v must be >= 0, got {self.v}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.alpha_floor <= 1e-6:
-            raise ValueError(f"alpha_floor must be in (0, 1e-6], got {self.alpha_floor}")
+        check_params(m=self.m, v=self.v, eps=self.eps, max_iter=self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -134,14 +122,14 @@ class FuzzyPartition:
         return np.argmax(self.memberships, axis=1)
 
 
-def compute_alpha(u: np.ndarray, m: float, alpha_floor: float = ALPHA_FLOOR) -> np.ndarray:
+def compute_alpha(u: np.ndarray, m: float) -> np.ndarray:
     """Cluster proportions from a membership matrix.
 
     alpha_j is cluster j's share of the total fuzzified membership mass
 
         alpha_j = sum_i u_ij^m / sum_l sum_i u_il^m
 
-    with components below alpha_floor clamped up, the vector renormalized,
+    with components below ALPHA_FLOOR clamped up, the vector renormalized,
     and the last component fixed by subtraction so the sum is exactly 1.
     """
     mass = (u ** m).sum(axis=0)
@@ -151,7 +139,7 @@ def compute_alpha(u: np.ndarray, m: float, alpha_floor: float = ALPHA_FLOOR) -> 
     alpha = mass / total
     if alpha.shape[0] == 1:
         return np.ones(1)
-    clamped = np.maximum(alpha, alpha_floor)
+    clamped = np.maximum(alpha, ALPHA_FLOOR)
     alpha = clamped / clamped.sum()
     alpha[-1] = 1.0 - alpha[:-1].sum()
     return alpha
@@ -247,7 +235,7 @@ def _run(
     converged = False
     try:
         for t in range(cfg.max_iter):
-            alpha = compute_alpha(u, cfg.m, cfg.alpha_floor)
+            alpha = compute_alpha(u, cfg.m)
             w = compute_centroids(u, cfg.m, x)
             j_val = pfcm_objective(u, w, alpha, x, cfg.m, v)
             if not np.isfinite(j_val):
@@ -268,7 +256,7 @@ def _run(
 
         # recompute the returned state from the final memberships so the
         # (U, W, alpha) triple is mutually consistent
-        alpha = compute_alpha(u, cfg.m, cfg.alpha_floor)
+        alpha = compute_alpha(u, cfg.m)
         w = compute_centroids(u, cfg.m, x)
         trace.append(pfcm_objective(u, w, alpha, x, cfg.m, v))
     except ValueError as exc:

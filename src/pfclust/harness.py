@@ -21,7 +21,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import opened
+from ._util import DEFAULTS, check_params, opened
 from .fuzzy import FuzzyConfig, FuzzyPartition, fcm, pfcm
 from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
@@ -48,9 +48,6 @@ __all__ = [
 NORMALIZATIONS = ("none", "mean_relative", "z_score")
 
 SUBSET_POLICIES = ("first_n", "variance_top_n", "seeded_random")
-
-# defaults echoed into every result row that uses them
-DEFAULTS = {"m": 2.0, "v": 1.0, "zeta": 1.3, "w_lower": 0.7, "eps": 1e-5, "max_iter": 300}
 
 # the DEFAULTS keys each algorithm reads; every other key is ignored
 PARAMS = {
@@ -120,7 +117,8 @@ class ExperimentGrid:
     `pairs` is given, exactly those (size, k) cells. Every cell runs
     once per algorithm per seed. `overrides` maps an algorithm name to
     parameter overrides, e.g. {"pfcm": {"v": 0.5}}; the keys must be
-    ones PARAMS lists for that algorithm.
+    ones PARAMS lists for that algorithm, and the values must meet the
+    same range rules as the algorithm's own arguments.
     """
 
     subset_sizes: tuple[int, ...] = ()
@@ -180,6 +178,7 @@ class ExperimentGrid:
                         f"unknown override key {key!r} for {a}; "
                         f"expected one of {', '.join(PARAMS[a])}"
                     )
+            check_params(**params)
 
     def cells(self) -> tuple[tuple[int, int], ...]:
         """All (size, k) cells in deterministic ascending order."""

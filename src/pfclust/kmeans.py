@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import as_values, initial_centroids, sq_distances
+from ._util import DEFAULTS, as_values, check_params, initial_centroids, sq_distances
 
 __all__ = ["HardPartition", "kmeans"]
 
@@ -61,8 +61,8 @@ def kmeans(
     m,
     k: int,
     seed: int = 0,
-    max_iter: int = 300,
-    eps: float = 1e-5,
+    max_iter: int = DEFAULTS["max_iter"],
+    eps: float = DEFAULTS["eps"],
     farthest_init: bool = False,
     init_centroids: Optional[np.ndarray] = None,
     on_iteration: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
@@ -70,10 +70,11 @@ def kmeans(
     """Cluster gene rows into k groups minimizing the sum of squared distances.
 
     Alternates nearest-centroid assignment with centroid mean updates until
-    the assignment is stable, no centroid moves by eps or more, or max_iter
-    rounds have run. A cluster left empty by an assignment step is repaired
-    by moving in the point farthest from its own centroid, so every returned
-    cluster is non-empty. Deterministic for a given seed.
+    no centroid moves by eps or more, or max_iter rounds have run. A
+    repeated assignment gives bit-equal centroids, so it stops the run in
+    the round it repeats. A cluster left empty by an assignment step is
+    repaired by moving in the point farthest from its own centroid, so
+    every returned cluster is non-empty. Deterministic for a given seed.
 
     Parameters
     ----------
@@ -95,33 +96,16 @@ def kmeans(
     HardPartition
     """
     x = as_values(m)
-    n = x.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_params(max_iter=max_iter, eps=eps)
+    w = initial_centroids(x, k, seed, farthest_init, init_centroids)
 
-    if init_centroids is not None:
-        w = np.array(init_centroids, dtype=np.float64)
-        if w.shape != (k, x.shape[1]):
-            raise ValueError(
-                f"init_centroids must have shape {(k, x.shape[1])}, got {w.shape}"
-            )
-    else:
-        w = initial_centroids(x, k, np.random.default_rng(seed), farthest_init)
-
-    assign = np.full(n, -1, dtype=np.intp)
     trace: list[float] = []
     iterations = 0
     converged = False
     for _ in range(max_iter):
         dists = sq_distances(x, w)
-        new_assign = np.argmin(dists, axis=1)
-        _repair_empty(new_assign, dists, k)
-        stable = bool(np.array_equal(new_assign, assign))
-        assign = new_assign
+        assign = np.argmin(dists, axis=1)
+        _repair_empty(assign, dists, k)
         w_new = np.empty_like(w)
         for j in range(k):
             w_new[j] = x[assign == j].mean(axis=0)
@@ -133,7 +117,7 @@ def kmeans(
         iterations += 1
         if on_iteration is not None:
             on_iteration(assign.copy(), w.copy())
-        if stable or movement < eps:
+        if movement < eps:
             converged = True
             break
 

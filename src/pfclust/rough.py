@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import as_values, initial_centroids, sq_distances
+from ._util import DEFAULTS, as_values, check_params, initial_centroids, sq_distances
 
 __all__ = ["RoughPartition", "rough_kmeans"]
 
@@ -78,11 +78,11 @@ def _memberships(x: np.ndarray, w: np.ndarray, zeta: float) -> np.ndarray:
 def rough_kmeans(
     m,
     k: int,
-    zeta: float = 1.3,
-    w_lower: float = 0.7,
+    zeta: float = DEFAULTS["zeta"],
+    w_lower: float = DEFAULTS["w_lower"],
     seed: int = 0,
-    max_iter: int = 300,
-    eps: float = 1e-5,
+    max_iter: int = DEFAULTS["max_iter"],
+    eps: float = DEFAULTS["eps"],
     farthest_init: bool = False,
     init_centroids: Optional[np.ndarray] = None,
     on_iteration: Optional[Callable[[RoughPartition], None]] = None,
@@ -113,28 +113,9 @@ def rough_kmeans(
     RoughPartition
     """
     x = as_values(m)
-    n = x.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if zeta < 1.0:
-        raise ValueError(f"zeta must be >= 1, got {zeta}")
-    if not 0.0 < w_lower <= 1.0:
-        raise ValueError(f"w_lower must be in (0, 1], got {w_lower}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_params(zeta=zeta, w_lower=w_lower, max_iter=max_iter, eps=eps)
+    w = initial_centroids(x, k, seed, farthest_init, init_centroids)
 
-    if init_centroids is not None:
-        w = np.array(init_centroids, dtype=np.float64)
-        if w.shape != (k, x.shape[1]):
-            raise ValueError(
-                f"init_centroids must have shape {(k, x.shape[1])}, got {w.shape}"
-            )
-    else:
-        w = initial_centroids(x, k, np.random.default_rng(seed), farthest_init)
-
-    prev: Optional[np.ndarray] = None
     iterations = 0
     converged = False
     for _ in range(max_iter):
@@ -158,9 +139,8 @@ def rough_kmeans(
         iterations += 1
         if on_iteration is not None:
             on_iteration(RoughPartition(member, w.copy(), iterations))
-        stable = prev is not None and np.array_equal(member, prev)
-        prev = member
-        if stable or movement < eps:
+        # a repeated upper-set matrix gives bit-equal centroids, so it stops here too
+        if movement < eps:
             converged = True
             break
 

@@ -231,8 +231,15 @@ def _fuzzy_from_rows(body: list[list[str]], c: int) -> PartitionFile:
     for row in body:
         if len(row) != c + 1:
             raise ValueError(f"expected {c + 1} fields per row, found {len(row)}: {row!r}")
+        row_u = [float(v) for v in row[1:]]
+        # NaN fails the range test; 1e-9 is the acceptance row-sum tolerance
+        if not (all(0.0 <= v <= 1.0 for v in row_u) and abs(math.fsum(row_u) - 1.0) <= 1e-9):
+            raise ValueError(
+                f"gene {row[0]!r}: memberships must be in [0, 1] and sum to 1, "
+                f"got {', '.join(row[1:])}"
+            )
         gene_ids.append(row[0])
-        values.append([float(v) for v in row[1:]])
+        values.append(row_u)
     if len(set(gene_ids)) != len(gene_ids):
         raise ValueError("duplicate gene id in partition file")
     u = np.asarray(values)

@@ -197,3 +197,52 @@ def rough_kmeans(x, k, init_centroids, zeta=1.3, w_lower=0.7, max_iter=300, eps=
             converged = True
             break
     return lower, upper, w, iterations, converged
+
+
+def kmeans(x, k, init_centroids, max_iter=300, eps=1e-5):
+    """K-means with explicit loops and the assignment-stability stop.
+
+    Each round sends every row to its nearest centroid (the lowest index
+    on ties), then fills each empty cluster, in index order, with the row
+    farthest from its own centroid among clusters that keep a member.
+    Means average the rows of an index list. The run stops when the
+    assignment repeats or no centroid moves eps. Distances come from the
+    package kernel, and the SSE is summed in the package's order, so the
+    trace can be compared bit for bit; the assignment, repair and
+    stopping bookkeeping are independent.
+
+    Returns (assignments, centroids, iterations, converged, sse_trace).
+    """
+    from pfclust._util import sq_distances
+
+    x = np.asarray(x, dtype=float)
+    w = np.array(init_centroids, dtype=float)
+    n = x.shape[0]
+    assign = None
+    trace = []
+    iterations = 0
+    converged = False
+    for _ in range(max_iter):
+        d = sq_distances(x, w)
+        new = [min(range(k), key=lambda j: (d[i, j], j)) for i in range(n)]
+        counts = [new.count(j) for j in range(k)]
+        for j in [j for j in range(k) if counts[j] == 0]:
+            far = None
+            for i in range(n):
+                if counts[new[i]] >= 2 and (far is None or d[i, new[i]] > d[far, new[far]]):
+                    far = i
+            counts[new[far]] -= 1
+            new[far] = j
+            counts[j] += 1
+        stable = new == assign
+        assign = new
+        w_new = np.array([x[[i for i in range(n) if assign[i] == j]].mean(axis=0) for j in range(k)])
+        movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
+        w = w_new
+        resid = x - w[assign]
+        trace.append(float(np.einsum("ij,ij->i", resid, resid).sum()))
+        iterations += 1
+        if stable or movement < eps:
+            converged = True
+            break
+    return np.array(assign), w, iterations, converged, tuple(trace)

@@ -249,6 +249,26 @@ def test_validate_gene_id_mismatch(four_tsv, tmp_path, capsys):
     assert "gene ids do not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("partition, message", [
+    # more clusters than the centroid file holds
+    ("gene_id,cluster\nga,0\ngb,0\ngc,1\ngd,2\n",
+     "partition references cluster 2 but only 2 centroids given"),
+    # memberships that are not a probability row
+    ("gene_id,u0,u1\nga,1.0,0.0\ngb,nan,0.2\ngc,0.0,1.0\ngd,0.0,1.0\n",
+     "gene 'gb': memberships must be in [0, 1] and sum to 1, got nan, 0.2"),
+], ids=["cluster-count", "fuzzy-row"])
+def test_validate_mismatched_partition_is_data_error(four_tsv, tmp_path, capsys,
+                                                     partition, message):
+    part = tmp_path / "p.csv"
+    cent = tmp_path / "c.csv"
+    part.write_text(partition, encoding="utf-8")
+    cent.write_text("s1\n0.5\n10.5\n", encoding="utf-8")
+    code = main(["validate", str(four_tsv), "--partition", str(part),
+                 "--centroids", str(cent)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_heatmap_default_output(four_tsv, tmp_path):
     code = main(["heatmap", str(four_tsv), "--scale", "2"])
     assert code == 0

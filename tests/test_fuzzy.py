@@ -277,10 +277,6 @@ def test_config_validation():
         FuzzyConfig(c=2, eps=0.0)
     with pytest.raises(ValueError):
         FuzzyConfig(c=2, max_iter=0)
-    with pytest.raises(ValueError):
-        FuzzyConfig(c=2, alpha_floor=0.0)
-    with pytest.raises(ValueError):
-        FuzzyConfig(c=2, alpha_floor=1e-3)
 
 
 def test_overflowing_data_raises_numerical_error():

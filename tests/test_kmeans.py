@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfclust import kmeans, parse_matrix
 
+import _oracles
 from _oracles import enumerate_kmeans_sse, sq_distances
 
 
@@ -136,3 +139,43 @@ def test_sse_is_sum_of_assigned_squared_residuals(bundled_path):
     want = sum(d2[i, part.assignments[i]] for i in range(x.shape[0]))
     assert part.sse == pytest.approx(want, rel=1e-12)
     assert part.sse_trace[-1] == part.sse
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    k=st.integers(1, 5),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    lattice=st.booleans(),
+    n_dup=st.integers(0, 4),
+    n_shared=st.integers(0, 3),
+    eps=st.sampled_from([1e-5, 1e-2, 1.0]),
+    max_iter=st.integers(1, 25),
+)
+def test_matches_loop_oracle_with_stability_stop(
+    n, k, d, seed, lattice, n_dup, n_shared, eps, max_iter
+):
+    # the oracle also stops on a repeated assignment; the package relies on
+    # the movement test alone, so equal results show that stop never decides
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    if lattice:
+        # small integers give distance ties
+        x = np.round(2.0 * x)
+    # duplicate rows, and init centroids that copy genes (and each other),
+    # which leaves clusters empty for the repair
+    x[rng.integers(n, size=n_dup)] = x[rng.integers(n, size=n_dup)]
+    init = rng.standard_normal((k, d))
+    shared = min(n_shared, k)
+    init[:shared] = x[rng.integers(n, size=shared)]
+    part = kmeans(x, k, max_iter=max_iter, eps=eps, init_centroids=init)
+    assign, w, iterations, converged, trace = _oracles.kmeans(
+        x, k, init, max_iter=max_iter, eps=eps
+    )
+    assert np.array_equal(part.assignments, assign)
+    assert np.array_equal(part.centroids, w)
+    assert part.iterations == iterations
+    assert part.converged == converged
+    assert part.sse_trace == trace

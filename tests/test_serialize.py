@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from pfclust import (
     FuzzyConfig,
+    NumericalError,
     FuzzyPartition,
     HardPartition,
     RoughPartition,
+    fcm,
     kmeans,
     pfcm,
     read_centroids_csv,
@@ -55,6 +57,48 @@ def test_fuzzy_round_trip_exact_floats():
     assert back.kind == "fuzzy"
     assert np.array_equal(back.memberships, part.memberships)
     assert np.array_equal(back.assignments, part.hard_assignments())
+
+
+@pytest.mark.parametrize("row", [
+    "a,nan,0.2",
+    "a,inf,0.0",
+    "a,2.0,-1",
+    "a,0.5,0.4999999",
+])
+def test_fuzzy_reader_rejects_rows_that_are_not_probabilities(row):
+    text = "gene_id,u0,u1\nz,0.25,0.75\n" + row + "\n"
+    with pytest.raises(ValueError, match="gene 'a': memberships must be in"):
+        read_partition_csv(io.StringIO(text))
+    # within the 1e-9 row-sum tolerance a row is read as written
+    back = read_partition_csv(io.StringIO("gene_id,u0,u1\na,0.5,0.5000000001\n"))
+    assert back.memberships.tolist() == [[0.5, 0.5000000001]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    c=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    lattice=st.booleans(),
+    m=st.sampled_from([1.1, 1.5, 2.0, 4.0]),
+    v=st.sampled_from([0.0, 0.5, 5.0]),
+    penalized=st.booleans(),
+    max_iter=st.integers(1, 30),
+)
+def test_written_fuzzy_partitions_read_back(n, c, seed, lattice, m, v, penalized, max_iter):
+    c = min(c, n)
+    x = np.random.default_rng(seed).standard_normal((n, 2))
+    if lattice:
+        # duplicate and coincident rows give singular membership rows
+        x = np.round(x)
+    cfg = FuzzyConfig(c=c, m=m, v=v, seed=seed, max_iter=max_iter)
+    try:
+        part = (pfcm if penalized else fcm)(x, cfg)
+    except NumericalError:
+        return
+    gene_ids = tuple(f"g{i}" for i in range(n))
+    _, back = _roundtrip(part, gene_ids)
+    assert np.array_equal(back.memberships, part.memberships)
 
 
 def test_rough_round_trip():
