@@ -21,7 +21,7 @@ PARAMETERS = {
     "zeta": (1.3, lambda v: v >= 1.0, "must be >= 1"),
     "w_lower": (0.7, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
     "eps": (1e-5, lambda v: v > 0.0, "must be positive"),
-    "max_iter": (300, lambda v: 1 <= v < math.inf, "must be >= 1"),
+    "max_iter": (300, lambda v: 1 <= v < math.inf and v % 1 == 0, "must be an integer >= 1"),
 }
 
 DEFAULTS = {name: default for name, (default, _, _) in PARAMETERS.items()}

@@ -17,6 +17,7 @@ import argparse
 import io as _stdio
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -70,6 +71,12 @@ class DataError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so main() owns exit codes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent form, so `--eps -1e-3` would
+        # read -1e-3 as an option and never reach the range check
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise UsageError(message)

@@ -27,7 +27,7 @@ from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
 from .normalize import normalize
 from .rough import RoughPartition, rough_kmeans
-from .serialize import _jsonable, write_metadata_json
+from .serialize import write_metadata_json
 from .validity import ALGORITHMS, ValidityReport, evaluate
 
 __all__ = [
@@ -258,10 +258,7 @@ _SUMMARY_COLUMNS = [
 
 
 def _fmt(x: Optional[float]) -> str:
-    if x is None:
-        return ""
-    x = _jsonable(float(x))
-    return x if isinstance(x, str) else repr(x)
+    return "" if x is None else repr(float(x))
 
 
 def _csv_row(r: CellResult) -> list[str]:
@@ -366,7 +363,8 @@ def run_algorithm(
     if farthest_init and name in ("fcm", "pfcm"):
         raise ValueError(f"farthest_init applies to kmeans and rough_kmeans, not {name}")
     p = {key: params.get(key, DEFAULTS[key]) for key in PARAMS[name]}
-    # grid overrides read from JSON may give the cap as a float
+    check_params(**p)
+    # grid overrides read from JSON may give the cap as an integral float
     p["max_iter"] = int(p["max_iter"])
     if name == "kmeans":
         return kmeans(x, k, seed=seed, farthest_init=farthest_init, **p)

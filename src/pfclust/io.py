@@ -14,8 +14,9 @@ Three tab-delimited input formats are supported:
   value/call pairs. Call columns are ignored and the accession is used as
   the gene id.
 
-Values must be finite; NaN or infinite cells are rejected with their
-location rather than imputed.
+One reader builds the matrix for all three formats, and reads each cell as
+Python's ``float()`` does. Values must be finite; NaN or infinite cells are
+rejected with their location rather than imputed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from typing import IO, Union
+
+import numpy as np
 
 from ._util import opened
 from .matrix import ExpressionMatrix
@@ -81,13 +84,6 @@ def _parse_cell(field: str, line_no: int, col_no: int) -> float:
     return value
 
 
-def _build(gene_ids: list[str], sample_ids: list[str], rows: list[list[float]]) -> ExpressionMatrix:
-    try:
-        return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), rows)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
 def parse_matrix(source: Source, format: str = "tsv") -> ExpressionMatrix:
     """Parse a matrix from a string, bytes, or open file.
 
@@ -117,30 +113,53 @@ def parse_matrix(source: Source, format: str = "tsv") -> ExpressionMatrix:
     return _parse_res(lines)
 
 
+def _read_body(
+    rows: list[tuple[int, str]], sample_ids: list[str], id_col: int, id_name: str,
+    first: int, step: int, layout: str,
+) -> ExpressionMatrix:
+    """Build the matrix from numbered data lines with the id in field `id_col`
+    and the values in fields `first::step`. Assigning a row of strings to the
+    array converts each with float(); a row that fails, or holds a non-finite
+    value, is walked cell by cell to name the first bad one.
+    """
+    n_samples = len(sample_ids)
+    n_fields = first + step * n_samples
+    gene_ids: list[str] = []
+    values = np.empty((len(rows), n_samples))
+    for i, (line_no, line) in enumerate(rows):
+        if not line:
+            raise ParseError("blank line inside data section", line_no)
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(
+                f"expected {n_fields} fields ({layout}), found {len(fields)}", line_no
+            )
+        if not fields[id_col]:
+            raise ParseError(f"empty {id_name}", line_no, id_col + 1)
+        gene_ids.append(fields[id_col])
+        cells = fields[first::step]
+        try:
+            values[i] = cells
+            ok = np.isfinite(values[i]).all()
+        except ValueError:
+            ok = False
+        if not ok:
+            values[i] = [_parse_cell(f, line_no, first + 1 + step * j)
+                         for j, f in enumerate(cells)]
+    try:
+        return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), values)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _parse_tsv(lines: list[str]) -> ExpressionMatrix:
     sample_ids = lines[0].split("\t")
     if any(not s for s in sample_ids):
         raise ParseError("empty sample id in header", 1)
-    n_samples = len(sample_ids)
-    gene_ids: list[str] = []
-    rows: list[list[float]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise ParseError("blank line inside data section", line_no)
-        fields = line.split("\t")
-        if len(fields) != n_samples + 1:
-            raise ParseError(
-                f"expected {n_samples + 1} fields (gene id + {n_samples} values), "
-                f"found {len(fields)}",
-                line_no,
-            )
-        if not fields[0]:
-            raise ParseError("empty gene id", line_no, 1)
-        gene_ids.append(fields[0])
-        rows.append([_parse_cell(f, line_no, col + 2) for col, f in enumerate(fields[1:])])
-    if not rows:
+    if len(lines) < 2:
         raise ParseError("no data rows after the header", 1)
-    return _build(gene_ids, sample_ids, rows)
+    return _read_body(list(enumerate(lines[1:], start=2)), sample_ids, 0, "gene id", 1, 1,
+                      f"gene id + {len(sample_ids)} values")
 
 
 def _parse_gct(lines: list[str]) -> ExpressionMatrix:
@@ -172,21 +191,8 @@ def _parse_gct(lines: list[str]) -> ExpressionMatrix:
             f"{len(data_lines)}",
             2,
         )
-    gene_ids: list[str] = []
-    rows: list[list[float]] = []
-    for line_no, line in data_lines:
-        fields = line.split("\t")
-        if len(fields) != n_samples + 2:
-            raise ParseError(
-                f"expected {n_samples + 2} fields (name, description, "
-                f"{n_samples} values), found {len(fields)}",
-                line_no,
-            )
-        if not fields[0]:
-            raise ParseError("empty gene name", line_no, 1)
-        gene_ids.append(fields[0])
-        rows.append([_parse_cell(f, line_no, col + 3) for col, f in enumerate(fields[2:])])
-    return _build(gene_ids, sample_ids, rows)
+    return _read_body(data_lines, sample_ids, 0, "gene name", 2, 1,
+                      f"name, description, {n_samples} values")
 
 
 def _parse_res(lines: list[str]) -> ExpressionMatrix:
@@ -211,28 +217,8 @@ def _parse_res(lines: list[str]) -> ExpressionMatrix:
             f"count line declares {n_genes} data rows but file contains {len(data_lines)}",
             3,
         )
-    gene_ids: list[str] = []
-    rows: list[list[float]] = []
-    for line_no, line in data_lines:
-        fields = line.split("\t")
-        if len(fields) != 2 + 2 * n_samples:
-            raise ParseError(
-                f"expected {2 + 2 * n_samples} fields (description, accession and "
-                f"{n_samples} value/call pairs), found {len(fields)}",
-                line_no,
-            )
-        if not fields[1]:
-            raise ParseError("empty accession", line_no, 2)
-        gene_ids.append(fields[1])
-        rows.append(
-            [_parse_cell(f, line_no, 3 + 2 * col) for col, f in enumerate(fields[2::2])]
-        )
-    return _build(gene_ids, sample_ids, rows)
-
-
-def _format_value(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips exactly.
-    return repr(float(x))
+    return _read_body(data_lines, sample_ids, 1, "accession", 2, 2,
+                      f"description, accession and {n_samples} value/call pairs")
 
 
 def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None:
@@ -241,7 +227,10 @@ def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None
         if "\t" in name or "\n" in name or "\r" in name:
             raise ValueError(f"id {name!r} contains a tab or newline and cannot be written")
     lines = ["\t".join(matrix.sample_ids)]
+    # repr of a Python float is the shortest string that round-trips exactly;
+    # rows are converted one at a time, as a whole-matrix tolist() would hold
+    # a Python float per cell at once
     for gene_id, row in zip(matrix.gene_ids, matrix.values):
-        lines.append(gene_id + "\t" + "\t".join(_format_value(x) for x in row))
+        lines.append(gene_id + "\t" + "\t".join(map(repr, row.tolist())))
     with opened(dest) as handle:
         handle.write("\n".join(lines) + "\n")

@@ -121,8 +121,7 @@ def write_centroids_csv(
     with opened(dest) as handle:
         w = _writer(handle)
         w.writerow(list(sample_ids))
-        for row in centroids:
-            w.writerow([repr(float(v)) for v in row])
+        w.writerows(map(repr, row) for row in centroids.tolist())
 
 
 def _jsonable(obj):
@@ -259,4 +258,10 @@ def read_centroids_csv(source: Union[str, Path, IO[str]]) -> tuple[np.ndarray, t
                 f"expected {len(sample_ids)} fields per centroid row, found {len(row)}"
             )
         data.append([float(v) for v in row])
-    return np.asarray(data), sample_ids
+    centroids = np.asarray(data)
+    if not np.isfinite(centroids).all():
+        i, j = np.argwhere(~np.isfinite(centroids))[0]
+        raise ValueError(
+            f"non-finite value {rows[i + 1][j]!r} for centroid {i}, sample {sample_ids[j]!r}"
+        )
+    return centroids, sample_ids

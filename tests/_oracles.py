@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from pfclust import ParseError
+from pfclust.matrix import ExpressionMatrix
+
 
 def enumerate_kmeans_sse(x, k):
     """Globally optimal k-means SSE by exhaustive search over partitions."""
@@ -246,3 +249,170 @@ def kmeans(x, k, init_centroids, max_iter=300, eps=1e-5):
             converged = True
             break
     return np.array(assign), w, iterations, converged, tuple(trace)
+
+
+# The matrix parser as it was before one row reader served the three
+# formats: a row loop per format, one float() call per cell. Only the
+# error type and the matrix type are shared with the package, since the
+# comparison is of their contents.
+
+FORMATS = ("tsv", "gct", "res")
+
+
+def _parse_cell(field: str, line_no: int, col_no: int) -> float:
+    try:
+        value = float(field)
+    except ValueError:
+        raise ParseError(f"non-numeric value {field!r}", line_no, col_no) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {field!r}", line_no, col_no)
+    return value
+
+
+def _build(gene_ids: list[str], sample_ids: list[str], rows: list[list[float]]) -> ExpressionMatrix:
+    try:
+        return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), rows)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def parse_matrix(source: str, format: str = "tsv") -> ExpressionMatrix:
+    """Parse a matrix from a string.
+
+    Parameters
+    ----------
+    source : str
+        The raw file content.
+    format : {"tsv", "gct", "res"}
+        Which grammar to apply.
+
+    Raises
+    ------
+    ParseError
+        On empty input, header/body dimension mismatches, duplicate gene
+        ids, or non-numeric cells; the message names the offending line
+        and column.
+    """
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    lines = source.splitlines()
+    if not lines or all(not ln.strip() for ln in lines):
+        raise ParseError("empty file")
+    if format == "tsv":
+        return _parse_tsv(lines)
+    if format == "gct":
+        return _parse_gct(lines)
+    return _parse_res(lines)
+
+
+def _parse_tsv(lines: list[str]) -> ExpressionMatrix:
+    sample_ids = lines[0].split("\t")
+    if any(not s for s in sample_ids):
+        raise ParseError("empty sample id in header", 1)
+    n_samples = len(sample_ids)
+    gene_ids: list[str] = []
+    rows: list[list[float]] = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            raise ParseError("blank line inside data section", line_no)
+        fields = line.split("\t")
+        if len(fields) != n_samples + 1:
+            raise ParseError(
+                f"expected {n_samples + 1} fields (gene id + {n_samples} values), "
+                f"found {len(fields)}",
+                line_no,
+            )
+        if not fields[0]:
+            raise ParseError("empty gene id", line_no, 1)
+        gene_ids.append(fields[0])
+        rows.append([_parse_cell(f, line_no, col + 2) for col, f in enumerate(fields[1:])])
+    if not rows:
+        raise ParseError("no data rows after the header", 1)
+    return _build(gene_ids, sample_ids, rows)
+
+
+def _parse_gct(lines: list[str]) -> ExpressionMatrix:
+    if lines[0].strip() != "#1.2":
+        raise ParseError(f"unsupported GCT version marker {lines[0]!r} (expected '#1.2')", 1)
+    if len(lines) < 3:
+        raise ParseError("truncated GCT file: missing dimension or header line", len(lines))
+    dims = lines[1].split("\t")
+    if len(dims) < 2:
+        raise ParseError("dimension line must hold gene and sample counts", 2)
+    try:
+        n_genes, n_samples = int(dims[0]), int(dims[1])
+    except ValueError:
+        raise ParseError(f"non-integer dimensions {lines[1]!r}", 2) from None
+    header = lines[2].split("\t")
+    if len(header) < 2 or header[0].lower() != "name" or header[1].lower() != "description":
+        raise ParseError("header must start with 'Name<TAB>Description'", 3)
+    sample_ids = header[2:]
+    if len(sample_ids) != n_samples:
+        raise ParseError(
+            f"dimension line declares {n_samples} samples but header names "
+            f"{len(sample_ids)}",
+            3,
+        )
+    data_lines = [(no, ln) for no, ln in enumerate(lines[3:], start=4) if ln.strip()]
+    if len(data_lines) != n_genes:
+        raise ParseError(
+            f"dimension line declares {n_genes} data rows but file contains "
+            f"{len(data_lines)}",
+            2,
+        )
+    gene_ids: list[str] = []
+    rows: list[list[float]] = []
+    for line_no, line in data_lines:
+        fields = line.split("\t")
+        if len(fields) != n_samples + 2:
+            raise ParseError(
+                f"expected {n_samples + 2} fields (name, description, "
+                f"{n_samples} values), found {len(fields)}",
+                line_no,
+            )
+        if not fields[0]:
+            raise ParseError("empty gene name", line_no, 1)
+        gene_ids.append(fields[0])
+        rows.append([_parse_cell(f, line_no, col + 3) for col, f in enumerate(fields[2:])])
+    return _build(gene_ids, sample_ids, rows)
+
+
+def _parse_res(lines: list[str]) -> ExpressionMatrix:
+    header = lines[0].split("\t")
+    if len(header) < 3:
+        raise ParseError("header must hold two labels plus at least one sample id", 1)
+    rest = header[2:]
+    sample_ids = rest[0::2]
+    if any(not s for s in sample_ids):
+        raise ParseError("empty sample id in header", 1)
+    n_samples = len(sample_ids)
+    if len(lines) < 4:
+        raise ParseError("truncated RES file: missing count line or data rows", len(lines))
+    # lines[1] is the sample-description line and is intentionally skipped.
+    try:
+        n_genes = int(lines[2].strip())
+    except ValueError:
+        raise ParseError(f"gene-count line must be an integer, found {lines[2]!r}", 3) from None
+    data_lines = [(no, ln) for no, ln in enumerate(lines[3:], start=4) if ln.strip()]
+    if len(data_lines) != n_genes:
+        raise ParseError(
+            f"count line declares {n_genes} data rows but file contains {len(data_lines)}",
+            3,
+        )
+    gene_ids: list[str] = []
+    rows: list[list[float]] = []
+    for line_no, line in data_lines:
+        fields = line.split("\t")
+        if len(fields) != 2 + 2 * n_samples:
+            raise ParseError(
+                f"expected {2 + 2 * n_samples} fields (description, accession and "
+                f"{n_samples} value/call pairs), found {len(fields)}",
+                line_no,
+            )
+        if not fields[1]:
+            raise ParseError("empty accession", line_no, 2)
+        gene_ids.append(fields[1])
+        rows.append(
+            [_parse_cell(f, line_no, 3 + 2 * col) for col, f in enumerate(fields[2::2])]
+        )
+    return _build(gene_ids, sample_ids, rows)

@@ -105,6 +105,15 @@ def test_cluster_bad_k_writes_nothing(four_tsv, tmp_path, capsys):
     assert not (tmp_path / "four.partition.csv").exists()
 
 
+@pytest.mark.parametrize("flag, rule", [("--eps", "must be positive"), ("--v", "must be >= 0")])
+def test_cluster_negative_exponent_value_reaches_range_check(four_tsv, tmp_path, capsys,
+                                                             flag, rule):
+    code = main(["cluster", str(four_tsv), "--alg", "pfcm", "--k", "2", flag, "-1e-3"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {flag} {rule}, got -0.001\n"
+    assert not (tmp_path / "four.partition.csv").exists()
+
+
 def test_cluster_k_above_n_genes_fails_cleanly(four_tsv, tmp_path):
     code = main(["cluster", str(four_tsv), "--alg", "kmeans", "--k", "9"])
     assert code == 1
@@ -267,6 +276,20 @@ def test_validate_mismatched_partition_is_data_error(four_tsv, tmp_path, capsys,
                  "--centroids", str(cent)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_validate_non_finite_centroid_is_data_error(four_tsv, tmp_path, capsys, cell):
+    part = tmp_path / "p.csv"
+    cent = tmp_path / "c.csv"
+    part.write_text("gene_id,cluster\nga,0\ngb,0\ngc,1\ngd,1\n", encoding="utf-8")
+    cent.write_text(f"s1\n0.5\n{cell}\n", encoding="utf-8")
+    code = main(["validate", str(four_tsv), "--partition", str(part),
+                 "--centroids", str(cent)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: non-finite value '{cell}' for centroid 1, sample 's1'\n"
+    )
 
 
 def test_heatmap_default_output(four_tsv, tmp_path):

@@ -1,8 +1,10 @@
 import io
+import tracemalloc
 
+import _oracles
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pfclust import ParseError, parse_matrix, sniff_format, write_tsv
@@ -80,6 +82,24 @@ def test_tsv_non_finite_rejected():
         parse_matrix("s1\ng1\tinf\n", "tsv")
     with pytest.raises(ParseError, match="non-finite"):
         parse_matrix("s1\ng1\tnan\n", "tsv")
+
+
+# test_tsv_non_numeric_cell_names_line_and_column covers tsv
+@pytest.mark.parametrize("fmt, text, column", [
+    ("gct", "#1.2\n1\t2\nName\tDescription\ta\tb\ng1\td\t1\tfoo\n", 4),
+    ("res", "Description\tAccession\ta\t\tb\t\n\n1\nd\tg1\t1\tP\tfoo\tA\n", 5),
+])
+def test_bad_cell_names_its_column(fmt, text, column):
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text, fmt)
+    assert (err.value.line, err.value.column) == (text.count("\n"), column)
+    assert str(err.value).endswith("non-numeric value 'foo'")
+
+
+def test_gct_without_data_rows_is_named():
+    with pytest.raises(ParseError) as err:
+        parse_matrix("#1.2\n0\t2\nName\tDescription\ta\tb\n", "gct")
+    assert str(err.value) == "matrix must be at least 1x1, got 0x2"
 
 
 def test_tsv_duplicate_gene_id_rejected():
@@ -165,3 +185,70 @@ def test_tsv_round_trip_property(values):
     write_tsv(m, buf)
     back = parse_matrix(buf.getvalue(), "tsv")
     assert np.array_equal(back.values, m.values)
+
+
+# cells float() reads differently from a plain decimal parser
+ODD_CELLS = ["1_0", "\u0661\u0662", "0x1p3", " 1.5 ", "", "infinity", "nan", "1e400"]
+
+
+@st.composite
+def matrix_texts(draw):
+    """A tsv, gct or res text whose data rows may be malformed."""
+    fmt = draw(st.sampled_from(["tsv", "gct", "res"]))
+    samples = [f"s{j}" for j in range(draw(st.integers(1, 3)))]
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cell = st.one_of([finite] * 3 + [st.sampled_from(ODD_CELLS)])
+    lead = {"tsv": [], "gct": ["d"], "res": ["d"]}[fmt]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["ok"] * 6 + ["short", "long", "blank"]))
+        if kind == "blank":
+            rows.append("")
+            continue
+        gene = draw(st.sampled_from(["g1", "g2", "g3", "g4", "g5", ""]))
+        cells = [draw(cell) for _ in samples]
+        cells = {"ok": cells, "short": cells[1:], "long": cells + ["1"]}[kind]
+        if fmt == "res":
+            cells = [f for c in cells for f in (c, "P")]
+        fields = lead + [gene] + cells if fmt != "gct" else [gene] + lead + cells
+        rows.append("\t".join(fields))
+    n_rows = sum(1 for r in rows if r.strip())
+    # a declared count of 0 is reported differently by the two parsers
+    assume(fmt == "tsv" or n_rows > 0)
+    header = {
+        "tsv": ["\t".join(samples)],
+        "gct": ["#1.2", f"{n_rows}\t{len(samples)}", "\t".join(["Name", "Description"] + samples)],
+        "res": ["\t".join(["Description", "Accession"] + [f for s in samples for f in (s, "")]),
+                "", str(n_rows)],
+    }[fmt]
+    return fmt, "\n".join(header + rows) + "\n"
+
+
+def _outcome(parse, fmt, text):
+    try:
+        m = parse(text, fmt)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    return m.gene_ids, m.sample_ids, m.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=matrix_texts())
+def test_reader_matches_per_cell_parser(case):
+    fmt, text = case
+    assert _outcome(parse_matrix, fmt, text) == _outcome(_oracles.parse_matrix, fmt, text)
+
+
+def test_parse_peak_memory_is_bounded():
+    values = np.random.default_rng(0).normal(size=(5000, 50))
+    buf = io.StringIO()
+    write_tsv(ExpressionMatrix([f"g{i}" for i in range(5000)],
+                               [f"s{j}" for j in range(50)], values), buf)
+    text = buf.getvalue()
+    tracemalloc.start()
+    try:
+        parse_matrix(text, "tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)

@@ -28,7 +28,7 @@ RULES = {
     "zeta": ("must be >= 1", 0.99),
     "w_lower": ("must be in (0, 1]", 0.0),
     "eps": ("must be positive", 0.0),
-    "max_iter": ("must be >= 1", 0),
+    "max_iter": ("must be an integer >= 1", 0),
 }
 
 X = np.arange(12.0).reshape(6, 2)
@@ -52,7 +52,7 @@ def test_bad_parameter_fails_everywhere(tmp_path, capsys, name, bad):
     for alg in readers:
         with pytest.raises(ValueError, match=message):
             ENTRIES[alg](**{name: bad})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             run_algorithm(alg, X, 2, **{name: bad})
         with pytest.raises(ValueError, match=message):
             ExperimentGrid(pairs=((6, 2),), overrides={alg: {name: bad}})
@@ -76,6 +76,25 @@ def test_bad_parameter_fails_everywhere(tmp_path, capsys, name, bad):
     assert main(["grid", str(inp), "--config", str(cfg), "--out", str(tmp_path / "g")]) == 1
     assert re.search(message, capsys.readouterr().err)
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5])
+def test_max_iter_is_checked_before_it_is_converted(tmp_path, capsys, bad):
+    message = re.escape(f"max_iter must be an integer >= 1, got {bad}")
+    for alg in PARAMS:
+        with pytest.raises(ValueError, match=message):
+            run_algorithm(alg, X, 2, max_iter=bad)
+        # an integral float, as JSON may give it, is still a cap
+        assert run_algorithm(alg, X, 2, max_iter=50.0).iterations <= 50
+
+    inp = tmp_path / "x.tsv"
+    inp.write_text("s1\ts2\n" + "".join(f"g{i}\t{a}\t{b}\n" for i, (a, b) in enumerate(X)))
+    cfg = tmp_path / "grid.json"
+    overrides = {"rough_kmeans": {"max_iter": bad}}
+    cfg.write_text(json.dumps({"pairs": [[6, 2]], "overrides": overrides}))
+    assert main(["grid", str(inp), "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("alg, name, value", [
