@@ -19,7 +19,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -260,7 +260,7 @@ def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.n
 
 
 def _cmd_validate(args) -> int:
-    if args.m < 1.0:
+    if not args.m >= 1.0:
         raise UsageError(f"--m must be 1 or greater, got {args.m}")
     m = _read_matrix(args.input, args.format)
     pf, order = _read_partition(args.partition, m)
@@ -299,10 +299,7 @@ def _cmd_validate(args) -> int:
 
 # --------------------------------------------------------------------- grid
 
-_GRID_CONFIG_KEYS = {
-    "subset_sizes", "ks", "pairs", "algorithms", "normalization",
-    "subset_policy", "seeds", "overrides",
-}
+_GRID_CONFIG_KEYS = {f.name for f in fields(ExperimentGrid)}
 
 
 def _grid_from_config(path: str) -> ExperimentGrid:

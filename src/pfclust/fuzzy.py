@@ -18,6 +18,9 @@ One iteration updates, in order: alpha from U, W from U, then U from
     D_ij = d_ij^2 - v ln(alpha_j)
 
 and stops when the elementwise max change of U falls to eps or below.
+
+Each state of U is fitted once: u**m and the squared distances d^2 are
+computed once and passed to the step functions, which take those arrays.
 """
 
 from __future__ import annotations
@@ -98,8 +101,8 @@ class FuzzyPartition:
     alpha : ndarray or None
         Cluster proportions (None for plain fuzzy c-means).
     objective_trace : tuple of float
-        J per iteration plus a final entry for the returned state;
-        non-increasing.
+        J of the initial state and of each fitted state after a
+        membership update, so iterations + 1 entries; non-increasing.
     iterations : int
         Number of membership updates performed.
     converged : bool
@@ -122,8 +125,8 @@ class FuzzyPartition:
         return np.argmax(self.memberships, axis=1)
 
 
-def compute_alpha(u: np.ndarray, m: float) -> np.ndarray:
-    """Cluster proportions from a membership matrix.
+def compute_alpha(um: np.ndarray) -> np.ndarray:
+    """Cluster proportions from the fuzzified memberships um = U**m.
 
     alpha_j is cluster j's share of the total fuzzified membership mass
 
@@ -132,7 +135,7 @@ def compute_alpha(u: np.ndarray, m: float) -> np.ndarray:
     with components below ALPHA_FLOOR clamped up, the vector renormalized,
     and the last component fixed by subtraction so the sum is exactly 1.
     """
-    mass = (u ** m).sum(axis=0)
+    mass = um.sum(axis=0)
     total = mass.sum()
     if not total > 0.0:
         raise ValueError("membership matrix has zero total mass")
@@ -145,8 +148,8 @@ def compute_alpha(u: np.ndarray, m: float) -> np.ndarray:
     return alpha
 
 
-def compute_centroids(u: np.ndarray, m: float, x) -> np.ndarray:
-    """Membership-weighted centroids.
+def compute_centroids(um: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Centroids weighted by the fuzzified memberships um = U**m.
 
         w_j = sum_i u_ij^m x_i / sum_i u_ij^m
 
@@ -154,27 +157,21 @@ def compute_centroids(u: np.ndarray, m: float, x) -> np.ndarray:
     whose fuzzified membership column sums to zero has no defined
     centroid and raises.
     """
-    xv = as_values(x)
-    um = u ** m
     mass = um.sum(axis=0)
     dead = np.flatnonzero(mass <= 0.0)
     if dead.size:
         raise ValueError(f"cluster {int(dead[0])} has zero membership mass")
-    return (um.T @ xv) / mass[:, None]
+    return (um.T @ x) / mass[:, None]
 
 
-def update_memberships(
-    x, w: np.ndarray, alpha: np.ndarray, m: float, v: float
-) -> np.ndarray:
-    """One membership update from centroids and proportions.
+def update_memberships(d2: np.ndarray, alpha: np.ndarray, m: float, v: float) -> np.ndarray:
+    """One membership update from squared distances d2 and proportions.
 
-    Uses D_ij = d_ij^2 - v ln(alpha_j). Rows where some D_ij is within
+    Uses D_ij = d2_ij - v ln(alpha_j). Rows where some D_ij is within
     1e-12 of zero (possible only at v = 0, on a gene coinciding with a
     centroid) assign full membership to the nearest cluster, split
     equally over exact ties.
     """
-    xv = as_values(x)
-    d2 = sq_distances(xv, w)
     big_d = d2 - v * np.log(alpha)[None, :]
     u = np.empty_like(big_d)
     singular = (big_d <= _SINGULARITY_TOL).any(axis=1)
@@ -192,15 +189,13 @@ def update_memberships(
     return u
 
 
-def pfcm_objective(u: np.ndarray, w: np.ndarray, alpha: Optional[np.ndarray], x, m: float, v: float) -> float:
-    """Objective value at a given (U, W, alpha) state.
+def pfcm_objective(um: np.ndarray, d2: np.ndarray, alpha: Optional[np.ndarray], v: float) -> float:
+    """Objective value from um = U**m, the squared distances d2 and alpha.
 
     J = 1/2 sum u^m d^2 - 1/2 v sum u^m ln(alpha); the penalty term is
     dropped when v is 0 or alpha is None.
     """
-    xv = as_values(x)
-    um = u ** m
-    scatter = 0.5 * float((um * sq_distances(xv, w)).sum())
+    scatter = 0.5 * float((um * d2).sum())
     if alpha is None or v == 0.0:
         penalty = 0.0
     else:
@@ -231,34 +226,37 @@ def _run(
     u = u / u.sum(axis=1, keepdims=True)
 
     trace: list[float] = []
+
+    def fit(u):
+        # alpha, W and d^2 of the state U, and its J appended to the trace
+        um = u ** cfg.m
+        alpha = compute_alpha(um)
+        w = compute_centroids(um, x)
+        d2 = sq_distances(x, w)
+        j_val = pfcm_objective(um, d2, alpha, v)
+        if not np.isfinite(j_val):
+            raise NumericalError(
+                f"objective became non-finite at iteration {len(trace)} (J={j_val!r}); "
+                f"c={c} m={cfg.m} v={v} seed={cfg.seed}"
+            )
+        trace.append(j_val)
+        return alpha, w, d2
+
     iterations = 0
     converged = False
     try:
+        alpha, w, d2 = fit(u)
         for t in range(cfg.max_iter):
-            alpha = compute_alpha(u, cfg.m)
-            w = compute_centroids(u, cfg.m, x)
-            j_val = pfcm_objective(u, w, alpha, x, cfg.m, v)
-            if not np.isfinite(j_val):
-                raise NumericalError(
-                    f"objective became non-finite at iteration {t} (J={j_val!r}); "
-                    f"c={c} m={cfg.m} v={v} seed={cfg.seed}"
-                )
-            trace.append(j_val)
-            u_new = update_memberships(x, w, alpha, cfg.m, v)
+            u_new = update_memberships(d2, alpha, cfg.m, v)
             delta = float(np.abs(u_new - u).max())
             u = u_new
             iterations = t + 1
             if on_iteration is not None:
                 on_iteration(u.copy(), w.copy(), alpha.copy())
+            alpha, w, d2 = fit(u)
             if delta <= cfg.eps:
                 converged = True
                 break
-
-        # recompute the returned state from the final memberships so the
-        # (U, W, alpha) triple is mutually consistent
-        alpha = compute_alpha(u, cfg.m)
-        w = compute_centroids(u, cfg.m, x)
-        trace.append(pfcm_objective(u, w, alpha, x, cfg.m, v))
     except ValueError as exc:
         # u**m underflowing to zero mass is a numerical failure of the run
         raise NumericalError(

@@ -251,17 +251,20 @@ def read_centroids_csv(source: Union[str, Path, IO[str]]) -> tuple[np.ndarray, t
     if len(rows) < 2:
         raise ValueError("centroid file needs a header plus at least one row")
     sample_ids = tuple(rows[0])
-    data = []
-    for row in rows[1:]:
+    centroids = np.empty((len(rows) - 1, len(sample_ids)))
+    for i, row in enumerate(rows[1:]):
         if len(row) != len(sample_ids):
             raise ValueError(
                 f"expected {len(sample_ids)} fields per centroid row, found {len(row)}"
             )
-        data.append([float(v) for v in row])
-    centroids = np.asarray(data)
-    if not np.isfinite(centroids).all():
-        i, j = np.argwhere(~np.isfinite(centroids))[0]
-        raise ValueError(
-            f"non-finite value {rows[i + 1][j]!r} for centroid {i}, sample {sample_ids[j]!r}"
-        )
+        for j, cell in enumerate(row):
+            try:
+                centroids[i, j] = float(cell)
+                kind = "" if np.isfinite(centroids[i, j]) else "non-finite"
+            except ValueError:
+                kind = "non-numeric"
+            if kind:
+                raise ValueError(
+                    f"{kind} value {cell!r} for centroid {i}, sample {sample_ids[j]!r}"
+                )
     return centroids, sample_ids

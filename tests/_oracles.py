@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from pfclust import ParseError
+from pfclust import FuzzyPartition, NumericalError, ParseError
+from pfclust._util import sq_distances as kernel_sq_distances
 from pfclust.matrix import ExpressionMatrix
 
 
@@ -147,6 +148,113 @@ def sq_distances(x, w):
         for j in range(w.shape[0]):
             out[i, j] = sum((a - b) ** 2 for a, b in zip(x[i].tolist(), w[j].tolist()))
     return out
+
+
+def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
+    """The fuzzy loop as it stood before each state was fitted once.
+
+    Each step rebuilds u**m, d^2 is computed for the objective and again
+    for the membership update, and the returned state is recomputed after
+    the loop. Only the package's distance kernel is shared, so results can
+    be compared bit for bit. fcm is this loop at v = 0 with alpha dropped.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+
+    def compute_alpha(u, m):
+        mass = (u ** m).sum(axis=0)
+        total = mass.sum()
+        if not total > 0.0:
+            raise ValueError("membership matrix has zero total mass")
+        alpha = mass / total
+        if alpha.shape[0] == 1:
+            return np.ones(1)
+        clamped = np.maximum(alpha, 1e-12)
+        alpha = clamped / clamped.sum()
+        alpha[-1] = 1.0 - alpha[:-1].sum()
+        return alpha
+
+    def compute_centroids(u, m, x):
+        um = u ** m
+        mass = um.sum(axis=0)
+        dead = np.flatnonzero(mass <= 0.0)
+        if dead.size:
+            raise ValueError(f"cluster {int(dead[0])} has zero membership mass")
+        return (um.T @ x) / mass[:, None]
+
+    def update_memberships(x, w, alpha, m, v):
+        d2 = kernel_sq_distances(x, w)
+        big_d = d2 - v * np.log(alpha)[None, :]
+        u = np.empty_like(big_d)
+        singular = (big_d <= 1e-12).any(axis=1)
+        if singular.any():
+            rows = big_d[singular]
+            winners = rows <= 1e-12
+            u[singular] = winners / winners.sum(axis=1, keepdims=True)
+        regular = ~singular
+        if regular.any():
+            rows = big_d[regular]
+            scaled = rows / rows.min(axis=1, keepdims=True)
+            weights = scaled ** (-1.0 / (m - 1.0))
+            u[regular] = weights / weights.sum(axis=1, keepdims=True)
+        return u
+
+    def pfcm_objective(u, w, alpha, x, m, v):
+        um = u ** m
+        scatter = 0.5 * float((um * kernel_sq_distances(x, w)).sum())
+        if alpha is None or v == 0.0:
+            penalty = 0.0
+        else:
+            penalty = 0.5 * v * float((um * np.log(alpha)[None, :]).sum())
+        return scatter - penalty
+
+    if u_init is not None:
+        u = np.array(u_init, dtype=np.float64)
+    else:
+        rng = np.random.default_rng(seed)
+        u = rng.random((n, c))
+    u = u / u.sum(axis=1, keepdims=True)
+
+    trace = []
+    iterations = 0
+    converged = False
+    try:
+        for t in range(max_iter):
+            alpha = compute_alpha(u, m)
+            w = compute_centroids(u, m, x)
+            j_val = pfcm_objective(u, w, alpha, x, m, v)
+            if not np.isfinite(j_val):
+                raise NumericalError(
+                    f"objective became non-finite at iteration {t} (J={j_val!r}); "
+                    f"c={c} m={m} v={v} seed={seed}"
+                )
+            trace.append(j_val)
+            u_new = update_memberships(x, w, alpha, m, v)
+            delta = float(np.abs(u_new - u).max())
+            u = u_new
+            iterations = t + 1
+            if on_iteration is not None:
+                on_iteration(u.copy(), w.copy(), alpha.copy())
+            if delta <= eps:
+                converged = True
+                break
+
+        alpha = compute_alpha(u, m)
+        w = compute_centroids(u, m, x)
+        trace.append(pfcm_objective(u, w, alpha, x, m, v))
+    except ValueError as exc:
+        raise NumericalError(
+            f"{exc} at iteration {iterations}; c={c} m={m} v={v} seed={seed}"
+        ) from exc
+
+    return FuzzyPartition(
+        memberships=u,
+        centroids=w,
+        alpha=alpha,
+        objective_trace=tuple(trace),
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def rough_kmeans(x, k, init_centroids, zeta=1.3, w_lower=0.7, max_iter=300, eps=1e-5):

@@ -292,6 +292,20 @@ def test_validate_non_finite_centroid_is_data_error(four_tsv, tmp_path, capsys, 
     )
 
 
+@pytest.mark.parametrize("value", ["0.5", "nan"])
+def test_validate_m_below_one_or_nan_is_usage_error(four_tsv, tmp_path, capsys, value):
+    part = tmp_path / "p.csv"
+    cent = tmp_path / "c.csv"
+    part.write_text("gene_id,cluster\nga,0\ngb,0\ngc,1\ngd,1\n", encoding="utf-8")
+    cent.write_text("s1\n0.5\n10.5\n", encoding="utf-8")
+    code = main(["validate", str(four_tsv), "--partition", str(part),
+                 "--centroids", str(cent), "--m", value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --m must be 1 or greater, got {float(value)}\n"
+
+
 def test_heatmap_default_output(four_tsv, tmp_path):
     code = main(["heatmap", str(four_tsv), "--scale", "2"])
     assert code == 0

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pfclust.fuzzy
 from pfclust import (
     FuzzyConfig,
     NumericalError,
@@ -14,25 +17,28 @@ from pfclust import (
     update_memberships,
 )
 
+from pfclust._util import sq_distances
+
+import _oracles
 from _oracles import objective
 
 
 def test_compute_alpha_uniform():
     u = np.full((6, 3), 1.0 / 3.0)
-    alpha = compute_alpha(u, 2.0)
+    alpha = compute_alpha(u ** 2.0)
     assert np.allclose(alpha, 1.0 / 3.0, atol=1e-12)
     assert float(alpha.sum()) == 1.0
 
 
 def test_compute_alpha_single_cluster():
-    alpha = compute_alpha(np.ones((4, 1)), 2.0)
+    alpha = compute_alpha(np.ones((4, 1)) ** 2.0)
     assert alpha.tolist() == [1.0]
 
 
 def test_compute_alpha_crisp_counts():
     # crisp memberships: alpha reduces to cluster size fractions
     u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    alpha = compute_alpha(u, 2.0)
+    alpha = compute_alpha(u ** 2.0)
     assert alpha[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert alpha[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert float(alpha.sum()) == 1.0
@@ -40,12 +46,12 @@ def test_compute_alpha_crisp_counts():
 
 def test_compute_alpha_zero_mass():
     with pytest.raises(ValueError, match="zero total mass"):
-        compute_alpha(np.zeros((3, 2)), 2.0)
+        compute_alpha(np.zeros((3, 2)) ** 2.0)
 
 
 def test_compute_alpha_floor_keeps_positive():
     u = np.array([[1.0, 0.0], [1.0, 0.0]])
-    alpha = compute_alpha(u, 2.0)
+    alpha = compute_alpha(u ** 2.0)
     assert (alpha > 0.0).all()
     assert float(alpha.sum()) == 1.0
 
@@ -53,14 +59,14 @@ def test_compute_alpha_floor_keeps_positive():
 def test_compute_centroids_crisp():
     u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     x = np.array([[0.0], [1.0], [10.0], [11.0]])
-    w = compute_centroids(u, 2.0, x)
+    w = compute_centroids(u ** 2.0, x)
     assert w.tolist() == [[0.5], [10.5]]
 
 
 def test_compute_centroids_weighted():
     u = np.array([[0.2], [0.8]])
     x = np.array([[1.0], [0.0]])
-    w = compute_centroids(u, 2.0, x)
+    w = compute_centroids(u ** 2.0, x)
     # 0.2^2 * 1 / (0.2^2 + 0.8^2) = 0.04 / 0.68
     assert w[0, 0] == pytest.approx(0.04 / 0.68, abs=1e-15)
 
@@ -69,13 +75,13 @@ def test_compute_centroids_zero_mass_cluster():
     u = np.array([[1.0, 0.0], [1.0, 0.0]])
     x = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError, match="cluster 1 has zero membership mass"):
-        compute_centroids(u, 2.0, x)
+        compute_centroids(u ** 2.0, x)
 
 
 def test_update_equidistant_splits_evenly():
     x = np.array([[0.0, 0.0]])
     w = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    u = update_memberships(x, w, np.array([0.5, 0.5]), 2.0, 0.0)
+    u = update_memberships(sq_distances(x, w), np.array([0.5, 0.5]), 2.0, 0.0)
     assert np.allclose(u, 0.5, atol=1e-15)
 
 
@@ -83,7 +89,7 @@ def test_update_inverse_square_weighting():
     # v=0, m=2: memberships proportional to 1/d^2, here d^2 = (1, 4)
     x = np.array([[0.0]])
     w = np.array([[1.0], [-2.0]])
-    u = update_memberships(x, w, np.array([0.5, 0.5]), 2.0, 0.0)
+    u = update_memberships(sq_distances(x, w), np.array([0.5, 0.5]), 2.0, 0.0)
     assert u[0, 0] == pytest.approx(0.8, abs=1e-15)
     assert u[0, 1] == pytest.approx(0.2, abs=1e-15)
 
@@ -94,7 +100,7 @@ def test_update_penalty_favors_big_cluster():
     x = np.array([[0.0]])
     w = np.array([[1.0], [-1.0]])
     alpha = np.array([0.8, 0.2])
-    u = update_memberships(x, w, alpha, 2.0, 1.0)
+    u = update_memberships(sq_distances(x, w), alpha, 2.0, 1.0)
     d1 = 1.0 - math.log(0.8)
     d2 = 1.0 - math.log(0.2)
     assert u[0, 0] == pytest.approx(d2 / (d1 + d2), abs=1e-15)
@@ -105,14 +111,14 @@ def test_update_penalty_favors_big_cluster():
 def test_update_gene_on_centroid_goes_crisp():
     x = np.array([[0.0], [5.0]])
     w = np.array([[0.0], [5.0]])
-    u = update_memberships(x, w, np.array([0.5, 0.5]), 2.0, 0.0)
+    u = update_memberships(sq_distances(x, w), np.array([0.5, 0.5]), 2.0, 0.0)
     assert u.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_update_tie_on_coincident_centroids_splits():
     x = np.array([[0.0]])
     w = np.array([[0.0], [0.0]])
-    u = update_memberships(x, w, np.array([0.5, 0.5]), 2.0, 0.0)
+    u = update_memberships(sq_distances(x, w), np.array([0.5, 0.5]), 2.0, 0.0)
     assert u.tolist() == [[0.5, 0.5]]
 
 
@@ -123,7 +129,7 @@ def test_update_fuzzier_m_flattens_memberships():
     alpha = np.array([0.5, 0.3, 0.2])
     dev = {}
     for m in (2.0, 12.0):
-        u = update_memberships(x, w, alpha, m, 1.0)
+        u = update_memberships(sq_distances(x, w), alpha, m, 1.0)
         dev[m] = float(np.abs(u - 1.0 / 3.0).max())
     assert dev[12.0] < dev[2.0]
 
@@ -134,10 +140,10 @@ def test_objective_hand_value():
     x = np.array([[1.0], [3.0]])
     alpha = np.array([0.5, 0.5])
     # scatter = 1/2 * (1*1 + 0) = 0.5; penalty = -1/2 * v * (ln .5 + ln .5)
-    got = pfcm_objective(u, w, alpha, x, 2.0, 2.0)
+    got = pfcm_objective(u ** 2.0, sq_distances(x, w), alpha, 2.0)
     assert got == pytest.approx(0.5 + math.log(2.0) * 2.0, abs=1e-12)
-    assert pfcm_objective(u, w, alpha, x, 2.0, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert pfcm_objective(u, w, None, x, 2.0, 2.0) == pytest.approx(0.5, abs=1e-15)
+    assert pfcm_objective(u ** 2.0, sq_distances(x, w), alpha, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert pfcm_objective(u ** 2.0, sq_distances(x, w), None, 2.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_objective_matches_loop_oracle():
@@ -146,9 +152,9 @@ def test_objective_matches_loop_oracle():
     u = rng.random((9, 3))
     u /= u.sum(axis=1, keepdims=True)
     w = rng.normal(size=(3, 2))
-    alpha = compute_alpha(u, 2.0)
+    alpha = compute_alpha(u ** 2.0)
     for v in (0.0, 0.7, 2.0):
-        got = pfcm_objective(u, w, alpha, x, 2.0, v)
+        got = pfcm_objective(u ** 2.0, sq_distances(x, w), alpha, v)
         want = objective(u, w, x, 2.0, v, alpha=alpha)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -227,7 +233,7 @@ def test_trace_final_entry_matches_returned_state():
     x = rng.normal(size=(20, 2))
     part = pfcm(x, FuzzyConfig(c=2, seed=3))
     j = pfcm_objective(
-        part.memberships, part.centroids, part.alpha, x, 2.0, 1.0
+        part.memberships ** 2.0, sq_distances(x, part.centroids), part.alpha, 1.0
     )
     assert part.objective_trace[-1] == pytest.approx(j, rel=1e-12)
 
@@ -292,3 +298,86 @@ def test_deterministic_per_seed():
     b = pfcm(x, FuzzyConfig(c=3, seed=11))
     assert np.array_equal(a.memberships, b.memberships)
     assert a.objective_trace == b.objective_trace
+
+
+@st.composite
+def fuzzy_cases(draw):
+    """Small fuzzy runs, some with duplicate rows or every row equal."""
+    d = draw(st.integers(1, 3))
+    n_distinct = draw(st.integers(1, 5))
+    base = draw(
+        st.lists(
+            st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=d, max_size=d),
+            min_size=n_distinct,
+            max_size=n_distinct,
+        )
+    )
+    rows = draw(st.lists(st.integers(0, n_distinct - 1), min_size=2, max_size=12))
+    x = np.array([base[i] for i in rows])
+    c = draw(st.integers(1, min(4, x.shape[0])))
+    seed = draw(st.integers(0, 2**16))
+    u_init = (
+        np.random.default_rng(seed + 1).random((x.shape[0], c))
+        if draw(st.booleans())
+        else None
+    )
+    cfg = FuzzyConfig(
+        c=c,
+        m=draw(st.sampled_from([1.5, 2.0, 3.0])),
+        v=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        eps=draw(st.sampled_from([1e-9, 1e-5, 1e-2])),
+        max_iter=draw(st.integers(1, 30)),
+        seed=seed,
+    )
+    return x, cfg, u_init
+
+
+def _recorded_run(run, *args):
+    states = []
+    try:
+        part = run(*args, on_iteration=lambda u, w, alpha: states.append((u, w, alpha)))
+    except NumericalError as exc:
+        return str(exc), states
+    return part, states
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=fuzzy_cases(), plain=st.booleans())
+def test_matches_parent_loop_oracle(case, plain):
+    x, cfg, u_init = case
+    v = 0.0 if plain else cfg.v
+    got, got_states = _recorded_run(fcm if plain else pfcm, x, cfg, u_init)
+    want, want_states = _recorded_run(
+        _oracles.pfcm, x, cfg.c, cfg.m, v, cfg.eps, cfg.max_iter, cfg.seed, u_init
+    )
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got.memberships, want.memberships)
+        assert np.array_equal(got.centroids, want.centroids)
+        if plain:
+            assert got.alpha is None
+        else:
+            assert np.array_equal(got.alpha, want.alpha)
+        assert got.objective_trace == want.objective_trace
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+    assert len(got_states) == len(want_states)
+    for got_state, want_state in zip(got_states, want_states):
+        for a, b in zip(got_state, want_state):
+            assert np.array_equal(a, b)
+
+
+def test_one_distance_kernel_call_per_state(monkeypatch):
+    calls = []
+    kernel = pfclust.fuzzy.sq_distances
+
+    def counted(x, w):
+        calls.append(None)
+        return kernel(x, w)
+
+    monkeypatch.setattr(pfclust.fuzzy, "sq_distances", counted)
+    x = np.random.default_rng(79).normal(size=(30, 3))
+    part = pfcm(x, FuzzyConfig(c=3, v=0.5, seed=2))
+    assert part.iterations > 1
+    assert len(calls) == part.iterations + 1

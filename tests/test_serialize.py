@@ -216,6 +216,8 @@ def test_centroids_validation():
     # centroid cells are held to the matrix rule: finite values only
     with pytest.raises(ValueError, match="non-finite value '-inf' for centroid 1, sample 's2'"):
         read_centroids_csv(io.StringIO("s1,s2\n0.5,1.5\n2.5,-inf\n"))
+    with pytest.raises(ValueError, match="non-numeric value 'x' for centroid 0, sample 's2'"):
+        read_centroids_csv(io.StringIO("s1,s2\n0.5,x\n"))
 
 
 def test_gene_id_count_checked():
