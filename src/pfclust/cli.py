@@ -180,6 +180,8 @@ def _validate_cluster_flags(args) -> str:
     alg = _canon_algorithm(args.alg)
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     # every flag is checked, also those the chosen algorithm ignores
     check_params(flags=True, **{key: getattr(args, key) for key in DEFAULTS})
     if args.farthest_init and alg in ("fcm", "pfcm"):
@@ -437,7 +439,9 @@ def _build_parser() -> _Parser:
                    help="lower-approximation weight (rough-kmeans)")
     p.add_argument("--eps", type=float, default=DEFAULTS["eps"], help="convergence tolerance")
     p.add_argument("--max-iter", type=int, default=DEFAULTS["max_iter"], help="iteration cap")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed: picks the starting rows of every algorithm "
+                        "(fcm/pfcm take one v=0 membership update from them)")
     p.add_argument("--farthest-init", action="store_true",
                    help="greedy farthest-point initialization (kmeans/rough-kmeans)")
     p.add_argument("--normalize", default="none",
@@ -450,7 +454,7 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--partition", required=True, help="partition CSV")
     p.add_argument("--centroids", required=True, help="centroid CSV")
-    p.add_argument("--m", type=float, default=2.0,
+    p.add_argument("--m", type=float, default=DEFAULTS["m"],
                    help="fuzzifier weighting rmse/mae (use 1 for hard partitions)")
     p.add_argument("--algorithm", help="algorithm tag for the report")
     p.add_argument("-o", "--output", help="write the JSON report here instead of stdout")

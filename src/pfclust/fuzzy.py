@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, as_values, check_params, sq_distances
+from ._util import DEFAULTS, as_values, check_params, initial_centroids, sq_distances
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -72,7 +72,9 @@ class FuzzyConfig:
     max_iter : int
         Iteration cap.
     seed : int
-        Seeds the random initial membership matrix.
+        Picks the c distinct data rows the run starts from, as
+        ``initial_centroids`` does for kmeans and rough_kmeans; the
+        starting memberships are one update at v = 0 from those rows.
     """
 
     c: int
@@ -220,10 +222,17 @@ def _run(
         u = np.array(u_init, dtype=np.float64)
         if u.shape != (n, c):
             raise ValueError(f"u_init must have shape {(n, c)}, got {u.shape}")
+        u = u / u.sum(axis=1, keepdims=True)
     else:
-        rng = np.random.default_rng(cfg.seed)
-        u = rng.random((n, c))
-    u = u / u.sum(axis=1, keepdims=True)
+        # the start the crisp algorithms use: seeded rows as centroids, then
+        # one membership update at v = 0, so U does not depend on v
+        d2 = sq_distances(x, initial_centroids(x, c, cfg.seed, False))
+        if not np.isfinite(d2).all():
+            raise NumericalError(
+                f"squared distances to the starting centroids are non-finite; "
+                f"c={c} m={cfg.m} v={v} seed={cfg.seed}"
+            )
+        u = update_memberships(d2, np.full(c, 1.0 / c), cfg.m, 0.0)
 
     trace: list[float] = []
 
@@ -281,16 +290,19 @@ def pfcm(
 ) -> FuzzyPartition:
     """Penalized fuzzy c-means.
 
-    Iterates alpha/centroid/membership updates from a seeded random
-    membership matrix (or u_init) until the max membership change is at
-    most cfg.eps or cfg.max_iter is hit. Deterministic given cfg.seed.
+    Starts from one membership update at v = 0 from c seeded data rows
+    (``initial_centroids``, the start of kmeans and rough_kmeans), or
+    from u_init, then iterates alpha/centroid/membership updates until
+    the max membership change is at most cfg.eps or cfg.max_iter is hit.
+    Deterministic given cfg.seed.
 
     Parameters
     ----------
     m_x : ExpressionMatrix or array-like, shape (n_genes, n_samples)
     cfg : FuzzyConfig
     u_init : ndarray, optional
-        Explicit (n_genes, c) starting memberships; rows are renormalized.
+        Explicit (n_genes, c) starting memberships, any start at all (a
+        random matrix included); rows are renormalized.
     on_iteration : callable, optional
         Called with (U, W, alpha) after each membership update.
 

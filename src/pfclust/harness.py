@@ -25,7 +25,7 @@ from ._util import DEFAULTS, check_params, opened
 from .fuzzy import FuzzyConfig, FuzzyPartition, fcm, pfcm
 from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
-from .normalize import normalize
+from .normalize import METHODS, normalize
 from .rough import RoughPartition, rough_kmeans
 from .serialize import write_metadata_json
 from .validity import ALGORITHMS, ValidityReport, evaluate
@@ -45,7 +45,7 @@ __all__ = [
     "generate_synthetic",
 ]
 
-NORMALIZATIONS = ("none", "mean_relative", "z_score")
+NORMALIZATIONS = ("none",) + METHODS
 
 SUBSET_POLICIES = ("first_n", "variance_top_n", "seeded_random")
 
@@ -165,6 +165,9 @@ class ExperimentGrid:
                 raise ValueError(f"subset size must be >= 1, got {s}")
             if k < 1:
                 raise ValueError(f"k must be >= 1, got {k}")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
         if not isinstance(self.overrides, dict) or not all(
             isinstance(params, dict) for params in self.overrides.values()
         ):
@@ -350,10 +353,13 @@ def run_algorithm(
 
     `params` may hold any DEFAULTS key; the algorithm reads the keys
     PARAMS[name] lists, falling back to DEFAULTS, and ignores the rest.
-    farthest_init applies to kmeans and rough_kmeans only, and is a
-    ValueError for fcm and pfcm, which start from a random membership
-    matrix. Returns the algorithm's own partition, which carries
-    `iterations` and `converged`.
+    All four start from the seeded rows `initial_centroids` picks; fcm
+    and pfcm take their starting memberships from one v = 0 update at
+    those rows (call `pfcm`/`fcm` with `u_init` for any other start, a
+    random one included). farthest_init applies to kmeans and
+    rough_kmeans only, and is a ValueError for fcm and pfcm. Returns the
+    algorithm's own partition, which carries `iterations` and
+    `converged`.
     """
     if name not in PARAMS:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")

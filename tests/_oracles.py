@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from pfclust import FuzzyPartition, NumericalError, ParseError
+from pfclust._util import initial_centroids
 from pfclust._util import sq_distances as kernel_sq_distances
 from pfclust.matrix import ExpressionMatrix
 
@@ -155,11 +156,13 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
 
     Each step rebuilds u**m, d^2 is computed for the objective and again
     for the membership update, and the returned state is recomputed after
-    the loop. Only the package's distance kernel is shared, so results can
-    be compared bit for bit. fcm is this loop at v = 0 with alpha dropped.
+    the loop. Only the package's distance kernel and its starting centroids
+    (``initial_centroids``, as the kmeans oracle takes its init) are shared,
+    so results can be compared bit for bit. Without u_init the memberships
+    start from one update at v = 0 from those centroids. fcm is this loop at
+    v = 0 with alpha dropped.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
 
     def compute_alpha(u, m):
         mass = (u ** m).sum(axis=0)
@@ -210,10 +213,11 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
 
     if u_init is not None:
         u = np.array(u_init, dtype=np.float64)
+        u = u / u.sum(axis=1, keepdims=True)
     else:
-        rng = np.random.default_rng(seed)
-        u = rng.random((n, c))
-    u = u / u.sum(axis=1, keepdims=True)
+        # the package's start: seeded rows as centroids, one update at v = 0
+        w = initial_centroids(x, c, seed, False)
+        u = update_memberships(x, w, np.full(c, 1.0 / c), m, 0.0)
 
     trace = []
     iterations = 0

@@ -105,6 +105,13 @@ def test_cluster_bad_k_writes_nothing(four_tsv, tmp_path, capsys):
     assert not (tmp_path / "four.partition.csv").exists()
 
 
+def test_cluster_negative_seed_is_usage_error(four_tsv, tmp_path, capsys):
+    code = main(["cluster", str(four_tsv), "--alg", "kmeans", "--k", "2", "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not list(tmp_path.glob("four.*.*"))
+
+
 @pytest.mark.parametrize("flag, rule", [("--eps", "must be positive"), ("--v", "must be >= 0")])
 def test_cluster_negative_exponent_value_reaches_range_check(four_tsv, tmp_path, capsys,
                                                              flag, rule):
@@ -423,6 +430,20 @@ def test_grid_config_conflicts_with_flags(bundled_tsv, tmp_path, capsys):
     cfg.write_text("{}", encoding="utf-8")
     code = main(["grid", str(bundled_tsv), "--config", str(cfg), "--preset"])
     assert code == 1
+
+
+@pytest.mark.parametrize("use_config", [False, True])
+def test_grid_negative_seed_is_usage_error(bundled_tsv, tmp_path, capsys, use_config):
+    if use_config:
+        cfg = tmp_path / "grid.json"
+        cfg.write_text('{"pairs": [[20, 2]], "seeds": [0, -1]}', encoding="utf-8")
+        args = ["--config", str(cfg)]
+    else:
+        args = ["--sizes", "20", "--ks", "2", "--seeds", "0,-1"]
+    code = main(["grid", str(bundled_tsv), *args])
+    assert code == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("synth.*.*"))
 
 
 def test_grid_requires_some_cells(bundled_tsv, capsys):

@@ -12,9 +12,11 @@ from pfclust import (
     compute_alpha,
     compute_centroids,
     fcm,
+    generate_synthetic,
     pfcm,
     pfcm_objective,
     update_memberships,
+    z_score,
 )
 
 from pfclust._util import sq_distances
@@ -380,4 +382,19 @@ def test_one_distance_kernel_call_per_state(monkeypatch):
     x = np.random.default_rng(79).normal(size=(30, 3))
     part = pfcm(x, FuzzyConfig(c=3, v=0.5, seed=2))
     assert part.iterations > 1
-    assert len(calls) == part.iterations + 1
+    # one call for the start, then one per fitted state
+    assert len(calls) == part.iterations + 2
+
+
+@pytest.mark.parametrize("run", [fcm, pfcm])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_start_recovers_separated_bumps(run, seed):
+    # on this input a random membership start sends every centroid to the
+    # centre of gravity, so each row ends with memberships of about 1/7
+    centres = np.random.default_rng(0).normal(0.0, 3.0, size=(7, 38))
+    matrix, labels = generate_synthetic([(c, 1.0, 40) for c in centres], seed=0)
+    part = run(z_score(matrix), FuzzyConfig(c=7, seed=seed))
+    hard = part.hard_assignments()
+    per_bump = [set(hard[labels == b].tolist()) for b in range(7)]
+    assert all(len(found) == 1 for found in per_bump)
+    assert len(set.union(*per_bump)) == 7
