@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 from contextlib import contextmanager
@@ -57,6 +58,14 @@ def opened(target, mode: str = "w"):
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     with open(target, mode, **text) as handle:
         yield handle
+
+
+def write_csv(dest, header, rows) -> None:
+    """Write a header row and data rows as CSV with "\\n" line ends."""
+    with opened(dest) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def as_values(data) -> np.ndarray:
@@ -127,11 +136,14 @@ def initial_centroids(
 
     `init`, when given, is copied after its (k, n_cols) shape is checked;
     otherwise k distinct rows are picked by a seeded uniform sample or by
-    greedy farthest-point selection.
+    greedy farthest-point selection. The seed must be >= 0 either way; all
+    four algorithms start here, so this is where the API checks it.
     """
     n, d = x.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if init is not None:
         w = np.array(init, dtype=np.float64)
         if w.shape != (k, d):

@@ -5,23 +5,26 @@ Subcommands: normalize, cluster, validate, grid, heatmap. Exit codes:
 malformed input, id mismatches, degenerate rows), 3 numerical failure.
 
 Errors print a single diagnostic line on stderr; with --json the line is
-a JSON object. Output files are written to temporaries and renamed into
-place only after every artifact has been produced, so failed runs leave
-no partial outputs. Reruns with identical flags overwrite byte-identical
-artifacts.
+a JSON object. Each artifact's library writer writes it into a temporary
+file next to its destination, and the temporaries are renamed into place
+only once every one of them is written, so failed runs leave no partial
+outputs. An output that cannot be written exits 2 with
+"cannot write <path>: <reason>". Reruns with identical flags overwrite
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
-import io as _stdio
+import contextlib
 import json
 import os
 import re
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .harness import (
     run_grid,
     preset_pairs,
 )
-from .heatmap import cluster_row_order, render_ppm
+from .heatmap import cluster_row_order, write_ppm
 from .io import FORMATS, ParseError, parse_matrix, sniff_format, write_tsv
 from .kmeans import HardPartition
 from .matrix import ExpressionMatrix
@@ -123,23 +126,32 @@ def _read_matrix(path: str, fmt: str) -> ExpressionMatrix:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _atomic_write(outputs: Sequence[tuple[Path, Union[str, bytes]]]) -> None:
-    """Write every (path, content) pair via a temp file and rename."""
-    temps: list[tuple[Path, Path]] = []
+def _atomic_write(outputs: Sequence[tuple[Union[str, Path], Callable[[Path], None]]]) -> None:
+    """Call each writer on a temp file beside its path; rename all once all are written.
+
+    Prints "wrote <path>" per output on success. On any exception every
+    temp is removed, and an OSError becomes a DataError naming the path
+    being written or renamed.
+    """
+    temps: list[Path] = []
     try:
-        for path, content in outputs:
-            tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-            if isinstance(content, bytes):
-                tmp.write_bytes(content)
-            else:
-                tmp.write_text(content, encoding="utf-8")
-            temps.append((tmp, path))
-        for tmp, path in temps:
+        for path, write in outputs:
+            # registered first, so a half-written temp is removed too
+            temps.append(Path(path).with_name(Path(path).name + f".tmp{os.getpid()}"))
+            write(temps[-1])
+        for tmp, (path, _) in zip(temps, outputs):
             os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in temps:
-            tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        for tmp in temps:
+            # a failed removal (the temp name may be a directory) must not
+            # replace the error that got us here
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+    for path, _ in outputs:
+        print(f"wrote {path}")
 
 
 def _warn(args, message: str) -> None:
@@ -149,9 +161,10 @@ def _warn(args, message: str) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _default_prefix(input_path: str) -> Path:
-    p = Path(input_path)
-    return p.with_name(p.stem) if p.suffix else p
+def _output_path(prefix: Optional[str], input_path: str, suffix: str) -> Path:
+    """prefix + suffix; the prefix defaults to the input path without its extension."""
+    p = Path(prefix or input_path)
+    return p.with_name((p.name if prefix else p.stem) + suffix)
 
 
 # ---------------------------------------------------------------- normalize
@@ -162,15 +175,10 @@ def _cmd_normalize(args) -> int:
         raise UsageError("--method must be mean-relative or zscore")
     m = _read_matrix(args.input, args.format)
     out = normalize(m, method, drop_degenerate=args.drop_degenerate)
-    dest = Path(args.output) if args.output else _default_prefix(args.input).with_name(
-        _default_prefix(args.input).name + ".normalized.tsv"
-    )
-    buf = _stdio.StringIO()
-    write_tsv(out, buf)
-    _atomic_write([(dest, buf.getvalue())])
+    dest = Path(args.output) if args.output else _output_path(None, args.input, ".normalized.tsv")
+    _atomic_write([(dest, partial(write_tsv, out))])
     if out.n_genes < m.n_genes:
         _warn(args, f"dropped {m.n_genes - out.n_genes} degenerate gene(s)")
-    print(f"wrote {dest}")
     return EXIT_OK
 
 
@@ -226,21 +234,15 @@ def _cmd_cluster(args) -> int:
     else:
         meta["farthest_init"] = bool(args.farthest_init)
 
-    prefix = Path(args.out) if args.out else _default_prefix(args.input)
-    part_buf, cent_buf, meta_buf = _stdio.StringIO(), _stdio.StringIO(), _stdio.StringIO()
-    write_partition_csv(part, m.gene_ids, part_buf)
-    write_centroids_csv(part.centroids, m.sample_ids, cent_buf)
-    write_metadata_json(meta, meta_buf)
-    outputs = [
-        (prefix.with_name(prefix.name + ".partition.csv"), part_buf.getvalue()),
-        (prefix.with_name(prefix.name + ".centroids.csv"), cent_buf.getvalue()),
-        (prefix.with_name(prefix.name + ".meta.json"), meta_buf.getvalue()),
-    ]
-    _atomic_write(outputs)
+    _atomic_write([
+        (_output_path(args.out, args.input, ".partition.csv"),
+         partial(write_partition_csv, part, m.gene_ids)),
+        (_output_path(args.out, args.input, ".centroids.csv"),
+         partial(write_centroids_csv, part.centroids, m.sample_ids)),
+        (_output_path(args.out, args.input, ".meta.json"), partial(write_metadata_json, meta)),
+    ])
     if not part.converged:
         _warn(args, f"did not converge within {args.max_iter} iterations")
-    for path, _ in outputs:
-        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -289,13 +291,10 @@ def _cmd_validate(args) -> int:
         "m": args.m,
         **asdict(score(m, u, centroids, args.m, algorithm)),
     }
-    buf = _stdio.StringIO()
-    write_metadata_json(report, buf)
     if args.output:
-        _atomic_write([(Path(args.output), buf.getvalue())])
-        print(f"wrote {args.output}")
+        _atomic_write([(args.output, partial(write_metadata_json, report))])
     else:
-        sys.stdout.write(buf.getvalue())
+        write_metadata_json(report, sys.stdout)
     return EXIT_OK
 
 
@@ -360,26 +359,19 @@ def _cmd_grid(args) -> int:
 
     result = run_grid(m, grid, workers=args.workers)
 
-    prefix = Path(args.out) if args.out else _default_prefix(args.input)
-    report_buf, json_buf, summary_buf = _stdio.StringIO(), _stdio.StringIO(), _stdio.StringIO()
-    result.write_report_csv(report_buf)
-    result.write_report_json(json_buf)
-    result.write_summary_csv(summary_buf)
-    outputs = [
-        (prefix.with_name(prefix.name + ".report.csv"), report_buf.getvalue()),
-        (prefix.with_name(prefix.name + ".report.json"), json_buf.getvalue()),
-        (prefix.with_name(prefix.name + ".summary.csv"), summary_buf.getvalue()),
-    ]
+    writers = {
+        ".report.csv": result.write_report_csv,
+        ".report.json": result.write_report_json,
+        ".summary.csv": result.write_summary_csv,
+    }
     if args.timings:
-        timings_buf = _stdio.StringIO()
-        result.write_timings_csv(timings_buf)
-        outputs.append((prefix.with_name(prefix.name + ".timings.csv"), timings_buf.getvalue()))
-    _atomic_write(outputs)
+        writers[".timings.csv"] = result.write_timings_csv
+    _atomic_write([
+        (_output_path(args.out, args.input, suffix), write) for suffix, write in writers.items()
+    ])
     failed = sum(1 for r in result.rows if r.error is not None)
     if failed:
         _warn(args, f"{failed} of {len(result.rows)} runs failed; see the error column")
-    for path, _ in outputs:
-        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -393,12 +385,8 @@ def _cmd_heatmap(args) -> int:
     if args.partition:
         pf, rows = _read_partition(args.partition, m)
         order = cluster_row_order(pf.assignments[rows])
-    data = render_ppm(m, row_order=order, scale=args.scale)
-    dest = Path(args.output) if args.output else _default_prefix(args.input).with_name(
-        _default_prefix(args.input).name + ".ppm"
-    )
-    _atomic_write([(dest, data)])
-    print(f"wrote {dest}")
+    dest = Path(args.output) if args.output else _output_path(None, args.input, ".ppm")
+    _atomic_write([(dest, partial(write_ppm, m, row_order=order, scale=args.scale))])
     return EXIT_OK
 
 

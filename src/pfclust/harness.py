@@ -12,7 +12,6 @@ the same grid produce byte-identical report files.
 
 from __future__ import annotations
 
-import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -21,7 +20,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import DEFAULTS, check_params, opened
+from ._util import DEFAULTS, check_params, write_csv
 from .fuzzy import FuzzyConfig, FuzzyPartition, fcm, pfcm
 from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
@@ -79,9 +78,9 @@ def subset_genes(
     if policy == "first_n":
         idx = np.arange(size)
     elif policy == "variance_top_n":
-        variances = m.row_sample_vars()
-        order = sorted(range(m.n_genes), key=lambda i: (-variances[i], m.gene_ids[i]))
-        idx = np.array(sorted(order[:size]))
+        # object ids compare as Python strs do; a numpy str array ignores trailing NULs
+        order = np.lexsort((np.asarray(m.gene_ids, dtype=object), -m.row_sample_vars()))
+        idx = np.sort(order[:size])
     else:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(m.n_genes, size=size, replace=False))
@@ -224,10 +223,10 @@ class ExperimentResult:
     rows: tuple[CellResult, ...]
 
     def write_report_csv(self, dest: Union[str, Path, IO[str]]) -> None:
-        _write_csv(dest, _REPORT_COLUMNS, [_csv_row(r) for r in self.rows])
+        write_csv(dest, _REPORT_COLUMNS, [_csv_row(r) for r in self.rows])
 
     def write_summary_csv(self, dest: Union[str, Path, IO[str]]) -> None:
-        _write_csv(dest, _SUMMARY_COLUMNS, _summarize(self.rows))
+        write_csv(dest, _SUMMARY_COLUMNS, _summarize(self.rows))
 
     def write_report_json(self, dest: Union[str, Path, IO[str]]) -> None:
         doc = {
@@ -243,7 +242,7 @@ class ExperimentResult:
             [str(r.size), str(r.k), r.algorithm, str(r.seed), repr(float(r.runtime))]
             for r in self.rows
         ]
-        _write_csv(dest, ["size", "k", "algorithm", "seed", "runtime_s"], rows)
+        write_csv(dest, ["size", "k", "algorithm", "seed", "runtime_s"], rows)
 
 
 _REPORT_COLUMNS = [
@@ -310,13 +309,6 @@ def _json_row(r: CellResult) -> dict:
             "k": r.report.k,
         }
     return row
-
-
-def _write_csv(dest: Union[str, Path, IO[str]], header: Sequence[str], rows) -> None:
-    with opened(dest) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _stats(values: list[float]) -> tuple[str, str, str]:
@@ -416,8 +408,8 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
 
     Rows are ordered by (size, k, algorithm, seed) with algorithms in
     their canonical order. Per-run failures are captured in their row's
-    error field rather than raised. With workers > 1 cells run on a
-    thread pool; the ordering and all report content are independent of
+    error field rather than raised. Cells run on a pool of `workers`
+    threads; the ordering and all report content are independent of
     worker count.
     """
     for size, _ in grid.cells():
@@ -432,11 +424,8 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
         for algorithm in sorted(grid.algorithms, key=algo_order.__getitem__)
         for seed in sorted(grid.seeds)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _run_cell(m, grid, *t), tasks))
-    else:
-        rows = [_run_cell(m, grid, *t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(lambda t: _run_cell(m, grid, *t), tasks))
     return ExperimentResult(
         grid=grid, n_genes=m.n_genes, n_samples=m.n_samples, rows=tuple(rows)
     )

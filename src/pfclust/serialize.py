@@ -23,7 +23,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from ._util import opened
+from ._util import opened, write_csv
 from .fuzzy import FuzzyPartition
 from .kmeans import HardPartition
 from .rough import RoughPartition
@@ -71,10 +71,6 @@ class PartitionFile:
         return out
 
 
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
-
-
 def write_partition_csv(
     part: Union[HardPartition, RoughPartition, FuzzyPartition],
     gene_ids: Sequence[str],
@@ -103,10 +99,7 @@ def write_partition_csv(
         raise TypeError(f"unsupported partition type {type(part).__name__}")
     if len(gene_ids) != n:
         raise ValueError("gene id count does not match the partition")
-    with opened(dest) as handle:
-        w = _writer(handle)
-        w.writerow(header)
-        w.writerows([gene_ids[i], *c] for i, c in zip(genes, cells))
+    write_csv(dest, header, ([gene_ids[i], *c] for i, c in zip(genes, cells)))
 
 
 def write_centroids_csv(
@@ -118,10 +111,7 @@ def write_centroids_csv(
             f"centroids have {centroids.shape[1]} columns but {len(sample_ids)} "
             f"sample ids were given"
         )
-    with opened(dest) as handle:
-        w = _writer(handle)
-        w.writerow(list(sample_ids))
-        w.writerows(map(repr, row) for row in centroids.tolist())
+    write_csv(dest, list(sample_ids), (map(repr, row) for row in centroids.tolist()))
 
 
 def _jsonable(obj):

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import shutil
 from dataclasses import asdict
 
@@ -119,6 +121,46 @@ def test_cluster_negative_exponent_value_reaches_range_check(four_tsv, tmp_path,
     assert code == 1
     assert capsys.readouterr().err == f"error: {flag} {rule}, got -0.001\n"
     assert not (tmp_path / "four.partition.csv").exists()
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_cluster_into_missing_directory_names_the_output(four_tsv, tmp_path, capsys, json_mode):
+    out = tmp_path / "nodir" / "x"
+    code = main(["cluster", str(four_tsv), "--alg", "kmeans", "--k", "2", "--out", str(out)]
+                + ["--json"] * json_mode)
+    assert code == 2
+    message = f"cannot write {out}.partition.csv: No such file or directory"
+    want = json.dumps({"error": message, "exit_code": 2}) if json_mode else f"error: {message}"
+    assert capsys.readouterr().err == want + "\n"
+
+
+def test_cluster_temp_name_taken_by_a_directory(four_tsv, tmp_path, capsys):
+    taken = tmp_path / f"x.centroids.csv.tmp{os.getpid()}"
+    taken.mkdir()
+    out = tmp_path / "x"
+    code = main(["cluster", str(four_tsv), "--alg", "kmeans", "--k", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}.centroids.csv: Is a directory\n"
+    assert not (tmp_path / "x.partition.csv").exists()
+    assert not (tmp_path / f"x.partition.csv.tmp{os.getpid()}").exists()
+    assert taken.is_dir()
+
+
+def test_cluster_disk_full_leaves_nothing(four_tsv, tmp_path, capsys, monkeypatch):
+    def half_write(meta, dest):
+        with open(dest, "w", encoding="utf-8") as handle:
+            handle.write("{")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("pfclust.cli.write_metadata_json", half_write)
+    out = tmp_path / "x"
+    code = main(["cluster", str(four_tsv), "--alg", "kmeans", "--k", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}.meta.json: No space left on device\n"
+    )
+    assert not list(tmp_path.glob("x.*"))
+    assert not list(tmp_path.glob("*.tmp*"))
 
 
 def test_cluster_k_above_n_genes_fails_cleanly(four_tsv, tmp_path):

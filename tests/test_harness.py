@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfclust import (
     ExperimentGrid,
@@ -68,6 +70,30 @@ def test_subset_variance_ties_break_by_gene_id():
     )
     sub = subset_genes(m, 1, "variance_top_n")
     assert sub.gene_ids == ("aa",)
+
+
+@st.composite
+def tied_matrices(draw):
+    """Matrices of repeated integer rows, so many variances tie exactly, with
+    unique ids in drawn order; ids may differ only by a trailing NUL."""
+    n_samples = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-3, 3), min_size=n_samples, max_size=n_samples)
+    rows = draw(st.lists(st.sampled_from(draw(st.lists(row, min_size=1, max_size=4))),
+                         min_size=1, max_size=12))
+    ids = draw(st.lists(st.text("ab\x00", min_size=1, max_size=3),
+                        min_size=len(rows), max_size=len(rows), unique=True))
+    m = ExpressionMatrix(ids, [f"s{j}" for j in range(n_samples)], np.array(rows, dtype=float))
+    return m, draw(st.integers(1, len(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tied_matrices())
+def test_subset_variance_top_n_matches_sort_rule(case):
+    m, size = case
+    var = m.row_sample_vars()
+    ranked = sorted(range(m.n_genes), key=lambda i: (-var[i], m.gene_ids[i]))
+    want = tuple(m.gene_ids[i] for i in sorted(ranked[:size]))
+    assert subset_genes(m, size, "variance_top_n").gene_ids == want
 
 
 def test_subset_seeded_random_deterministic():

@@ -16,6 +16,7 @@ from pfclust import (
     ExperimentGrid,
     FuzzyConfig,
     kmeans,
+    pfcm,
     rough_kmeans,
     run_algorithm,
 )
@@ -118,3 +119,14 @@ def test_signature_defaults_are_the_table():
     assert fields == {key: DEFAULTS[key] for key in PARAMS["pfcm"]}
     assert DEFAULTS == {"m": 2.0, "v": 1.0, "zeta": 1.3, "w_lower": 0.7, "eps": 1e-5,
                         "max_iter": 300}
+
+
+@pytest.mark.parametrize("run", [
+    lambda: kmeans(X, 2, seed=-1),
+    lambda: rough_kmeans(X, 2, seed=-1),
+    lambda: pfcm(X, FuzzyConfig(c=2, seed=-1)),
+    lambda: run_algorithm("fcm", X, 2, seed=-1),
+], ids=["kmeans", "rough_kmeans", "pfcm", "run_algorithm-fcm"])
+def test_negative_seed_is_named_by_the_api(run):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run()
