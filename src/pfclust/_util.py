@@ -68,6 +68,20 @@ def write_csv(dest, header, rows) -> None:
         writer.writerows(rows)
 
 
+class Stopped:
+    """Base of the partitions: converged is derived from stop_reason.
+
+    stop_reason is "tolerance" (the stop test fired), "cycle" (rough
+    k-means only: the centroids repeated) or "max_iter".
+    """
+
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
+
+
 def as_values(data) -> np.ndarray:
     """Return a float64 2-D view of a matrix object or array-like."""
     if isinstance(data, ExpressionMatrix):

@@ -9,7 +9,9 @@ a JSON object. Each artifact's library writer writes it into a temporary
 file next to its destination, and the temporaries are renamed into place
 only once every one of them is written, so failed runs leave no partial
 outputs. An output that cannot be written exits 2 with
-"cannot write <path>: <reason>". Reruns with identical flags overwrite
+"cannot write <path>: <reason>"; an output path or prefix that names a
+directory or ends in a separator is refused that way before anything is
+written. Reruns with identical flags overwrite
 byte-identical artifacts.
 """
 
@@ -161,9 +163,16 @@ def _warn(args, message: str) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
+def _not_a_directory(given: str) -> str:
+    """`given` itself, or a DataError if it names a directory or ends in a separator."""
+    if given.endswith(tuple(filter(None, (os.sep, os.altsep)))) or os.path.isdir(given):
+        raise DataError(f"cannot write {given}: Is a directory")
+    return given
+
+
 def _output_path(prefix: Optional[str], input_path: str, suffix: str) -> Path:
     """prefix + suffix; the prefix defaults to the input path without its extension."""
-    p = Path(prefix or input_path)
+    p = Path(_not_a_directory(prefix) if prefix else input_path)
     return p.with_name((p.name if prefix else p.stem) + suffix)
 
 
@@ -175,7 +184,8 @@ def _cmd_normalize(args) -> int:
         raise UsageError("--method must be mean-relative or zscore")
     m = _read_matrix(args.input, args.format)
     out = normalize(m, method, drop_degenerate=args.drop_degenerate)
-    dest = Path(args.output) if args.output else _output_path(None, args.input, ".normalized.tsv")
+    dest = (Path(_not_a_directory(args.output)) if args.output
+            else _output_path(None, args.input, ".normalized.tsv"))
     _atomic_write([(dest, partial(write_tsv, out))])
     if out.n_genes < m.n_genes:
         _warn(args, f"dropped {m.n_genes - out.n_genes} degenerate gene(s)")
@@ -221,6 +231,7 @@ def _cmd_cluster(args) -> int:
         **params,
         "iterations": part.iterations,
         "converged": part.converged,
+        "stop_reason": part.stop_reason,
     }
     if isinstance(part, HardPartition):
         meta.update(sse=part.sse, sse_trace=list(part.sse_trace))
@@ -241,7 +252,10 @@ def _cmd_cluster(args) -> int:
          partial(write_centroids_csv, part.centroids, m.sample_ids)),
         (_output_path(args.out, args.input, ".meta.json"), partial(write_metadata_json, meta)),
     ])
-    if not part.converged:
+    if part.stop_reason == "cycle":
+        _warn(args, "did not converge: the centroids cycle; "
+                    f"stopped after {part.iterations} iterations")
+    elif part.stop_reason == "max_iter":
         _warn(args, f"did not converge within {args.max_iter} iterations")
     return EXIT_OK
 
@@ -292,7 +306,7 @@ def _cmd_validate(args) -> int:
         **asdict(score(m, u, centroids, args.m, algorithm)),
     }
     if args.output:
-        _atomic_write([(args.output, partial(write_metadata_json, report))])
+        _atomic_write([(_not_a_directory(args.output), partial(write_metadata_json, report))])
     else:
         write_metadata_json(report, sys.stdout)
     return EXIT_OK
@@ -385,7 +399,8 @@ def _cmd_heatmap(args) -> int:
     if args.partition:
         pf, rows = _read_partition(args.partition, m)
         order = cluster_row_order(pf.assignments[rows])
-    dest = Path(args.output) if args.output else _output_path(None, args.input, ".ppm")
+    dest = (Path(_not_a_directory(args.output)) if args.output
+            else _output_path(None, args.input, ".ppm"))
     _atomic_write([(dest, partial(write_ppm, m, row_order=order, scale=args.scale))])
     return EXIT_OK
 

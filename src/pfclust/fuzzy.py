@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, as_values, check_params, initial_centroids, sq_distances
+from ._util import DEFAULTS, Stopped, as_values, check_params, initial_centroids, sq_distances
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -91,7 +91,7 @@ class FuzzyConfig:
 
 
 @dataclass(frozen=True)
-class FuzzyPartition:
+class FuzzyPartition(Stopped):
     """Result of a fuzzy clustering run.
 
     Attributes
@@ -107,8 +107,9 @@ class FuzzyPartition:
         membership update, so iterations + 1 entries; non-increasing.
     iterations : int
         Number of membership updates performed.
-    converged : bool
-        Whether the max membership change reached eps within max_iter.
+    stop_reason : str
+        "tolerance" when the max membership change reached eps within
+        max_iter, else "max_iter"; converged is true for "tolerance" only.
     """
 
     memberships: np.ndarray
@@ -116,7 +117,7 @@ class FuzzyPartition:
     alpha: Optional[np.ndarray]
     objective_trace: tuple[float, ...]
     iterations: int
-    converged: bool
+    stop_reason: str
 
     @property
     def c(self) -> int:
@@ -252,7 +253,7 @@ def _run(
         return alpha, w, d2
 
     iterations = 0
-    converged = False
+    stop_reason = "max_iter"
     try:
         alpha, w, d2 = fit(u)
         for t in range(cfg.max_iter):
@@ -264,7 +265,7 @@ def _run(
                 on_iteration(u.copy(), w.copy(), alpha.copy())
             alpha, w, d2 = fit(u)
             if delta <= cfg.eps:
-                converged = True
+                stop_reason = "tolerance"
                 break
     except ValueError as exc:
         # u**m underflowing to zero mass is a numerical failure of the run
@@ -278,7 +279,7 @@ def _run(
         alpha=alpha,
         objective_trace=tuple(trace),
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 

@@ -206,11 +206,15 @@ class CellResult:
     seed: int
     report: Optional[ValidityReport]
     iterations: Optional[int]
-    converged: Optional[bool]
+    stop_reason: Optional[str]
     config: dict
     runtime: float
     trace: tuple[float, ...]
     error: Optional[str] = None
+
+    @property
+    def converged(self) -> Optional[bool]:
+        return None if self.stop_reason is None else self.stop_reason == "tolerance"
 
 
 @dataclass(frozen=True)
@@ -294,6 +298,7 @@ def _json_row(r: CellResult) -> dict:
         "config": r.config,
         "iterations": r.iterations,
         "converged": r.converged,
+        "stop_reason": r.stop_reason,
         "trace": r.trace,
         "error": r.error,
     }
@@ -315,7 +320,10 @@ def _stats(values: list[float]) -> tuple[str, str, str]:
     if not values:
         return "", "", ""
     arr = np.asarray(values)
-    with np.errstate(invalid="ignore"):
+    if np.isinf(arr).any():
+        # the spread of infinite scores is infinite, not inf - inf
+        mean = sd = np.inf
+    else:
         mean = float(arr.mean())
         sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return _fmt(mean), _fmt(sd), _fmt(float(arr.min()))
@@ -350,8 +358,8 @@ def run_algorithm(
     those rows (call `pfcm`/`fcm` with `u_init` for any other start, a
     random one included). farthest_init applies to kmeans and
     rough_kmeans only, and is a ValueError for fcm and pfcm. Returns the
-    algorithm's own partition, which carries `iterations` and
-    `converged`.
+    algorithm's own partition, which carries `iterations`,
+    `stop_reason` and `converged`.
     """
     if name not in PARAMS:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
@@ -391,14 +399,14 @@ def _run_cell(
         runtime = time.perf_counter() - start
         return CellResult(
             size=size, k=k, algorithm=algorithm, seed=seed, report=report,
-            iterations=part.iterations, converged=part.converged, config=echo,
+            iterations=part.iterations, stop_reason=part.stop_reason, config=echo,
             runtime=runtime, trace=tuple(float(t) for t in trace),
         )
     except Exception as exc:
         runtime = time.perf_counter() - start
         return CellResult(
             size=size, k=k, algorithm=algorithm, seed=seed, report=None,
-            iterations=None, converged=None, config=echo,
+            iterations=None, stop_reason=None, config=echo,
             runtime=runtime, trace=(), error=f"{type(exc).__name__}: {exc}",
         )
 

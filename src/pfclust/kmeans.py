@@ -7,13 +7,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, as_values, check_params, initial_centroids, sq_distances
+from ._util import DEFAULTS, Stopped, as_values, check_params, initial_centroids, sq_distances
 
 __all__ = ["HardPartition", "kmeans"]
 
 
 @dataclass(frozen=True)
-class HardPartition:
+class HardPartition(Stopped):
     """Result of a hard clustering run.
 
     Attributes
@@ -28,8 +28,9 @@ class HardPartition:
         Number of assign/update rounds performed.
     sse_trace : tuple of float
         SSE after each round's centroid update; non-increasing.
-    converged : bool
-        Whether the stop test fired within max_iter rounds.
+    stop_reason : str
+        "tolerance" when no centroid moved eps, else "max_iter";
+        converged is true for "tolerance" only.
     """
 
     assignments: np.ndarray
@@ -37,7 +38,7 @@ class HardPartition:
     sse: float
     iterations: int
     sse_trace: tuple[float, ...]
-    converged: bool = False
+    stop_reason: str = "max_iter"
 
     @property
     def k(self) -> int:
@@ -101,7 +102,7 @@ def kmeans(
 
     trace: list[float] = []
     iterations = 0
-    converged = False
+    stop_reason = "max_iter"
     for _ in range(max_iter):
         dists = sq_distances(x, w)
         assign = np.argmin(dists, axis=1)
@@ -118,7 +119,7 @@ def kmeans(
         if on_iteration is not None:
             on_iteration(assign.copy(), w.copy())
         if movement < eps:
-            converged = True
+            stop_reason = "tolerance"
             break
 
     return HardPartition(
@@ -127,5 +128,5 @@ def kmeans(
         sse=trace[-1],
         iterations=iterations,
         sse_trace=tuple(trace),
-        converged=converged,
+        stop_reason=stop_reason,
     )

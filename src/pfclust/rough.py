@@ -6,22 +6,33 @@ zeta of the nearest distance. A partition is one boolean (n_genes, k)
 upper-set matrix. Genes claimed by exactly one upper set form that
 cluster's lower set; the rest sit in boundary regions. Centroids are
 weighted combinations of lower and boundary means.
+
+Rough k-means need not converge: its centroids can cycle, so that the
+movement never falls below eps. A round is a function of the previous
+round's centroids alone, so centroids bit-equal to those of one of the
+last eight rounds prove that every later round repeats. The run then
+stops with stop_reason "cycle" and returns the state the cycle reaches
+at max_iter, the state a run that did not look for cycles would end on.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, as_values, check_params, initial_centroids, sq_distances
+from ._util import DEFAULTS, Stopped, as_values, check_params, initial_centroids, sq_distances
 
 __all__ = ["RoughPartition", "rough_kmeans"]
 
+# rounds whose centroids a new round is compared with; longer cycles run to max_iter
+_CYCLE_WINDOW = 8
+
 
 @dataclass(frozen=True)
-class RoughPartition:
+class RoughPartition(Stopped):
     """Upper-set memberships per cluster plus the final centroids.
 
     member is a boolean (n_genes, k) matrix: member[i, j] says gene i is
@@ -29,14 +40,18 @@ class RoughPartition:
     gene in exactly one upper set (the lone mask) is in that cluster's
     lower set; a gene in two or more is in no lower set and sits in the
     boundary of each. lower, upper and boundary(j) give the same
-    structure as frozensets of gene indices. converged tells whether the
-    stop test fired within max_iter rounds.
+    structure as frozensets of gene indices. iterations counts the rounds
+    run. stop_reason is "tolerance" when no centroid moved eps, "cycle"
+    when the centroids repeated those of an earlier round before
+    max_iter, and "max_iter" otherwise; converged is true for
+    "tolerance" only. After a cycle, member and centroids are those of
+    the round the cycle reaches at max_iter.
     """
 
     member: np.ndarray
     centroids: np.ndarray
     iterations: int
-    converged: bool = False
+    stop_reason: str = "max_iter"
 
     @property
     def k(self) -> int:
@@ -111,13 +126,28 @@ def rough_kmeans(
     Returns
     -------
     RoughPartition
+
+    Notes
+    -----
+    The run stops when no centroid moves eps or more ("tolerance"), or
+    when a round's centroids are bit-equal to those of one of the last
+    eight rounds ("cycle"). Centroids are compared, not upper sets: the
+    next round depends on the centroids alone, while a cluster with an
+    empty upper set keeps its previous centroid, so equal upper sets
+    can come with unequal centroids. Every round of a cycle moved eps or
+    more, so without the cycle test the run would go on to max_iter;
+    the partition returned is the cycle's round that max_iter falls on,
+    and iterations counts the rounds actually run. Cycles longer than
+    eight rounds run to max_iter.
     """
     x = as_values(m)
     check_params(zeta=zeta, w_lower=w_lower, max_iter=max_iter, eps=eps)
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
 
+    # (member, centroids) of recent rounds; both are built anew each round
+    ring: deque = deque(maxlen=_CYCLE_WINDOW)
     iterations = 0
-    converged = False
+    stop_reason = "max_iter"
     for _ in range(max_iter):
         member = _memberships(x, w, zeta)
         lone = _lone(member)
@@ -139,9 +169,17 @@ def rough_kmeans(
         iterations += 1
         if on_iteration is not None:
             on_iteration(RoughPartition(member, w.copy(), iterations))
-        # a repeated upper-set matrix gives bit-equal centroids, so it stops here too
         if movement < eps:
-            converged = True
+            stop_reason = "tolerance"
+            break
+        period = next(
+            (p for p, (_, old) in enumerate(reversed(ring), 1) if np.array_equal(old, w)), 0
+        )
+        ring.append((member, w))
+        if period and iterations < max_iter:
+            # rounds repeat with this period, so max_iter lands on this ring entry
+            member, w = ring[-1 - (iterations - max_iter) % period]
+            stop_reason = "cycle"
             break
 
-    return RoughPartition(member, w, iterations, converged)
+    return RoughPartition(member, w, iterations, stop_reason)

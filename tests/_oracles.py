@@ -221,7 +221,7 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
 
     trace = []
     iterations = 0
-    converged = False
+    stop_reason = "max_iter"
     try:
         for t in range(max_iter):
             alpha = compute_alpha(u, m)
@@ -240,7 +240,7 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
             if on_iteration is not None:
                 on_iteration(u.copy(), w.copy(), alpha.copy())
             if delta <= eps:
-                converged = True
+                stop_reason = "tolerance"
                 break
 
         alpha = compute_alpha(u, m)
@@ -257,7 +257,7 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
         alpha=alpha,
         objective_trace=tuple(trace),
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 

@@ -134,6 +134,28 @@ def test_cluster_into_missing_directory_names_the_output(four_tsv, tmp_path, cap
     assert capsys.readouterr().err == want + "\n"
 
 
+def test_normalize_output_that_is_a_directory(small_tsv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["normalize", str(small_tsv), "--method", "zscore", "-o", "."])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write .: Is a directory\n"
+    assert os.listdir(tmp_path) == ["expr.tsv"]
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_cluster_prefix_ending_in_a_separator(four_tsv, tmp_path, capsys, exists):
+    # "d/" names a directory, not the prefix "d"
+    d = tmp_path / "d"
+    if exists:
+        d.mkdir()
+    prefix = str(d) + os.sep
+    code = main(["cluster", str(four_tsv), "--alg", "kmeans", "--k", "3", "--out", prefix])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {prefix}: Is a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["d", "four.tsv"][1 - exists:]
+    assert not exists or os.listdir(d) == []
+
+
 def test_cluster_temp_name_taken_by_a_directory(four_tsv, tmp_path, capsys):
     taken = tmp_path / f"x.centroids.csv.tmp{os.getpid()}"
     taken.mkdir()
@@ -228,6 +250,25 @@ def test_cluster_converged_on_last_allowed_iteration(bundled_tsv, tmp_path, caps
     meta = json.loads((tmp_path / "synth.meta.json").read_text())
     assert meta["iterations"] == stop
     assert meta["converged"] is True
+
+
+def test_cluster_rough_cycle_stops_with_the_max_iter_state(bundled_tsv, tmp_path, capsys):
+    # the centroids of this run alternate with period 2, so every even
+    # cap, the default 300 included, ends on the state of round 6
+    args = ["cluster", str(bundled_tsv), "--alg", "rough-kmeans", "--k", "5", "--seed", "27",
+            "--normalize", "zscore"]
+    assert main(args) == 0
+    err = capsys.readouterr().err
+    assert "did not converge: the centroids cycle; stopped after 6 iterations" in err
+    meta = json.loads((tmp_path / "synth.meta.json").read_text())
+    assert (meta["stop_reason"], meta["iterations"], meta["converged"]) == ("cycle", 6, False)
+
+    assert main(args + ["--max-iter", "6", "--out", str(tmp_path / "cap")]) == 0
+    assert "did not converge within 6 iterations" in capsys.readouterr().err
+    meta = json.loads((tmp_path / "cap.meta.json").read_text())
+    assert (meta["stop_reason"], meta["iterations"], meta["converged"]) == ("max_iter", 6, False)
+    for suffix in (".partition.csv", ".centroids.csv"):
+        assert (tmp_path / f"synth{suffix}").read_bytes() == (tmp_path / f"cap{suffix}").read_bytes()
 
 
 def test_cluster_zero_membership_mass_is_numerical_failure(bundled_tsv, capsys):
@@ -465,6 +506,33 @@ def test_grid_row_converged_on_last_allowed_iteration(bundled_tsv, tmp_path):
     report = (tmp_path / "g.report.csv").read_text().splitlines()
     col = report[0].split(",").index("converged")
     assert [line.split(",")[col] for line in report[1:]] == ["true", "true"]
+
+
+def test_grid_summary_of_infinite_scores(bundled_tsv, tmp_path):
+    # one of this cell's two runs has coincident centroids, so Xie-Beni inf
+    assert main(["grid", str(bundled_tsv), "--preset", "--seeds", "0,1", "--workers", "2"]) == 0
+    header, *lines = (tmp_path / "synth.summary.csv").read_text().splitlines()
+    assert "nan" not in ",".join(lines)
+    rows = {tuple(line.split(",")[:3]): dict(zip(header.split(","), line.split(",")))
+            for line in lines}
+    got = rows[("14", "7", "rough_kmeans")]
+    assert (got["xie_beni_mean"], got["xie_beni_sd"]) == ("inf", "inf")
+    assert float(got["xie_beni_best"]) < math.inf
+
+
+def test_grid_row_reports_a_cycle(bundled_tsv, tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({
+        "pairs": [[100, 5], [100, 3]], "algorithms": ["rough_kmeans"], "seeds": [27],
+    }), encoding="utf-8")
+    assert main(["grid", str(bundled_tsv), "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
+    rows = json.loads((tmp_path / "g.report.json").read_text())["rows"]
+    got = [(r["k"], r["iterations"], r["converged"], r["stop_reason"]) for r in rows]
+    assert got[1] == (5, 6, False, "cycle")
+    assert got[0][2:] == (True, "tolerance")
+    report = (tmp_path / "g.report.csv").read_text().splitlines()
+    col = report[0].split(",").index("converged")
+    assert [line.split(",")[col] for line in report[1:]] == ["true", "false"]
 
 
 def test_grid_config_conflicts_with_flags(bundled_tsv, tmp_path, capsys):

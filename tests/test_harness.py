@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pfclust import (
     ExperimentGrid,
+    ExperimentResult,
     ExpressionMatrix,
     FuzzyConfig,
     generate_synthetic,
@@ -19,7 +21,9 @@ from pfclust import (
     subset_genes,
     preset_pairs,
     write_tsv,
+    ValidityReport,
 )
+from pfclust.harness import CellResult
 
 from _oracles import adjusted_rand
 from conftest import SYNTH_CLUSTERS, SYNTH_NOISE, SYNTH_SEED
@@ -297,6 +301,26 @@ def test_summary_grouping(bundled):
     assert fields[:5] == ["20", "2", "kmeans", "3", "0"]
     rmse_vals = [r.report.rmse for r in res.rows if r.algorithm == "kmeans"]
     assert float(fields[7]) == pytest.approx(min(rmse_vals), rel=1e-12)
+
+
+def test_summary_of_infinite_scores_is_infinite():
+    # Xie-Beni is inf for a partition with coincident centroids; its
+    # spread must not come out of inf - inf as nan
+    def row(seed, xie_beni):
+        report = ValidityReport(rmse=1.0 + seed, mae=0.5, xie_beni=xie_beni,
+                                n_genes=14, n_samples=10, k=7, algorithm="fcm")
+        return CellResult(size=14, k=7, algorithm="fcm", seed=seed, report=report,
+                          iterations=3, stop_reason="tolerance", config={},
+                          runtime=0.0, trace=())
+
+    grid = ExperimentGrid(pairs=((14, 7),), algorithms=("fcm",), seeds=(0, 1, 2))
+    res = ExperimentResult(grid, 14, 10, (row(0, 0.5), row(1, math.inf), row(2, 0.25)))
+    buf = io.StringIO()
+    res.write_summary_csv(buf)
+    header, line = buf.getvalue().splitlines()
+    got = dict(zip(header.split(","), line.split(",")))
+    assert (got["xie_beni_mean"], got["xie_beni_sd"], got["xie_beni_best"]) == ("inf", "inf", "0.25")
+    assert (got["rmse_mean"], got["rmse_sd"], got["rmse_best"]) == ("2.0", "1.0", "1.0")
 
 
 def test_fuzzy_validity_uses_run_fuzzifier(bundled):

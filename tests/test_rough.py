@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfclust import kmeans, rough_kmeans
+from pfclust import kmeans, normalize, parse_matrix, rough_kmeans
+from pfclust._util import initial_centroids
 
 import _oracles
 
@@ -174,7 +175,32 @@ def test_matches_set_based_oracle(
         x, k, init, zeta=zeta, w_lower=w_lower, max_iter=max_iter
     )
     assert np.array_equal(part.centroids, w)
-    assert part.iterations == iterations
+    if part.stop_reason == "cycle":
+        # the oracle has no cycle test, so it runs every round
+        assert iterations == max_iter and not converged
+        assert part.iterations < max_iter
+    else:
+        assert part.iterations == iterations
     assert part.converged == converged
+    assert part.lower == lower
+    assert part.upper == upper
+
+
+@pytest.mark.parametrize("max_iter", range(6, 13))
+def test_cycle_stop_returns_the_max_iter_state(bundled_path, max_iter):
+    # this run's round-6 centroids equal its round-4 ones, so it stops
+    # after round 6 and must return the round of the period-2 cycle that
+    # max_iter falls on
+    m = parse_matrix(bundled_path.read_text(encoding="utf-8"), "tsv")
+    x = normalize(m, "z_score").values
+    part = rough_kmeans(x, 5, seed=27, max_iter=max_iter)
+    lower, upper, w, iterations, converged = _oracles.rough_kmeans(
+        x, 5, initial_centroids(x, 5, 27, False), max_iter=max_iter
+    )
+    assert iterations == max_iter and not converged
+    assert part.iterations == 6
+    assert part.stop_reason == ("max_iter" if max_iter == 6 else "cycle")
+    assert not part.converged
+    assert np.array_equal(part.centroids, w)
     assert part.lower == lower
     assert part.upper == upper

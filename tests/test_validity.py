@@ -42,7 +42,7 @@ def test_unified_fuzzy_is_a_copy():
         alpha=None,
         objective_trace=(0.0,),
         iterations=1,
-        converged=True,
+        stop_reason="tolerance",
     )
     u = unified_memberships(p)
     assert np.array_equal(u, mem)
