@@ -8,11 +8,12 @@ Errors print a single diagnostic line on stderr; with --json the line is
 a JSON object. Each artifact's library writer writes it into a temporary
 file next to its destination, and the temporaries are renamed into place
 only once every one of them is written, so failed runs leave no partial
-outputs. An output that cannot be written exits 2 with
-"cannot write <path>: <reason>"; an output path or prefix that names a
-directory or ends in a separator is refused that way before anything is
-written. Reruns with identical flags overwrite
-byte-identical artifacts.
+outputs. Output paths are checked before any input is read: one that
+names a directory or lies in a missing one, like one that fails at write
+time, exits 2 with "cannot write <path>: <reason>". An unreadable or
+non-UTF-8 input exits 2 with "cannot read <path>: <reason>", and a
+partition cell that is not a number names its gene. Reruns with
+identical flags overwrite byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -116,30 +117,36 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _read(path: str, read: Optional[Callable] = None):
+    """read(path), by default the file's UTF-8 text, with any failure as a DataError."""
+    try:
+        return read(path) if read else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def _read_matrix(path: str, fmt: str) -> ExpressionMatrix:
-    effective = sniff_format(path) if fmt == "auto" else fmt
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_matrix(text, effective)
+        return parse_matrix(_read(path), sniff_format(path) if fmt == "auto" else fmt)
     except ParseError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _atomic_write(outputs: Sequence[tuple[Union[str, Path], Callable[[Path], None]]]) -> None:
+def _atomic_write(outputs: Iterable[tuple[Path, Callable[[Path], None]]]) -> None:
     """Call each writer on a temp file beside its path; rename all once all are written.
 
     Prints "wrote <path>" per output on success. On any exception every
     temp is removed, and an OSError becomes a DataError naming the path
     being written or renamed.
     """
+    outputs = list(outputs)
     temps: list[Path] = []
     try:
         for path, write in outputs:
             # registered first, so a half-written temp is removed too
-            temps.append(Path(path).with_name(Path(path).name + f".tmp{os.getpid()}"))
+            temps.append(path.with_name(path.name + f".tmp{os.getpid()}"))
             write(temps[-1])
         for tmp, (path, _) in zip(temps, outputs):
             os.replace(tmp, path)
@@ -163,17 +170,23 @@ def _warn(args, message: str) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _not_a_directory(given: str) -> str:
-    """`given` itself, or a DataError if it names a directory or ends in a separator."""
-    if given.endswith(tuple(filter(None, (os.sep, os.altsep)))) or os.path.isdir(given):
+def _outputs(args, *suffixes: str) -> list[Path]:
+    """Name and check a subcommand's outputs before any input is read.
+
+    `-o` names the one output; else each suffix goes on the `--out` prefix,
+    by default the input path without its extension (no suffix: no path).
+    """
+    one = getattr(args, "output", None)
+    given = one or getattr(args, "out", None)
+    if given and (given.endswith((os.sep, os.altsep or os.sep)) or os.path.isdir(given)):
         raise DataError(f"cannot write {given}: Is a directory")
-    return given
-
-
-def _output_path(prefix: Optional[str], input_path: str, suffix: str) -> Path:
-    """prefix + suffix; the prefix defaults to the input path without its extension."""
-    p = Path(_not_a_directory(prefix) if prefix else input_path)
-    return p.with_name((p.name if prefix else p.stem) + suffix)
+    p = Path(given or args.input)
+    paths = [p] if one else [p.with_name((p.name if given else p.stem) + s) for s in suffixes]
+    # a default path sits beside the input, whose read reports a missing directory
+    if given and not paths[0].parent.is_dir():
+        reason = "Not a directory" if paths[0].parent.exists() else "No such file or directory"
+        raise DataError(f"cannot write {paths[0]}: {reason}")
+    return paths
 
 
 # ---------------------------------------------------------------- normalize
@@ -182,11 +195,10 @@ def _cmd_normalize(args) -> int:
     method = _canon_method(args.method)
     if method == "none":
         raise UsageError("--method must be mean-relative or zscore")
+    paths = _outputs(args, ".normalized.tsv")
     m = _read_matrix(args.input, args.format)
     out = normalize(m, method, drop_degenerate=args.drop_degenerate)
-    dest = (Path(_not_a_directory(args.output)) if args.output
-            else _output_path(None, args.input, ".normalized.tsv"))
-    _atomic_write([(dest, partial(write_tsv, out))])
+    _atomic_write(zip(paths, [partial(write_tsv, out)]))
     if out.n_genes < m.n_genes:
         _warn(args, f"dropped {m.n_genes - out.n_genes} degenerate gene(s)")
     return EXIT_OK
@@ -210,6 +222,7 @@ def _validate_cluster_flags(args) -> str:
 def _cmd_cluster(args) -> int:
     alg = _validate_cluster_flags(args)
     method = _canon_method(args.normalize)
+    paths = _outputs(args, ".partition.csv", ".centroids.csv", ".meta.json")
     m = _read_matrix(args.input, args.format)
     if method != "none":
         m = normalize(m, method, drop_degenerate=args.drop_degenerate)
@@ -245,13 +258,11 @@ def _cmd_cluster(args) -> int:
     else:
         meta["farthest_init"] = bool(args.farthest_init)
 
-    _atomic_write([
-        (_output_path(args.out, args.input, ".partition.csv"),
-         partial(write_partition_csv, part, m.gene_ids)),
-        (_output_path(args.out, args.input, ".centroids.csv"),
-         partial(write_centroids_csv, part.centroids, m.sample_ids)),
-        (_output_path(args.out, args.input, ".meta.json"), partial(write_metadata_json, meta)),
-    ])
+    _atomic_write(zip(paths, [
+        partial(write_partition_csv, part, m.gene_ids),
+        partial(write_centroids_csv, part.centroids, m.sample_ids),
+        partial(write_metadata_json, meta),
+    ]))
     if part.stop_reason == "cycle":
         _warn(args, "did not converge: the centroids cycle; "
                     f"stopped after {part.iterations} iterations")
@@ -264,10 +275,7 @@ def _cmd_cluster(args) -> int:
 
 def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.ndarray]:
     """Read a partition CSV and the row in it of each matrix gene, in matrix order."""
-    try:
-        pf = read_partition_csv(path)
-    except (OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
+    pf = _read(path, read_partition_csv)
     if sorted(pf.gene_ids) != sorted(m.gene_ids):
         raise DataError(
             f"partition gene ids do not match the matrix "
@@ -280,12 +288,13 @@ def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.n
 def _cmd_validate(args) -> int:
     if not args.m >= 1.0:
         raise UsageError(f"--m must be 1 or greater, got {args.m}")
+    paths = _outputs(args)
     m = _read_matrix(args.input, args.format)
     pf, order = _read_partition(args.partition, m)
+    centroids, _ = _read(args.centroids, read_centroids_csv)
     try:
-        centroids, _ = read_centroids_csv(args.centroids)
         u = pf.padded_memberships(centroids.shape[0])[order]
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(str(exc)) from exc
     if centroids.shape[1] != m.n_samples:
         raise DataError(
@@ -305,8 +314,8 @@ def _cmd_validate(args) -> int:
         "m": args.m,
         **asdict(score(m, u, centroids, args.m, algorithm)),
     }
-    if args.output:
-        _atomic_write([(_not_a_directory(args.output), partial(write_metadata_json, report))])
+    if paths:
+        _atomic_write(zip(paths, [partial(write_metadata_json, report)]))
     else:
         write_metadata_json(report, sys.stdout)
     return EXIT_OK
@@ -319,9 +328,7 @@ _GRID_CONFIG_KEYS = {f.name for f in fields(ExperimentGrid)}
 
 def _grid_from_config(path: str) -> ExperimentGrid:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        doc = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -345,6 +352,7 @@ def _grid_from_config(path: str) -> ExperimentGrid:
 def _cmd_grid(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    paths = _outputs(args, ".report.csv", ".report.json", ".summary.csv", ".timings.csv")
     m = _read_matrix(args.input, args.format)
     if args.config:
         if args.sizes or args.ks or args.preset:
@@ -373,16 +381,9 @@ def _cmd_grid(args) -> int:
 
     result = run_grid(m, grid, workers=args.workers)
 
-    writers = {
-        ".report.csv": result.write_report_csv,
-        ".report.json": result.write_report_json,
-        ".summary.csv": result.write_summary_csv,
-    }
-    if args.timings:
-        writers[".timings.csv"] = result.write_timings_csv
-    _atomic_write([
-        (_output_path(args.out, args.input, suffix), write) for suffix, write in writers.items()
-    ])
+    # zip drops the checked .timings.csv path unless --timings adds its writer
+    writers = [result.write_report_csv, result.write_report_json, result.write_summary_csv]
+    _atomic_write(zip(paths, writers + [result.write_timings_csv] * args.timings))
     failed = sum(1 for r in result.rows if r.error is not None)
     if failed:
         _warn(args, f"{failed} of {len(result.rows)} runs failed; see the error column")
@@ -394,14 +395,13 @@ def _cmd_grid(args) -> int:
 def _cmd_heatmap(args) -> int:
     if args.scale < 1:
         raise UsageError(f"--scale must be >= 1, got {args.scale}")
+    paths = _outputs(args, ".ppm")
     m = _read_matrix(args.input, args.format)
     order = None
     if args.partition:
         pf, rows = _read_partition(args.partition, m)
         order = cluster_row_order(pf.assignments[rows])
-    dest = (Path(_not_a_directory(args.output)) if args.output
-            else _output_path(None, args.input, ".ppm"))
-    _atomic_write([(dest, partial(write_ppm, m, row_order=order, scale=args.scale))])
+    _atomic_write(zip(paths, [partial(write_ppm, m, row_order=order, scale=args.scale)]))
     return EXIT_OK
 
 
@@ -502,12 +502,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except UsageError as exc:
         return _fail(EXIT_USAGE, str(exc), json_mode)
-    except (ParseError, DegenerateRowsError, DataError) as exc:
+    except (ParseError, DegenerateRowsError, DataError, OSError) as exc:
         return _fail(EXIT_DATA, str(exc), json_mode)
     except NumericalError as exc:
         return _fail(EXIT_NUMERIC, str(exc), json_mode)
-    except OSError as exc:
-        return _fail(EXIT_DATA, str(exc), json_mode)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc), json_mode)
 

@@ -290,7 +290,7 @@ def _csv_row(r: CellResult) -> list[str]:
 
 
 def _json_row(r: CellResult) -> dict:
-    row = {
+    return {
         "size": r.size,
         "k": r.k,
         "algorithm": r.algorithm,
@@ -301,19 +301,10 @@ def _json_row(r: CellResult) -> dict:
         "stop_reason": r.stop_reason,
         "trace": r.trace,
         "error": r.error,
+        "validity": None if r.report is None else {
+            key: value for key, value in asdict(r.report).items() if key != "algorithm"
+        },
     }
-    if r.report is None:
-        row["validity"] = None
-    else:
-        row["validity"] = {
-            "rmse": r.report.rmse,
-            "mae": r.report.mae,
-            "xie_beni": r.report.xie_beni,
-            "n_genes": r.report.n_genes,
-            "n_samples": r.report.n_samples,
-            "k": r.report.k,
-        }
-    return row
 
 
 def _stats(values: list[float]) -> tuple[str, str, str]:

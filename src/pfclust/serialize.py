@@ -165,6 +165,13 @@ def read_partition_csv(source: Union[str, Path, IO[str]]) -> PartitionFile:
     raise ValueError(f"unrecognized partition header {header!r}")
 
 
+def _cluster_index(gid: str, cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"gene {gid!r}: cluster index must be an integer, got {cell!r}") from None
+
+
 def _hard_from_rows(body: list[list[str]]) -> PartitionFile:
     gene_ids = []
     assigns = []
@@ -172,7 +179,7 @@ def _hard_from_rows(body: list[list[str]]) -> PartitionFile:
         if len(row) != 2:
             raise ValueError(f"expected 2 fields per row, found {len(row)}: {row!r}")
         gene_ids.append(row[0])
-        assigns.append(int(row[1]))
+        assigns.append(_cluster_index(row[0], row[1]))
     if len(set(gene_ids)) != len(gene_ids):
         raise ValueError("duplicate gene id in partition file")
     if min(assigns) < 0:
@@ -194,7 +201,7 @@ def _rough_from_rows(body: list[list[str]]) -> PartitionFile:
         if kind not in ("lower", "boundary"):
             raise ValueError(f"membership_kind must be lower or boundary, got {kind!r}")
         genes.append(index.setdefault(gid, len(index)))
-        clusters.append(int(cluster_s))
+        clusters.append(_cluster_index(gid, cluster_s))
         lower.append(kind == "lower")
     g = np.asarray(genes, dtype=np.intp)
     c = np.asarray(clusters, dtype=np.intp)
@@ -220,8 +227,12 @@ def _fuzzy_from_rows(body: list[list[str]], c: int) -> PartitionFile:
     for row in body:
         if len(row) != c + 1:
             raise ValueError(f"expected {c + 1} fields per row, found {len(row)}: {row!r}")
-        row_u = [float(v) for v in row[1:]]
-        # NaN fails the range test; 1e-9 is the acceptance row-sum tolerance
+        try:
+            row_u = [float(v) for v in row[1:]]
+        except ValueError:
+            row_u = [math.nan]
+        # NaN, as for a cell that is not a number, fails the range test;
+        # 1e-9 is the acceptance row-sum tolerance
         if not (all(0.0 <= v <= 1.0 for v in row_u) and abs(math.fsum(row_u) - 1.0) <= 1e-9):
             raise ValueError(
                 f"gene {row[0]!r}: memberships must be in [0, 1] and sum to 1, "

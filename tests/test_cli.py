@@ -156,6 +156,76 @@ def test_cluster_prefix_ending_in_a_separator(four_tsv, tmp_path, capsys, exists
     assert not exists or os.listdir(d) == []
 
 
+# each subcommand's flags up to its output flag, and the suffix of its
+# first output; every call would succeed with a writable output
+OUTPUT_FLAGS = {
+    "normalize": (["--method", "zscore", "-o"], ""),
+    "cluster": (["--alg", "kmeans", "--k", "2", "--out"], ".partition.csv"),
+    "validate": (["--partition", "p.csv", "--centroids", "c.csv", "-o"], ""),
+    "grid": (["--sizes", "4", "--ks", "2", "--out"], ".report.csv"),
+    "heatmap": (["-o"], ""),
+}
+
+
+@pytest.mark.parametrize("given, reason", [
+    ("d", "Is a directory"),
+    ("e" + os.sep, "Is a directory"),
+    (os.path.join("nodir", "x"), "No such file or directory"),
+    (os.path.join("expr.tsv", "x"), "Not a directory"),
+], ids=["directory", "separator", "missing-directory", "file-as-directory"])
+@pytest.mark.parametrize("command", list(OUTPUT_FLAGS))
+def test_outputs_are_refused_before_the_input_is_read(small_tsv, tmp_path, capsys, monkeypatch,
+                                                      command, given, reason):
+    def never(*args):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr("pfclust.cli._read_matrix", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text("gene_id,cluster\nga,0\ngb,0\ngc,1\ngd,1\n", encoding="utf-8")
+    (tmp_path / "c.csv").write_text("s1,s2,s3\n0,1,2\n10,11,12\n", encoding="utf-8")
+    (tmp_path / "d").mkdir()
+    flags, suffix = OUTPUT_FLAGS[command]
+    given = os.path.join(tmp_path, given)
+    code = main([command, str(small_tsv), *flags, given])
+    assert code == 2
+    named = given if reason == "Is a directory" else given + suffix
+    assert capsys.readouterr().err == f"error: cannot write {named}: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "d", "expr.tsv", "p.csv"]
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_FLAGS))
+def test_default_output_beside_a_missing_input_reports_the_input(tmp_path, capsys, command):
+    missing = tmp_path / "nodir" / "x.tsv"
+    flags, _ = OUTPUT_FLAGS[command]
+    code = main([command, str(missing), *flags[:-1]])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("role", ["matrix", "config", "partition", "centroids"])
+def test_unreadable_input_names_its_path(four_tsv, tmp_path, capsys, role, content, reason):
+    bad = tmp_path / "bad.txt"
+    if content is not None:
+        bad.write_bytes(content)
+    part = tmp_path / "p.csv"
+    part.write_text("gene_id,cluster\nga,0\ngb,0\ngc,1\ngd,1\n", encoding="utf-8")
+    argv = {
+        "matrix": ["cluster", str(bad), "--alg", "kmeans", "--k", "2"],
+        "config": ["grid", str(four_tsv), "--config", str(bad)],
+        "partition": ["validate", str(four_tsv), "--partition", str(bad),
+                      "--centroids", str(tmp_path / "c.csv")],
+        "centroids": ["validate", str(four_tsv), "--partition", str(part),
+                      "--centroids", str(bad)],
+    }[role]
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot read {bad}: {reason}\n"
+
+
 def test_cluster_temp_name_taken_by_a_directory(four_tsv, tmp_path, capsys):
     taken = tmp_path / f"x.centroids.csv.tmp{os.getpid()}"
     taken.mkdir()

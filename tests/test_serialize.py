@@ -177,6 +177,19 @@ def test_hard_reader_validation():
         read_partition_csv(io.StringIO("gene_id,cluster\ng,0,extra\n"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gene_id,u0,u1\na,x,0.5\n",
+     "gene 'a': memberships must be in [0, 1] and sum to 1, got x, 0.5"),
+    ("gene_id,cluster\na,1.0\n", "gene 'a': cluster index must be an integer, got '1.0'"),
+    ("gene_id,cluster,membership_kind\na,x,lower\n",
+     "gene 'a': cluster index must be an integer, got 'x'"),
+], ids=["fuzzy", "hard", "rough"])
+def test_cell_that_is_not_a_number_names_its_gene(text, message):
+    with pytest.raises(ValueError) as info:
+        read_partition_csv(io.StringIO(text))
+    assert str(info.value) == message
+
+
 def test_gene_ids_with_commas_quoted():
     part = kmeans(np.array([[0.0], [10.0]]), 2, seed=0)
     gene_ids = ('g,with,commas', 'plain')
