@@ -101,33 +101,54 @@ def as_values(data) -> np.ndarray:
 _RECOMPUTE_FRAC = 1e-6
 
 
-def sq_distances(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (n_rows_x, n_rows_w).
+class SqDistances:
+    """The distance kernel bound to one data matrix x.
 
-    Uses the expansion ||a||^2 - 2 a.b + ||b||^2 on rows centred by the
-    column mean mu of x, so one matrix product does the work and no
-    (n, k, d) array is built. Results are clamped at 0, and every entry
-    small next to ||x_i - mu||^2 + ||w_j - mu||^2 is recomputed exactly
-    from x_i - w_j, so a row equal to a centroid gets exactly 0. Entries
-    the expansion leaves inf or nan by overflow are recomputed the same
-    way, which is why its floating-point warnings are silenced.
+    Calling it with centroids w gives the squared Euclidean distances,
+    shape (n_rows_x, n_rows_w). It uses the expansion
+    ||a||^2 - 2 a.b + ||b||^2 on rows centred by the column mean mu of x,
+    so one matrix product does the work and no (n, k, d) array is built.
+    Results are clamped at 0, and every entry small next to
+    ||x_i - mu||^2 + ||w_j - mu||^2 is recomputed exactly from x_i - w_j,
+    so a row equal to a centroid gets exactly 0. Entries the expansion
+    leaves inf or nan by overflow are recomputed the same way, which is
+    why its floating-point warnings are silenced.
+
+    What depends on x alone is computed once, when x is bound: mu, the
+    centred rows xc = x - mu and their squared norms xn. A call does only
+    the work that depends on w, with the same operations in the same
+    order, so its results are bit-identical to those of sq_distances.
+    An iterative run binds its data once and applies the kernel to each
+    round's centroids.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = x.mean(axis=0)
-        xc = x - mu
-        wc = w - mu
-        xn = np.einsum("ij,ij->i", xc, xc)
-        wn = np.einsum("ij,ij->i", wc, wc)
-        d2 = xc @ wc.T
-        d2 *= -2.0
-        d2 += xn[:, None]
-        d2 += wn[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        rows, cols = np.nonzero(~(d2 > _RECOMPUTE_FRAC * (xn[:, None] + wn[None, :])))
-    if rows.size:
-        diff = x[rows] - w[cols]
-        d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
-    return d2
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.mu = x.mean(axis=0)
+            self.xc = x - self.mu
+            self.xn = np.einsum("ij,ij->i", self.xc, self.xc)
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        x, xc, xn = self.x, self.xc, self.xn
+        with np.errstate(over="ignore", invalid="ignore"):
+            wc = w - self.mu
+            wn = np.einsum("ij,ij->i", wc, wc)
+            d2 = xc @ wc.T
+            d2 *= -2.0
+            d2 += xn[:, None]
+            d2 += wn[None, :]
+            np.maximum(d2, 0.0, out=d2)
+            rows, cols = np.nonzero(~(d2 > _RECOMPUTE_FRAC * (xn[:, None] + wn[None, :])))
+        if rows.size:
+            diff = x[rows] - w[cols]
+            d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
+        return d2
+
+
+def sq_distances(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, shape (n_rows_x, n_rows_w): SqDistances(x)(w)."""
+    return SqDistances(x)(w)
 
 
 def farthest_point_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,7 +8,9 @@ Errors print a single diagnostic line on stderr; with --json the line is
 a JSON object. Each artifact's library writer writes it into a temporary
 file next to its destination, and the temporaries are renamed into place
 only once every one of them is written, so failed runs leave no partial
-outputs. Output paths are checked before any input is read: one that
+outputs. Flag errors, among them grid's --config/--preset/--sizes/--ks
+conflicts and an unknown validate --algorithm, exit 1 before the matrix
+is read. Output paths are checked before any input is read: one that
 names a directory or lies in a missing one, like one that fails at write
 time, exits 2 with "cannot write <path>: <reason>". An unreadable or
 non-UTF-8 input exits 2 with "cannot read <path>: <reason>", and a
@@ -24,7 +26,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -288,6 +290,7 @@ def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.n
 def _cmd_validate(args) -> int:
     if not args.m >= 1.0:
         raise UsageError(f"--m must be 1 or greater, got {args.m}")
+    algorithm = _canon_algorithm(args.algorithm) if args.algorithm else None
     paths = _outputs(args)
     m = _read_matrix(args.input, args.format)
     pf, order = _read_partition(args.partition, m)
@@ -302,9 +305,7 @@ def _cmd_validate(args) -> int:
             f"{m.n_samples} samples"
         )
 
-    algorithm = _canon_algorithm(args.algorithm) if args.algorithm else {
-        "hard": "kmeans", "rough": "rough_kmeans", "fuzzy": "fcm",
-    }[pf.kind]
+    algorithm = algorithm or {"hard": "kmeans", "rough": "rough_kmeans", "fuzzy": "fcm"}[pf.kind]
     report = {
         "command": "validate",
         "input": args.input,
@@ -353,7 +354,6 @@ def _cmd_grid(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     paths = _outputs(args, ".report.csv", ".report.json", ".summary.csv", ".timings.csv")
-    m = _read_matrix(args.input, args.format)
     if args.config:
         if args.sizes or args.ks or args.preset:
             raise UsageError("--config cannot be combined with --sizes/--ks/--preset")
@@ -368,7 +368,8 @@ def _cmd_grid(args) -> int:
         if args.preset:
             if args.sizes or args.ks:
                 raise UsageError("--preset cannot be combined with --sizes/--ks")
-            kwargs["pairs"] = preset_pairs(m.n_genes)
+            # the preset cells scale with the matrix, so they are set once it is read
+            kwargs["pairs"] = ()
         else:
             if not args.sizes or not args.ks:
                 raise UsageError("provide --sizes and --ks, or --preset, or --config")
@@ -379,6 +380,9 @@ def _cmd_grid(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
+    m = _read_matrix(args.input, args.format)
+    if args.preset:
+        grid = replace(grid, pairs=preset_pairs(m.n_genes))
     result = run_grid(m, grid, workers=args.workers)
 
     # zip drops the checked .timings.csv path unless --timings adds its writer

@@ -21,6 +21,7 @@ and stops when the elementwise max change of U falls to eps or below.
 
 Each state of U is fitted once: u**m and the squared distances d^2 are
 computed once and passed to the step functions, which take those arrays.
+A run binds its data to the distance kernel once, at its start.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, Stopped, as_values, check_params, initial_centroids, sq_distances
+from ._util import DEFAULTS, SqDistances, Stopped, as_values, check_params, initial_centroids
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -174,21 +175,22 @@ def update_memberships(d2: np.ndarray, alpha: np.ndarray, m: float, v: float) ->
     1e-12 of zero (possible only at v = 0, on a gene coinciding with a
     centroid) assign full membership to the nearest cluster, split
     equally over exact ties.
+
+    The formula runs on every row, each row on its own, and the singular
+    rows are then overwritten; on those rows it divides by a zero or
+    tiny minimum, which is why its floating-point warnings are silenced.
     """
     big_d = d2 - v * np.log(alpha)[None, :]
-    u = np.empty_like(big_d)
-    singular = (big_d <= _SINGULARITY_TOL).any(axis=1)
-    if singular.any():
-        rows = big_d[singular]
-        winners = rows <= _SINGULARITY_TOL
-        u[singular] = winners / winners.sum(axis=1, keepdims=True)
-    regular = ~singular
-    if regular.any():
-        rows = big_d[regular]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # dividing by the row minimum keeps the powers in (0, 1]
-        scaled = rows / rows.min(axis=1, keepdims=True)
-        weights = scaled ** (-1.0 / (m - 1.0))
-        u[regular] = weights / weights.sum(axis=1, keepdims=True)
+        scaled = big_d / big_d.min(axis=1, keepdims=True)
+        u = scaled ** (-1.0 / (m - 1.0))
+        u /= u.sum(axis=1, keepdims=True)
+    winners = big_d <= _SINGULARITY_TOL
+    singular = winners.any(axis=1)
+    if singular.any():
+        winners = winners[singular]
+        u[singular] = winners / winners.sum(axis=1, keepdims=True)
     return u
 
 
@@ -219,6 +221,7 @@ def _run(
     if not 1 <= c <= n:
         raise ValueError(f"c must be in [1, {n}], got {c}")
 
+    distances = SqDistances(x)
     if u_init is not None:
         u = np.array(u_init, dtype=np.float64)
         if u.shape != (n, c):
@@ -227,7 +230,7 @@ def _run(
     else:
         # the start the crisp algorithms use: seeded rows as centroids, then
         # one membership update at v = 0, so U does not depend on v
-        d2 = sq_distances(x, initial_centroids(x, c, cfg.seed, False))
+        d2 = distances(initial_centroids(x, c, cfg.seed, False))
         if not np.isfinite(d2).all():
             raise NumericalError(
                 f"squared distances to the starting centroids are non-finite; "
@@ -242,7 +245,7 @@ def _run(
         um = u ** cfg.m
         alpha = compute_alpha(um)
         w = compute_centroids(um, x)
-        d2 = sq_distances(x, w)
+        d2 = distances(w)
         j_val = pfcm_objective(um, d2, alpha, v)
         if not np.isfinite(j_val):
             raise NumericalError(

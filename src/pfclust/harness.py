@@ -8,12 +8,19 @@ provides the synthetic-data generator used by the property tests.
 Reports never embed wall-clock times; runtimes are kept on the in-memory
 rows and written only by the separate timings writer, so repeated runs of
 the same grid produce byte-identical report files.
+
+A grid builds each distinct normalized gene subset once and shares it
+among the runs that use it, so a row's runtime covers its algorithm run
+and scoring only: building the subset is in no row.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
@@ -241,7 +248,11 @@ class ExperimentResult:
         write_metadata_json(doc, dest)
 
     def write_timings_csv(self, dest: Union[str, Path, IO[str]]) -> None:
-        """Wall-clock seconds per row; the one output that is not reproducible."""
+        """Wall-clock seconds per row; the one output that is not reproducible.
+
+        A row's seconds cover its algorithm run and scoring, not building
+        the subset it shares with the other runs of its cell.
+        """
         rows = [
             [str(r.size), str(r.k), r.algorithm, str(r.seed), repr(float(r.runtime))]
             for r in self.rows
@@ -371,35 +382,83 @@ def run_algorithm(
     return pfcm(x, cfg) if name == "pfcm" else fcm(x, cfg)
 
 
+class _Subsets:
+    """The normalized gene subsets of one grid run, each built once.
+
+    A subset is keyed by its size and, under seeded_random only, the seed.
+    The first run that needs it builds it, the other runs of its key
+    share it (or the exception building it raised), and it is dropped
+    after the last of them, so a subset is held only while runs of its
+    key remain.
+    """
+
+    def __init__(self, m: ExpressionMatrix, grid: ExperimentGrid, keys: Sequence[tuple[int, int]]):
+        self._m = m
+        self._grid = grid
+        self._left = Counter(keys)
+        self._building = {key: threading.Lock() for key in self._left}
+        self._counting = threading.Lock()
+        self._built: dict = {}
+
+    def _build(self, size: int, seed: int) -> Union[ExpressionMatrix, Exception]:
+        try:
+            sub = subset_genes(self._m, size, self._grid.subset_policy, seed)
+            if self._grid.normalization != "none":
+                sub = normalize(sub, self._grid.normalization, drop_degenerate=True)
+            return sub
+        except Exception as exc:
+            return exc
+
+    @contextmanager
+    def use(self, key: tuple[int, int]):
+        """Yield the subset for key, or the exception building it raised."""
+        try:
+            with self._building[key]:
+                if key not in self._built:
+                    self._built[key] = self._build(*key)
+                sub = self._built[key]
+            yield sub
+        finally:
+            with self._counting:
+                self._left[key] -= 1
+                if not self._left[key]:
+                    del self._built[key]
+
+
 def _run_cell(
-    m: ExpressionMatrix, grid: ExperimentGrid, size: int, k: int, algorithm: str, seed: int
+    sub: Union[ExpressionMatrix, Exception],
+    grid: ExperimentGrid, size: int, k: int, algorithm: str, seed: int,
 ) -> CellResult:
+    """Run and score one algorithm on its cell's subset, or report what failed.
+
+    sub is the cell's normalized subset, or the exception building it raised.
+    """
     cfg = grid.config_for(algorithm)
     echo = dict(cfg)
     echo["normalization"] = grid.normalization
     echo["subset_policy"] = grid.subset_policy
     start = time.perf_counter()
-    try:
-        sub = subset_genes(m, size, grid.subset_policy, seed)
-        if grid.normalization != "none":
-            sub = normalize(sub, grid.normalization, drop_degenerate=True)
-        part = run_algorithm(algorithm, sub, k, seed=seed, **cfg)
-        fuzzifier = cfg["m"] if "m" in PARAMS[algorithm] else 1.0
-        report = evaluate(sub, part, m=fuzzifier, algorithm=algorithm)
-        trace = getattr(part, "objective_trace", getattr(part, "sse_trace", ()))
-        runtime = time.perf_counter() - start
-        return CellResult(
-            size=size, k=k, algorithm=algorithm, seed=seed, report=report,
-            iterations=part.iterations, stop_reason=part.stop_reason, config=echo,
-            runtime=runtime, trace=tuple(float(t) for t in trace),
-        )
-    except Exception as exc:
-        runtime = time.perf_counter() - start
-        return CellResult(
-            size=size, k=k, algorithm=algorithm, seed=seed, report=None,
-            iterations=None, stop_reason=None, config=echo,
-            runtime=runtime, trace=(), error=f"{type(exc).__name__}: {exc}",
-        )
+    failure = sub if isinstance(sub, Exception) else None
+    if failure is None:
+        try:
+            part = run_algorithm(algorithm, sub, k, seed=seed, **cfg)
+            fuzzifier = cfg["m"] if "m" in PARAMS[algorithm] else 1.0
+            report = evaluate(sub, part, m=fuzzifier, algorithm=algorithm)
+            trace = getattr(part, "objective_trace", getattr(part, "sse_trace", ()))
+            runtime = time.perf_counter() - start
+            return CellResult(
+                size=size, k=k, algorithm=algorithm, seed=seed, report=report,
+                iterations=part.iterations, stop_reason=part.stop_reason, config=echo,
+                runtime=runtime, trace=tuple(float(t) for t in trace),
+            )
+        except Exception as exc:
+            failure = exc
+    runtime = time.perf_counter() - start
+    return CellResult(
+        size=size, k=k, algorithm=algorithm, seed=seed, report=None,
+        iterations=None, stop_reason=None, config=echo,
+        runtime=runtime, trace=(), error=f"{type(failure).__name__}: {failure}",
+    )
 
 
 def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> ExperimentResult:
@@ -407,9 +466,10 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
 
     Rows are ordered by (size, k, algorithm, seed) with algorithms in
     their canonical order. Per-run failures are captured in their row's
-    error field rather than raised. Cells run on a pool of `workers`
-    threads; the ordering and all report content are independent of
-    worker count.
+    error field rather than raised; a subset that cannot be built fails
+    every run that uses it. Each distinct subset is built once (see
+    _Subsets). Cells run on a pool of `workers` threads; the ordering and
+    all report content are independent of worker count.
     """
     for size, _ in grid.cells():
         if size > m.n_genes:
@@ -423,8 +483,17 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
         for algorithm in sorted(grid.algorithms, key=algo_order.__getitem__)
         for seed in sorted(grid.seeds)
     ]
+    # subset_genes reads the seed under seeded_random only
+    seeded = grid.subset_policy == "seeded_random"
+    keys = [(size, seed if seeded else 0) for size, _, _, seed in tasks]
+    subsets = _Subsets(m, grid, keys)
+
+    def run(key, task):
+        with subsets.use(key) as sub:
+            return _run_cell(sub, grid, *task)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda t: _run_cell(m, grid, *t), tasks))
+        rows = list(pool.map(run, keys, tasks))
     return ExperimentResult(
         grid=grid, n_genes=m.n_genes, n_samples=m.n_samples, rows=tuple(rows)
     )

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, Stopped, as_values, check_params, initial_centroids, sq_distances
+from ._util import DEFAULTS, SqDistances, Stopped, as_values, check_params, initial_centroids
 
 __all__ = ["HardPartition", "kmeans"]
 
@@ -100,11 +100,14 @@ def kmeans(
     check_params(max_iter=max_iter, eps=eps)
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
 
+    distances = SqDistances(x)
+    # the residuals x - w[assign] of every round, in one buffer per run
+    resid = np.empty(x.shape)
     trace: list[float] = []
     iterations = 0
     stop_reason = "max_iter"
     for _ in range(max_iter):
-        dists = sq_distances(x, w)
+        dists = distances(w)
         assign = np.argmin(dists, axis=1)
         _repair_empty(assign, dists, k)
         w_new = np.empty_like(w)
@@ -112,7 +115,8 @@ def kmeans(
             w_new[j] = x[assign == j].mean(axis=0)
         movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
         w = w_new
-        resid = x - w[assign]
+        np.take(w, assign, axis=0, out=resid)
+        np.subtract(x, resid, out=resid)
         sse = float(np.einsum("ij,ij->i", resid, resid).sum())
         trace.append(sse)
         iterations += 1

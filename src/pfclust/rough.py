@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, Stopped, as_values, check_params, initial_centroids, sq_distances
+from ._util import DEFAULTS, SqDistances, Stopped, as_values, check_params, initial_centroids
 
 __all__ = ["RoughPartition", "rough_kmeans"]
 
@@ -80,9 +80,9 @@ def _lone(member: np.ndarray) -> np.ndarray:
     return member.sum(axis=1) == 1
 
 
-def _memberships(x: np.ndarray, w: np.ndarray, zeta: float) -> np.ndarray:
-    """Boolean (n, k) upper-set membership under the distance-ratio test."""
-    d = np.sqrt(sq_distances(x, w))
+def _memberships(distances: SqDistances, w: np.ndarray, zeta: float) -> np.ndarray:
+    """Boolean (n, k) upper-set membership of the bound rows under the distance-ratio test."""
+    d = np.sqrt(distances(w))
     d_near = d.min(axis=1)[:, None]
     # exact coincidence with a centroid pins the gene to its nearest cluster only
     member = (d <= zeta * d_near) & (d_near > 0.0)
@@ -144,12 +144,13 @@ def rough_kmeans(
     check_params(zeta=zeta, w_lower=w_lower, max_iter=max_iter, eps=eps)
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
 
+    distances = SqDistances(x)
     # (member, centroids) of recent rounds; both are built anew each round
     ring: deque = deque(maxlen=_CYCLE_WINDOW)
     iterations = 0
     stop_reason = "max_iter"
     for _ in range(max_iter):
-        member = _memberships(x, w, zeta)
+        member = _memberships(distances, w, zeta)
         lone = _lone(member)
         w_new = np.empty_like(w)
         for j in range(k):

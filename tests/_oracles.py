@@ -151,6 +151,29 @@ def sq_distances(x, w):
     return out
 
 
+def update_memberships(d2, alpha, m, v):
+    """The fuzzy membership update as it stood with split row paths.
+
+    Singular rows (some D_ij within 1e-12 of zero) and regular rows are
+    copied out by boolean masks and updated apart, so the regular formula
+    never sees a zero or tiny row minimum.
+    """
+    big_d = d2 - v * np.log(alpha)[None, :]
+    u = np.empty_like(big_d)
+    singular = (big_d <= 1e-12).any(axis=1)
+    if singular.any():
+        rows = big_d[singular]
+        winners = rows <= 1e-12
+        u[singular] = winners / winners.sum(axis=1, keepdims=True)
+    regular = ~singular
+    if regular.any():
+        rows = big_d[regular]
+        scaled = rows / rows.min(axis=1, keepdims=True)
+        weights = scaled ** (-1.0 / (m - 1.0))
+        u[regular] = weights / weights.sum(axis=1, keepdims=True)
+    return u
+
+
 def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
     """The fuzzy loop as it stood before each state was fitted once.
 
@@ -185,22 +208,8 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
             raise ValueError(f"cluster {int(dead[0])} has zero membership mass")
         return (um.T @ x) / mass[:, None]
 
-    def update_memberships(x, w, alpha, m, v):
-        d2 = kernel_sq_distances(x, w)
-        big_d = d2 - v * np.log(alpha)[None, :]
-        u = np.empty_like(big_d)
-        singular = (big_d <= 1e-12).any(axis=1)
-        if singular.any():
-            rows = big_d[singular]
-            winners = rows <= 1e-12
-            u[singular] = winners / winners.sum(axis=1, keepdims=True)
-        regular = ~singular
-        if regular.any():
-            rows = big_d[regular]
-            scaled = rows / rows.min(axis=1, keepdims=True)
-            weights = scaled ** (-1.0 / (m - 1.0))
-            u[regular] = weights / weights.sum(axis=1, keepdims=True)
-        return u
+    def memberships(x, w, alpha, m, v):
+        return update_memberships(kernel_sq_distances(x, w), alpha, m, v)
 
     def pfcm_objective(u, w, alpha, x, m, v):
         um = u ** m
@@ -217,7 +226,7 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
     else:
         # the package's start: seeded rows as centroids, one update at v = 0
         w = initial_centroids(x, c, seed, False)
-        u = update_memberships(x, w, np.full(c, 1.0 / c), m, 0.0)
+        u = memberships(x, w, np.full(c, 1.0 / c), m, 0.0)
 
     trace = []
     iterations = 0
@@ -233,7 +242,7 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
                     f"c={c} m={m} v={v} seed={seed}"
                 )
             trace.append(j_val)
-            u_new = update_memberships(x, w, alpha, m, v)
+            u_new = memberships(x, w, alpha, m, v)
             delta = float(np.abs(u_new - u).max())
             u = u_new
             iterations = t + 1

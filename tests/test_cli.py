@@ -8,7 +8,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pfclust import evaluate, parse_matrix, read_partition_csv, run_algorithm
+from pfclust import (
+    ExpressionMatrix, evaluate, parse_matrix, read_partition_csv, run_algorithm, write_tsv,
+)
 from pfclust.cli import main
 
 
@@ -36,6 +38,15 @@ def bundled_tsv(tmp_path, bundled_path):
     p = tmp_path / "synth.tsv"
     shutil.copy(bundled_path, p)
     return p
+
+
+@pytest.fixture
+def matrix_never_read(monkeypatch):
+    """Fail the test if the CLI reads its input matrix."""
+    def never(*args):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr("pfclust.cli._read_matrix", never)
 
 
 def test_normalize_writes_output(small_tsv, tmp_path, capsys):
@@ -175,11 +186,7 @@ OUTPUT_FLAGS = {
 ], ids=["directory", "separator", "missing-directory", "file-as-directory"])
 @pytest.mark.parametrize("command", list(OUTPUT_FLAGS))
 def test_outputs_are_refused_before_the_input_is_read(small_tsv, tmp_path, capsys, monkeypatch,
-                                                      command, given, reason):
-    def never(*args):
-        raise AssertionError("the input was read")
-
-    monkeypatch.setattr("pfclust.cli._read_matrix", never)
+                                                      matrix_never_read, command, given, reason):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.csv").write_text("gene_id,cluster\nga,0\ngb,0\ngc,1\ngd,1\n", encoding="utf-8")
     (tmp_path / "c.csv").write_text("s1,s2,s3\n0,1,2\n10,11,12\n", encoding="utf-8")
@@ -389,6 +396,17 @@ def test_validate_output_file_and_algorithm_override(four_tsv, tmp_path, capsys)
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["algorithm"] == "rough_kmeans"
+
+
+def test_validate_unknown_algorithm_is_found_before_any_input_is_read(small_tsv, tmp_path, capsys,
+                                                                     matrix_never_read):
+    # neither file exists, so reading either would exit 2
+    code = main(["validate", str(small_tsv), "--partition", str(tmp_path / "p.csv"),
+                 "--centroids", str(tmp_path / "c.csv"), "--algorithm", "bogus"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: unknown algorithm 'bogus'; expected one of kmeans, rough-kmeans, fcm, pfcm\n"
+    )
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -610,6 +628,64 @@ def test_grid_config_conflicts_with_flags(bundled_tsv, tmp_path, capsys):
     cfg.write_text("{}", encoding="utf-8")
     code = main(["grid", str(bundled_tsv), "--config", str(cfg), "--preset"])
     assert code == 1
+
+
+CONFIG_CONFLICT = "--config cannot be combined with --sizes/--ks/--preset"
+PRESET_CONFLICT = "--preset cannot be combined with --sizes/--ks"
+NO_CELLS = "provide --sizes and --ks, or --preset, or --config"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--config", "grid.json", "--preset"], CONFIG_CONFLICT),
+    (["--config", "grid.json", "--sizes", "2"], CONFIG_CONFLICT),
+    (["--config", "grid.json", "--ks", "2"], CONFIG_CONFLICT),
+    (["--config", "bad.json"], "unknown grid config key(s): cells; expected algorithms, ks, "
+                               "normalization, overrides, pairs, seeds, subset_policy, subset_sizes"),
+    (["--preset", "--sizes", "2"], PRESET_CONFLICT),
+    (["--preset", "--ks", "2"], PRESET_CONFLICT),
+    (["--preset", "--seeds", "0,-1"], "seed must be >= 0, got -1"),
+    (["--preset", "--algorithms", "kmeans,bogus"],
+     "unknown algorithm 'bogus'; expected one of kmeans, rough-kmeans, fcm, pfcm"),
+    (["--sizes", "2"], NO_CELLS),
+    ([], NO_CELLS),
+], ids=["config-preset", "config-sizes", "config-ks", "config-key", "preset-sizes",
+        "preset-ks", "preset-seed", "preset-algorithm", "sizes-only", "no-cells"])
+def test_grid_flag_errors_are_found_before_the_input_is_read(small_tsv, tmp_path, capsys,
+                                                            monkeypatch, matrix_never_read,
+                                                            flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "bad.json").write_text('{"cells": []}', encoding="utf-8")
+    code = main(["grid", str(small_tsv), *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["bad.json", "expr.tsv", "grid.json"]
+
+
+def test_grid_subset_failure_lands_in_every_row_of_its_cell(tmp_path, capsys):
+    # the first six genes are constant, so the first_n cell of size 6 has
+    # no gene left to z-score
+    rng = np.random.default_rng(3)
+    values = np.vstack([np.repeat(np.arange(6.0)[:, None], 4, axis=1),
+                        rng.normal(size=(24, 4)).round(3)])
+    ids = tuple(f"c{i}" for i in range(6)) + tuple(f"g{i}" for i in range(24))
+    write_tsv(ExpressionMatrix(ids, ("s1", "s2", "s3", "s4"), values), tmp_path / "deg.tsv")
+    reports = []
+    for workers in ("1", "2"):
+        code = main(["grid", str(tmp_path / "deg.tsv"), "--sizes", "6,20", "--ks", "2",
+                     "--policy", "first_n", "--seeds", "0,1", "--workers", workers,
+                     "--out", str(tmp_path / f"w{workers}")])
+        assert code == 0
+        assert capsys.readouterr().err == "warning: 8 of 16 runs failed; see the error column\n"
+        reports.append([(tmp_path / f"w{workers}{suffix}").read_bytes()
+                        for suffix in (".report.csv", ".report.json", ".summary.csv")])
+    assert reports[0] == reports[1]
+    rows = json.loads(reports[0][1])["rows"]
+    assert [r["error"] for r in rows if r["size"] == 6] == [
+        "DegenerateRowsError: cannot z_score-normalize genes with zero spread: "
+        "c0, c1, c2, c3, c4, c5"
+    ] * 8
+    assert all(r["error"] is None for r in rows if r["size"] == 20)
 
 
 @pytest.mark.parametrize("use_config", [False, True])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pfclust.fuzzy
@@ -122,6 +122,45 @@ def test_update_tie_on_coincident_centroids_splits():
     w = np.array([[0.0], [0.0]])
     u = update_memberships(sq_distances(x, w), np.array([0.5, 0.5]), 2.0, 0.0)
     assert u.tolist() == [[0.5, 0.5]]
+
+
+# a few values, so that rows hold exact zeros, near-zero entries on both
+# sides of the 1e-12 singularity bound, and exact ties
+_D2_VALUES = st.one_of(
+    st.sampled_from([0.0, 1e-13, 1e-12, 2e-12, 1.0, 2.0]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _update_inputs(draw):
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    d2 = draw(st.lists(_D2_VALUES, min_size=n * k, max_size=n * k))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    return np.array(d2).reshape(n, k), weights / weights.sum()
+
+
+@given(
+    inputs=_update_inputs(),
+    m=st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.05, 6.0)),
+    v=st.sampled_from([0.0, 0.0, 0.5, 2.0]),
+)
+# rows with two zeros, all zeros, an entry at the bound, a tie, and a regular row
+@example(
+    inputs=(
+        np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 0.0], [1e-12, 4.0, 4.0], [2.0, 2.0, 5.0]]),
+        np.array([0.2, 0.3, 0.5]),
+    ),
+    m=2.5,
+    v=0.0,
+)
+@settings(max_examples=300, deadline=None)
+def test_update_matches_the_split_row_paths(inputs, m, v):
+    d2, alpha = inputs
+    got = update_memberships(d2, alpha, m, v)
+    want = _oracles.update_memberships(d2, alpha, m, v)
+    for got_row, want_row in zip(got, want):
+        assert got_row.tobytes() == want_row.tobytes()
 
 
 def test_update_fuzzier_m_flattens_memberships():
@@ -371,18 +410,25 @@ def test_matches_parent_loop_oracle(case, plain):
 
 
 def test_one_distance_kernel_call_per_state(monkeypatch):
+    binds = []
     calls = []
-    kernel = pfclust.fuzzy.sq_distances
 
-    def counted(x, w):
-        calls.append(None)
-        return kernel(x, w)
+    class Counted(pfclust.fuzzy.SqDistances):
+        def __init__(self, x):
+            binds.append(None)
+            super().__init__(x)
 
-    monkeypatch.setattr(pfclust.fuzzy, "sq_distances", counted)
+        def __call__(self, w):
+            calls.append(None)
+            return super().__call__(w)
+
+    monkeypatch.setattr(pfclust.fuzzy, "SqDistances", Counted)
     x = np.random.default_rng(79).normal(size=(30, 3))
     part = pfcm(x, FuzzyConfig(c=3, v=0.5, seed=2))
     assert part.iterations > 1
-    # one call for the start, then one per fitted state
+    # the data is bound once; the kernel is applied once for the start,
+    # then once per fitted state
+    assert len(binds) == 1
     assert len(calls) == part.iterations + 2
 
 

@@ -1,12 +1,14 @@
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pfclust.harness
 from pfclust import (
     ExperimentGrid,
     ExperimentResult,
@@ -428,3 +430,62 @@ def test_run_algorithm_rejects_farthest_init_for_fuzzy(bundled):
     for name in ("fcm", "pfcm"):
         with pytest.raises(ValueError, match=f"farthest_init .* not {name}"):
             run_algorithm(name, x, 2, farthest_init=True)
+
+
+def _count_subsets(monkeypatch):
+    """Record the (size, seed) of every harness.subset_genes call."""
+    calls = []
+    original = pfclust.harness.subset_genes
+
+    def counted(m, size, policy="variance_top_n", seed=0):
+        calls.append((size, seed))
+        return original(m, size, policy, seed)
+
+    monkeypatch.setattr(pfclust.harness, "subset_genes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_builds_each_preset_subset_once(bundled, monkeypatch, workers):
+    calls = _count_subsets(monkeypatch)
+    grid = ExperimentGrid(pairs=preset_pairs(bundled.n_genes), seeds=(0, 1))
+    res = run_grid(bundled, grid, workers=workers)
+    assert len(res.rows) == 32
+    assert sorted(size for size, _ in calls) == sorted(s for s, _ in grid.cells())
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_builds_one_seeded_random_subset_per_size_and_seed(bundled, monkeypatch, workers):
+    calls = _count_subsets(monkeypatch)
+    grid = ExperimentGrid(subset_sizes=(40, 80), ks=(2, 3), seeds=(0, 1),
+                          subset_policy="seeded_random")
+    res = run_grid(bundled, grid, workers=workers)
+    assert len(res.rows) == 32
+    assert sorted(calls) == [(40, 0), (40, 1), (80, 0), (80, 1)]
+
+
+def test_grid_drops_a_subset_after_its_last_run(bundled, monkeypatch):
+    # no normalization, so the runs get subset_genes' own matrices
+    built = []
+    original = pfclust.harness.subset_genes
+
+    def tracked(*args):
+        sub = original(*args)
+        built.append(weakref.ref(sub))
+        return sub
+
+    held = []
+    run = pfclust.harness.run_algorithm
+
+    def spy(name, x, *args, **kwargs):
+        held.append(sorted(ref().n_genes for ref in built if ref() is not None))
+        return run(name, x, *args, **kwargs)
+
+    monkeypatch.setattr(pfclust.harness, "subset_genes", tracked)
+    monkeypatch.setattr(pfclust.harness, "run_algorithm", spy)
+    grid = ExperimentGrid(subset_sizes=(30, 60), ks=(2,), normalization="none",
+                          subset_policy="first_n", algorithms=("kmeans", "fcm"))
+    run_grid(bundled, grid)
+    assert held == [[30], [30], [60], [60]]
+    assert all(ref() is None for ref in built)
