@@ -8,10 +8,10 @@ Errors print a single diagnostic line on stderr; with --json the line is
 a JSON object. Each artifact's library writer writes it into a temporary
 file next to its destination, and the temporaries are renamed into place
 only once every one of them is written, so failed runs leave no partial
-outputs. Flag errors, among them grid's --config/--preset/--sizes/--ks
-conflicts and an unknown validate --algorithm, exit 1 before the matrix
-is read. Output paths are checked before any input is read: one that
-names a directory or lies in a missing one, like one that fails at write
+outputs. Flag errors, among them grid's --config conflicts with the other
+grid flags, a grid ExperimentGrid refuses and an unknown validate
+--algorithm, exit 1 before the matrix is read. Output paths are checked
+before any input is read: one that names a directory or lies in a missing one, like one that fails at write
 time, exits 2 with "cannot write <path>: <reason>". An unreadable or
 non-UTF-8 input exits 2 with "cannot read <path>: <reason>", and a
 partition cell that is not a number names its gene. Reruns with
@@ -40,6 +40,7 @@ from .harness import (
     DEFAULTS,
     NORMALIZATIONS,
     PARAMS,
+    PRESET_PAIRS,
     SUBSET_POLICIES,
     ExperimentGrid,
     run_algorithm,
@@ -324,62 +325,57 @@ def _cmd_validate(args) -> int:
 
 # --------------------------------------------------------------------- grid
 
-_GRID_CONFIG_KEYS = {f.name for f in fields(ExperimentGrid)}
+# each grid flag that sets one ExperimentGrid field, and that field
+_GRID_FIELD_FLAGS = {"algorithms": "algorithms", "normalization": "normalization",
+                     "policy": "subset_policy", "seeds": "seeds"}
 
 
-def _grid_from_config(path: str) -> ExperimentGrid:
+def _grid(args) -> ExperimentGrid:
+    """The grid that --config or the grid flags describe; errors name the config."""
+    given = [flag for flag in _GRID_FIELD_FLAGS if getattr(args, flag) is not None]
+    if args.config:
+        if args.sizes or args.ks or args.preset:
+            raise UsageError("--config cannot be combined with --sizes/--ks/--preset")
+        if given:
+            raise UsageError("--config cannot be combined with --" + "/--".join(given))
+        try:
+            spec = json.loads(_read(args.config))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{args.config}: invalid JSON: {exc}") from exc
+        if not isinstance(spec, dict):
+            raise DataError(f"{args.config}: grid config must be a JSON object")
+        keys = {f.name for f in fields(ExperimentGrid)}
+        unknown = set(spec) - keys
+        if unknown:
+            raise UsageError(
+                f"unknown grid config key(s): {', '.join(sorted(unknown))}; "
+                f"expected {', '.join(sorted(keys))}"
+            )
+    elif args.preset:
+        if args.sizes or args.ks:
+            raise UsageError("--preset cannot be combined with --sizes/--ks")
+        # scaled to the matrix once it is read
+        spec = {"pairs": PRESET_PAIRS}
+    elif not args.sizes or not args.ks:
+        raise UsageError("provide --sizes and --ks, or --preset, or --config")
+    else:
+        spec = {"subset_sizes": args.sizes, "ks": args.ks}
+    spec.update((_GRID_FIELD_FLAGS[flag], getattr(args, flag)) for flag in given)
     try:
-        doc = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: grid config must be a JSON object")
-    unknown = set(doc) - _GRID_CONFIG_KEYS
-    if unknown:
-        raise UsageError(
-            f"unknown grid config key(s): {', '.join(sorted(unknown))}; "
-            f"expected {', '.join(sorted(_GRID_CONFIG_KEYS))}"
-        )
-    try:
-        if "algorithms" in doc:
-            doc["algorithms"] = tuple(_canon_algorithm(a) for a in doc["algorithms"])
-        if "normalization" in doc:
-            doc["normalization"] = _canon_method(doc["normalization"])
-        return ExperimentGrid(**doc)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        if "algorithms" in spec:
+            spec["algorithms"] = tuple(_canon_algorithm(a) for a in spec["algorithms"])
+        if "normalization" in spec:
+            spec["normalization"] = _canon_method(spec["normalization"])
+        return ExperimentGrid(**spec)
+    except (UsageError, TypeError, ValueError) as exc:
+        raise UsageError(f"{args.config}: {exc}" if args.config else str(exc)) from exc
 
 
 def _cmd_grid(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     paths = _outputs(args, ".report.csv", ".report.json", ".summary.csv", ".timings.csv")
-    if args.config:
-        if args.sizes or args.ks or args.preset:
-            raise UsageError("--config cannot be combined with --sizes/--ks/--preset")
-        grid = _grid_from_config(args.config)
-    else:
-        kwargs: dict = {
-            "algorithms": tuple(_canon_algorithm(a) for a in args.algorithms.split(",")),
-            "normalization": _canon_method(args.normalization),
-            "subset_policy": args.policy,
-            "seeds": args.seeds,
-        }
-        if args.preset:
-            if args.sizes or args.ks:
-                raise UsageError("--preset cannot be combined with --sizes/--ks")
-            # the preset cells scale with the matrix, so they are set once it is read
-            kwargs["pairs"] = ()
-        else:
-            if not args.sizes or not args.ks:
-                raise UsageError("provide --sizes and --ks, or --preset, or --config")
-            kwargs["subset_sizes"] = args.sizes
-            kwargs["ks"] = args.ks
-        try:
-            grid = ExperimentGrid(**kwargs)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
+    grid = _grid(args)
     m = _read_matrix(args.input, args.format)
     if args.preset:
         grid = replace(grid, pairs=preset_pairs(m.n_genes))
@@ -469,18 +465,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="run the comparative experiment grid")
     _add_common(p)
-    p.add_argument("--config", help="grid config JSON file")
+    p.add_argument("--config", help="grid config JSON file (excludes --sizes, --ks, --preset, "
+                   "--algorithms, --normalization, --policy and --seeds)")
     p.add_argument("--sizes", type=_int_list, default=(), help="comma-separated subset sizes")
     p.add_argument("--ks", type=_int_list, default=(), help="comma-separated cluster counts")
     p.add_argument("--preset", action="store_true",
                    help="use the four preset (size, k) cells scaled to this matrix")
-    p.add_argument("--algorithms", default=",".join(ALGORITHMS),
-                   help="comma-separated algorithm subset")
-    p.add_argument("--normalization", default="zscore",
-                   help="none, mean-relative or zscore (default zscore)")
-    p.add_argument("--policy", choices=SUBSET_POLICIES, default="variance_top_n",
-                   help="gene subset policy")
-    p.add_argument("--seeds", type=_int_list, default=(0,), help="comma-separated seeds")
+    # no defaults here: ExperimentGrid holds them, and --config excludes these four
+    p.add_argument("--algorithms", type=lambda text: text.split(","), help="comma-separated "
+                   f"algorithm subset (default: {','.join(ExperimentGrid.algorithms)})")
+    p.add_argument("--normalization", help="none, mean-relative or z-score (default: "
+                   + ExperimentGrid.normalization.replace("_", "-") + ")")
+    p.add_argument("--policy", choices=SUBSET_POLICIES,
+                   help=f"gene subset policy (default: {ExperimentGrid.subset_policy})")
+    p.add_argument("--seeds", type=_int_list, help="comma-separated seeds (default: "
+                   + ",".join(map(str, ExperimentGrid.seeds)) + ")")
     p.add_argument("--workers", type=int, default=1, help="worker threads")
     p.add_argument("--timings", action="store_true",
                    help="also write wall-clock timings (not reproducible)")

@@ -16,12 +16,14 @@ and scoring only: building the subset is in no row.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
@@ -45,6 +47,7 @@ __all__ = [
     "CellResult",
     "ExperimentResult",
     "subset_genes",
+    "PRESET_PAIRS",
     "preset_pairs",
     "run_algorithm",
     "run_grid",
@@ -63,7 +66,8 @@ PARAMS = {
     "pfcm": ("m", "v", "eps", "max_iter"),
 }
 
-_PAIR_BASE = ((7129, 7), (5000, 5), (3000, 3), (1000, 7))
+# the preset (size, k) cells at full size, a 7129-gene matrix like Golub's
+PRESET_PAIRS = ((7129, 7), (5000, 5), (3000, 3), (1000, 7))
 
 
 def subset_genes(
@@ -104,9 +108,9 @@ def preset_pairs(n_genes: int) -> tuple[tuple[int, int], ...]:
     """
     if n_genes < 1:
         raise ValueError(f"n_genes must be >= 1, got {n_genes}")
-    scale = n_genes / _PAIR_BASE[0][0]
+    scale = n_genes / PRESET_PAIRS[0][0]
     pairs: list[tuple[int, int]] = []
-    for size, k in _PAIR_BASE:
+    for size, k in PRESET_PAIRS:
         s = max(1, round(size * scale))
         s = min(s, n_genes)
         cell = (s, min(k, s))
@@ -115,16 +119,28 @@ def preset_pairs(n_genes: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _count(value, name: str, low: int) -> int:
+    """value as an int, if it is an integer (an integral float too) >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {int(value)}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Declarative description of a comparative experiment.
 
-    Cells are either the cross product subset_sizes x ks or, when
-    `pairs` is given, exactly those (size, k) cells. Every cell runs
-    once per algorithm per seed. `overrides` maps an algorithm name to
-    parameter overrides, e.g. {"pfcm": {"v": 0.5}}; the keys must be
-    ones PARAMS lists for that algorithm, and the values must meet the
-    same range rules as the algorithm's own arguments.
+    Cells are the cross product subset_sizes x ks or, instead, exactly
+    the (size, k) `pairs`; a grid without cells is an error. Sizes, ks,
+    pair entries and seeds are integers (integral floats such as 40.0
+    pass; bools, strings and fractions do not), sizes and ks >= 1 and
+    seeds >= 0. Each distinct cell runs once per distinct algorithm and
+    seed (see runs()). `overrides` maps an algorithm name to parameter
+    overrides, e.g. {"pfcm": {"v": 0.5}}; the keys must be ones PARAMS
+    lists for that algorithm, and the values must meet the same range
+    rules as the algorithm's own arguments.
     """
 
     subset_sizes: tuple[int, ...] = ()
@@ -137,14 +153,18 @@ class ExperimentGrid:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "subset_sizes", tuple(int(s) for s in self.subset_sizes))
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        for name, what, low in (("subset_sizes", "subset size", 1), ("ks", "k", 1),
+                                ("seeds", "seed", 0)):
+            object.__setattr__(self, name, tuple(_count(n, what, low) for n in getattr(self, name)))
         if self.pairs is not None:
-            object.__setattr__(
-                self, "pairs", tuple((int(s), int(k)) for s, k in self.pairs)
-            )
+            if self.subset_sizes or self.ks:
+                raise ValueError("pairs cannot be combined with subset_sizes/ks")
+            object.__setattr__(self, "pairs", tuple(
+                (_count(s, "subset size", 1), _count(k, "k", 1)) for s, k in self.pairs
+            ))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not self.cells():
+            raise ValueError("provide subset_sizes and ks, or at least one pair")
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         for a in self.algorithms:
@@ -161,19 +181,6 @@ class ExperimentGrid:
             )
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.pairs is None and (not self.subset_sizes or not self.ks):
-            raise ValueError("provide subset_sizes and ks, or explicit pairs")
-        cells = self.pairs if self.pairs is not None else [
-            (s, k) for s in self.subset_sizes for k in self.ks
-        ]
-        for s, k in cells:
-            if s < 1:
-                raise ValueError(f"subset size must be >= 1, got {s}")
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-        for seed in self.seeds:
-            if seed < 0:
-                raise ValueError(f"seed must be >= 0, got {seed}")
         if not isinstance(self.overrides, dict) or not all(
             isinstance(params, dict) for params in self.overrides.values()
         ):
@@ -190,12 +197,15 @@ class ExperimentGrid:
             check_params(**params)
 
     def cells(self) -> tuple[tuple[int, int], ...]:
-        """All (size, k) cells in deterministic ascending order."""
-        if self.pairs is not None:
-            base = set(self.pairs)
-        else:
-            base = {(s, k) for s in self.subset_sizes for k in self.ks}
-        return tuple(sorted(base))
+        """All distinct (size, k) cells in ascending order."""
+        cells = self.pairs if self.pairs is not None else product(self.subset_sizes, self.ks)
+        return tuple(sorted(set(cells)))
+
+    def runs(self) -> tuple[tuple[int, int, str, int], ...]:
+        """Every distinct (size, k, algorithm, seed): by cell, canonical algorithm, seed."""
+        algorithms = [a for a in ALGORITHMS if a in self.algorithms]
+        seeds = sorted(set(self.seeds))
+        return tuple((s, k, a, seed) for s, k in self.cells() for a in algorithms for seed in seeds)
 
     def config_for(self, algorithm: str) -> dict:
         cfg = dict(DEFAULTS)
@@ -332,14 +342,12 @@ def _stats(values: list[float]) -> tuple[str, str, str]:
 
 
 def _summarize(rows: Sequence[CellResult]) -> list[list[str]]:
+    """One line per (size, k, algorithm) group, in the order of the rows."""
     groups: dict[tuple[int, int, str], list[CellResult]] = {}
     for r in rows:
         groups.setdefault((r.size, r.k, r.algorithm), []).append(r)
     out = []
-    algo_order = {a: i for i, a in enumerate(ALGORITHMS)}
-    for key in sorted(groups, key=lambda t: (t[0], t[1], algo_order[t[2]])):
-        size, k, algorithm = key
-        members = groups[key]
+    for (size, k, algorithm), members in groups.items():
         ok = [r.report for r in members if r.report is not None]
         line = [str(size), str(k), algorithm, str(len(members)), str(len(members) - len(ok))]
         for attr in ("rmse", "mae", "xie_beni"):
@@ -464,9 +472,8 @@ def _run_cell(
 def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> ExperimentResult:
     """Execute every grid cell and collect rows in deterministic order.
 
-    Rows are ordered by (size, k, algorithm, seed) with algorithms in
-    their canonical order. Per-run failures are captured in their row's
-    error field rather than raised; a subset that cannot be built fails
+    Rows are in grid.runs() order. Per-run failures are captured in
+    their row's error field rather than raised; a subset that cannot be built fails
     every run that uses it. Each distinct subset is built once (see
     _Subsets). Cells run on a pool of `workers` threads; the ordering and
     all report content are independent of worker count.
@@ -476,13 +483,7 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
             raise ValueError(
                 f"subset size {size} exceeds the matrix gene count {m.n_genes}"
             )
-    algo_order = {a: i for i, a in enumerate(ALGORITHMS)}
-    tasks = [
-        (size, k, algorithm, seed)
-        for size, k in grid.cells()
-        for algorithm in sorted(grid.algorithms, key=algo_order.__getitem__)
-        for seed in sorted(grid.seeds)
-    ]
+    tasks = grid.runs()
     # subset_genes reads the seed under seeded_random only
     seeded = grid.subset_policy == "seeded_random"
     keys = [(size, seed if seeded else 0) for size, _, _, seed in tasks]

@@ -37,14 +37,13 @@ def render_rgb(matrix: ExpressionMatrix, row_order: Sequence[int] | None = None)
     negative to (0, round(-255 t), 0), zero to black. Rows with zero
     spread map entirely to black.
     """
-    values = matrix.values
+    values, means, stds = matrix.values, matrix.row_means(), matrix.row_sample_stds()
     if row_order is not None:
         order = np.asarray(row_order)
         if sorted(order.tolist()) != list(range(matrix.n_genes)):
             raise ValueError("row_order must be a permutation of all gene indices")
-        values = values[order]
-    means = values.mean(axis=1, keepdims=True)
-    stds = values.std(axis=1, ddof=1, keepdims=True) if matrix.n_samples > 1 else np.zeros_like(means)
+        values, means, stds = values[order], means[order], stds[order]
+    means, stds = means[:, None], stds[:, None]
     t = np.zeros_like(values)
     live = (stds > 0.0)[:, 0]
     t[live] = (values[live] - means[live]) / (SATURATION_SIGMAS * stds[live])

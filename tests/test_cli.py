@@ -641,6 +641,19 @@ NO_CELLS = "provide --sizes and --ks, or --preset, or --config"
     (["--config", "grid.json", "--ks", "2"], CONFIG_CONFLICT),
     (["--config", "bad.json"], "unknown grid config key(s): cells; expected algorithms, ks, "
                                "normalization, overrides, pairs, seeds, subset_policy, subset_sizes"),
+    (["--config", "grid.json", "--algorithms", "kmeans"],
+     "--config cannot be combined with --algorithms"),
+    (["--config", "grid.json", "--normalization", "none"],
+     "--config cannot be combined with --normalization"),
+    (["--config", "grid.json", "--policy", "first_n"],
+     "--config cannot be combined with --policy"),
+    (["--config", "grid.json", "--seeds", "5"], "--config cannot be combined with --seeds"),
+    (["--config", "grid.json", "--seeds", "5", "--algorithms", "kmeans"],
+     "--config cannot be combined with --algorithms/--seeds"),
+    (["--config", "grid.json", "--algorithms", "kmeans", "--seeds", "5", "--policy", "first_n",
+      "--normalization", "none"],
+     "--config cannot be combined with --algorithms/--normalization/--policy/--seeds"),
+    (["--config", "grid.json", "--sizes", "2", "--seeds", "5"], CONFIG_CONFLICT),
     (["--preset", "--sizes", "2"], PRESET_CONFLICT),
     (["--preset", "--ks", "2"], PRESET_CONFLICT),
     (["--preset", "--seeds", "0,-1"], "seed must be >= 0, got -1"),
@@ -648,7 +661,9 @@ NO_CELLS = "provide --sizes and --ks, or --preset, or --config"
      "unknown algorithm 'bogus'; expected one of kmeans, rough-kmeans, fcm, pfcm"),
     (["--sizes", "2"], NO_CELLS),
     ([], NO_CELLS),
-], ids=["config-preset", "config-sizes", "config-ks", "config-key", "preset-sizes",
+], ids=["config-preset", "config-sizes", "config-ks", "config-key", "config-algorithms",
+        "config-normalization", "config-policy", "config-seeds", "config-two-fields",
+        "config-four-fields", "config-sizes-and-seeds", "preset-sizes",
         "preset-ks", "preset-seed", "preset-algorithm", "sizes-only", "no-cells"])
 def test_grid_flag_errors_are_found_before_the_input_is_read(small_tsv, tmp_path, capsys,
                                                             monkeypatch, matrix_never_read,
@@ -660,6 +675,25 @@ def test_grid_flag_errors_are_found_before_the_input_is_read(small_tsv, tmp_path
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(os.listdir(tmp_path)) == ["bad.json", "expr.tsv", "grid.json"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"pairs": [[40, 2.7]]}, "k must be an integer, got 2.7"),
+    ({"subset_sizes": [40], "ks": [True]}, "k must be an integer, got True"),
+    ({"pairs": [[40, 2]], "seeds": ["1"]}, "seed must be an integer, got '1'"),
+    ({"pairs": []}, "provide subset_sizes and ks, or at least one pair"),
+    ({"pairs": [[40, 2]], "ks": [3]}, "pairs cannot be combined with subset_sizes/ks"),
+    ({"pairs": [[40, 2]], "algorithms": ["bogus"]},
+     "unknown algorithm 'bogus'; expected one of kmeans, rough-kmeans, fcm, pfcm"),
+], ids=["fraction", "bool", "string", "no-pairs", "pairs-and-ks", "algorithm"])
+def test_grid_config_spec_errors_name_the_config(small_tsv, tmp_path, capsys, matrix_never_read,
+                                                 doc, message):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["grid", str(small_tsv), "--config", str(cfg), "--out", str(tmp_path / "g")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not list(tmp_path.glob("g.*"))
 
 
 def test_grid_subset_failure_lands_in_every_row_of_its_cell(tmp_path, capsys):

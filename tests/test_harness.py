@@ -160,6 +160,28 @@ def test_grid_validation():
         ExperimentGrid(subset_sizes=(5,), ks=(2,), overrides={"pfcm": {"momentum": 1}})
     with pytest.raises(ValueError, match="override for unknown algorithm"):
         ExperimentGrid(subset_sizes=(5,), ks=(2,), overrides={"gmm": {"m": 2.0}})
+    with pytest.raises(ValueError, match="^pairs cannot be combined with subset_sizes/ks$"):
+        ExperimentGrid(pairs=((5, 2),), ks=(2,))
+    with pytest.raises(ValueError, match="^pairs cannot be combined with subset_sizes/ks$"):
+        ExperimentGrid(pairs=((5, 2),), subset_sizes=(5,))
+    with pytest.raises(ValueError, match="at least one pair"):
+        ExperimentGrid(pairs=())
+    for kwargs, message in [
+        ({"pairs": ((40, 2.7),)}, "k must be an integer, got 2.7"),
+        ({"subset_sizes": (5,), "ks": (True,)}, "k must be an integer, got True"),
+        ({"subset_sizes": ("3",), "ks": (2,)}, "subset size must be an integer, got '3'"),
+        ({"pairs": ((5, 2),), "seeds": (float("nan"),)}, "seed must be an integer, got nan"),
+        ({"pairs": ((5, 2),), "seeds": ("1",)}, "seed must be an integer, got '1'"),
+        ({"subset_sizes": (0,), "ks": (2,)}, "subset size must be >= 1, got 0"),
+        ({"pairs": ((5, 2),), "seeds": (0, -1)}, "seed must be >= 0, got -1"),
+        ({"pairs": ((5, 0.0),)}, "k must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            ExperimentGrid(**kwargs)
+        assert str(info.value) == message
+    integral = ExperimentGrid(pairs=((40.0, np.int64(2)),), seeds=(1.0,))
+    assert integral.pairs == ((40, 2),) and integral.seeds == (1,)
+    assert all(type(n) is int for n in integral.pairs[0] + integral.seeds)
 
 
 def test_grid_cells_sorted_and_deduped():
@@ -489,3 +511,46 @@ def test_grid_drops_a_subset_after_its_last_run(bundled, monkeypatch):
     run_grid(bundled, grid)
     assert held == [[30], [30], [60], [60]]
     assert all(ref() is None for ref in built)
+
+
+_TINY, _ = generate_synthetic(
+    [((0.0, 0.0, 0.0), 0.5, 8), ((4.0, 0.0, 4.0), 0.5, 8), ((0.0, 4.0, 4.0), 0.5, 8)],
+    noise_genes=4, seed=7,
+)
+
+
+def _reports(grid, workers):
+    res = run_grid(_TINY, grid, workers=workers)
+    texts = []
+    for write in (res.write_report_csv, res.write_summary_csv, res.write_report_json):
+        buf = io.StringIO()
+        write(buf)
+        texts.append(buf.getvalue())
+    rows = json.loads(texts.pop())["rows"]
+    return texts + [json.dumps(rows)], len(res.rows)
+
+
+_ALGORITHMS = ("kmeans", "rough_kmeans", "fcm", "pfcm")
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from((12, 28)), min_size=1, max_size=4),
+    ks=st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3),
+    algorithms=st.lists(st.sampled_from(_ALGORITHMS), min_size=1, max_size=6),
+    seeds=st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=4),
+    order=st.randoms(use_true_random=False),
+)
+def test_repeated_spec_entries_run_once(sizes, ks, algorithms, seeds, order):
+    distinct = ExperimentGrid(
+        subset_sizes=sorted(set(sizes)), ks=sorted(set(ks)),
+        algorithms=[a for a in _ALGORITHMS if a in algorithms], seeds=sorted(set(seeds)),
+    )
+    expected, n_rows = _reports(distinct, 1)
+    assert n_rows == len(set(sizes)) * len(set(ks)) * len(set(algorithms)) * len(set(seeds))
+    for values in (sizes, ks, algorithms, seeds):
+        values.extend(values)
+        order.shuffle(values)
+    repeated = ExperimentGrid(subset_sizes=sizes, ks=ks, algorithms=algorithms, seeds=seeds)
+    for workers in (1, 2):
+        assert _reports(repeated, workers) == (expected, n_rows)
