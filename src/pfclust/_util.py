@@ -44,6 +44,20 @@ def check_params(flags: bool = False, **values) -> None:
             raise ValueError(f"{label} {rule}, got {value}")
 
 
+def canonical(name, choices: tuple[str, ...], what: str) -> str:
+    """The one name rule: the entry of `choices` that `name` spells.
+
+    Any case, "-" for "_", and "zscore" for z_score; anything else is a
+    ValueError naming `what` and listing the choices.
+    """
+    flat = name.replace("-", "_").lower() if isinstance(name, str) else name
+    flat = "z_score" if flat == "zscore" else flat
+    if flat not in choices:
+        expected = ", ".join(c.replace("_", "-") for c in choices)
+        raise ValueError(f"unknown {what} {name!r}; expected one of {expected}")
+    return flat
+
+
 @contextmanager
 def opened(target, mode: str = "w"):
     """Yield `target` itself if it is an open handle, else open it as a path.

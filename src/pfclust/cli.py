@@ -9,11 +9,12 @@ a JSON object. Each artifact's library writer writes it into a temporary
 file next to its destination, and the temporaries are renamed into place
 only once every one of them is written, so failed runs leave no partial
 outputs. Flag errors, among them grid's --config conflicts with the other
-grid flags, a grid ExperimentGrid refuses and an unknown validate
---algorithm, exit 1 before the matrix is read. Output paths are checked
-before any input is read: one that names a directory or lies in a missing one, like one that fails at write
-time, exits 2 with "cannot write <path>: <reason>". An unreadable or
-non-UTF-8 input exits 2 with "cannot read <path>: <reason>", and a
+grid flags, a grid ExperimentGrid refuses and a name the library's one
+name rule (``_util.canonical``) does not know, exit 1 before the matrix
+is read. Output paths are checked before any input is read: one that
+names a directory or lies in a missing one, like one that fails at
+write time, exits 2 with "cannot write <path>: <reason>". An unreadable
+or non-UTF-8 input exits 2 with "cannot read <path>: <reason>", and a
 partition cell that is not a number names its gene. Reruns with
 identical flags overwrite byte-identical artifacts.
 """
@@ -34,14 +35,13 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._util import check_params
+from ._util import canonical, check_params
 from .fuzzy import FuzzyPartition, NumericalError
 from .harness import (
     DEFAULTS,
     NORMALIZATIONS,
     PARAMS,
     PRESET_PAIRS,
-    SUBSET_POLICIES,
     ExperimentGrid,
     run_algorithm,
     run_grid,
@@ -51,7 +51,7 @@ from .heatmap import cluster_row_order, write_ppm
 from .io import FORMATS, ParseError, parse_matrix, sniff_format, write_tsv
 from .kmeans import HardPartition
 from .matrix import ExpressionMatrix
-from .normalize import DegenerateRowsError, normalize
+from .normalize import METHODS, DegenerateRowsError, normalize
 from .serialize import (
     PartitionFile,
     read_centroids_csv,
@@ -89,28 +89,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _canon_method(name) -> str:
-    """Accept dashed/underscored spellings of the normalization names."""
-    flat = name.replace("-", "_").lower() if isinstance(name, str) else name
-    if flat == "zscore":
-        flat = "z_score"
-    if flat not in NORMALIZATIONS:
-        raise UsageError(
-            f"unknown normalization {name!r}; expected none, mean-relative or zscore"
-        )
-    return flat
-
-
-def _canon_algorithm(name) -> str:
-    flat = name.replace("-", "_").lower() if isinstance(name, str) else name
-    if flat not in ALGORITHMS:
-        raise UsageError(
-            f"unknown algorithm {name!r}; expected one of "
-            + ", ".join(a.replace("_", "-") for a in ALGORITHMS)
-        )
-    return flat
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -195,9 +173,7 @@ def _outputs(args, *suffixes: str) -> list[Path]:
 # ---------------------------------------------------------------- normalize
 
 def _cmd_normalize(args) -> int:
-    method = _canon_method(args.method)
-    if method == "none":
-        raise UsageError("--method must be mean-relative or zscore")
+    method = canonical(args.method, METHODS, "normalization")
     paths = _outputs(args, ".normalized.tsv")
     m = _read_matrix(args.input, args.format)
     out = normalize(m, method, drop_degenerate=args.drop_degenerate)
@@ -210,7 +186,7 @@ def _cmd_normalize(args) -> int:
 # ------------------------------------------------------------------ cluster
 
 def _validate_cluster_flags(args) -> str:
-    alg = _canon_algorithm(args.alg)
+    alg = canonical(args.alg, ALGORITHMS, "algorithm")
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     if args.seed < 0:
@@ -224,7 +200,7 @@ def _validate_cluster_flags(args) -> str:
 
 def _cmd_cluster(args) -> int:
     alg = _validate_cluster_flags(args)
-    method = _canon_method(args.normalize)
+    method = canonical(args.normalize, NORMALIZATIONS, "normalization")
     paths = _outputs(args, ".partition.csv", ".centroids.csv", ".meta.json")
     m = _read_matrix(args.input, args.format)
     if method != "none":
@@ -291,7 +267,7 @@ def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.n
 def _cmd_validate(args) -> int:
     if not args.m >= 1.0:
         raise UsageError(f"--m must be 1 or greater, got {args.m}")
-    algorithm = _canon_algorithm(args.algorithm) if args.algorithm else None
+    algorithm = canonical(args.algorithm, ALGORITHMS, "algorithm") if args.algorithm else None
     paths = _outputs(args)
     m = _read_matrix(args.input, args.format)
     pf, order = _read_partition(args.partition, m)
@@ -362,12 +338,8 @@ def _grid(args) -> ExperimentGrid:
         spec = {"subset_sizes": args.sizes, "ks": args.ks}
     spec.update((_GRID_FIELD_FLAGS[flag], getattr(args, flag)) for flag in given)
     try:
-        if "algorithms" in spec:
-            spec["algorithms"] = tuple(_canon_algorithm(a) for a in spec["algorithms"])
-        if "normalization" in spec:
-            spec["normalization"] = _canon_method(spec["normalization"])
         return ExperimentGrid(**spec)
-    except (UsageError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"{args.config}: {exc}" if args.config else str(exc)) from exc
 
 
@@ -476,8 +448,8 @@ def _build_parser() -> _Parser:
                    f"algorithm subset (default: {','.join(ExperimentGrid.algorithms)})")
     p.add_argument("--normalization", help="none, mean-relative or z-score (default: "
                    + ExperimentGrid.normalization.replace("_", "-") + ")")
-    p.add_argument("--policy", choices=SUBSET_POLICIES,
-                   help=f"gene subset policy (default: {ExperimentGrid.subset_policy})")
+    p.add_argument("--policy", help="gene subset policy: first-n, variance-top-n or seeded-"
+                   "random (default: " + ExperimentGrid.subset_policy.replace("_", "-") + ")")
     p.add_argument("--seeds", type=_int_list, help="comma-separated seeds (default: "
                    + ",".join(map(str, ExperimentGrid.seeds)) + ")")
     p.add_argument("--workers", type=int, default=1, help="worker threads")

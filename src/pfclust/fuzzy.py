@@ -71,7 +71,7 @@ class FuzzyConfig:
     eps : float
         Convergence tolerance on the max membership change.
     max_iter : int
-        Iteration cap.
+        Iteration cap; an integral float such as 50.0 is stored as an int.
     seed : int
         Picks the c distinct data rows the run starts from, as
         ``initial_centroids`` does for kmeans and rough_kmeans; the
@@ -89,6 +89,7 @@ class FuzzyConfig:
         if self.c < 1:
             raise ValueError(f"c must be >= 1, got {self.c}")
         check_params(m=self.m, v=self.v, eps=self.eps, max_iter=self.max_iter)
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numbers
 import threading
 import time
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -29,7 +30,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import DEFAULTS, check_params, write_csv
+from ._util import DEFAULTS, canonical, check_params, write_csv
 from .fuzzy import FuzzyConfig, FuzzyPartition, fcm, pfcm
 from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
@@ -78,10 +79,10 @@ def subset_genes(
     first_n keeps the first rows in file order; variance_top_n ranks by
     sample variance descending, breaking ties by gene id ascending;
     seeded_random draws rows without replacement and keeps file order.
-    All three are deterministic for a given seed.
+    All three are deterministic for a given seed. `policy` follows
+    ``canonical``'s name rule.
     """
-    if policy not in SUBSET_POLICIES:
-        raise ValueError(f"unknown subset policy {policy!r}; expected one of {SUBSET_POLICIES}")
+    policy = canonical(policy, SUBSET_POLICIES, "subset policy")
     if not 1 <= size <= m.n_genes:
         raise ValueError(f"subset size must be in [1, {m.n_genes}], got {size}")
     if size == m.n_genes:
@@ -128,19 +129,37 @@ def _count(value, name: str, low: int) -> int:
     return int(value)
 
 
+def _items(value, name: str) -> tuple:
+    """The items of a list-like value; a string or a number is not one."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _pair(pair) -> tuple[int, int]:
+    """A (size, k) cell from a two-item list-like."""
+    items = tuple(pair) if isinstance(pair, Iterable) and not isinstance(pair, str) else ()
+    if len(items) != 2:
+        raise ValueError(f"pairs must hold [size, k] pairs, got {pair!r}")
+    return _count(items[0], "subset size", 1), _count(items[1], "k", 1)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Declarative description of a comparative experiment.
+    """Declarative description of a comparative experiment, stored canonical.
 
     Cells are the cross product subset_sizes x ks or, instead, exactly
-    the (size, k) `pairs`; a grid without cells is an error. Sizes, ks,
-    pair entries and seeds are integers (integral floats such as 40.0
-    pass; bools, strings and fractions do not), sizes and ks >= 1 and
-    seeds >= 0. Each distinct cell runs once per distinct algorithm and
-    seed (see runs()). `overrides` maps an algorithm name to parameter
-    overrides, e.g. {"pfcm": {"v": 0.5}}; the keys must be ones PARAMS
-    lists for that algorithm, and the values must meet the same range
-    rules as the algorithm's own arguments.
+    the (size, k) `pairs`; a grid without cells is an error. List fields
+    must be lists and pairs two items. Sizes, ks, pair entries and seeds
+    are integers (integral floats such as 40.0 pass; bools, strings and
+    fractions do not), sizes and ks >= 1 and seeds >= 0. Names, the
+    `overrides` keys included, follow ``canonical``'s one rule. The grid
+    keeps sizes, ks, pairs and seeds distinct and ascending, algorithms
+    distinct in ALGORITHMS order and names canonical, so asdict(grid),
+    report.json's `grid`, is exactly what runs() runs. `overrides` maps
+    an algorithm, once, to parameter overrides, e.g. {"pfcm": {"v": 0.5}};
+    the keys must be ones PARAMS lists for that algorithm, and the values
+    must meet the same range rules as the algorithm's own arguments.
     """
 
     subset_sizes: tuple[int, ...] = ()
@@ -153,41 +172,40 @@ class ExperimentGrid:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
         for name, what, low in (("subset_sizes", "subset size", 1), ("ks", "k", 1),
                                 ("seeds", "seed", 0)):
-            object.__setattr__(self, name, tuple(_count(n, what, low) for n in getattr(self, name)))
+            values = _items(getattr(self, name), name)
+            put(name, tuple(sorted({_count(n, what, low) for n in values})))
         if self.pairs is not None:
             if self.subset_sizes or self.ks:
                 raise ValueError("pairs cannot be combined with subset_sizes/ks")
-            object.__setattr__(self, "pairs", tuple(
-                (_count(s, "subset size", 1), _count(k, "k", 1)) for s, k in self.pairs
-            ))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+            put("pairs", tuple(sorted({_pair(p) for p in _items(self.pairs, "pairs")})))
         if not self.cells():
             raise ValueError("provide subset_sizes and ks, or at least one pair")
+        named = {canonical(a, ALGORITHMS, "algorithm")
+                 for a in _items(self.algorithms, "algorithms")}
+        put("algorithms", tuple(a for a in ALGORITHMS if a in named))
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}; expected one of {ALGORITHMS}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(
-                f"unknown normalization {self.normalization!r}; expected one of {NORMALIZATIONS}"
-            )
-        if self.subset_policy not in SUBSET_POLICIES:
-            raise ValueError(
-                f"unknown subset policy {self.subset_policy!r}; "
-                f"expected one of {SUBSET_POLICIES}"
-            )
+        put("normalization", canonical(self.normalization, NORMALIZATIONS, "normalization"))
+        put("subset_policy", canonical(self.subset_policy, SUBSET_POLICIES, "subset policy"))
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if not isinstance(self.overrides, dict) or not all(
             isinstance(params, dict) for params in self.overrides.values()
         ):
             raise TypeError("overrides must map algorithm names to parameter objects")
-        for a, params in self.overrides.items():
-            if a not in ALGORITHMS:
-                raise ValueError(f"override for unknown algorithm {a!r}")
+        overrides: dict = {}
+        for given, params in self.overrides.items():
+            try:
+                a = canonical(given, ALGORITHMS, "algorithm")
+            except ValueError as exc:
+                raise ValueError(f"override for {exc}") from None
+            if a in overrides:
+                raise ValueError(f"overrides name {a} twice")
             for key in params:
                 if key not in PARAMS[a]:
                     raise ValueError(
@@ -195,22 +213,20 @@ class ExperimentGrid:
                         f"expected one of {', '.join(PARAMS[a])}"
                     )
             check_params(**params)
+            overrides[a] = params
+        put("overrides", overrides)
 
     def cells(self) -> tuple[tuple[int, int], ...]:
-        """All distinct (size, k) cells in ascending order."""
-        cells = self.pairs if self.pairs is not None else product(self.subset_sizes, self.ks)
-        return tuple(sorted(set(cells)))
+        """All (size, k) cells, distinct and ascending."""
+        return self.pairs if self.pairs is not None else tuple(product(self.subset_sizes, self.ks))
 
     def runs(self) -> tuple[tuple[int, int, str, int], ...]:
-        """Every distinct (size, k, algorithm, seed): by cell, canonical algorithm, seed."""
-        algorithms = [a for a in ALGORITHMS if a in self.algorithms]
-        seeds = sorted(set(self.seeds))
-        return tuple((s, k, a, seed) for s, k in self.cells() for a in algorithms for seed in seeds)
+        """Every (size, k, algorithm, seed), distinct: by cell, algorithm, seed."""
+        runs = product(self.cells(), self.algorithms, self.seeds)
+        return tuple((*cell, a, seed) for cell, a, seed in runs)
 
     def config_for(self, algorithm: str) -> dict:
-        cfg = dict(DEFAULTS)
-        cfg.update(self.overrides.get(algorithm, {}))
-        return cfg
+        return {**DEFAULTS, **self.overrides.get(algorithm, {})}
 
 
 @dataclass(frozen=True)
@@ -361,8 +377,9 @@ def run_algorithm(
 ) -> Union[HardPartition, RoughPartition, FuzzyPartition]:
     """Run one of the four algorithms on `x` with k clusters.
 
-    `params` may hold any DEFAULTS key; the algorithm reads the keys
-    PARAMS[name] lists, falling back to DEFAULTS, and ignores the rest.
+    `name` follows ``canonical``'s name rule. `params` may hold any
+    DEFAULTS key; the algorithm reads and checks the keys PARAMS[name]
+    lists, falling back to DEFAULTS, and ignores the rest.
     All four start from the seeded rows `initial_centroids` picks; fcm
     and pfcm take their starting memberships from one v = 0 update at
     those rows (call `pfcm`/`fcm` with `u_init` for any other start, a
@@ -371,17 +388,13 @@ def run_algorithm(
     algorithm's own partition, which carries `iterations`,
     `stop_reason` and `converged`.
     """
-    if name not in PARAMS:
-        raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    name = canonical(name, ALGORITHMS, "algorithm")
     unknown = set(params) - set(DEFAULTS)
     if unknown:
         raise TypeError(f"unknown parameter(s) {', '.join(sorted(unknown))}")
     if farthest_init and name in ("fcm", "pfcm"):
         raise ValueError(f"farthest_init applies to kmeans and rough_kmeans, not {name}")
     p = {key: params.get(key, DEFAULTS[key]) for key in PARAMS[name]}
-    check_params(**p)
-    # grid overrides read from JSON may give the cap as an integral float
-    p["max_iter"] = int(p["max_iter"])
     if name == "kmeans":
         return kmeans(x, k, seed=seed, farthest_init=farthest_init, **p)
     if name == "rough_kmeans":
@@ -442,9 +455,7 @@ def _run_cell(
     sub is the cell's normalized subset, or the exception building it raised.
     """
     cfg = grid.config_for(algorithm)
-    echo = dict(cfg)
-    echo["normalization"] = grid.normalization
-    echo["subset_policy"] = grid.subset_policy
+    echo = {**cfg, "normalization": grid.normalization, "subset_policy": grid.subset_policy}
     start = time.perf_counter()
     failure = sub if isinstance(sub, Exception) else None
     if failure is None:

@@ -98,6 +98,7 @@ def kmeans(
     """
     x = as_values(m)
     check_params(max_iter=max_iter, eps=eps)
+    max_iter = int(max_iter)
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
 
     distances = SqDistances(x)

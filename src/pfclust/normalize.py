@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import canonical
 from .matrix import ExpressionMatrix
 
 __all__ = [
@@ -94,9 +95,7 @@ def z_score(matrix: ExpressionMatrix, drop_degenerate: bool = False) -> Expressi
 def normalize(
     matrix: ExpressionMatrix, method: str, drop_degenerate: bool = False
 ) -> ExpressionMatrix:
-    """Dispatch to one of the named transforms."""
-    if method == "mean_relative":
+    """Dispatch to the transform `method` names (any case, "-" for "_", or "zscore")."""
+    if canonical(method, METHODS, "normalization") == "mean_relative":
         return mean_relative(matrix, drop_degenerate)
-    if method == "z_score":
-        return z_score(matrix, drop_degenerate)
-    raise ValueError(f"unknown normalization method {method!r}; expected one of {METHODS}")
+    return z_score(matrix, drop_degenerate)

@@ -142,6 +142,7 @@ def rough_kmeans(
     """
     x = as_values(m)
     check_params(zeta=zeta, w_lower=w_lower, max_iter=max_iter, eps=eps)
+    max_iter = int(max_iter)
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
 
     distances = SqDistances(x)

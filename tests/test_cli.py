@@ -659,12 +659,17 @@ NO_CELLS = "provide --sizes and --ks, or --preset, or --config"
     (["--preset", "--seeds", "0,-1"], "seed must be >= 0, got -1"),
     (["--preset", "--algorithms", "kmeans,bogus"],
      "unknown algorithm 'bogus'; expected one of kmeans, rough-kmeans, fcm, pfcm"),
+    (["--preset", "--normalization", "minmax"],
+     "unknown normalization 'minmax'; expected one of none, mean-relative, z-score"),
+    (["--preset", "--policy", "bogus"],
+     "unknown subset policy 'bogus'; expected one of first-n, variance-top-n, seeded-random"),
     (["--sizes", "2"], NO_CELLS),
     ([], NO_CELLS),
 ], ids=["config-preset", "config-sizes", "config-ks", "config-key", "config-algorithms",
         "config-normalization", "config-policy", "config-seeds", "config-two-fields",
         "config-four-fields", "config-sizes-and-seeds", "preset-sizes",
-        "preset-ks", "preset-seed", "preset-algorithm", "sizes-only", "no-cells"])
+        "preset-ks", "preset-seed", "preset-algorithm", "preset-normalization",
+        "preset-policy", "sizes-only", "no-cells"])
 def test_grid_flag_errors_are_found_before_the_input_is_read(small_tsv, tmp_path, capsys,
                                                             monkeypatch, matrix_never_read,
                                                             flags, message):
@@ -685,7 +690,16 @@ def test_grid_flag_errors_are_found_before_the_input_is_read(small_tsv, tmp_path
     ({"pairs": [[40, 2]], "ks": [3]}, "pairs cannot be combined with subset_sizes/ks"),
     ({"pairs": [[40, 2]], "algorithms": ["bogus"]},
      "unknown algorithm 'bogus'; expected one of kmeans, rough-kmeans, fcm, pfcm"),
-], ids=["fraction", "bool", "string", "no-pairs", "pairs-and-ks", "algorithm"])
+    ({"pairs": [[40, 2]], "algorithms": "kmeans"}, "algorithms must be a list, got 'kmeans'"),
+    ({"pairs": [[40, 2]], "seeds": 1}, "seeds must be a list, got 1"),
+    ({"subset_sizes": 40, "ks": [3]}, "subset_sizes must be a list, got 40"),
+    ({"pairs": [40, 3]}, "pairs must hold [size, k] pairs, got 40"),
+    ({"pairs": [[40, 3, 1]]}, "pairs must hold [size, k] pairs, got [40, 3, 1]"),
+    ({"pairs": [[40, 2]], "overrides": {"rough_kmeans": {}, "Rough-Kmeans": {"zeta": 1.5}}},
+     "overrides name rough_kmeans twice"),
+], ids=["fraction", "bool", "string", "no-pairs", "pairs-and-ks", "algorithm",
+        "algorithms-string", "seeds-number", "sizes-number", "flat-pairs", "three-item-pair",
+        "override-twice"])
 def test_grid_config_spec_errors_name_the_config(small_tsv, tmp_path, capsys, matrix_never_read,
                                                  doc, message):
     cfg = tmp_path / "grid.json"

@@ -16,6 +16,7 @@ from pfclust import (
     FuzzyConfig,
     generate_synthetic,
     kmeans,
+    normalize,
     parse_matrix,
     pfcm,
     run_algorithm,
@@ -182,6 +183,14 @@ def test_grid_validation():
     integral = ExperimentGrid(pairs=((40.0, np.int64(2)),), seeds=(1.0,))
     assert integral.pairs == ((40, 2),) and integral.seeds == (1,)
     assert all(type(n) is int for n in integral.pairs[0] + integral.seeds)
+    # an override key follows the algorithm name rule, and names one algorithm once
+    dashed = ExperimentGrid(pairs=((12, 2),), algorithms=("rough-kmeans",),
+                            overrides={"rough-kmeans": {"zeta": 1.5}})
+    assert dashed.overrides == {"rough_kmeans": {"zeta": 1.5}}
+    assert run_grid(_TINY, dashed).rows[0].config["zeta"] == 1.5
+    with pytest.raises(ValueError, match="^overrides name rough_kmeans twice$"):
+        ExperimentGrid(pairs=((12, 2),),
+                       overrides={"rough-kmeans": {"zeta": 1.5}, "rough_kmeans": {"zeta": 2.0}})
 
 
 def test_grid_cells_sorted_and_deduped():
@@ -526,31 +535,62 @@ def _reports(grid, workers):
         buf = io.StringIO()
         write(buf)
         texts.append(buf.getvalue())
-    rows = json.loads(texts.pop())["rows"]
-    return texts + [json.dumps(rows)], len(res.rows)
+    return texts, len(res.rows)
 
 
 _ALGORITHMS = ("kmeans", "rough_kmeans", "fcm", "pfcm")
+
+
+def _spellings(*names):
+    """Each name as written, dashed, upper case and dashed title case."""
+    return st.sampled_from(names).flatmap(lambda a: st.sampled_from(
+        (a, a.replace("_", "-"), a.upper(), a.replace("_", "-").title())
+    ))
 
 
 @settings(max_examples=15, deadline=None)
 @given(
     sizes=st.lists(st.sampled_from((12, 28)), min_size=1, max_size=4),
     ks=st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3),
-    algorithms=st.lists(st.sampled_from(_ALGORITHMS), min_size=1, max_size=6),
+    algorithms=st.lists(_spellings(*_ALGORITHMS), min_size=1, max_size=6),
     seeds=st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=4),
+    normalization=_spellings("z_score", "zscore"),
+    policy=_spellings("variance_top_n"),
     order=st.randoms(use_true_random=False),
 )
-def test_repeated_spec_entries_run_once(sizes, ks, algorithms, seeds, order):
+def test_repeated_spec_entries_run_once(sizes, ks, algorithms, seeds, normalization, policy,
+                                        order):
+    named = {a.replace("-", "_").lower() for a in algorithms}
     distinct = ExperimentGrid(
         subset_sizes=sorted(set(sizes)), ks=sorted(set(ks)),
-        algorithms=[a for a in _ALGORITHMS if a in algorithms], seeds=sorted(set(seeds)),
+        algorithms=[a for a in _ALGORITHMS if a in named], seeds=sorted(set(seeds)),
     )
+    # report.json included, so its grid echo is the spec that ran
     expected, n_rows = _reports(distinct, 1)
-    assert n_rows == len(set(sizes)) * len(set(ks)) * len(set(algorithms)) * len(set(seeds))
+    assert n_rows == len(set(sizes)) * len(set(ks)) * len(named) * len(set(seeds))
     for values in (sizes, ks, algorithms, seeds):
         values.extend(values)
         order.shuffle(values)
-    repeated = ExperimentGrid(subset_sizes=sizes, ks=ks, algorithms=algorithms, seeds=seeds)
+    repeated = ExperimentGrid(subset_sizes=sizes, ks=ks, algorithms=algorithms, seeds=seeds,
+                              normalization=normalization, subset_policy=policy)
+    assert repeated == distinct
     for workers in (1, 2):
         assert _reports(repeated, workers) == (expected, n_rows)
+
+
+def test_library_entries_take_every_spelling():
+    assert np.array_equal(normalize(_TINY, "zscore").values, normalize(_TINY, "z_score").values)
+    assert subset_genes(_TINY, 5, "first-n").gene_ids == _TINY.gene_ids[:5]
+    dashed = run_algorithm("Rough-KMeans", _TINY, 3, seed=1)
+    assert np.array_equal(dashed.member, run_algorithm("rough_kmeans", _TINY, 3, seed=1).member)
+    for call, message in [
+        (lambda: normalize(_TINY, "none"),
+         "unknown normalization 'none'; expected one of mean-relative, z-score"),
+        (lambda: subset_genes(_TINY, 5, "first"),
+         "unknown subset policy 'first'; expected one of first-n, variance-top-n, seeded-random"),
+        (lambda: run_algorithm("k_means", _TINY, 3),
+         "unknown algorithm 'k_means'; expected one of kmeans, rough-kmeans, fcm, pfcm"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

@@ -15,6 +15,7 @@ from pfclust import (
     PARAMS,
     ExperimentGrid,
     FuzzyConfig,
+    fcm,
     kmeans,
     pfcm,
     rough_kmeans,
@@ -34,12 +35,13 @@ RULES = {
 
 X = np.arange(12.0).reshape(6, 2)
 
-# the library entries that read each algorithm's parameters
+# the library entries that read each algorithm's parameters; the fuzzy
+# ones check theirs in FuzzyConfig
 ENTRIES = {
     "kmeans": lambda **kw: kmeans(X, 2, **kw),
     "rough_kmeans": lambda **kw: rough_kmeans(X, 2, **kw),
-    "fcm": lambda **kw: FuzzyConfig(c=2, **kw),
-    "pfcm": lambda **kw: FuzzyConfig(c=2, **kw),
+    "fcm": lambda **kw: fcm(X, FuzzyConfig(c=2, **kw)),
+    "pfcm": lambda **kw: pfcm(X, FuzzyConfig(c=2, **kw)),
 }
 
 
@@ -87,6 +89,8 @@ def test_max_iter_is_checked_before_it_is_converted(tmp_path, capsys, bad):
             run_algorithm(alg, X, 2, max_iter=bad)
         # an integral float, as JSON may give it, is still a cap
         assert run_algorithm(alg, X, 2, max_iter=50.0).iterations <= 50
+        assert ENTRIES[alg](max_iter=50.0).iterations <= 50
+    assert type(FuzzyConfig(c=2, max_iter=50.0).max_iter) is int
 
     inp = tmp_path / "x.tsv"
     inp.write_text("s1\ts2\n" + "".join(f"g{i}\t{a}\t{b}\n" for i, (a, b) in enumerate(X)))
