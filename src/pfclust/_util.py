@@ -44,6 +44,19 @@ def check_params(flags: bool = False, **values) -> None:
             raise ValueError(f"{label} {rule}, got {value}")
 
 
+def count(value, name: str, low: int, high: Optional[int] = None) -> int:
+    """The one count rule: value as an int, if it is an integer in [low, high].
+
+    2.0 passes; a bool, string, fraction, NaN or inf does not. Errors name `name`.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= (math.inf if high is None else high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {int(value)}")
+    return int(value)
+
+
 def canonical(name, choices: tuple[str, ...], what: str) -> str:
     """The one name rule: the entry of `choices` that `name` spells.
 
@@ -80,6 +93,10 @@ def write_csv(dest, header, rows) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+class NumericalError(RuntimeError):
+    """The iteration met a non-finite distance or objective, or a cluster with zero mass."""
 
 
 class Stopped:
@@ -186,13 +203,12 @@ def initial_centroids(
     `init`, when given, is copied after its (k, n_cols) shape is checked;
     otherwise k distinct rows are picked by a seeded uniform sample or by
     greedy farthest-point selection. The seed must be >= 0 either way; all
-    four algorithms start here, so this is where the API checks it.
+    four algorithms start here, so this is where the API checks k and the
+    seed, by ``count``; callers take k as an int from the result's rows.
     """
     n, d = x.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    k = count(k, "k", 1, n)
+    seed = count(seed, "seed", 0)
     if init is not None:
         w = np.array(init, dtype=np.float64)
         if w.shape != (k, d):

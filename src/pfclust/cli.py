@@ -9,14 +9,15 @@ a JSON object. Each artifact's library writer writes it into a temporary
 file next to its destination, and the temporaries are renamed into place
 only once every one of them is written, so failed runs leave no partial
 outputs. Flag errors, among them grid's --config conflicts with the other
-grid flags, a grid ExperimentGrid refuses and a name the library's one
-name rule (``_util.canonical``) does not know, exit 1 before the matrix
-is read. Output paths are checked before any input is read: one that
-names a directory or lies in a missing one, like one that fails at
-write time, exits 2 with "cannot write <path>: <reason>". An unreadable
-or non-UTF-8 input exits 2 with "cannot read <path>: <reason>", and a
-partition cell that is not a number names its gene. Reruns with
-identical flags overwrite byte-identical artifacts.
+grid flags, a grid ExperimentGrid refuses, a name the library's one
+name rule (``_util.canonical``) does not know and a --k, --seed,
+--workers or --scale its one count rule (``_util.count``) refuses, exit
+1 before the matrix is read. Output paths are checked before any input
+is read: one that names a directory or lies in a missing one, like one
+that fails at write time, exits 2 with "cannot write <path>: <reason>".
+An unreadable or non-UTF-8 input exits 2 with "cannot read <path>:
+<reason>", and a partition cell that is not a number names its gene.
+Reruns with identical flags overwrite byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._util import canonical, check_params
+from ._util import canonical, check_params, count
 from .fuzzy import FuzzyPartition, NumericalError
 from .harness import (
     DEFAULTS,
@@ -187,10 +188,8 @@ def _cmd_normalize(args) -> int:
 
 def _validate_cluster_flags(args) -> str:
     alg = canonical(args.alg, ALGORITHMS, "algorithm")
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    count(args.k, "--k", 1)
+    count(args.seed, "--seed", 0)
     # every flag is checked, also those the chosen algorithm ignores
     check_params(flags=True, **{key: getattr(args, key) for key in DEFAULTS})
     if args.farthest_init and alg in ("fcm", "pfcm"):
@@ -344,8 +343,7 @@ def _grid(args) -> ExperimentGrid:
 
 
 def _cmd_grid(args) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    count(args.workers, "--workers", 1)
     paths = _outputs(args, ".report.csv", ".report.json", ".summary.csv", ".timings.csv")
     grid = _grid(args)
     m = _read_matrix(args.input, args.format)
@@ -365,8 +363,7 @@ def _cmd_grid(args) -> int:
 # ------------------------------------------------------------------ heatmap
 
 def _cmd_heatmap(args) -> int:
-    if args.scale < 1:
-        raise UsageError(f"--scale must be >= 1, got {args.scale}")
+    count(args.scale, "--scale", 1)
     paths = _outputs(args, ".ppm")
     m = _read_matrix(args.input, args.format)
     order = None
@@ -430,7 +427,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--partition", required=True, help="partition CSV")
     p.add_argument("--centroids", required=True, help="centroid CSV")
     p.add_argument("--m", type=float, default=DEFAULTS["m"],
-                   help="fuzzifier weighting rmse/mae (use 1 for hard partitions)")
+                   help="fuzzifier weighting rmse/mae; no effect on a hard partition's "
+                        "one-hot rows; 1 scores a rough partition as grid does")
     p.add_argument("--algorithm", help="algorithm tag for the report")
     p.add_argument("-o", "--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_validate)

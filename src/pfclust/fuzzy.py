@@ -31,7 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, SqDistances, Stopped, as_values, check_params, initial_centroids
+from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
+from ._util import count, initial_centroids
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -51,10 +52,6 @@ ALPHA_FLOOR = 1e-12
 _SINGULARITY_TOL = 1e-12
 
 
-class NumericalError(RuntimeError):
-    """The iteration met a non-finite objective or a cluster with zero mass."""
-
-
 @dataclass(frozen=True)
 class FuzzyConfig:
     """Settings for a fuzzy clustering run.
@@ -62,7 +59,7 @@ class FuzzyConfig:
     Attributes
     ----------
     c : int
-        Cluster count.
+        Cluster count; an integral float such as 2.0 is stored as an int.
     m : float
         Fuzzifier, strictly greater than 1. Values near 1 give nearly
         crisp memberships, large values push every membership toward 1/c.
@@ -86,8 +83,7 @@ class FuzzyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"c must be >= 1, got {self.c}")
+        object.__setattr__(self, "c", count(self.c, "c", 1))
         check_params(m=self.m, v=self.v, eps=self.eps, max_iter=self.max_iter)
         object.__setattr__(self, "max_iter", int(self.max_iter))
 
@@ -218,9 +214,7 @@ def _run(
 ) -> FuzzyPartition:
     x = as_values(m_x)
     n = x.shape[0]
-    c = cfg.c
-    if not 1 <= c <= n:
-        raise ValueError(f"c must be in [1, {n}], got {c}")
+    c = count(cfg.c, "c", 1, n)
 
     distances = SqDistances(x)
     if u_init is not None:

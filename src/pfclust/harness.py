@@ -16,7 +16,6 @@ and scoring only: building the subset is in no row.
 
 from __future__ import annotations
 
-import numbers
 import threading
 import time
 from collections import Counter
@@ -30,7 +29,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import DEFAULTS, canonical, check_params, write_csv
+from ._util import DEFAULTS, canonical, check_params, count, write_csv
 from .fuzzy import FuzzyConfig, FuzzyPartition, fcm, pfcm
 from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
@@ -80,11 +79,11 @@ def subset_genes(
     sample variance descending, breaking ties by gene id ascending;
     seeded_random draws rows without replacement and keeps file order.
     All three are deterministic for a given seed. `policy` follows
-    ``canonical``'s name rule.
+    ``canonical``'s name rule; size, and the seed under seeded_random,
+    follow ``count``'s.
     """
     policy = canonical(policy, SUBSET_POLICIES, "subset policy")
-    if not 1 <= size <= m.n_genes:
-        raise ValueError(f"subset size must be in [1, {m.n_genes}], got {size}")
+    size = count(size, "subset size", 1, m.n_genes)
     if size == m.n_genes:
         return m
     if policy == "first_n":
@@ -94,7 +93,7 @@ def subset_genes(
         order = np.lexsort((np.asarray(m.gene_ids, dtype=object), -m.row_sample_vars()))
         idx = np.sort(order[:size])
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(count(seed, "seed", 0))
         idx = np.sort(rng.choice(m.n_genes, size=size, replace=False))
     return m.take_genes(idx)
 
@@ -107,8 +106,7 @@ def preset_pairs(n_genes: int) -> tuple[tuple[int, int], ...]:
     (never below 1) and k is capped at the scaled size. Duplicate cells
     after scaling are dropped, keeping first occurrence.
     """
-    if n_genes < 1:
-        raise ValueError(f"n_genes must be >= 1, got {n_genes}")
+    n_genes = count(n_genes, "n_genes", 1)
     scale = n_genes / PRESET_PAIRS[0][0]
     pairs: list[tuple[int, int]] = []
     for size, k in PRESET_PAIRS:
@@ -118,15 +116,6 @@ def preset_pairs(n_genes: int) -> tuple[tuple[int, int], ...]:
         if cell not in pairs:
             pairs.append(cell)
     return tuple(pairs)
-
-
-def _count(value, name: str, low: int) -> int:
-    """value as an int, if it is an integer (an integral float too) >= low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {int(value)}")
-    return int(value)
 
 
 def _items(value, name: str) -> tuple:
@@ -141,7 +130,7 @@ def _pair(pair) -> tuple[int, int]:
     items = tuple(pair) if isinstance(pair, Iterable) and not isinstance(pair, str) else ()
     if len(items) != 2:
         raise ValueError(f"pairs must hold [size, k] pairs, got {pair!r}")
-    return _count(items[0], "subset size", 1), _count(items[1], "k", 1)
+    return count(items[0], "subset size", 1), count(items[1], "k", 1)
 
 
 @dataclass(frozen=True)
@@ -151,11 +140,11 @@ class ExperimentGrid:
     Cells are the cross product subset_sizes x ks or, instead, exactly
     the (size, k) `pairs`; a grid without cells is an error. List fields
     must be lists and pairs two items. Sizes, ks, pair entries and seeds
-    are integers (integral floats such as 40.0 pass; bools, strings and
-    fractions do not), sizes and ks >= 1 and seeds >= 0. Names, the
-    `overrides` keys included, follow ``canonical``'s one rule. The grid
-    keeps sizes, ks, pairs and seeds distinct and ascending, algorithms
-    distinct in ALGORITHMS order and names canonical, so asdict(grid),
+    follow ``count``'s rule (40.0 passes; a bool, string or fraction does
+    not), sizes and ks >= 1 and seeds >= 0. Names, the `overrides` keys
+    included, follow ``canonical``'s one rule. The grid keeps sizes, ks,
+    pairs and seeds distinct and ascending, algorithms distinct in
+    ALGORITHMS order and names canonical, so asdict(grid),
     report.json's `grid`, is exactly what runs() runs. `overrides` maps
     an algorithm, once, to parameter overrides, e.g. {"pfcm": {"v": 0.5}};
     the keys must be ones PARAMS lists for that algorithm, and the values
@@ -178,7 +167,7 @@ class ExperimentGrid:
         for name, what, low in (("subset_sizes", "subset size", 1), ("ks", "k", 1),
                                 ("seeds", "seed", 0)):
             values = _items(getattr(self, name), name)
-            put(name, tuple(sorted({_count(n, what, low) for n in values})))
+            put(name, tuple(sorted({count(n, what, low) for n in values})))
         if self.pairs is not None:
             if self.subset_sizes or self.ks:
                 raise ValueError("pairs cannot be combined with subset_sizes/ks")
@@ -486,9 +475,10 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
     Rows are in grid.runs() order. Per-run failures are captured in
     their row's error field rather than raised; a subset that cannot be built fails
     every run that uses it. Each distinct subset is built once (see
-    _Subsets). Cells run on a pool of `workers` threads; the ordering and
-    all report content are independent of worker count.
+    _Subsets). Cells run on a pool of `workers` threads, a ``count`` >= 1;
+    the ordering and all report content are independent of worker count.
     """
+    workers = count(workers, "workers", 1)
     for size, _ in grid.cells():
         if size > m.n_genes:
             raise ValueError(
@@ -542,21 +532,19 @@ def generate_synthetic(
     dim = centers[0].size
     if any(c.size != dim for c in centers):
         raise ValueError("all cluster centers must have the same dimension")
-    for _, spread, count in clusters:
+    sizes = []
+    for _, spread, rows in clusters:
         if spread < 0:
             raise ValueError(f"spread must be >= 0, got {spread}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-    if noise_genes < 0:
-        raise ValueError(f"noise_genes must be >= 0, got {noise_genes}")
+        sizes.append(count(rows, "count", 1))
+    noise_genes = count(noise_genes, "noise_genes", 0)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(count(seed, "seed", 0))
     blocks = []
     labels = []
-    for idx, (center, spread, count) in enumerate(clusters):
-        block = centers[idx][None, :] + float(spread) * rng.standard_normal((int(count), dim))
-        blocks.append(block)
-        labels.extend([idx] * int(count))
+    for idx, ((_, spread, _), size) in enumerate(zip(clusters, sizes)):
+        blocks.append(centers[idx][None, :] + float(spread) * rng.standard_normal((size, dim)))
+        labels.extend([idx] * size)
     if noise_genes:
         stack = np.vstack(centers)
         pad = 3.0 * max(float(s) for _, s, _ in clusters)

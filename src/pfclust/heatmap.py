@@ -14,7 +14,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from ._util import opened
+from ._util import count, opened
 from .matrix import ExpressionMatrix
 
 __all__ = ["render_rgb", "render_ppm", "write_ppm", "cluster_row_order"]
@@ -60,8 +60,7 @@ def render_ppm(
     scale: int = 1,
 ) -> bytes:
     """Binary PPM (P6, maxval 255) of the heatmap, one scale x scale block per cell."""
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
+    scale = count(scale, "scale", 1)
     rgb = render_rgb(matrix, row_order)
     if scale > 1:
         rgb = np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1)

@@ -7,7 +7,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, SqDistances, Stopped, as_values, check_params, initial_centroids
+from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
+from ._util import initial_centroids
 
 __all__ = ["HardPartition", "kmeans"]
 
@@ -76,12 +77,13 @@ def kmeans(
     the round it repeats. A cluster left empty by an assignment step is
     repaired by moving in the point farthest from its own centroid, so
     every returned cluster is non-empty. Deterministic for a given seed.
+    A non-finite SSE (squared distances overflowed) raises NumericalError.
 
     Parameters
     ----------
     m : ExpressionMatrix or array-like, shape (n_genes, n_samples)
     k : int
-        Cluster count, 1 <= k <= n_genes.
+        Cluster count, 1 <= k <= n_genes; k and seed follow ``count``'s rule.
     seed : int
         Seeds the row sample used for the initial centroids.
     farthest_init : bool
@@ -100,7 +102,7 @@ def kmeans(
     check_params(max_iter=max_iter, eps=eps)
     max_iter = int(max_iter)
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
-
+    k = w.shape[0]
     distances = SqDistances(x)
     # the residuals x - w[assign] of every round, in one buffer per run
     resid = np.empty(x.shape)
@@ -114,13 +116,16 @@ def kmeans(
         w_new = np.empty_like(w)
         for j in range(k):
             w_new[j] = x[assign == j].mean(axis=0)
-        movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
-        w = w_new
-        np.take(w, assign, axis=0, out=resid)
+        np.take(w_new, assign, axis=0, out=resid)
         np.subtract(x, resid, out=resid)
         sse = float(np.einsum("ij,ij->i", resid, resid).sum())
-        trace.append(sse)
         iterations += 1
+        if not np.isfinite(sse):
+            raise NumericalError(f"sse became non-finite at iteration {iterations} "
+                                 f"(sse={sse!r}); k={k} seed={seed}")
+        movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
+        w = w_new
+        trace.append(sse)
         if on_iteration is not None:
             on_iteration(assign.copy(), w.copy())
         if movement < eps:

@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import DEFAULTS, SqDistances, Stopped, as_values, check_params, initial_centroids
+from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
+from ._util import initial_centroids
 
 __all__ = ["RoughPartition", "rough_kmeans"]
 
@@ -80,16 +81,6 @@ def _lone(member: np.ndarray) -> np.ndarray:
     return member.sum(axis=1) == 1
 
 
-def _memberships(distances: SqDistances, w: np.ndarray, zeta: float) -> np.ndarray:
-    """Boolean (n, k) upper-set membership of the bound rows under the distance-ratio test."""
-    d = np.sqrt(distances(w))
-    d_near = d.min(axis=1)[:, None]
-    # exact coincidence with a centroid pins the gene to its nearest cluster only
-    member = (d <= zeta * d_near) & (d_near > 0.0)
-    member[np.arange(d.shape[0]), np.argmin(d, axis=1)] = True
-    return member
-
-
 def rough_kmeans(
     m,
     k: int,
@@ -108,7 +99,7 @@ def rough_kmeans(
     ----------
     m : ExpressionMatrix or array-like, shape (n_genes, n_samples)
     k : int
-        Cluster count, 1 <= k <= n_genes.
+        Cluster count, 1 <= k <= n_genes; k and seed follow ``count``'s rule.
     zeta : float
         Ratio threshold >= 1; a gene joins every upper set whose centroid
         distance is within zeta times its nearest centroid distance.
@@ -138,20 +129,28 @@ def rough_kmeans(
     more, so without the cycle test the run would go on to max_iter;
     the partition returned is the cycle's round that max_iter falls on,
     and iterations counts the rounds actually run. Cycles longer than
-    eight rounds run to max_iter.
+    eight rounds run to max_iter. A non-finite nearest distance raises NumericalError.
     """
     x = as_values(m)
     check_params(zeta=zeta, w_lower=w_lower, max_iter=max_iter, eps=eps)
     max_iter = int(max_iter)
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
-
+    k = w.shape[0]
     distances = SqDistances(x)
     # (member, centroids) of recent rounds; both are built anew each round
     ring: deque = deque(maxlen=_CYCLE_WINDOW)
     iterations = 0
     stop_reason = "max_iter"
     for _ in range(max_iter):
-        member = _memberships(distances, w, zeta)
+        d = np.sqrt(distances(w))
+        d_near = d.min(axis=1)[:, None]
+        if not np.isfinite(d_near).all():
+            raise NumericalError(f"a nearest distance became non-finite at iteration "
+                                 f"{iterations + 1}; k={k} zeta={zeta} w_lower={w_lower} "
+                                 f"seed={seed}")
+        # exact coincidence with a centroid pins the gene to its nearest cluster only
+        member = (d <= zeta * d_near) & (d_near > 0.0)
+        member[np.arange(d.shape[0]), np.argmin(d, axis=1)] = True
         lone = _lone(member)
         w_new = np.empty_like(w)
         for j in range(k):

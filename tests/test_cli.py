@@ -355,6 +355,18 @@ def test_cluster_zero_membership_mass_is_numerical_failure(bundled_tsv, capsys):
     assert "zero total mass" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ["kmeans", "rough-kmeans", "fcm", "pfcm"])
+def test_cluster_overflowing_distances_are_numerical_failure(tmp_path, capsys, alg):
+    # every squared distance between rows of this matrix overflows
+    inp = tmp_path / "big.tsv"
+    inp.write_text("s1\ts2\ng1\t1e154\t-1e154\ng2\t-1e154\t1e154\n"
+                   "g3\t1e154\t1e154\ng4\t-1e154\t-1e154\n", encoding="utf-8")
+    code = main(["cluster", str(inp), "--alg", alg, "--k", "2"])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["big.tsv"]
+
+
 def test_cluster_rerun_byte_identical(four_tsv, tmp_path):
     args = ["cluster", str(four_tsv), "--alg", "pfcm", "--k", "2", "--seed", "1"]
     assert main(args) == 0
@@ -425,6 +437,28 @@ def test_validate_scores_a_rough_partition_like_evaluate(bundled_tsv, tmp_path, 
     assert {key: doc[key] for key in want} == want
 
 
+def test_validate_m_one_scores_a_rough_run_as_the_grid_does(bundled_tsv, tmp_path, capsys):
+    # the grid scores rough runs with m = 1; at the default m = 2 the
+    # boundary genes' split memberships weigh less, so rmse differs
+    prefix = tmp_path / "r"
+    run = ["--k", "5", "--seed", "0"]
+    assert main(["cluster", str(bundled_tsv), "--alg", "rough-kmeans", *run,
+                 "--out", str(prefix)]) == 0
+    assert main(["grid", str(bundled_tsv), "--sizes", "100", "--ks", "5", "--seeds", "0",
+                 "--algorithms", "rough-kmeans", "--normalization", "none",
+                 "--out", str(tmp_path / "g")]) == 0
+    row = json.loads((tmp_path / "g.report.json").read_text())["rows"][0]["validity"]
+    capsys.readouterr()
+    scores = {}
+    for m in ("1", "2"):
+        assert main(["validate", str(bundled_tsv), "--partition", f"{prefix}.partition.csv",
+                     "--centroids", f"{prefix}.centroids.csv", "--m", m]) == 0
+        scores[m] = json.loads(capsys.readouterr().out)
+    assert {key: scores["1"][key] for key in row} == row
+    assert round(row["rmse"], 4) == 1.4515
+    assert round(scores["2"]["rmse"], 4) == 1.0645
+
+
 def test_validate_gene_id_mismatch(four_tsv, tmp_path, capsys):
     part = tmp_path / "p.csv"
     cent = tmp_path / "c.csv"
@@ -482,6 +516,21 @@ def test_validate_m_below_one_or_nan_is_usage_error(four_tsv, tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --m must be 1 or greater, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("cluster", ["--alg", "kmeans", "--k", "0"], "--k must be >= 1, got 0"),
+    ("cluster", ["--alg", "kmeans", "--k", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("grid", ["--preset", "--workers", "0"], "--workers must be >= 1, got 0"),
+    ("heatmap", ["--scale", "0"], "--scale must be >= 1, got 0"),
+], ids=["k", "seed", "workers", "scale"])
+def test_count_flags_are_checked_before_the_input_is_read(small_tsv, tmp_path, capsys,
+                                                          matrix_never_read,
+                                                          command, flags, message):
+    code = main([command, str(small_tsv), *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["expr.tsv"]
 
 
 def test_heatmap_default_output(four_tsv, tmp_path):

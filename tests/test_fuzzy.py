@@ -15,6 +15,7 @@ from pfclust import (
     generate_synthetic,
     pfcm,
     pfcm_objective,
+    run_algorithm,
     update_memberships,
     z_score,
 )
@@ -326,10 +327,12 @@ def test_config_validation():
         FuzzyConfig(c=2, max_iter=0)
 
 
-def test_overflowing_data_raises_numerical_error():
+@pytest.mark.parametrize("alg", ["kmeans", "rough_kmeans", "fcm", "pfcm"])
+def test_overflowing_data_raises_numerical_error(alg):
+    # every squared distance between these rows overflows; the message names the run
     x = np.array([[1e200], [-1e200], [0.0]])
-    with pytest.raises(NumericalError, match="non-finite"):
-        pfcm(x, FuzzyConfig(c=2, seed=0))
+    with pytest.raises(NumericalError, match=r"non-finite.*seed=0$"):
+        run_algorithm(alg, x, 2, seed=0)
 
 
 def test_deterministic_per_seed():

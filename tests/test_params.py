@@ -1,10 +1,13 @@
 """The run-parameter table: one default and one range rule per parameter,
-enforced alike by the algorithms, the CLI and grid overrides."""
+enforced alike by the algorithms, the CLI and grid overrides; and the one
+count rule every k, seed, size, worker count and scale follows."""
 
 import dataclasses
 import inspect
+import io
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -14,12 +17,18 @@ from pfclust import (
     DEFAULTS,
     PARAMS,
     ExperimentGrid,
+    ExpressionMatrix,
     FuzzyConfig,
     fcm,
+    generate_synthetic,
     kmeans,
     pfcm,
+    preset_pairs,
+    render_ppm,
     rough_kmeans,
     run_algorithm,
+    run_grid,
+    subset_genes,
 )
 from pfclust.cli import main
 
@@ -126,11 +135,68 @@ def test_signature_defaults_are_the_table():
 
 
 @pytest.mark.parametrize("run", [
-    lambda: kmeans(X, 2, seed=-1),
-    lambda: rough_kmeans(X, 2, seed=-1),
-    lambda: pfcm(X, FuzzyConfig(c=2, seed=-1)),
-    lambda: run_algorithm("fcm", X, 2, seed=-1),
-], ids=["kmeans", "rough_kmeans", "pfcm", "run_algorithm-fcm"])
+    lambda seed: kmeans(X, 2, seed=seed),
+    lambda seed: rough_kmeans(X, 2, seed=seed),
+    lambda seed: pfcm(X, FuzzyConfig(c=2, seed=seed)),
+    lambda seed: run_algorithm("fcm", X, 2, seed=seed),
+    lambda seed: subset_genes(M, 3, "seeded_random", seed=seed),
+    lambda seed: generate_synthetic([((0.0, 0.0), 1.0, 3)], seed=seed),
+], ids=["kmeans", "rough_kmeans", "pfcm", "run_algorithm-fcm", "subset_genes-seeded_random",
+        "generate_synthetic"])
 def test_negative_seed_is_named_by_the_api(run):
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-        run()
+        run(-1)
+    # numpy would run True as seed 1 and refuse 1.5 or "1" in its own words
+    for bad in (True, 1.5, "1"):
+        message = f"^seed must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            run(bad)
+
+
+M = ExpressionMatrix(tuple(f"g{i}" for i in range(6)), ("s1", "s2"), X)
+
+# every library entry that takes a count: the name its errors use, and a
+# call with the count 2 put in; run_grid's report is compared without its
+# wall-clock timings
+COUNTS = {
+    "kmeans-k": ("k", lambda n: kmeans(X, n)),
+    "kmeans-seed": ("seed", lambda n: kmeans(X, 2, seed=n)),
+    "rough_kmeans-k": ("k", lambda n: rough_kmeans(X, n)),
+    "FuzzyConfig-c": ("c", lambda n: FuzzyConfig(c=n)),
+    "fcm-c": ("c", lambda n: fcm(X, FuzzyConfig(c=n))),
+    "FuzzyConfig-seed": ("seed", lambda n: pfcm(X, FuzzyConfig(c=2, seed=n))),
+    "run_algorithm-fcm-c": ("c", lambda n: run_algorithm("fcm", X, n)),
+    "subset_genes-size": ("subset size", lambda n: subset_genes(M, n)),
+    "subset_genes-seed": ("seed", lambda n: subset_genes(M, 3, "seeded_random", seed=n)),
+    "preset_pairs": ("n_genes", preset_pairs),
+    "run_grid-workers": ("workers", lambda n: _report(run_grid(M, GRID, workers=n))),
+    "generate_synthetic-count": ("count", lambda n: generate_synthetic([((0.0,), 1.0, n)])),
+    "generate_synthetic-noise": ("noise_genes",
+                                 lambda n: generate_synthetic([((0.0,), 1.0, 3)], noise_genes=n)),
+    "generate_synthetic-seed": ("seed", lambda n: generate_synthetic([((0.0,), 1.0, 3)], seed=n)),
+    "render_ppm-scale": ("scale", lambda n: render_ppm(M, scale=n)),
+    "ExperimentGrid-sizes": ("subset size", lambda n: ExperimentGrid(subset_sizes=(n,), ks=(2,))),
+    "ExperimentGrid-ks": ("k", lambda n: ExperimentGrid(subset_sizes=(6,), ks=(n,))),
+    "ExperimentGrid-pair-size": ("subset size", lambda n: ExperimentGrid(pairs=((n, 2),))),
+    "ExperimentGrid-pair-k": ("k", lambda n: ExperimentGrid(pairs=((6, n),))),
+    "ExperimentGrid-seeds": ("seed", lambda n: ExperimentGrid(pairs=((6, 2),), seeds=(n,))),
+}
+
+GRID = ExperimentGrid(pairs=((4, 2), (6, 3)), normalization="none", seeds=(0, 1))
+
+
+def _report(result) -> str:
+    out = io.StringIO()
+    result.write_report_json(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_follows_the_one_rule(entry):
+    name, call = COUNTS[entry]
+    for bad in (True, 2.5, math.nan, "2"):
+        message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    # an integral float runs as its int, bit for bit
+    assert pickle.dumps(call(2.0)) == pickle.dumps(call(2))
