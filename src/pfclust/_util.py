@@ -136,7 +136,10 @@ class SqDistances:
     """The distance kernel bound to one data matrix x.
 
     Calling it with centroids w gives the squared Euclidean distances,
-    shape (n_rows_x, n_rows_w). It uses the expansion
+    shape (n_rows_x, n_rows_w), stored cluster-major: the transpose of a
+    C-contiguous (n_rows_w, n_rows_x) array, so each cluster's distances
+    are contiguous and a per-row min, sum or any over the clusters reads
+    contiguous memory. It uses the expansion
     ||a||^2 - 2 a.b + ||b||^2 on rows centred by the column mean mu of x,
     so one matrix product does the work and no (n, k, d) array is built.
     Results are clamped at 0, and every entry small next to
@@ -147,39 +150,44 @@ class SqDistances:
 
     What depends on x alone is computed once, when x is bound: mu, the
     centred rows xc = x - mu and their squared norms xn. A call does only
-    the work that depends on w, with the same operations in the same
-    order, so its results are bit-identical to those of sq_distances.
-    An iterative run binds its data once and applies the kernel to each
-    round's centroids.
+    the work that depends on w. x and w are read row-major whatever their
+    layout (an F-ordered one is copied), so equal values give bit-equal
+    distances. An iterative run binds its data once and applies the
+    kernel to each round's centroids.
     """
 
     def __init__(self, x: np.ndarray):
-        self.x = x
+        x = self.x = np.ascontiguousarray(x)
         with np.errstate(over="ignore", invalid="ignore"):
             self.mu = x.mean(axis=0)
             self.xc = x - self.mu
             self.xn = np.einsum("ij,ij->i", self.xc, self.xc)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        x, xc, xn = self.x, self.xc, self.xn
+        x, xn = self.x, self.xn
         with np.errstate(over="ignore", invalid="ignore"):
-            wc = w - self.mu
+            wc = np.ascontiguousarray(w - self.mu)
             wn = np.einsum("ij,ij->i", wc, wc)
-            d2 = xc @ wc.T
+            d2 = wc @ self.xc.T
             d2 *= -2.0
-            d2 += xn[:, None]
-            d2 += wn[None, :]
+            d2 += xn[None, :]
+            d2 += wn[:, None]
             np.maximum(d2, 0.0, out=d2)
-            rows, cols = np.nonzero(~(d2 > _RECOMPUTE_FRAC * (xn[:, None] + wn[None, :])))
+            cols, rows = np.nonzero(~(d2 > _RECOMPUTE_FRAC * (xn[None, :] + wn[:, None])))
         if rows.size:
             diff = x[rows] - w[cols]
-            d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
-        return d2
+            d2[cols, rows] = np.einsum("ij,ij->i", diff, diff)
+        return d2.T
 
 
 def sq_distances(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (n_rows_x, n_rows_w): SqDistances(x)(w)."""
     return SqDistances(x)(w)
+
+
+def total(a: np.ndarray) -> float:
+    """The sum of an (n, k) array, read cluster-major whatever its layout."""
+    return float(np.asfortranarray(a).sum())
 
 
 def farthest_point_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,7 +21,10 @@ and stops when the elementwise max change of U falls to eps or below.
 
 Each state of U is fitted once: u**m and the squared distances d^2 are
 computed once and passed to the step functions, which take those arrays.
-A run binds its data to the distance kernel once, at its start.
+A run binds its data to the distance kernel once, at its start. The (n, c)
+arrays are cluster-major, as the kernel returns d^2, and each sum over them
+has one order whatever their layout: sums over genes read the cluster-major
+copy, and a gene's sum over clusters adds them in index order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
-from ._util import count, initial_centroids
+from ._util import count, initial_centroids, total
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -136,11 +139,11 @@ def compute_alpha(um: np.ndarray) -> np.ndarray:
     with components below ALPHA_FLOOR clamped up, the vector renormalized,
     and the last component fixed by subtraction so the sum is exactly 1.
     """
-    mass = um.sum(axis=0)
-    total = mass.sum()
-    if not total > 0.0:
+    mass = np.asfortranarray(um).sum(axis=0)
+    whole = mass.sum()
+    if not whole > 0.0:
         raise ValueError("membership matrix has zero total mass")
-    alpha = mass / total
+    alpha = mass / whole
     if alpha.shape[0] == 1:
         return np.ones(1)
     clamped = np.maximum(alpha, ALPHA_FLOOR)
@@ -158,6 +161,7 @@ def compute_centroids(um: np.ndarray, x: np.ndarray) -> np.ndarray:
     whose fuzzified membership column sums to zero has no defined
     centroid and raises.
     """
+    um = np.asfortranarray(um)
     mass = um.sum(axis=0)
     dead = np.flatnonzero(mass <= 0.0)
     if dead.size:
@@ -177,7 +181,7 @@ def update_memberships(d2: np.ndarray, alpha: np.ndarray, m: float, v: float) ->
     rows are then overwritten; on those rows it divides by a zero or
     tiny minimum, which is why its floating-point warnings are silenced.
     """
-    big_d = d2 - v * np.log(alpha)[None, :]
+    big_d = np.asfortranarray(d2 - v * np.log(alpha)[None, :])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # dividing by the row minimum keeps the powers in (0, 1]
         scaled = big_d / big_d.min(axis=1, keepdims=True)
@@ -197,11 +201,11 @@ def pfcm_objective(um: np.ndarray, d2: np.ndarray, alpha: Optional[np.ndarray], 
     J = 1/2 sum u^m d^2 - 1/2 v sum u^m ln(alpha); the penalty term is
     dropped when v is 0 or alpha is None.
     """
-    scatter = 0.5 * float((um * d2).sum())
+    scatter = 0.5 * total(um * d2)
     if alpha is None or v == 0.0:
         penalty = 0.0
     else:
-        penalty = 0.5 * v * float((um * np.log(alpha)[None, :]).sum())
+        penalty = 0.5 * v * total(um * np.log(alpha)[None, :])
     return scatter - penalty
 
 
@@ -218,7 +222,7 @@ def _run(
 
     distances = SqDistances(x)
     if u_init is not None:
-        u = np.array(u_init, dtype=np.float64)
+        u = np.array(u_init, dtype=np.float64, order="F")
         if u.shape != (n, c):
             raise ValueError(f"u_init must have shape {(n, c)}, got {u.shape}")
         u = u / u.sum(axis=1, keepdims=True)

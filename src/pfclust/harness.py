@@ -29,7 +29,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import DEFAULTS, canonical, check_params, count, write_csv
+from ._util import DEFAULTS, as_values, canonical, check_params, count, write_csv
 from .fuzzy import FuzzyConfig, FuzzyPartition, fcm, pfcm
 from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
@@ -366,8 +366,9 @@ def run_algorithm(
 ) -> Union[HardPartition, RoughPartition, FuzzyPartition]:
     """Run one of the four algorithms on `x` with k clusters.
 
-    `name` follows ``canonical``'s name rule. `params` may hold any
-    DEFAULTS key; the algorithm reads and checks the keys PARAMS[name]
+    `name` follows ``canonical``'s name rule; k follows ``count``'s and is
+    checked against the rows here, for all four alike. `params` may hold
+    any DEFAULTS key; the algorithm reads and checks the keys PARAMS[name]
     lists, falling back to DEFAULTS, and ignores the rest.
     All four start from the seeded rows `initial_centroids` picks; fcm
     and pfcm take their starting memberships from one v = 0 update at
@@ -384,6 +385,7 @@ def run_algorithm(
     if farthest_init and name in ("fcm", "pfcm"):
         raise ValueError(f"farthest_init applies to kmeans and rough_kmeans, not {name}")
     p = {key: params.get(key, DEFAULTS[key]) for key in PARAMS[name]}
+    k = count(k, "k", 1, as_values(x).shape[0])
     if name == "kmeans":
         return kmeans(x, k, seed=seed, farthest_init=farthest_init, **p)
     if name == "rough_kmeans":

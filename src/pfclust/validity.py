@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from ._util import as_values, sq_distances
+from ._util import as_values, sq_distances, total
 from .fuzzy import FuzzyPartition
 from .kmeans import HardPartition
 from .rough import RoughPartition
@@ -99,8 +99,8 @@ def rmse(x, u: np.ndarray, w: np.ndarray, m: float = 2.0) -> float:
     """Root of the mean membership-weighted squared residual per cell."""
     xv = as_values(x)
     _check_shapes(xv, u, w)
-    total = float(((u ** m) * sq_distances(xv, w)).sum())
-    return math.sqrt(total / (xv.shape[0] * xv.shape[1]))
+    sse = total((u ** m) * sq_distances(xv, w))
+    return math.sqrt(sse / (xv.shape[0] * xv.shape[1]))
 
 
 def mae(x, u: np.ndarray, w: np.ndarray, m: float = 2.0) -> float:
@@ -109,13 +109,13 @@ def mae(x, u: np.ndarray, w: np.ndarray, m: float = 2.0) -> float:
     _check_shapes(xv, u, w)
     # one cluster at a time through one reused buffer, so no (n, k, d)
     # array is built and no fresh (n, d) array is paged in per cluster
-    l1 = np.empty((xv.shape[0], w.shape[0]))
+    l1 = np.empty((w.shape[0], xv.shape[0]))
     diff = np.empty_like(xv)
     for j in range(w.shape[0]):
         np.subtract(xv, w[j], out=diff)
         np.abs(diff, out=diff)
-        diff.sum(axis=1, out=l1[:, j])
-    return float(((u ** m) * l1).sum()) / (xv.shape[0] * xv.shape[1])
+        diff.sum(axis=1, out=l1[j])
+    return total((u ** m) * l1.T) / (xv.shape[0] * xv.shape[1])
 
 
 def xie_beni(x, u: np.ndarray, w: np.ndarray) -> float:
@@ -134,7 +134,7 @@ def xie_beni(x, u: np.ndarray, w: np.ndarray) -> float:
     min_sep = float(sep.min())
     if min_sep <= _SEPARATION_TOL:
         return math.inf
-    scatter = float(((u ** 2) * sq_distances(xv, w)).sum())
+    scatter = total((u ** 2) * sq_distances(xv, w))
     return scatter / (xv.shape[0] * min_sep)
 
 

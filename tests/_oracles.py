@@ -221,7 +221,8 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
         return scatter - penalty
 
     if u_init is not None:
-        u = np.array(u_init, dtype=np.float64)
+        # cluster-major, as the package holds every U
+        u = np.array(u_init, dtype=np.float64, order="F")
         u = u / u.sum(axis=1, keepdims=True)
     else:
         # the package's start: seeded rows as centroids, one update at v = 0

@@ -262,11 +262,25 @@ def test_cluster_disk_full_leaves_nothing(four_tsv, tmp_path, capsys, monkeypatc
     assert not list(tmp_path.glob("*.tmp*"))
 
 
-def test_cluster_k_above_n_genes_fails_cleanly(four_tsv, tmp_path):
-    code = main(["cluster", str(four_tsv), "--alg", "kmeans", "--k", "9"])
+@pytest.mark.parametrize("alg", ["kmeans", "rough-kmeans", "fcm", "pfcm"])
+def test_cluster_k_above_n_genes_fails_cleanly(four_tsv, tmp_path, capsys, alg):
+    code = main(["cluster", str(four_tsv), "--alg", alg, "--k", "9"])
     assert code == 1
-    assert not (tmp_path / "four.partition.csv").exists()
+    # one wording for all four algorithms
+    assert capsys.readouterr().err == "error: k must be in [1, 4], got 9\n"
+    assert not list(tmp_path.glob("four.*.*"))
     assert not list(tmp_path.glob("*.tmp*"))
+
+
+def test_grid_rows_word_a_k_above_the_genes_alike(tmp_path):
+    # z-scoring drops the two constant genes, so k 3 meets two rows
+    p = tmp_path / "flat.tsv"
+    p.write_text("s1\ts2\nga\t0.0\t1.0\ngb\t1.0\t0.0\ngc\t2.0\t2.0\ngd\t3.0\t3.0\n")
+    assert main(["grid", str(p), "--sizes", "4", "--ks", "3", "--normalization", "zscore",
+                 "--out", str(tmp_path / "g")]) == 0
+    rows = json.loads((tmp_path / "g.report.json").read_text())["rows"]
+    assert [r["algorithm"] for r in rows] == ["kmeans", "rough_kmeans", "fcm", "pfcm"]
+    assert {r["error"] for r in rows} == {"ValueError: k must be in [1, 2], got 3"}
 
 
 def test_cluster_pfcm_meta_has_alpha(four_tsv, tmp_path):
@@ -421,7 +435,7 @@ def test_validate_unknown_algorithm_is_found_before_any_input_is_read(small_tsv,
     )
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 9, 12])
 def test_validate_scores_a_rough_partition_like_evaluate(bundled_tsv, tmp_path, capsys, k):
     prefix = tmp_path / "r"
     assert main(["cluster", str(bundled_tsv), "--alg", "rough-kmeans", "--k", str(k),

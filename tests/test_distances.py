@@ -4,8 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfclust._util import sq_distances
-from pfclust.validity import mae
+from pfclust import FuzzyPartition, RoughPartition, evaluate
+from pfclust._util import SqDistances, sq_distances
+from pfclust.fuzzy import compute_alpha, compute_centroids, pfcm_objective, update_memberships
+from pfclust.validity import mae, rmse, xie_beni
 
 import _oracles
 
@@ -59,3 +61,59 @@ def test_distance_kernels_build_no_n_k_d_temporary():
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def test_the_kernel_is_cluster_major_and_keeps_one_copy_of_x():
+    n, k, d = 50, 7, 4
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((n, d))
+    bound = SqDistances(x)
+    d2 = bound(rng.standard_normal((k, d)))
+    # the (n, k) result is the transpose of a C-contiguous (k, n) array
+    assert d2.shape == (n, k) and d2.T.flags.c_contiguous
+    # x is read through views: the bound kernel owns only mu, xc and xn
+    owned = [a for a in vars(bound).values() if a is not x]
+    assert sum(a.nbytes for a in owned) == (d + n * d + n) * 8
+    assert all(a.base is None for a in owned)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    c=st.integers(1, 12),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([1.5, 2.0, 3.0]),
+    v=st.sampled_from([0.0, 0.8]),
+    m_score=st.sampled_from([1.0, 2.0]),
+)
+def test_the_layout_of_the_inputs_changes_no_result(n, c, d, seed, m, v, m_score):
+    # C- and F-ordered copies of one d2, u and w give bit-identical results;
+    # numpy's sum over a C-ordered row changes order at 8 entries, hence c to 12
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2, d)
+    # centroids on data rows (singular memberships at v = 0), some moved off
+    w = x[rng.integers(n, size=c)] + rng.standard_normal((c, d)) * rng.integers(0, 2, (c, 1))
+    u = rng.random((n, c)) ** 4 + 1e-3
+    u /= u.sum(axis=1, keepdims=True)
+    d2 = sq_distances(x, w)
+    alpha = compute_alpha(u ** m)
+    member = u >= u.max(axis=1, keepdims=True) / 2
+    results = []
+    for order in "CF":
+        d2o, uo, um, wo, mo = (np.array(a, order=order) for a in (d2, u, u ** m, w, member))
+        fuzzy = FuzzyPartition(uo, wo, alpha, (), 0, "tolerance")
+        rough = RoughPartition(mo, wo, 0, "tolerance")
+        results.append([
+            update_memberships(d2o, alpha, m, v),
+            compute_alpha(um),
+            compute_centroids(um, x),
+            pfcm_objective(um, d2o, alpha, v),
+            rmse(x, uo, wo, m_score),
+            mae(x, uo, wo, m_score),
+            xie_beni(x, uo, wo) if c > 1 else None,
+            evaluate(x, fuzzy, m_score),
+            evaluate(x, rough, m_score),
+        ])
+    for got_c, got_f in zip(*results):
+        assert np.array_equal(got_c, got_f) if isinstance(got_c, np.ndarray) else got_c == got_f

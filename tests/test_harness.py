@@ -27,17 +27,30 @@ from pfclust import (
     ValidityReport,
 )
 from pfclust.harness import CellResult
+from pfclust.validity import unified_memberships
 
 from _oracles import adjusted_rand
-from conftest import SYNTH_CLUSTERS, SYNTH_NOISE, SYNTH_SEED
+from conftest import DATA_DIR, SYNTH_CLUSTERS, SYNTH_NOISE, SYNTH_SEED
+
+# iterations, stop reason and hard labels (one digit per gene, the argmax of
+# the unified memberships) of each algorithm at k 3 and 9 and seeds 0-2 on
+# the bundled matrix. A change to the distance kernel or to the order of a
+# sum may move last bits of scores, but not these.
+PINNED_RUNS = json.loads((DATA_DIR / "runs_synthetic_100x10.json").read_text("utf-8"))
 
 
 @pytest.fixture(scope="module")
 def bundled():
-    from conftest import DATA_DIR
-
     with open(DATA_DIR / "synthetic_100x10.tsv", encoding="utf-8") as handle:
         return parse_matrix(handle, format="tsv")
+
+
+@pytest.mark.parametrize("run", PINNED_RUNS)
+def test_runs_on_the_bundled_matrix_keep_their_pinned_outcome(bundled, run):
+    alg, k, seed = run.split()
+    p = run_algorithm(alg, bundled, int(k), seed=int(seed))
+    labels = "".join(map(str, np.argmax(unified_memberships(p), axis=1)))
+    assert [p.iterations, p.stop_reason, labels] == PINNED_RUNS[run]
 
 
 def _varied_matrix():

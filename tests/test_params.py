@@ -165,7 +165,7 @@ COUNTS = {
     "FuzzyConfig-c": ("c", lambda n: FuzzyConfig(c=n)),
     "fcm-c": ("c", lambda n: fcm(X, FuzzyConfig(c=n))),
     "FuzzyConfig-seed": ("seed", lambda n: pfcm(X, FuzzyConfig(c=2, seed=n))),
-    "run_algorithm-fcm-c": ("c", lambda n: run_algorithm("fcm", X, n)),
+    "run_algorithm-fcm-k": ("k", lambda n: run_algorithm("fcm", X, n)),
     "subset_genes-size": ("subset size", lambda n: subset_genes(M, n)),
     "subset_genes-seed": ("seed", lambda n: subset_genes(M, 3, "seeded_random", seed=n)),
     "preset_pairs": ("n_genes", preset_pairs),
