@@ -100,13 +100,21 @@ class NumericalError(RuntimeError):
 
 
 class Stopped:
-    """Base of the partitions: converged is derived from stop_reason.
+    """Base of the partitions: k, and converged derived from stop_reason.
 
+    Every partition also has assignments, one cluster in [0, k) per gene,
+    and memberships, an (n_genes, k) row-stochastic matrix, with the one
+    label rule assignments == argmax(memberships), lowest index on ties.
     stop_reason is "tolerance" (the stop test fired), "cycle" (rough
     k-means only: the centroids repeated) or "max_iter".
     """
 
     stop_reason: str
+    centroids: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
 
     @property
     def converged(self) -> bool:

@@ -36,8 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._util import canonical, check_params, count
-from .fuzzy import FuzzyPartition, NumericalError
+from ._util import NumericalError, canonical, check_params, count
 from .harness import (
     DEFAULTS,
     NORMALIZATIONS,
@@ -50,7 +49,6 @@ from .harness import (
 )
 from .heatmap import cluster_row_order, write_ppm
 from .io import FORMATS, ParseError, parse_matrix, sniff_format, write_tsv
-from .kmeans import HardPartition
 from .matrix import ExpressionMatrix
 from .normalize import METHODS, DegenerateRowsError, normalize
 from .serialize import (
@@ -224,14 +222,14 @@ def _cmd_cluster(args) -> int:
         "converged": part.converged,
         "stop_reason": part.stop_reason,
     }
-    if isinstance(part, HardPartition):
+    if alg == "kmeans":
         meta.update(sse=part.sse, sse_trace=list(part.sse_trace))
-    if isinstance(part, FuzzyPartition):
+    if alg in ("fcm", "pfcm"):
         meta.update(
             objective=part.objective_trace[-1],
             objective_trace=list(part.objective_trace),
         )
-        if part.alpha is not None:
+        if alg == "pfcm":
             meta["alpha"] = list(part.alpha)
     else:
         meta["farthest_init"] = bool(args.farthest_init)
@@ -264,7 +262,7 @@ def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.n
 
 
 def _cmd_validate(args) -> int:
-    if not args.m >= 1.0:
+    if args.m is not None and not args.m >= 1.0:
         raise UsageError(f"--m must be 1 or greater, got {args.m}")
     algorithm = canonical(args.algorithm, ALGORITHMS, "algorithm") if args.algorithm else None
     paths = _outputs(args)
@@ -282,14 +280,16 @@ def _cmd_validate(args) -> int:
         )
 
     algorithm = algorithm or {"hard": "kmeans", "rough": "rough_kmeans", "fuzzy": "fcm"}[pf.kind]
+    # the grid's fuzzifier: 1 for hard and rough runs, the default m for fuzzy ones
+    fuzzifier = args.m if args.m is not None else (DEFAULTS["m"] if pf.kind == "fuzzy" else 1.0)
     report = {
         "command": "validate",
         "input": args.input,
         "partition_file": args.partition,
         "centroids_file": args.centroids,
         "partition_kind": pf.kind,
-        "m": args.m,
-        **asdict(score(m, u, centroids, args.m, algorithm)),
+        "m": fuzzifier,
+        **asdict(score(m, u, centroids, fuzzifier, algorithm)),
     }
     if paths:
         _atomic_write(zip(paths, [partial(write_metadata_json, report)]))
@@ -426,9 +426,9 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--partition", required=True, help="partition CSV")
     p.add_argument("--centroids", required=True, help="centroid CSV")
-    p.add_argument("--m", type=float, default=DEFAULTS["m"],
-                   help="fuzzifier weighting rmse/mae; no effect on a hard partition's "
-                        "one-hot rows; 1 scores a rough partition as grid does")
+    p.add_argument("--m", type=float,
+                   help="fuzzifier weighting rmse/mae (default: 1 for a hard or rough "
+                        f"partition, {DEFAULTS['m']:g} for a fuzzy one, as grid scores them)")
     p.add_argument("--algorithm", help="algorithm tag for the report")
     p.add_argument("-o", "--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_validate)

@@ -97,9 +97,9 @@ class FuzzyPartition(Stopped):
 
     Attributes
     ----------
-    memberships : ndarray, shape (n_genes, c)
+    memberships : ndarray, shape (n_genes, k)
         Row-stochastic membership matrix U.
-    centroids : ndarray, shape (c, n_samples)
+    centroids : ndarray, shape (k, n_samples)
         Final centroids, recomputed from the final memberships.
     alpha : ndarray or None
         Cluster proportions (None for plain fuzzy c-means).
@@ -121,10 +121,7 @@ class FuzzyPartition(Stopped):
     stop_reason: str
 
     @property
-    def c(self) -> int:
-        return self.centroids.shape[0]
-
-    def hard_assignments(self) -> np.ndarray:
+    def assignments(self) -> np.ndarray:
         """Index of each gene's largest membership."""
         return np.argmax(self.memberships, axis=1)
 

@@ -42,8 +42,9 @@ class HardPartition(Stopped):
     stop_reason: str = "max_iter"
 
     @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
+    def memberships(self) -> np.ndarray:
+        """One-hot rows: 1 for each gene's cluster."""
+        return np.eye(self.k)[self.assignments]
 
 
 def _repair_empty(assign: np.ndarray, dists: np.ndarray, k: int) -> None:

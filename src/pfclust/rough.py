@@ -55,8 +55,14 @@ class RoughPartition(Stopped):
     stop_reason: str = "max_iter"
 
     @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
+    def assignments(self) -> np.ndarray:
+        """Each gene's lowest-index upper cluster."""
+        return np.argmax(self.member, axis=1)
+
+    @property
+    def memberships(self) -> np.ndarray:
+        """Each gene's unit mass split equally over its upper sets."""
+        return self.member / self.member.sum(axis=1, keepdims=True)
 
     @property
     def lone(self) -> np.ndarray:

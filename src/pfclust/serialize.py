@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartitionFile:
-    """A partition read back from CSV, in both unified and hard form.
+    """A partition read back from CSV, with the k, assignments and memberships every partition has.
 
     memberships holds row-stochastic rows (one-hot for hard files, equal
     boundary splits for rough files). assignments holds one representative
@@ -91,7 +91,7 @@ def write_partition_csv(
         genes = rows.tolist()
         cells = zip(clusters.tolist(), kinds.tolist())
     elif isinstance(part, FuzzyPartition):
-        header = ["gene_id"] + [f"u{j}" for j in range(part.c)]
+        header = ["gene_id"] + [f"u{j}" for j in range(part.k)]
         n = part.memberships.shape[0]
         genes = range(n)
         cells = [[repr(v) for v in row] for row in part.memberships.tolist()]

@@ -1,8 +1,8 @@
 """Cluster validity measures: RMSE, MAE and the Xie-Beni index.
 
-All three are computed from a membership matrix, so hard and rough
-partitions are first embedded into membership form (one-hot rows for hard
-assignments, equal splits over upper sets for rough boundary genes).
+All three are computed from a membership matrix, the memberships every
+partition carries (one-hot rows for hard assignments, equal splits over
+upper sets for rough boundary genes).
 
 RMSE and MAE are membership-weighted reconstruction residuals normalized
 by the cell count n_genes * n_samples:
@@ -69,22 +69,8 @@ class ValidityReport:
 
 
 def unified_memberships(p: Partition) -> np.ndarray:
-    """Embed any partition kind into an (n_genes, k) row-stochastic matrix.
-
-    Hard assignments become one-hot rows. Fuzzy memberships pass through
-    unchanged. For rough partitions, a gene in some lower set gets 1 for
-    that cluster; a boundary gene splits its unit mass equally over the
-    upper sets that contain it.
-    """
-    if isinstance(p, FuzzyPartition):
-        return p.memberships.copy()
-    if isinstance(p, HardPartition):
-        u = np.zeros((p.assignments.size, p.k))
-        u[np.arange(p.assignments.size), p.assignments] = 1.0
-        return u
-    if isinstance(p, RoughPartition):
-        return p.member / p.member.sum(axis=1, keepdims=True)
-    raise TypeError(f"unsupported partition type {type(p).__name__}")
+    """A copy of the partition's (n_genes, k) row-stochastic memberships."""
+    return p.memberships.copy()
 
 
 def _check_shapes(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> None:
@@ -158,7 +144,7 @@ def score(x, u: np.ndarray, w: np.ndarray, m: float, algorithm: str) -> Validity
 
 
 def evaluate(x, p: Partition, m: float = 2.0, algorithm: str | None = None) -> ValidityReport:
-    """Score a partition of x: score() on its unified memberships.
+    """Score a partition of x: score() on its memberships.
 
     Pass m=1.0 to score a hard or rough partition by plain membership
     fractions.

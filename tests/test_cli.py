@@ -452,8 +452,9 @@ def test_validate_scores_a_rough_partition_like_evaluate(bundled_tsv, tmp_path, 
 
 
 def test_validate_m_one_scores_a_rough_run_as_the_grid_does(bundled_tsv, tmp_path, capsys):
-    # the grid scores rough runs with m = 1; at the default m = 2 the
-    # boundary genes' split memberships weigh less, so rmse differs
+    # the grid scores rough runs with m = 1, and so does validate without
+    # --m; at m = 2 the boundary genes' split memberships weigh less, so
+    # rmse differs
     prefix = tmp_path / "r"
     run = ["--k", "5", "--seed", "0"]
     assert main(["cluster", str(bundled_tsv), "--alg", "rough-kmeans", *run,
@@ -464,13 +465,30 @@ def test_validate_m_one_scores_a_rough_run_as_the_grid_does(bundled_tsv, tmp_pat
     row = json.loads((tmp_path / "g.report.json").read_text())["rows"][0]["validity"]
     capsys.readouterr()
     scores = {}
-    for m in ("1", "2"):
+    for m in ("", "1", "2"):
         assert main(["validate", str(bundled_tsv), "--partition", f"{prefix}.partition.csv",
-                     "--centroids", f"{prefix}.centroids.csv", "--m", m]) == 0
+                     "--centroids", f"{prefix}.centroids.csv", *(["--m", m] if m else [])]) == 0
         scores[m] = json.loads(capsys.readouterr().out)
-    assert {key: scores["1"][key] for key in row} == row
+    assert scores[""] == scores["1"]
+    assert scores[""]["m"] == 1.0
+    assert {key: scores[""][key] for key in row} == row
     assert round(row["rmse"], 4) == 1.4515
     assert round(scores["2"]["rmse"], 4) == 1.0645
+
+
+@pytest.mark.parametrize("alg, m", [("kmeans", 1.0), ("rough-kmeans", 1.0), ("fcm", 2.0)])
+def test_validate_default_m_follows_the_partition_kind(bundled_tsv, tmp_path, capsys, alg, m):
+    prefix = tmp_path / "p"
+    assert main(["cluster", str(bundled_tsv), "--alg", alg, "--k", "3",
+                 "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    files = ["--partition", f"{prefix}.partition.csv", "--centroids", f"{prefix}.centroids.csv"]
+    assert main(["validate", str(bundled_tsv), *files]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["m"] == m
+    # an explicit --m still wins
+    assert main(["validate", str(bundled_tsv), *files, "--m", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 3.0
 
 
 def test_validate_gene_id_mismatch(four_tsv, tmp_path, capsys):

@@ -221,7 +221,7 @@ def test_pfcm_separated_bumps_near_crisp():
     assert part.converged
     top = part.memberships.max(axis=1)
     assert (top > 0.99).all()
-    labels = part.hard_assignments()
+    labels = part.assignments
     assert len(set(labels[:15].tolist())) == 1
     assert len(set(labels[15:].tolist())) == 1
     assert labels[0] != labels[15]
@@ -443,7 +443,7 @@ def test_default_start_recovers_separated_bumps(run, seed):
     centres = np.random.default_rng(0).normal(0.0, 3.0, size=(7, 38))
     matrix, labels = generate_synthetic([(c, 1.0, 40) for c in centres], seed=0)
     part = run(z_score(matrix), FuzzyConfig(c=7, seed=seed))
-    hard = part.hard_assignments()
+    hard = part.assignments
     per_bump = [set(hard[labels == b].tolist()) for b in range(7)]
     assert all(len(found) == 1 for found in per_bump)
     assert len(set.union(*per_bump)) == 7

@@ -453,7 +453,7 @@ def test_cluster_recovery_across_seeds():
         for s in range(10)
     )
     pf_hits = sum(
-        adjusted_rand(pfcm(x, FuzzyConfig(c=3, seed=s)).hard_assignments(), labels) == 1.0
+        adjusted_rand(pfcm(x, FuzzyConfig(c=3, seed=s)).assignments, labels) == 1.0
         for s in range(10)
     )
     assert km_hits >= 8

@@ -15,10 +15,12 @@ from pfclust import (
     RoughPartition,
     fcm,
     kmeans,
+    parse_matrix,
     pfcm,
     read_centroids_csv,
     read_partition_csv,
     rough_kmeans,
+    run_algorithm,
     unified_memberships,
     write_centroids_csv,
     write_metadata_json,
@@ -56,7 +58,25 @@ def test_fuzzy_round_trip_exact_floats():
     assert text.splitlines()[0] == "gene_id,u0,u1,u2"
     assert back.kind == "fuzzy"
     assert np.array_equal(back.memberships, part.memberships)
-    assert np.array_equal(back.assignments, part.hard_assignments())
+    assert np.array_equal(back.assignments, part.assignments)
+
+
+@pytest.mark.parametrize("alg", ["kmeans", "rough_kmeans", "fcm", "pfcm"])
+def test_every_partition_has_k_assignments_and_memberships(bundled_path, alg):
+    m = parse_matrix(bundled_path.read_text(encoding="utf-8"), "tsv")
+    part = run_algorithm(alg, m, 5)
+    n, k = m.n_genes, part.k
+    assert k == 5
+    assert part.assignments.shape == (n,)
+    assert part.assignments.min() >= 0 and part.assignments.max() < k
+    assert part.memberships.shape == (n, k)
+    assert (part.memberships >= 0.0).all()
+    assert np.allclose(part.memberships.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    # the one label rule: argmax takes the lowest index on ties
+    assert np.array_equal(part.assignments, np.argmax(part.memberships, axis=1))
+    _, back = _roundtrip(part, m.gene_ids)
+    assert np.array_equal(back.assignments, part.assignments)
+    assert np.array_equal(back.memberships, part.memberships)
 
 
 @pytest.mark.parametrize("row", [
