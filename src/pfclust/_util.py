@@ -193,6 +193,15 @@ def sq_distances(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return SqDistances(x)(w)
 
 
+def weighted_means(g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one centroid rule: ((g.T @ x) / mass, mass) for (n, k) row weights g,
+    one-hot rows (kmeans), lower or boundary indicators (rough) or u**m (fuzzy).
+    mass is summed cluster-major; a column of zero mass gives a zero row."""
+    g = np.asfortranarray(g, dtype=np.float64)
+    mass, sums = g.sum(axis=0), g.T @ x
+    return np.divide(sums, mass[:, None], out=np.zeros_like(sums), where=mass[:, None] != 0), mass
+
+
 def total(a: np.ndarray) -> float:
     """The sum of an (n, k) array, read cluster-major whatever its layout."""
     return float(np.asfortranarray(a).sum())

@@ -59,7 +59,7 @@ from .serialize import (
     write_metadata_json,
     write_partition_csv,
 )
-from .validity import ALGORITHMS, score
+from .validity import ALGORITHMS, default_m, score
 
 __all__ = ["main", "entry"]
 
@@ -280,8 +280,7 @@ def _cmd_validate(args) -> int:
         )
 
     algorithm = algorithm or {"hard": "kmeans", "rough": "rough_kmeans", "fuzzy": "fcm"}[pf.kind]
-    # the grid's fuzzifier: 1 for hard and rough runs, the default m for fuzzy ones
-    fuzzifier = args.m if args.m is not None else (DEFAULTS["m"] if pf.kind == "fuzzy" else 1.0)
+    fuzzifier = args.m if args.m is not None else default_m(pf.kind == "fuzzy")
     report = {
         "command": "validate",
         "input": args.input,
@@ -426,9 +425,9 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--partition", required=True, help="partition CSV")
     p.add_argument("--centroids", required=True, help="centroid CSV")
-    p.add_argument("--m", type=float,
-                   help="fuzzifier weighting rmse/mae (default: 1 for a hard or rough "
-                        f"partition, {DEFAULTS['m']:g} for a fuzzy one, as grid scores them)")
+    p.add_argument("--m", type=float, help="fuzzifier weighting rmse/mae (default: "
+                   f"{default_m(False):g} for a hard or rough partition, {default_m(True):g} "
+                   "for a fuzzy one, as grid scores them)")
     p.add_argument("--algorithm", help="algorithm tag for the report")
     p.add_argument("-o", "--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_validate)

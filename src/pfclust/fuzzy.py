@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
-from ._util import count, initial_centroids, total
+from ._util import count, initial_centroids, total, weighted_means
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -154,16 +154,14 @@ def compute_centroids(um: np.ndarray, x: np.ndarray) -> np.ndarray:
 
         w_j = sum_i u_ij^m x_i / sum_i u_ij^m
 
-    Each centroid is a convex combination of the data rows. A cluster
-    whose fuzzified membership column sums to zero has no defined
-    centroid and raises.
+    Each is a convex combination of the data rows, by ``_util.weighted_means``
+    as in all four algorithms; a column of zero fuzzified mass raises.
     """
-    um = np.asfortranarray(um)
-    mass = um.sum(axis=0)
+    w, mass = weighted_means(um, x)
     dead = np.flatnonzero(mass <= 0.0)
     if dead.size:
         raise ValueError(f"cluster {int(dead[0])} has zero membership mass")
-    return (um.T @ x) / mass[:, None]
+    return w
 
 
 def update_memberships(d2: np.ndarray, alpha: np.ndarray, m: float, v: float) -> np.ndarray:

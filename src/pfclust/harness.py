@@ -452,8 +452,8 @@ def _run_cell(
     if failure is None:
         try:
             part = run_algorithm(algorithm, sub, k, seed=seed, **cfg)
-            fuzzifier = cfg["m"] if "m" in PARAMS[algorithm] else 1.0
-            report = evaluate(sub, part, m=fuzzifier, algorithm=algorithm)
+            fuzzifier = cfg["m"] if "m" in PARAMS[algorithm] else None
+            report = evaluate(sub, part, fuzzifier, algorithm)
             trace = getattr(part, "objective_trace", getattr(part, "sse_trace", ()))
             runtime = time.perf_counter() - start
             return CellResult(

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
-from ._util import initial_centroids
+from ._util import initial_centroids, weighted_means
 
 __all__ = ["HardPartition", "kmeans"]
 
@@ -72,13 +72,13 @@ def kmeans(
 ) -> HardPartition:
     """Cluster gene rows into k groups minimizing the sum of squared distances.
 
-    Alternates nearest-centroid assignment with centroid mean updates until
-    no centroid moves by eps or more, or max_iter rounds have run. A
-    repeated assignment gives bit-equal centroids, so it stops the run in
-    the round it repeats. A cluster left empty by an assignment step is
-    repaired by moving in the point farthest from its own centroid, so
-    every returned cluster is non-empty. Deterministic for a given seed.
-    A non-finite SSE (squared distances overflowed) raises NumericalError.
+    Alternates nearest-centroid assignment with mean updates (``weighted_means``
+    of the one-hot rows) until no centroid moves by eps or more, or max_iter
+    rounds have run. A repeated assignment gives bit-equal centroids, so it
+    stops the run in the round it repeats. A cluster left empty by an
+    assignment step is repaired by moving in the point farthest from its own
+    centroid, so every returned cluster is non-empty. Deterministic for a given
+    seed. A non-finite SSE (squared distances overflowed) raises NumericalError.
 
     Parameters
     ----------
@@ -114,9 +114,7 @@ def kmeans(
         dists = distances(w)
         assign = np.argmin(dists, axis=1)
         _repair_empty(assign, dists, k)
-        w_new = np.empty_like(w)
-        for j in range(k):
-            w_new[j] = x[assign == j].mean(axis=0)
+        w_new, _ = weighted_means(assign[:, None] == np.arange(k), x)
         np.take(w_new, assign, axis=0, out=resid)
         np.subtract(x, resid, out=resid)
         sse = float(np.einsum("ij,ij->i", resid, resid).sum())

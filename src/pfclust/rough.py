@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
-from ._util import initial_centroids
+from ._util import initial_centroids, weighted_means
 
 __all__ = ["RoughPartition", "rough_kmeans"]
 
@@ -111,10 +111,10 @@ def rough_kmeans(
         distance is within zeta times its nearest centroid distance.
     w_lower : float
         Weight in (0, 1] of the lower-set mean in the centroid update; the
-        boundary mean gets 1 - w_lower. A cluster with an empty boundary
-        uses its lower mean alone, one with an empty lower set uses its
-        upper mean, and one with an empty upper set keeps its previous
-        centroid.
+        boundary mean gets 1 - w_lower, both by ``weighted_means`` of the set
+        indicators. A cluster with an empty boundary uses its lower mean
+        alone, one with an empty lower set its upper mean, and one with an
+        empty upper set keeps its previous centroid.
     seed : int
         Seeds the row sample used for the initial centroids.
     on_iteration : callable, optional
@@ -157,20 +157,12 @@ def rough_kmeans(
         # exact coincidence with a centroid pins the gene to its nearest cluster only
         member = (d <= zeta * d_near) & (d_near > 0.0)
         member[np.arange(d.shape[0]), np.argmin(d, axis=1)] = True
-        lone = _lone(member)
-        w_new = np.empty_like(w)
-        for j in range(k):
-            # masks keep rows in gene order, which fixes each mean's summation order
-            low = x[member[:, j] & lone]
-            bound = x[member[:, j] & ~lone]
-            if len(low) and len(bound):
-                w_new[j] = w_lower * low.mean(axis=0) + (1.0 - w_lower) * bound.mean(axis=0)
-            elif len(low):
-                w_new[j] = low.mean(axis=0)
-            elif len(bound):
-                w_new[j] = bound.mean(axis=0)
-            else:
-                w_new[j] = w[j]
+        lone = _lone(member)[:, None]
+        low, n_low = weighted_means(member & lone, x)
+        bound, n_bound = weighted_means(member & ~lone, x)
+        has_low, has_bound = n_low[:, None] > 0, n_bound[:, None] > 0
+        w_new = np.select([has_low & has_bound, has_low, has_bound],
+                          [w_lower * low + (1.0 - w_lower) * bound, low, bound], w)
         movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
         w = w_new
         iterations += 1

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from ._util import as_values, sq_distances, total
+from ._util import DEFAULTS, as_values, sq_distances, total
 from .fuzzy import FuzzyPartition
 from .kmeans import HardPartition
 from .rough import RoughPartition
@@ -34,6 +34,7 @@ from .rough import RoughPartition
 __all__ = [
     "ALGORITHMS",
     "ValidityReport",
+    "default_m",
     "unified_memberships",
     "rmse",
     "mae",
@@ -66,6 +67,11 @@ class ValidityReport:
             raise ValueError(
                 f"unknown algorithm tag {self.algorithm!r}; expected one of {ALGORITHMS}"
             )
+
+
+def default_m(fuzzy: bool) -> float:
+    """The grid's fuzzifier: the default m for fuzzy partitions, 1 for hard and rough ones."""
+    return DEFAULTS["m"] if fuzzy else 1.0
 
 
 def unified_memberships(p: Partition) -> np.ndarray:
@@ -143,12 +149,10 @@ def score(x, u: np.ndarray, w: np.ndarray, m: float, algorithm: str) -> Validity
     )
 
 
-def evaluate(x, p: Partition, m: float = 2.0, algorithm: str | None = None) -> ValidityReport:
-    """Score a partition of x: score() on its memberships.
-
-    Pass m=1.0 to score a hard or rough partition by plain membership
-    fractions.
-    """
+def evaluate(x, p: Partition, m: float | None = None,
+             algorithm: str | None = None) -> ValidityReport:
+    """Score a partition of x: score() on its memberships, at default_m unless m is given."""
+    m = default_m(isinstance(p, FuzzyPartition)) if m is None else m
     if algorithm is None:
         algorithm = {
             HardPartition: "kmeans",

@@ -2,7 +2,11 @@
 
 Everything here is deliberately written from first principles (loops,
 itertools, plain formulas) rather than reusing package code, so a bug in
-the package cannot hide in its own oracle.
+the package cannot hide in its own oracle. The exceptions are named where
+they occur: the iterative oracles share the package's distance kernel,
+its starting centroids and its centroid rule (``weighted_means``), so
+their results can be compared bit for bit; an independent check of that
+rule is in tests/test_kmeans.py.
 """
 
 import itertools
@@ -11,7 +15,7 @@ import math
 import numpy as np
 
 from pfclust import FuzzyPartition, NumericalError, ParseError
-from pfclust._util import initial_centroids
+from pfclust._util import initial_centroids, weighted_means
 from pfclust._util import sq_distances as kernel_sq_distances
 from pfclust.matrix import ExpressionMatrix
 
@@ -274,11 +278,13 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
 def rough_kmeans(x, k, init_centroids, zeta=1.3, w_lower=0.7, max_iter=300, eps=1e-5):
     """Rough k-means kept as frozensets of gene indices.
 
-    Lower and upper sets are tuples of frozensets, each mean averages the
-    rows of a sorted index list, and the run stops when the (lower, upper)
-    tuples repeat or no centroid moves eps. Distances come from the
-    package kernel, so the ratio test sees the same bits as the package
-    and only the set bookkeeping is independent.
+    Lower and upper sets are tuples of frozensets, and the run stops when
+    the (lower, upper) tuples repeat or no centroid moves eps. Distances
+    come from the package kernel, and the lower and boundary means from
+    its ``weighted_means``, one call on each full (n, k) indicator matrix
+    built from the sets (a per-cluster product would round differently),
+    so the ratio test and the means see the same bits as the package. The
+    set bookkeeping and the choice among the fallbacks are independent.
 
     Returns (lower, upper, centroids, iterations, converged).
     """
@@ -301,16 +307,20 @@ def rough_kmeans(x, k, init_centroids, zeta=1.3, w_lower=0.7, max_iter=300, eps=
         upper = tuple(frozenset(up) for up in upper_lists)
         counts = [sum(i in up for up in upper) for i in range(n)]
         lower = tuple(frozenset(i for i in up if counts[i] == 1) for up in upper)
+        low_mean, _ = weighted_means(
+            [[i in lower[j] for j in range(k)] for i in range(n)], x)
+        bound_mean, _ = weighted_means(
+            [[i in upper[j] - lower[j] for j in range(k)] for i in range(n)], x)
         w_new = np.empty_like(w)
         for j in range(k):
-            low = sorted(lower[j])
-            bound = sorted(upper[j] - lower[j])
+            low = lower[j]
+            bound = upper[j] - lower[j]
             if low and bound:
-                w_new[j] = w_lower * x[low].mean(axis=0) + (1.0 - w_lower) * x[bound].mean(axis=0)
+                w_new[j] = w_lower * low_mean[j] + (1.0 - w_lower) * bound_mean[j]
             elif low:
-                w_new[j] = x[low].mean(axis=0)
+                w_new[j] = low_mean[j]
             elif bound:
-                w_new[j] = x[bound].mean(axis=0)
+                w_new[j] = bound_mean[j]
             else:
                 w_new[j] = w[j]
         movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
@@ -330,9 +340,10 @@ def kmeans(x, k, init_centroids, max_iter=300, eps=1e-5):
     Each round sends every row to its nearest centroid (the lowest index
     on ties), then fills each empty cluster, in index order, with the row
     farthest from its own centroid among clusters that keep a member.
-    Means average the rows of an index list. The run stops when the
-    assignment repeats or no centroid moves eps. Distances come from the
-    package kernel, and the SSE is summed in the package's order, so the
+    The run stops when the assignment repeats or no centroid moves eps.
+    Distances come from the package kernel, the means from its
+    ``weighted_means`` on the full (n, k) one-hot matrix built from the
+    assignment list, and the SSE is summed in the package's order, so the
     trace can be compared bit for bit; the assignment, repair and
     stopping bookkeeping are independent.
 
@@ -361,7 +372,7 @@ def kmeans(x, k, init_centroids, max_iter=300, eps=1e-5):
             counts[j] += 1
         stable = new == assign
         assign = new
-        w_new = np.array([x[[i for i in range(n) if assign[i] == j]].mean(axis=0) for j in range(k)])
+        w_new, _ = weighted_means([[assign[i] == j for j in range(k)] for i in range(n)], x)
         movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
         w = w_new
         resid = x - w[assign]

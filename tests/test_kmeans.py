@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfclust import kmeans, parse_matrix
+from pfclust import kmeans, parse_matrix, rough_kmeans
+from pfclust._util import weighted_means
 
 import _oracles
 from _oracles import enumerate_kmeans_sse, sq_distances
@@ -141,8 +142,10 @@ def test_sse_is_sum_of_assigned_squared_residuals(bundled_path):
     assert part.sse_trace[-1] == part.sse
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+# awkward small inputs: lattice data with distance ties, duplicate rows,
+# and init centroids that copy genes (and each other), which leaves
+# clusters empty for the kmeans repair and upper sets empty for rough
+_AWKWARD = dict(
     n=st.integers(1, 14),
     k=st.integers(1, 5),
     d=st.integers(1, 3),
@@ -150,26 +153,31 @@ def test_sse_is_sum_of_assigned_squared_residuals(bundled_path):
     lattice=st.booleans(),
     n_dup=st.integers(0, 4),
     n_shared=st.integers(0, 3),
-    eps=st.sampled_from([1e-5, 1e-2, 1.0]),
-    max_iter=st.integers(1, 25),
 )
-def test_matches_loop_oracle_with_stability_stop(
-    n, k, d, seed, lattice, n_dup, n_shared, eps, max_iter
-):
-    # the oracle also stops on a repeated assignment; the package relies on
-    # the movement test alone, so equal results show that stop never decides
+
+
+def _awkward(n, k, d, seed, lattice, n_dup, n_shared):
     k = min(k, n)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     if lattice:
         # small integers give distance ties
         x = np.round(2.0 * x)
-    # duplicate rows, and init centroids that copy genes (and each other),
-    # which leaves clusters empty for the repair
     x[rng.integers(n, size=n_dup)] = x[rng.integers(n, size=n_dup)]
     init = rng.standard_normal((k, d))
     shared = min(n_shared, k)
     init[:shared] = x[rng.integers(n, size=shared)]
+    return x, k, init
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_AWKWARD, eps=st.sampled_from([1e-5, 1e-2, 1.0]), max_iter=st.integers(1, 25))
+def test_matches_loop_oracle_with_stability_stop(
+    n, k, d, seed, lattice, n_dup, n_shared, eps, max_iter
+):
+    # the oracle also stops on a repeated assignment; the package relies on
+    # the movement test alone, so equal results show that stop never decides
+    x, k, init = _awkward(n, k, d, seed, lattice, n_dup, n_shared)
     part = kmeans(x, k, max_iter=max_iter, eps=eps, init_centroids=init)
     assign, w, iterations, converged, trace = _oracles.kmeans(
         x, k, init, max_iter=max_iter, eps=eps
@@ -179,3 +187,52 @@ def test_matches_loop_oracle_with_stability_stop(
     assert part.iterations == iterations
     assert part.converged == converged
     assert part.sse_trace == trace
+
+
+def _set_mean(x, rows):
+    return x[sorted(rows)].mean(axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_AWKWARD, zeta=st.sampled_from([1.0, 1.05, 1.3, 2.0, 1e6]),
+       w_lower=st.sampled_from([0.5, 0.7, 1.0]))
+def test_one_round_centroids_are_the_set_means(
+    n, k, d, seed, lattice, n_dup, n_shared, zeta, w_lower
+):
+    # the oracles share weighted_means, so this checks it against plain
+    # per-set means: within 1e-12 of the data scale, and bit-equal on
+    # lattice data, whose sums are exact in any order
+    x, k, init = _awkward(n, k, d, seed, lattice, n_dup, n_shared)
+    hard = kmeans(x, k, max_iter=1, init_centroids=init)
+    want_hard = np.array([_set_mean(x, np.flatnonzero(hard.assignments == j)) for j in range(k)])
+    rough = rough_kmeans(x, k, zeta=zeta, w_lower=w_lower, max_iter=1, init_centroids=init)
+    want_rough = np.empty_like(init)
+    for j in range(k):
+        low, bound = rough.lower[j], rough.boundary(j)
+        if low and bound:
+            want_rough[j] = w_lower * _set_mean(x, low) + (1.0 - w_lower) * _set_mean(x, bound)
+        else:
+            want_rough[j] = _set_mean(x, low or bound) if low or bound else init[j]
+    tol = 1e-12 * max(np.abs(x).max(), np.abs(init).max())
+    for got, want in ((hard.centroids, want_hard), (rough.centroids, want_rough)):
+        if lattice:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= tol
+
+
+def test_weighted_means_of_an_empty_column_is_a_zero_row():
+    x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    g = np.array([[1.0, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.5]])
+    means, mass = weighted_means(g, x)
+    assert np.array_equal(mass, [2.0, 0.0, 2.0])
+    assert np.array_equal(means, [[2.0, 3.0], [0.0, 0.0], [4.0, 5.0]])
+
+
+def test_rough_keeps_the_centroid_of_an_empty_upper_set():
+    # no gene is near the third centroid, so its upper set is empty
+    x = np.array([[0.0], [1.0], [10.0], [11.0]])
+    init = np.array([[0.0], [11.0], [100.0]])
+    part = rough_kmeans(x, 3, zeta=1.0, max_iter=1, init_centroids=init)
+    assert part.upper[2] == frozenset()
+    assert np.array_equal(part.centroids, [[0.5], [10.5], [100.0]])

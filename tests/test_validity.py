@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pfclust import (
+    DEFAULTS,
     FuzzyConfig,
     FuzzyPartition,
     HardPartition,
@@ -13,8 +14,10 @@ from pfclust import (
     fcm,
     kmeans,
     mae,
+    parse_matrix,
     rmse,
     rough_kmeans,
+    run_algorithm,
     unified_memberships,
     xie_beni,
 )
@@ -208,6 +211,17 @@ def test_evaluate_infers_algorithm():
     assert evaluate(x, pfcm(x, cfg)).algorithm == "pfcm"
     assert evaluate(x, fcm(x, cfg)).algorithm == "fcm"
     assert evaluate(x, kmeans(x, 2), algorithm="rough_kmeans").algorithm == "rough_kmeans"
+
+
+def test_evaluate_default_m_follows_the_partition_kind(bundled_path):
+    # the grid and validate score hard and rough runs at m = 1 and fuzzy
+    # ones at the default fuzzifier; evaluate without m does the same
+    m = parse_matrix(bundled_path.read_text(encoding="utf-8"), "tsv")
+    rough = run_algorithm("rough_kmeans", m, 5, seed=0)
+    assert evaluate(m, rough).rmse == pytest.approx(1.4515, abs=5e-5)
+    assert evaluate(m, rough) == evaluate(m, rough, m=1.0)
+    fuzzy = run_algorithm("fcm", m, 5, seed=0)
+    assert evaluate(m, fuzzy) == evaluate(m, fuzzy, m=DEFAULTS["m"])
 
 
 def test_evaluate_single_cluster_reports_infinite_xb():
