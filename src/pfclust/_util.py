@@ -71,6 +71,27 @@ def canonical(name, choices: tuple[str, ...], what: str) -> str:
     return flat
 
 
+def parse_cells(rows, dtype=np.float64) -> Optional[np.ndarray]:
+    """The one cell rule: strings (or nested lists of them) as one array in one
+    numpy pass, each cell read as float() reads it (int() for an integer
+    dtype); None if a cell is refused or overflows the dtype."""
+    try:
+        return np.array(rows, dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
+def bad_cell(cells) -> Optional[tuple[int, str]]:
+    """A failure walk's step: the first of `cells` that the cell rule refuses or
+    reads as NaN or infinite, as (its index, "non-numeric value 'x'" or
+    "non-finite value 'inf'"); None if every cell is a finite number."""
+    for j, cell in enumerate(cells):
+        value = parse_cells(cell)
+        if value is None or not np.isfinite(value):
+            return j, f"{'non-numeric' if value is None else 'non-finite'} value {cell!r}"
+    return None
+
+
 @contextmanager
 def opened(target, mode: str = "w"):
     """Yield `target` itself if it is an open handle, else open it as a path.

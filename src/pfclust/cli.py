@@ -252,13 +252,15 @@ def _cmd_cluster(args) -> int:
 def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.ndarray]:
     """Read a partition CSV and the row in it of each matrix gene, in matrix order."""
     pf = _read(path, read_partition_csv)
-    if sorted(pf.gene_ids) != sorted(m.gene_ids):
+    # both id lists are distinct: equal lengths and no matrix gene missing mean one set
+    index = {gid: i for i, gid in enumerate(pf.gene_ids)}
+    rows = [index.get(gid) for gid in m.gene_ids]
+    if len(index) != len(rows) or None in rows:
         raise DataError(
             f"partition gene ids do not match the matrix "
             f"({len(pf.gene_ids)} vs {m.n_genes} genes)"
         )
-    index = {gid: i for i, gid in enumerate(pf.gene_ids)}
-    return pf, np.array([index[gid] for gid in m.gene_ids])
+    return pf, np.array(rows)
 
 
 def _cmd_validate(args) -> int:

@@ -16,18 +16,18 @@ Three tab-delimited input formats are supported:
 
 One reader builds the matrix for all three formats, and reads each cell as
 Python's ``float()`` does. Values must be finite; NaN or infinite cells are
-rejected with their location rather than imputed.
+rejected with their location rather than imputed, worded by the cell rule
+the centroid reader also uses (``_util.bad_cell``).
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import IO, Union
 
 import numpy as np
 
-from ._util import opened
+from ._util import bad_cell, opened
 from .matrix import ExpressionMatrix
 
 __all__ = ["ParseError", "parse_matrix", "write_tsv", "sniff_format", "FORMATS"]
@@ -74,16 +74,6 @@ def _read_lines(source: Source) -> list[str]:
     return text.splitlines()
 
 
-def _parse_cell(field: str, line_no: int, col_no: int) -> float:
-    try:
-        value = float(field)
-    except ValueError:
-        raise ParseError(f"non-numeric value {field!r}", line_no, col_no) from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite value {field!r}", line_no, col_no)
-    return value
-
-
 def parse_matrix(source: Source, format: str = "tsv") -> ExpressionMatrix:
     """Parse a matrix from a string, bytes, or open file.
 
@@ -119,8 +109,9 @@ def _read_body(
 ) -> ExpressionMatrix:
     """Build the matrix from numbered data lines with the id in field `id_col`
     and the values in fields `first::step`. Assigning a row of strings to the
-    array converts each with float(); a row that fails, or holds a non-finite
-    value, is walked cell by cell to name the first bad one.
+    array converts each as float() does; only a row that fails, or holds a
+    non-finite value, is walked cell by cell by `bad_cell`, to name the
+    first bad one with its line and column.
     """
     n_samples = len(sample_ids)
     n_fields = first + step * n_samples
@@ -144,8 +135,8 @@ def _read_body(
         except ValueError:
             ok = False
         if not ok:
-            values[i] = [_parse_cell(f, line_no, first + 1 + step * j)
-                         for j, f in enumerate(cells)]
+            j, what = bad_cell(cells)
+            raise ParseError(what, line_no, first + 1 + step * j)
     try:
         return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), values)
     except ValueError as exc:

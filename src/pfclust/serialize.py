@@ -7,9 +7,13 @@ Three partition layouts share one reader, distinguished by header:
   upper-set membership; kind is ``lower`` or ``boundary``
 * fuzzy: ``gene_id,u0,...,u{c-1}`` with one row per gene
 
-Centroids are a separate CSV whose header holds the sample ids and whose
-k data rows hold one centroid each. Floats are written with repr so
-values round-trip exactly.
+A hard file is read as a rough file whose genes each sit in one lower set;
+a cluster index must be in [0, n_genes). Centroids are a separate CSV whose
+header holds the sample ids and whose k data rows hold one centroid each.
+Floats are written with repr so values round-trip exactly. One cell rule
+reads every number (``_util.parse_cells``, as ``float()``/``int()`` do): a
+file's cells convert in one numpy pass, and are walked only to name the
+first bad gene or cell when that pass or its range test fails.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from ._util import opened, write_csv
+from ._util import bad_cell, opened, parse_cells, write_csv
 from .fuzzy import FuzzyPartition
 from .kmeans import HardPartition
 from .rough import RoughPartition
@@ -62,13 +66,8 @@ class PartitionFile:
         """Memberships widened with zero columns up to k clusters."""
         if k < self.k:
             raise ValueError(
-                f"partition references cluster {self.k - 1} but only {k} centroids given"
-            )
-        if k == self.k:
-            return self.memberships.copy()
-        out = np.zeros((self.memberships.shape[0], k))
-        out[:, : self.k] = self.memberships
-        return out
+                f"partition references cluster {self.k - 1} but only {k} centroids given")
+        return np.pad(self.memberships, ((0, 0), (0, k - self.k)))
 
 
 def write_partition_csv(
@@ -77,14 +76,12 @@ def write_partition_csv(
     dest: Union[str, Path, IO[str]],
 ) -> None:
     """Write any partition kind in its CSV layout, rows in gene order."""
+    genes = range(len(gene_ids))  # row i holds gene i, except in a rough file
     if isinstance(part, HardPartition):
         header = ["gene_id", "cluster"]
-        n = part.assignments.size
-        genes = range(n)
         cells = part.assignments[:, None].tolist()
     elif isinstance(part, RoughPartition):
         header = ["gene_id", "cluster", "membership_kind"]
-        n = part.member.shape[0]
         # nonzero walks the matrix row-major: gene order, then cluster order
         rows, clusters = np.nonzero(part.member)
         kinds = np.where(part.lone[rows], "lower", "boundary")
@@ -92,12 +89,10 @@ def write_partition_csv(
         cells = zip(clusters.tolist(), kinds.tolist())
     elif isinstance(part, FuzzyPartition):
         header = ["gene_id"] + [f"u{j}" for j in range(part.k)]
-        n = part.memberships.shape[0]
-        genes = range(n)
         cells = [[repr(v) for v in row] for row in part.memberships.tolist()]
     else:
         raise TypeError(f"unsupported partition type {type(part).__name__}")
-    if len(gene_ids) != n:
+    if len(gene_ids) != part.assignments.size:
         raise ValueError("gene id count does not match the partition")
     write_csv(dest, header, ([gene_ids[i], *c] for i, c in zip(genes, cells)))
 
@@ -146,126 +141,101 @@ def _read_rows(source: Union[str, Path, IO[str]]) -> list[list[str]]:
 
 
 def read_partition_csv(source: Union[str, Path, IO[str]]) -> PartitionFile:
-    """Read any of the three partition layouts, sniffing by header."""
+    """Read any of the three partition layouts, sniffing by header.
+
+    Of several faults the first found is reported: field counts, then the
+    id and kind columns (a duplicate gene in a hard or fuzzy file; in a rough
+    file an unknown kind or a lower row beside other rows of its gene), then
+    numbers, then a repeated (gene, cluster) row.
+    """
     rows = _read_rows(source)
     if not rows:
         raise ValueError("empty partition file")
-    header = rows[0]
-    body = rows[1:]
+    header, body = rows[0], rows[1:]
     if not body:
         raise ValueError("partition file has no data rows")
-    if header == ["gene_id", "cluster"]:
-        return _hard_from_rows(body)
-    if header == ["gene_id", "cluster", "membership_kind"]:
-        return _rough_from_rows(body)
-    if header[0] == "gene_id" and len(header) > 1 and all(
-        h == f"u{j}" for j, h in enumerate(header[1:])
-    ):
-        return _fuzzy_from_rows(body, len(header) - 1)
-    raise ValueError(f"unrecognized partition header {header!r}")
-
-
-def _cluster_index(gid: str, cell: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ValueError(f"gene {gid!r}: cluster index must be an integer, got {cell!r}") from None
-
-
-def _hard_from_rows(body: list[list[str]]) -> PartitionFile:
-    gene_ids = []
-    assigns = []
-    for row in body:
-        if len(row) != 2:
-            raise ValueError(f"expected 2 fields per row, found {len(row)}: {row!r}")
-        gene_ids.append(row[0])
-        assigns.append(_cluster_index(row[0], row[1]))
-    if len(set(gene_ids)) != len(gene_ids):
-        raise ValueError("duplicate gene id in partition file")
-    if min(assigns) < 0:
-        raise ValueError("negative cluster index")
-    k = max(assigns) + 1
-    a = np.asarray(assigns, dtype=np.intp)
-    u = np.zeros((len(gene_ids), k))
-    u[np.arange(len(gene_ids)), a] = 1.0
-    return PartitionFile("hard", tuple(gene_ids), u, a)
-
-
-def _rough_from_rows(body: list[list[str]]) -> PartitionFile:
+    rough = header == ["gene_id", "cluster", "membership_kind"]
+    fuzzy = len(header) > 1 and header == ["gene_id"] + [f"u{j}" for j in range(len(header) - 1)]
+    if not (rough or fuzzy or header == ["gene_id", "cluster"]):
+        raise ValueError(f"unrecognized partition header {header!r}")
+    bad = next((row for row in body if len(row) != len(header)), None)
+    if bad is not None:
+        raise ValueError(f"expected {len(header)} fields per row, found {len(bad)}: {bad!r}")
+    # genes numbered in file order; only a rough file may repeat one
     index: dict[str, int] = {}
-    genes, clusters, lower = [], [], []
-    for row in body:
-        if len(row) != 3:
-            raise ValueError(f"expected 3 fields per row, found {len(row)}: {row!r}")
-        gid, cluster_s, kind = row
-        if kind not in ("lower", "boundary"):
-            raise ValueError(f"membership_kind must be lower or boundary, got {kind!r}")
-        genes.append(index.setdefault(gid, len(index)))
-        clusters.append(_cluster_index(gid, cluster_s))
-        lower.append(kind == "lower")
-    g = np.asarray(genes, dtype=np.intp)
-    c = np.asarray(clusters, dtype=np.intp)
-    if c.min() < 0:
-        raise ValueError("negative cluster index")
+    genes = np.array([index.setdefault(row[0], len(index)) for row in body], dtype=np.intp)
+    if not rough and len(index) != len(body):
+        raise ValueError("duplicate gene id in partition file")
+    if fuzzy:
+        return _fuzzy_from_rows(body, tuple(index))
+    return _sets_from_rows(body, tuple(index), genes, rough)
+
+
+def _sets_from_rows(
+    body: list[list[str]], ids: tuple[str, ...], g: np.ndarray, rough: bool
+) -> PartitionFile:
+    """Upper sets from rough rows, or from hard ones: a hard file is a rough file
+    whose genes each sit in one lower set. A cluster index must be in [0, n_genes)."""
+    kinds = [row[2] for row in body] if rough else ["lower"] * len(body)
+    bad = next((kind for kind in kinds if kind not in ("lower", "boundary")), None)
+    if bad is not None:
+        raise ValueError(f"membership_kind must be lower or boundary, got {bad!r}")
     # a lower row must be its gene's only row; genes are numbered in file
     # order, so the smallest offending number is the first such gene
-    mixed = np.asarray(lower) & (np.bincount(g)[g] > 1)
+    mixed = (np.array(kinds) == "lower") & (np.bincount(g)[g] > 1)
     if mixed.any():
-        gid = list(index)[g[mixed].min()]
-        raise ValueError(f"gene {gid!r} mixes lower membership with other rows")
-    member = np.zeros((len(index), c.max() + 1), dtype=bool)
+        raise ValueError(f"gene {ids[g[mixed].min()]!r} mixes lower membership with other rows")
+    n = len(ids)
+    c = parse_cells([row[1] for row in body], np.intp)
+    if c is None or not ((c >= 0) & (c < n)).all():
+        # name the first bad cell; int() reads as parse_cells does, past intp too
+        for gene, cell, *_ in body:
+            try:
+                j = int(cell)
+            except ValueError:
+                raise ValueError(
+                    f"gene {gene!r}: cluster index must be an integer, got {cell!r}"
+                ) from None
+            if not 0 <= j < n:
+                high = f"gene {gene!r}: cluster index {j} is not below the gene count {n}"
+                raise ValueError("negative cluster index" if j < 0 else high)
+    member = np.zeros((n, c.max() + 1), dtype=bool)
     member[g, c] = True
     if np.count_nonzero(member) != g.size:
         raise ValueError("duplicate (gene id, cluster) row in partition file")
     u = member / member.sum(axis=1, keepdims=True)
-    return PartitionFile("rough", tuple(index), u, np.argmax(member, axis=1))
+    return PartitionFile("rough" if rough else "hard", ids, u, np.argmax(member, axis=1))
 
 
-def _fuzzy_from_rows(body: list[list[str]], c: int) -> PartitionFile:
-    gene_ids = []
-    values = []
-    for row in body:
-        if len(row) != c + 1:
-            raise ValueError(f"expected {c + 1} fields per row, found {len(row)}: {row!r}")
-        try:
-            row_u = [float(v) for v in row[1:]]
-        except ValueError:
-            row_u = [math.nan]
-        # NaN, as for a cell that is not a number, fails the range test;
-        # 1e-9 is the acceptance row-sum tolerance
-        if not (all(0.0 <= v <= 1.0 for v in row_u) and abs(math.fsum(row_u) - 1.0) <= 1e-9):
-            raise ValueError(
-                f"gene {row[0]!r}: memberships must be in [0, 1] and sum to 1, "
-                f"got {', '.join(row[1:])}"
-            )
-        gene_ids.append(row[0])
-        values.append(row_u)
-    if len(set(gene_ids)) != len(gene_ids):
-        raise ValueError("duplicate gene id in partition file")
-    u = np.asarray(values)
-    return PartitionFile("fuzzy", tuple(gene_ids), u, np.argmax(u, axis=1))
+def _probability_rows(u: np.ndarray) -> np.ndarray:
+    """Which rows of u are in [0, 1] and sum (by numpy) to 1 within 1e-9; NaN fails."""
+    with np.errstate(invalid="ignore", over="ignore"):  # only rows outside [0, 1] warn
+        return ((u >= 0.0) & (u <= 1.0)).all(axis=1) & (np.abs(u.sum(axis=1) - 1.0) <= 1e-9)
+
+
+def _fuzzy_from_rows(body: list[list[str]], gene_ids: tuple[str, ...]) -> PartitionFile:
+    u = parse_cells([row[1:] for row in body])
+    if u is None or not _probability_rows(u).all():
+        # name the first bad gene; a row that is not numbers is not probabilities
+        for gid, *cells in body:
+            row = parse_cells([cells])
+            if row is None or not _probability_rows(row)[0]:
+                raise ValueError(f"gene {gid!r}: memberships must be in [0, 1] and sum to 1, "
+                                 f"got {', '.join(cells)}")
+    return PartitionFile("fuzzy", gene_ids, u, np.argmax(u, axis=1))
 
 
 def read_centroids_csv(source: Union[str, Path, IO[str]]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Returns (centroids, sample_ids)."""
+    """Returns (centroids, sample_ids); every cell must be a finite number."""
     rows = _read_rows(source)
     if len(rows) < 2:
         raise ValueError("centroid file needs a header plus at least one row")
-    sample_ids = tuple(rows[0])
-    centroids = np.empty((len(rows) - 1, len(sample_ids)))
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(sample_ids):
-            raise ValueError(
-                f"expected {len(sample_ids)} fields per centroid row, found {len(row)}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                centroids[i, j] = float(cell)
-                kind = "" if np.isfinite(centroids[i, j]) else "non-finite"
-            except ValueError:
-                kind = "non-numeric"
-            if kind:
-                raise ValueError(
-                    f"{kind} value {cell!r} for centroid {i}, sample {sample_ids[j]!r}"
-                )
+    sample_ids, body = tuple(rows[0]), rows[1:]
+    bad = next((row for row in body if len(row) != len(sample_ids)), None)
+    if bad is not None:
+        raise ValueError(f"expected {len(sample_ids)} fields per centroid row, found {len(bad)}")
+    centroids = parse_cells(body)
+    if centroids is None or not np.isfinite(centroids).all():
+        i, (j, what) = next((i, fault) for i, fault in enumerate(map(bad_cell, body)) if fault)
+        raise ValueError(f"{what} for centroid {i}, sample {sample_ids[j]!r}")
     return centroids, sample_ids

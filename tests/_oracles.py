@@ -9,12 +9,13 @@ their results can be compared bit for bit; an independent check of that
 rule is in tests/test_kmeans.py.
 """
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
-from pfclust import FuzzyPartition, NumericalError, ParseError
+from pfclust import FuzzyPartition, NumericalError, ParseError, PartitionFile
 from pfclust._util import initial_centroids, weighted_means
 from pfclust._util import sq_distances as kernel_sq_distances
 from pfclust.matrix import ExpressionMatrix
@@ -549,3 +550,130 @@ def _parse_res(lines: list[str]) -> ExpressionMatrix:
             [_parse_cell(f, line_no, 3 + 2 * col) for col, f in enumerate(fields[2::2])]
         )
     return _build(gene_ids, sample_ids, rows)
+
+
+# The partition and centroid readers as they were before one cell rule
+# served them: one int() or float() call per cell, math.fsum for a fuzzy
+# row's sum, and a hard reader of its own. They take an open text stream.
+# Only PartitionFile, the result type, is shared with the package. They
+# accept a cluster index at or above the gene count, which the package
+# refuses, so comparisons keep indices below it.
+
+def read_partition_csv(source):
+    rows = [row for row in csv.reader(source) if row]
+    if not rows:
+        raise ValueError("empty partition file")
+    header = rows[0]
+    body = rows[1:]
+    if not body:
+        raise ValueError("partition file has no data rows")
+    if header == ["gene_id", "cluster"]:
+        return _hard_from_rows(body)
+    if header == ["gene_id", "cluster", "membership_kind"]:
+        return _rough_from_rows(body)
+    if header[0] == "gene_id" and len(header) > 1 and all(
+        h == f"u{j}" for j, h in enumerate(header[1:])
+    ):
+        return _fuzzy_from_rows(body, len(header) - 1)
+    raise ValueError(f"unrecognized partition header {header!r}")
+
+
+def _cluster_index(gid, cell):
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"gene {gid!r}: cluster index must be an integer, got {cell!r}") from None
+
+
+def _hard_from_rows(body):
+    gene_ids = []
+    assigns = []
+    for row in body:
+        if len(row) != 2:
+            raise ValueError(f"expected 2 fields per row, found {len(row)}: {row!r}")
+        gene_ids.append(row[0])
+        assigns.append(_cluster_index(row[0], row[1]))
+    if len(set(gene_ids)) != len(gene_ids):
+        raise ValueError("duplicate gene id in partition file")
+    if min(assigns) < 0:
+        raise ValueError("negative cluster index")
+    k = max(assigns) + 1
+    a = np.asarray(assigns, dtype=np.intp)
+    u = np.zeros((len(gene_ids), k))
+    u[np.arange(len(gene_ids)), a] = 1.0
+    return PartitionFile("hard", tuple(gene_ids), u, a)
+
+
+def _rough_from_rows(body):
+    index = {}
+    genes, clusters, lower = [], [], []
+    for row in body:
+        if len(row) != 3:
+            raise ValueError(f"expected 3 fields per row, found {len(row)}: {row!r}")
+        gid, cluster_s, kind = row
+        if kind not in ("lower", "boundary"):
+            raise ValueError(f"membership_kind must be lower or boundary, got {kind!r}")
+        genes.append(index.setdefault(gid, len(index)))
+        clusters.append(_cluster_index(gid, cluster_s))
+        lower.append(kind == "lower")
+    g = np.asarray(genes, dtype=np.intp)
+    c = np.asarray(clusters, dtype=np.intp)
+    if c.min() < 0:
+        raise ValueError("negative cluster index")
+    mixed = np.asarray(lower) & (np.bincount(g)[g] > 1)
+    if mixed.any():
+        gid = list(index)[g[mixed].min()]
+        raise ValueError(f"gene {gid!r} mixes lower membership with other rows")
+    member = np.zeros((len(index), c.max() + 1), dtype=bool)
+    member[g, c] = True
+    if np.count_nonzero(member) != g.size:
+        raise ValueError("duplicate (gene id, cluster) row in partition file")
+    u = member / member.sum(axis=1, keepdims=True)
+    return PartitionFile("rough", tuple(index), u, np.argmax(member, axis=1))
+
+
+def _fuzzy_from_rows(body, c):
+    gene_ids = []
+    values = []
+    for row in body:
+        if len(row) != c + 1:
+            raise ValueError(f"expected {c + 1} fields per row, found {len(row)}: {row!r}")
+        try:
+            row_u = [float(v) for v in row[1:]]
+        except ValueError:
+            row_u = [math.nan]
+        if not (all(0.0 <= v <= 1.0 for v in row_u) and abs(math.fsum(row_u) - 1.0) <= 1e-9):
+            raise ValueError(
+                f"gene {row[0]!r}: memberships must be in [0, 1] and sum to 1, "
+                f"got {', '.join(row[1:])}"
+            )
+        gene_ids.append(row[0])
+        values.append(row_u)
+    if len(set(gene_ids)) != len(gene_ids):
+        raise ValueError("duplicate gene id in partition file")
+    u = np.asarray(values)
+    return PartitionFile("fuzzy", tuple(gene_ids), u, np.argmax(u, axis=1))
+
+
+def read_centroids_csv(source):
+    rows = [row for row in csv.reader(source) if row]
+    if len(rows) < 2:
+        raise ValueError("centroid file needs a header plus at least one row")
+    sample_ids = tuple(rows[0])
+    centroids = np.empty((len(rows) - 1, len(sample_ids)))
+    for i, row in enumerate(rows[1:]):
+        if len(row) != len(sample_ids):
+            raise ValueError(
+                f"expected {len(sample_ids)} fields per centroid row, found {len(row)}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                centroids[i, j] = float(cell)
+                kind = "" if math.isfinite(centroids[i, j]) else "non-finite"
+            except ValueError:
+                kind = "non-numeric"
+            if kind:
+                raise ValueError(
+                    f"{kind} value {cell!r} for centroid {i}, sample {sample_ids[j]!r}"
+                )
+    return centroids, sample_ids

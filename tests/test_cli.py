@@ -502,6 +502,34 @@ def test_validate_gene_id_mismatch(four_tsv, tmp_path, capsys):
     assert "gene ids do not match" in capsys.readouterr().err
 
 
+_HARD_HEAD = "gene_id,cluster\nga,0\ngb,0\ngc,1\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "heatmap"])
+@pytest.mark.parametrize("partition, message", [
+    (_HARD_HEAD + "zz,1\n", "partition gene ids do not match the matrix (4 vs 4 genes)"),
+    (_HARD_HEAD + "gd,1\nge,1\n", "partition gene ids do not match the matrix (5 vs 4 genes)"),
+    # as many rows as the matrix has genes, but three genes
+    ("gene_id,cluster,membership_kind\nga,0,lower\ngb,0,lower\ngc,0,boundary\ngc,1,boundary\n",
+     "partition gene ids do not match the matrix (3 vs 4 genes)"),
+    (_HARD_HEAD + "gd,99999999999999999999\n",
+     "gene 'gd': cluster index 99999999999999999999 is not below the gene count 4"),
+    (_HARD_HEAD + f"gd,{2**62}\n", f"gene 'gd': cluster index {2**62} is not below the gene count 4"),
+    (_HARD_HEAD + "gd,1.0\n", "gene 'gd': cluster index must be an integer, got '1.0'"),
+], ids=["one-gene-differs", "one-gene-more", "rough-rows-match", "past-int64", "2**62", "float"])
+def test_bad_partition_file_is_data_error(four_tsv, tmp_path, capsys, command, partition,
+                                          message):
+    part = tmp_path / "p.csv"
+    cent = tmp_path / "c.csv"
+    part.write_text(partition, encoding="utf-8")
+    cent.write_text("s1\n0.5\n10.5\n", encoding="utf-8")
+    more = ["--centroids", str(cent)] if command == "validate" else ["-o", str(tmp_path / "h.ppm")]
+    code = main([command, str(four_tsv), "--partition", str(part), *more])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "h.ppm").exists()
+
+
 @pytest.mark.parametrize("partition, message", [
     # more clusters than the centroid file holds
     ("gene_id,cluster\nga,0\ngb,0\ngc,1\ngd,2\n",

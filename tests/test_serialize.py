@@ -1,11 +1,14 @@
+import csv
 import io
 import json
 import math
 
+import _oracles
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_io import ODD_CELLS
 
 from pfclust import (
     FuzzyConfig,
@@ -84,6 +87,8 @@ def test_every_partition_has_k_assignments_and_memberships(bundled_path, alg):
     "a,inf,0.0",
     "a,2.0,-1",
     "a,0.5,0.4999999",
+    "a,inf,-inf",
+    "a,1e308,1e308",
 ])
 def test_fuzzy_reader_rejects_rows_that_are_not_probabilities(row):
     text = "gene_id,u0,u1\nz,0.25,0.75\n" + row + "\n"
@@ -314,3 +319,189 @@ def test_file_destinations(tmp_path):
 def test_unsupported_partition_type():
     with pytest.raises(TypeError, match="unsupported partition type"):
         write_partition_csv(object(), ("a",), io.StringIO())
+
+
+# ---------------------------------------------------- one cell rule against the old readers
+
+def _read_outcome(read, text):
+    """What a reader makes of a text: the message it refuses it with, or its result."""
+    try:
+        return read(io.StringIO(text))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_outcome(new, old):
+    if isinstance(old, str) or isinstance(new, str):
+        assert new == old
+    elif isinstance(old, tuple):  # centroids, sample ids
+        assert np.array_equal(new[0], old[0]) and new[1] == old[1]
+    else:
+        assert (new.kind, new.gene_ids) == (old.kind, old.gene_ids)
+        assert np.array_equal(new.memberships, old.memberships)
+        assert np.array_equal(new.assignments, old.assignments)
+
+
+# spellings int() and float() accept, so a valid file stays valid
+_INT_SPELLINGS = [str, lambda v: f" {v} ", lambda v: f"+{v}",
+                  lambda v: "".join(chr(0x660 + int(d)) for d in str(v))]
+_FLOAT_SPELLINGS = [repr, lambda v: f" {v!r} "]
+
+
+@st.composite
+def reader_texts(draw):
+    """A hard, rough, fuzzy or centroid CSV with at most one injected fault."""
+    kind = draw(st.sampled_from(["hard", "rough", "fuzzy", "centroids"]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    ids = [draw(st.sampled_from([f"g{i}", f"g,{i}"])) for i in range(n)]
+    spell = st.sampled_from(_FLOAT_SPELLINGS if kind in ("fuzzy", "centroids") else _INT_SPELLINGS)
+    if kind == "hard":
+        header = ["gene_id", "cluster"]
+        rows = [[gid, draw(spell)(draw(st.integers(0, k - 1)))] for gid in ids]
+    elif kind == "rough":
+        header = ["gene_id", "cluster", "membership_kind"]
+        rows = []
+        for gid in ids:
+            sets = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+            lone = "lower" if len(sets) == 1 and draw(st.booleans()) else "boundary"
+            rows += [[gid, draw(spell)(j), lone] for j in sets]
+        rows = draw(st.permutations(rows))
+    elif kind == "fuzzy":
+        header = ["gene_id"] + [f"u{j}" for j in range(k)]
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        one_hot = np.eye(k)[rng.integers(k, size=n)]
+        u = rng.dirichlet(np.ones(k), size=n) if draw(st.booleans()) else one_hot
+        rows = [[gid] + [draw(spell)(v) for v in row] for gid, row in zip(ids, u.tolist())]
+    else:
+        header = [f"s{j}" for j in range(draw(st.integers(1, 3)))]
+        cell = st.floats(allow_nan=False, allow_infinity=False)
+        rows = [[draw(spell)(draw(cell)) for _ in header] for _ in range(k)]
+    fault = draw(st.sampled_from({
+        "hard": ["fields", "number", "negative", "duplicate"],
+        "rough": ["fields", "number", "negative", "kind", "mixed", "repeat"],
+        "fuzzy": ["fields", "number", "range", "nudge", "duplicate"],
+        "centroids": ["fields", "number", "non-finite"],
+    }[kind] + [None] * 2))
+    i = draw(st.integers(0, len(rows) - 1))
+    # a number fault's column: any centroid cell, else a cluster or membership cell
+    j = draw(st.integers(kind != "centroids", 1 if kind == "rough" else len(header) - 1))
+    rows = [list(row) for row in rows]
+    if fault == "fields":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+    elif fault == "number":
+        rows[i][j] = draw(st.sampled_from(["x", "", "1.5", "0x10", "1e3", "1.0", "0x1p3"]))
+    elif fault == "negative":
+        rows[i][j] = "-1"
+    elif fault == "non-finite":
+        rows[i][j] = draw(st.sampled_from(["nan", "inf", "-infinity", "1e400"]))
+    elif fault == "range":
+        rows[i][j] = draw(st.sampled_from(["2.0", "-0.5", "nan", "0.5000001"]))
+    elif fault == "nudge":  # off the row sum by 1e-7, or by 1e-10 within its tolerance
+        rows[i][j] = repr(float(rows[i][j]) + draw(st.sampled_from([1e-7, 1e-10])))
+    elif fault == "duplicate" and n > 1:
+        rows[i][0] = rows[(i + 1) % len(rows)][0]
+    elif fault == "kind":
+        rows[i][2] = "upper"
+    elif fault == "mixed":
+        rows[i][2] = "lower"
+    elif fault == "repeat":
+        rows.insert(i, rows[i])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+    return kind, buf.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=reader_texts())
+def test_readers_match_the_per_cell_readers(case):
+    kind, text = case
+    new, old = ((read_centroids_csv, _oracles.read_centroids_csv) if kind == "centroids"
+                else (read_partition_csv, _oracles.read_partition_csv))
+    _same_outcome(_read_outcome(new, text), _read_outcome(old, text))
+
+
+def _float_or_none(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _int_or_none(cell):
+    try:
+        return int(cell)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("cell", ODD_CELLS)
+def test_odd_centroid_cells_read_as_float_does(cell):
+    text = f"s1,s2\n0.5,{cell}\n"
+    new = _read_outcome(read_centroids_csv, text)
+    _same_outcome(new, _read_outcome(_oracles.read_centroids_csv, text))
+    value = _float_or_none(cell)
+    if value is not None and math.isfinite(value):
+        assert new[0][0, 1] == value
+    else:
+        assert isinstance(new, str) and new.startswith(("non-numeric", "non-finite"))
+
+
+# ODD_CELLS read as memberships fail the [0, 1] rule; these spell 0.5 and 0.25
+@pytest.mark.parametrize("cell", ODD_CELLS + ["٠.٥", " 0.25 ", "2_5e-2"])
+def test_odd_membership_cells_read_as_float_does(cell):
+    value = _float_or_none(cell)
+    rest = repr(1.0 - value) if value is not None and 0.0 <= value <= 1.0 else "0.5"
+    text = f"gene_id,u0,u1\na,{cell},{rest}\nb,0.5,0.5\n"
+    new = _read_outcome(read_partition_csv, text)
+    _same_outcome(new, _read_outcome(_oracles.read_partition_csv, text))
+    if isinstance(new, str):
+        assert new.startswith("gene 'a': memberships must be in [0, 1]")
+    else:
+        assert new.memberships[0, 0] == value
+
+
+@pytest.mark.parametrize("layout", ["hard", "rough"])
+@pytest.mark.parametrize("cell", ODD_CELLS + [" 1 ", "+1", "١", "1.0", "99999999999999999999"])
+def test_odd_cluster_cells_read_as_int_does(cell, layout):
+    # 13 genes, so the 10 and 12 that 1_0 and the Arabic-Indic digits spell are in range
+    head, tail = {"hard": ("gene_id,cluster\n", ""),
+                  "rough": ("gene_id,cluster,membership_kind\n", ",lower")}[layout]
+    text = head + f"a,{cell}{tail}\n" + "".join(f"g{i},0{tail}\n" for i in range(12))
+    new = _read_outcome(read_partition_csv, text)
+    value = _int_or_none(cell)
+    if value is not None and value >= 13:
+        # the old reader had no upper bound: it overflowed here
+        assert new == f"gene 'a': cluster index {value} is not below the gene count 13"
+        return
+    if value is None:
+        assert new == f"gene 'a': cluster index must be an integer, got {cell!r}"
+    else:
+        assert new.assignments[0] == value
+    _same_outcome(new, _read_outcome(_oracles.read_partition_csv, text))
+
+
+@pytest.mark.parametrize("text", [
+    "gene_id,cluster\na,99999999999999999999\n",
+    f"gene_id,cluster\na,{2**62}\n",
+    f"gene_id,cluster,membership_kind\na,0,boundary\na,{2**62},boundary\n",
+    f"gene_id,cluster\nb,0\na,{2**64}\n",
+], ids=["hard-past-int64", "hard-2**62", "rough-2**62", "hard-past-uint64"])
+def test_cluster_index_at_or_above_the_gene_count_names_its_gene(text):
+    message = r"^gene 'a': cluster index \d+ is not below the gene count"
+    with pytest.raises(ValueError, match=message):
+        read_partition_csv(io.StringIO(text))
+
+
+def test_cluster_index_bound_is_the_gene_count():
+    ok = read_partition_csv(io.StringIO("gene_id,cluster\na,0\nb,2\nc,1\n"))
+    assert ok.k == 3 and ok.assignments.tolist() == [0, 2, 1]
+    with pytest.raises(ValueError) as info:
+        read_partition_csv(io.StringIO("gene_id,cluster\na,0\nb,3\nc,1\n"))
+    assert str(info.value) == "gene 'b': cluster index 3 is not below the gene count 3"
+    # a rough file's gene count is its distinct genes, not its rows
+    with pytest.raises(ValueError, match="'b': cluster index 2 is not below the gene count 2"):
+        read_partition_csv(io.StringIO(
+            "gene_id,cluster,membership_kind\na,0,boundary\na,1,boundary\nb,2,lower\n"))
+    with pytest.raises(ValueError, match="^negative cluster index$"):
+        read_partition_csv(io.StringIO("gene_id,cluster\na,-99999999999999999999\n"))
