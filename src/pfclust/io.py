@@ -15,7 +15,14 @@ Three tab-delimited input formats are supported:
   the gene id.
 
 One reader builds the matrix for all three formats, and reads each cell as
-Python's ``float()`` does. Values must be finite; NaN or infinite cells are
+Python's ``float()`` does. It has two paths with one outcome: numpy's C text
+reader converts a well-formed body in one pass (its ``quotechar`` option,
+numpy >= 1.23, is within the ``numpy>=1.24`` floor), and any other body is
+walked row by row. The C reader runs only after a structure pass has checked
+every line's field count and id, and only on lines without U+001F, which it
+strips as whitespace where ``float()`` refuses it. The walk reads the cells
+that only ``float()`` reads (``1_0``, non-ASCII digits) and names the first
+fault in file order. Values must be finite; NaN or infinite cells are
 rejected with their location rather than imputed, worded by the cell rule
 the centroid reader also uses (``_util.bad_cell``).
 """
@@ -108,35 +115,53 @@ def _read_body(
     first: int, step: int, layout: str,
 ) -> ExpressionMatrix:
     """Build the matrix from numbered data lines with the id in field `id_col`
-    and the values in fields `first::step`. Assigning a row of strings to the
-    array converts each as float() does; only a row that fails, or holds a
-    non-finite value, is walked cell by cell by `bad_cell`, to name the
-    first bad one with its line and column.
+    and the values in fields `first::step`.
+
+    Two paths give one outcome. A structure pass checks every line's tab
+    count (before taking ids, as a short line has no id field), its id, and
+    that it holds no U+001F, which numpy's C reader strips as whitespace and
+    float() refuses. The C reader (whose ``quotechar`` needs numpy >= 1.23)
+    then converts the whole body in one pass. If a check fails, the reader
+    refuses a cell or a value is not finite, the rows are walked one by one:
+    assigning a row of strings converts each cell as float() does (so
+    ``1_0`` and non-ASCII digits, which the C reader refuses, are read), and
+    `bad_cell` names the first bad cell in file order with its line and
+    column.
     """
     n_samples = len(sample_ids)
     n_fields = first + step * n_samples
-    gene_ids: list[str] = []
-    values = np.empty((len(rows), n_samples))
-    for i, (line_no, line) in enumerate(rows):
-        if not line:
-            raise ParseError("blank line inside data section", line_no)
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise ParseError(
-                f"expected {n_fields} fields ({layout}), found {len(fields)}", line_no
-            )
-        if not fields[id_col]:
-            raise ParseError(f"empty {id_name}", line_no, id_col + 1)
-        gene_ids.append(fields[id_col])
-        cells = fields[first::step]
-        try:
-            values[i] = cells
-            ok = np.isfinite(values[i]).all()
-        except ValueError:
-            ok = False
-        if not ok:
-            j, what = bad_cell(cells)
-            raise ParseError(what, line_no, first + 1 + step * j)
+    lines = [line for _, line in rows]
+    values = None
+    if lines and all(ln.count("\t") == n_fields - 1 and "\x1f" not in ln for ln in lines):
+        gene_ids = [ln.split("\t", id_col + 1)[id_col] for ln in lines]
+        if all(gene_ids):
+            try:
+                values = np.loadtxt(lines, delimiter="\t", comments=None, quotechar=None,
+                                    usecols=range(first, n_fields, step), ndmin=2)
+            except ValueError:
+                pass
+    if values is None or values.shape != (len(rows), n_samples) or not np.isfinite(values).all():
+        gene_ids, values = [], np.empty((len(rows), n_samples))
+        for i, (line_no, line) in enumerate(rows):
+            if not line:
+                raise ParseError("blank line inside data section", line_no)
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise ParseError(
+                    f"expected {n_fields} fields ({layout}), found {len(fields)}", line_no
+                )
+            if not fields[id_col]:
+                raise ParseError(f"empty {id_name}", line_no, id_col + 1)
+            gene_ids.append(fields[id_col])
+            cells = fields[first::step]
+            try:
+                values[i] = cells
+                ok = np.isfinite(values[i]).all()
+            except ValueError:
+                ok = False
+            if not ok:
+                j, what = bad_cell(cells)
+                raise ParseError(what, line_no, first + 1 + step * j)
     try:
         return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), values)
     except ValueError as exc:

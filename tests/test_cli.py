@@ -885,6 +885,21 @@ def test_parse_error_reports_location(tmp_path, capsys):
     assert "line 2" in err and "column 3" in err
 
 
+# field counts are checked before ids are taken: a one-field res row has no
+# accession field and a short gct row no second value
+@pytest.mark.parametrize("name, text, message", [
+    ("one.res", "Description\tAccession\ta\t\tb\t\n\n2\nd\tg1\t1\tP\t2\tA\nonly\n",
+     "line 5: expected 6 fields (description, accession and 2 value/call pairs), found 1"),
+    ("short.gct", "#1.2\n2\t2\nName\tDescription\ta\tb\ng1\td\t1\t2\ng2\td\t3\n",
+     "line 5: expected 4 fields (name, description, 2 values), found 3"),
+], ids=["res", "gct"])
+def test_short_data_row_names_its_field_count(tmp_path, capsys, name, text, message):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    assert main(["normalize", str(p), "--method", "zscore"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_algorithm_usage_error(four_tsv, capsys):
     code = main(["cluster", str(four_tsv), "--alg", "dbscan", "--k", "2"])
     assert code == 1
