@@ -179,10 +179,11 @@ class SqDistances:
 
     What depends on x alone is computed once, when x is bound: mu, the
     centred rows xc = x - mu and their squared norms xn. A call does only
-    the work that depends on w. x and w are read row-major whatever their
-    layout (an F-ordered one is copied), so equal values give bit-equal
-    distances. An iterative run binds its data once and applies the
-    kernel to each round's centroids.
+    the work that depends on w: it scales the small w operand by -2 (exact),
+    not the product, and looks for entries to recompute only if there are
+    any. x and w are read row-major whatever their layout (an F-ordered one
+    is copied), so equal values give bit-equal distances. An iterative run
+    binds its data once and applies the kernel to each round's centroids.
     """
 
     def __init__(self, x: np.ndarray):
@@ -197,15 +198,15 @@ class SqDistances:
         with np.errstate(over="ignore", invalid="ignore"):
             wc = np.ascontiguousarray(w - self.mu)
             wn = np.einsum("ij,ij->i", wc, wc)
-            d2 = wc @ self.xc.T
-            d2 *= -2.0
+            d2 = (-2.0 * wc) @ self.xc.T
             d2 += xn[None, :]
             d2 += wn[:, None]
             np.maximum(d2, 0.0, out=d2)
-            cols, rows = np.nonzero(~(d2 > _RECOMPUTE_FRAC * (xn[None, :] + wn[:, None])))
-        if rows.size:
-            diff = x[rows] - w[cols]
-            d2[cols, rows] = np.einsum("ij,ij->i", diff, diff)
+            redo = ~(d2 > _RECOMPUTE_FRAC * (xn[None, :] + wn[:, None]))
+            if redo.any():
+                cols, rows = np.nonzero(redo)
+                diff = x[rows] - w[cols]
+                d2[cols, rows] = np.einsum("ij,ij->i", diff, diff)
         return d2.T
 
 
@@ -215,9 +216,9 @@ def sq_distances(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def weighted_means(g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one centroid rule: ((g.T @ x) / mass, mass) for (n, k) row weights g,
-    one-hot rows (kmeans), lower or boundary indicators (rough) or u**m (fuzzy).
-    mass is summed cluster-major; a column of zero mass gives a zero row."""
+    """The one centroid rule: ((g.T @ x) / mass, mass) for (n, k) row weights g
+    built cluster-major: one-hot rows (kmeans), lower or boundary indicators
+    (rough) or u**m (fuzzy). Mass is summed cluster-major; zero mass gives a zero row."""
     g = np.asfortranarray(g, dtype=np.float64)
     mass, sums = g.sum(axis=0), g.T @ x
     return np.divide(sums, mass[:, None], out=np.zeros_like(sums), where=mass[:, None] != 0), mass

@@ -238,9 +238,10 @@ def _parse_res(lines: list[str]) -> ExpressionMatrix:
 
 
 def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None:
-    """Write a matrix in the tsv format; values round-trip bit-exactly."""
+    """Write a matrix in the tsv format; values round-trip bit-exactly. An id
+    holding a tab or a break of str.splitlines(), the reader's line rule, is refused."""
     for name in list(matrix.gene_ids) + list(matrix.sample_ids):
-        if "\t" in name or "\n" in name or "\r" in name:
+        if "\t" in name or len(f"{name}.".splitlines()) > 1:
             raise ValueError(f"id {name!r} contains a tab or newline and cannot be written")
     lines = ["\t".join(matrix.sample_ids)]
     # repr of a Python float is the shortest string that round-trips exactly;

@@ -43,8 +43,8 @@ class HardPartition(Stopped):
 
     @property
     def memberships(self) -> np.ndarray:
-        """One-hot rows: 1 for each gene's cluster."""
-        return np.eye(self.k)[self.assignments]
+        """One-hot rows: 1 for each gene's cluster, stored cluster-major."""
+        return (np.arange(self.k)[:, None] == self.assignments).T.astype(np.float64)
 
 
 def _repair_empty(assign: np.ndarray, dists: np.ndarray, k: int) -> None:
@@ -114,7 +114,7 @@ def kmeans(
         dists = distances(w)
         assign = np.argmin(dists, axis=1)
         _repair_empty(assign, dists, k)
-        w_new, _ = weighted_means(assign[:, None] == np.arange(k), x)
+        w_new, _ = weighted_means((np.arange(k)[:, None] == assign).T, x)
         np.take(w_new, assign, axis=0, out=resid)
         np.subtract(x, resid, out=resid)
         sse = float(np.einsum("ij,ij->i", resid, resid).sum())

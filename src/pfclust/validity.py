@@ -16,6 +16,10 @@ algorithm ran with, so scores stay comparable across algorithms:
     xb = sum_ij u_ij^2 ||x_i - w_j||^2 / ( n_g * min_{j != l} ||w_j - w_l||^2 )
 
 Lower is better for all three.
+
+score() binds x to the distance kernel once: RMSE and Xie-Beni come from one
+d², through the helper rmse and xie_beni also use. MAE takes its own
+sample-major copy of x.T, so one score copies x twice: the bind and MAE's.
 """
 
 from __future__ import annotations
@@ -79,35 +83,51 @@ def unified_memberships(p: Partition) -> np.ndarray:
     return p.memberships.copy()
 
 
-def _check_shapes(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> None:
-    if u.shape[0] != x.shape[0] or u.shape[1] != w.shape[0] or w.shape[1] != x.shape[1]:
+def _values(x, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    xv = as_values(x)
+    if u.shape[0] != xv.shape[0] or u.shape[1] != w.shape[0] or w.shape[1] != xv.shape[1]:
         raise ValueError(
-            f"inconsistent shapes: data {x.shape}, memberships {u.shape}, "
+            f"inconsistent shapes: data {xv.shape}, memberships {u.shape}, "
             f"centroids {w.shape}"
         )
+    return xv
+
+
+def _indices(xv: np.ndarray, u: np.ndarray, w: np.ndarray, m: float | None = None,
+             xb: bool = False) -> tuple[float, float]:
+    """(RMSE at fuzzifier m, Xie-Beni) from one bind of xv and one d²: the one
+    place score, rmse and xie_beni compute them. m None skips RMSE and xb False
+    skips Xie-Beni (nan); Xie-Beni is inf for one centroid or two that coincide."""
+    d2 = sq_distances(xv, w)
+    r = math.nan if m is None else math.sqrt(total((u ** m) * d2) / xv.size)
+    if not xb:
+        return r, math.nan
+    sep = sq_distances(w, w)
+    np.fill_diagonal(sep, np.inf)
+    min_sep = float(sep.min())
+    if len(w) < 2 or min_sep <= _SEPARATION_TOL:
+        return r, math.inf
+    return r, total((u ** 2) * d2) / (xv.shape[0] * min_sep)
 
 
 def rmse(x, u: np.ndarray, w: np.ndarray, m: float = 2.0) -> float:
     """Root of the mean membership-weighted squared residual per cell."""
-    xv = as_values(x)
-    _check_shapes(xv, u, w)
-    sse = total((u ** m) * sq_distances(xv, w))
-    return math.sqrt(sse / (xv.shape[0] * xv.shape[1]))
+    return _indices(_values(x, u, w), u, w, m=m)[0]
 
 
 def mae(x, u: np.ndarray, w: np.ndarray, m: float = 2.0) -> float:
     """Mean membership-weighted L1 residual per cell."""
-    xv = as_values(x)
-    _check_shapes(xv, u, w)
-    # one cluster at a time through one reused buffer, so no (n, k, d)
-    # array is built and no fresh (n, d) array is paged in per cluster
+    xv = _values(x, u, w)
+    # sample-major, one cluster at a time through one reused buffer: each L1
+    # sum reduces contiguous rows of x.T, and no (n, k, d) array is built
+    xt = np.ascontiguousarray(xv.T)
     l1 = np.empty((w.shape[0], xv.shape[0]))
-    diff = np.empty_like(xv)
+    diff = np.empty_like(xt)
     for j in range(w.shape[0]):
-        np.subtract(xv, w[j], out=diff)
+        np.subtract(xt, w[j][:, None], out=diff)
         np.abs(diff, out=diff)
-        diff.sum(axis=1, out=l1[j])
-    return total((u ** m) * l1.T) / (xv.shape[0] * xv.shape[1])
+        diff.sum(axis=0, out=l1[j])
+    return total((u ** m) * l1.T) / xv.size
 
 
 def xie_beni(x, u: np.ndarray, w: np.ndarray) -> float:
@@ -116,30 +136,22 @@ def xie_beni(x, u: np.ndarray, w: np.ndarray) -> float:
     Requires at least two centroids; the separation term is the minimum
     squared distance between any two of them.
     """
-    xv = as_values(x)
-    _check_shapes(xv, u, w)
-    k = w.shape[0]
-    if k < 2:
+    xv = _values(x, u, w)
+    if w.shape[0] < 2:
         raise ValueError("the separation term needs at least 2 centroids")
-    sep = sq_distances(w, w)
-    np.fill_diagonal(sep, np.inf)
-    min_sep = float(sep.min())
-    if min_sep <= _SEPARATION_TOL:
-        return math.inf
-    scatter = total((u ** 2) * sq_distances(xv, w))
-    return scatter / (xv.shape[0] * min_sep)
+    return _indices(xv, u, w, xb=True)[1]
 
 
 def score(x, u: np.ndarray, w: np.ndarray, m: float, algorithm: str) -> ValidityReport:
     """Score memberships u and centroids w of x as a ValidityReport.
 
-    The fuzzifier m weights the rmse/mae residuals. With a single cluster
-    the Xie-Beni index is undefined and reported as infinity.
+    The fuzzifier m weights the rmse/mae residuals; rmse and Xie-Beni share one
+    d². Xie-Beni is infinity for a single cluster or coincident centroids.
     """
-    xv = as_values(x)
-    xb = math.inf if w.shape[0] < 2 else xie_beni(xv, u, w)
+    xv = _values(x, u, w)
+    r, xb = _indices(xv, u, w, m, xb=True)
     return ValidityReport(
-        rmse=rmse(xv, u, w, m),
+        rmse=r,
         mae=mae(xv, u, w, m),
         xie_beni=xb,
         n_genes=xv.shape[0],
@@ -159,4 +171,4 @@ def evaluate(x, p: Partition, m: float | None = None,
             RoughPartition: "rough_kmeans",
             FuzzyPartition: "fcm" if getattr(p, "alpha", None) is None else "pfcm",
         }[type(p)]
-    return score(x, unified_memberships(p), p.centroids, m, algorithm)
+    return score(x, p.memberships, p.centroids, m, algorithm)

@@ -163,6 +163,25 @@ def test_write_tsv_rejects_ids_with_tabs():
         write_tsv(m, io.StringIO())
 
 
+# tab and every line break of str.splitlines(), the reader's line rule
+ID_BREAKS = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_id_breaks_are_the_splitlines_breaks():
+    breaks = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) > 1]
+    assert sorted(ID_BREAKS) == sorted(breaks + ["\t"])
+
+
+@pytest.mark.parametrize("where", ["gene", "sample"])
+@pytest.mark.parametrize("char", ID_BREAKS, ids=[f"U+{ord(c):04X}" for c in ID_BREAKS])
+def test_write_tsv_refuses_an_id_the_reader_would_split(char, where):
+    name = f"x{char}y"
+    genes, samples = ((name, "g2"), ("s1",)) if where == "gene" else (("g1", "g2"), (name,))
+    m = ExpressionMatrix(genes, samples, [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="tab or newline"):
+        write_tsv(m, io.StringIO())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.lists(

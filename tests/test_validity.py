@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfclust import (
     DEFAULTS,
@@ -21,6 +24,7 @@ from pfclust import (
     unified_memberships,
     xie_beni,
 )
+from pfclust.validity import score
 
 
 def _hard(assignments, centroids):
@@ -245,3 +249,64 @@ def test_report_rejects_unknown_tag():
             k=1,
             algorithm="other",
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    k=st.integers(1, 6),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    coincide=st.booleans(),
+    order=st.sampled_from("CF"),
+)
+def test_score_is_the_three_public_indices_bit_for_bit(n, k, d, seed, m, coincide, order):
+    # score binds x once and shares one d2 between rmse and Xie-Beni; each
+    # index must still equal its public function exactly
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2, d)
+    # some centroids on data rows, and with coincide two of them equal
+    w = np.where(rng.random((k, 1)) < 0.3, x[rng.integers(n, size=k)], rng.standard_normal((k, d)))
+    if coincide and k > 1:
+        w[-1] = w[0]
+    u = rng.random((n, k)) ** 3 + 1e-3
+    u = np.array(u / u.sum(axis=1, keepdims=True), order=order)
+    rep = score(x, u, w, m, "fcm")
+    assert rep.rmse == rmse(x, u, w, m)
+    assert rep.mae == mae(x, u, w, m)
+    if k == 1:
+        assert rep.xie_beni == math.inf
+        with pytest.raises(ValueError, match="at least 2"):
+            xie_beni(x, u, w)
+    else:
+        assert rep.xie_beni == xie_beni(x, u, w)
+        assert rep.xie_beni == math.inf or not coincide
+    assert (rep.n_genes, rep.n_samples, rep.k) == (n, d, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("alg", ["kmeans", "rough_kmeans", "fcm", "pfcm"])
+def test_evaluate_is_score_on_the_partition_memberships(alg, seed):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.normal(c, 0.5, size=(20, 3)) for c in (0.0, 3.0, 6.0)])
+    p = run_algorithm(alg, x, 3, seed=seed)
+    m = DEFAULTS["m"] if isinstance(p, FuzzyPartition) else 1.0
+    assert evaluate(x, p) == score(x, p.memberships, p.centroids, m, alg)
+    assert evaluate(x, p, m=1.5) == score(x, p.memberships, p.centroids, 1.5, alg)
+
+
+def test_extreme_centroids_score_without_float_warnings():
+    # centring these centroids, and recomputing their separation exactly,
+    # overflows; the kernel silences its float warnings, and the pyproject
+    # filter would turn any that escaped into errors
+    x = np.array([[0.5]])
+    w = np.array([[1.7e308], [-1.7e308], [-1.7e308]])
+    u = np.full((1, 3), 1 / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert xie_beni(x, u, w) == math.inf
+        assert rmse(x, u, w) == math.inf
+        rep = score(x, u, w, 2.0, "fcm")
+    assert (rep.rmse, rep.xie_beni) == (math.inf, math.inf)
+    assert math.isfinite(rep.mae)
