@@ -24,7 +24,11 @@
 # - the matrix reader's two paths: a 1_0 cell, which only the float() walk
 #   reads (exit 0), a cell ending in U+001F, which numpy's C reader would
 #   strip (exit 2), and a res file, whose values are every second column
-#   (exit 0).
+#   (exit 0);
+# - normalize's binary companion: cluster writes the same partition,
+#   centroids and meta.json from the TSV with its companion and from a copy
+#   of the TSV alone, and again once CRLF line ends make the companion
+#   stale; a stale companion hides no fault (a trailing blank line, exit 2).
 set -eo pipefail
 out=${1:?usage: ci/console-checks.sh OUT_DIR}
 
@@ -65,3 +69,16 @@ printf 's1\ts2\ng1\t1.5\037\t2\ng2\t3\t5\n' > "$out/unit.tsv"
 rc=0; pfclust normalize "$out/unit.tsv" --method zscore -o "$out/unit.z.tsv" || rc=$?; test "$rc" -eq 2
 printf 'Description\tAccession\ta\t\tb\t\n\n2\nd\tg1\t1\tP\t2\tA\nd\tg2\t3\tP\t5\tA\n' > "$out/two.res"
 pfclust normalize "$out/two.res" --method zscore -o "$out/two.z.tsv"
+mkdir -p "$out/with" "$out/alone"
+pfclust normalize tests/data/synthetic_100x10.tsv --method zscore -o "$out/with/z.tsv"
+test -f "$out/with/z.tsv.npy"
+cp "$out/with/z.tsv" "$out/alone/z.tsv"
+(cd "$out/with" && pfclust cluster z.tsv --alg pfcm --k 3 --out p)
+(cd "$out/alone" && pfclust cluster z.tsv --alg pfcm --k 3 --out p)
+for f in p.partition.csv p.centroids.csv p.meta.json; do cmp "$out/with/$f" "$out/alone/$f"; done
+sed -i 's/$/\r/' "$out/with/z.tsv"
+(cd "$out/with" && pfclust cluster z.tsv --alg pfcm --k 3 --out stale)
+for f in partition.csv centroids.csv meta.json; do cmp "$out/with/stale.$f" "$out/alone/p.$f"; done
+printf '\n' >> "$out/alone/z.tsv"
+cp "$out/with/z.tsv.npy" "$out/alone/"
+rc=0; pfclust cluster "$out/alone/z.tsv" --alg pfcm --k 3 --out "$out/blank" || rc=$?; test "$rc" -eq 2

@@ -171,11 +171,12 @@ class SqDistances:
     contiguous memory. It uses the expansion
     ||a||^2 - 2 a.b + ||b||^2 on rows centred by the column mean mu of x,
     so one matrix product does the work and no (n, k, d) array is built.
-    Results are clamped at 0, and every entry small next to
-    ||x_i - mu||^2 + ||w_j - mu||^2 is recomputed exactly from x_i - w_j,
-    so a row equal to a centroid gets exactly 0. Entries the expansion
-    leaves inf or nan by overflow are recomputed the same way, which is
-    why its floating-point warnings are silenced.
+    Every entry not above a small fraction of ||x_i - mu||^2 + ||w_j - mu||^2
+    is recomputed exactly from x_i - w_j, so a row equal to a centroid gets
+    exactly 0. Negative and nan entries fail the same test and are
+    recomputed the same way (so no clamp at 0 is needed), as are inf ones
+    where a norm overflowed, which is why its floating-point warnings are
+    silenced.
 
     What depends on x alone is computed once, when x is bound: mu, the
     centred rows xc = x - mu and their squared norms xn. A call does only
@@ -201,10 +202,9 @@ class SqDistances:
             d2 = (-2.0 * wc) @ self.xc.T
             d2 += xn[None, :]
             d2 += wn[:, None]
-            np.maximum(d2, 0.0, out=d2)
-            redo = ~(d2 > _RECOMPUTE_FRAC * (xn[None, :] + wn[:, None]))
-            if redo.any():
-                cols, rows = np.nonzero(redo)
+            keep = d2 > _RECOMPUTE_FRAC * (xn[None, :] + wn[:, None])
+            if not keep.all():
+                cols, rows = np.nonzero(~keep)
                 diff = x[rows] - w[cols]
                 d2[cols, rows] = np.einsum("ij,ij->i", diff, diff)
         return d2.T

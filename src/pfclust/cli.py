@@ -17,6 +17,10 @@ is read: one that names a directory or lies in a missing one, like one
 that fails at write time, exits 2 with "cannot write <path>: <reason>".
 An unreadable or non-UTF-8 input exits 2 with "cannot read <path>:
 <reason>", and a partition cell that is not a number names its gene.
+normalize writes its TSV and, in the same atomic write, the TSV's binary
+companion (``io.write_companion``). Every subcommand takes a tsv input's
+values from a companion that matches its bytes (``io.read_tsv_file``);
+no other subcommand writes one.
 Reruns with identical flags overwrite byte-identical artifacts.
 """
 
@@ -48,7 +52,16 @@ from .harness import (
     preset_pairs,
 )
 from .heatmap import cluster_row_order, write_ppm
-from .io import FORMATS, ParseError, parse_matrix, sniff_format, write_tsv
+from .io import (
+    FORMATS,
+    ParseError,
+    companion_path,
+    parse_matrix,
+    read_tsv_file,
+    sniff_format,
+    write_companion,
+    write_tsv,
+)
 from .matrix import ExpressionMatrix
 from .normalize import METHODS, DegenerateRowsError, normalize
 from .serialize import (
@@ -108,15 +121,25 @@ def _read(path: str, read: Optional[Callable] = None):
 
 
 def _read_matrix(path: str, fmt: str) -> ExpressionMatrix:
+    """The matrix at `path`: a tsv file from its companion when that matches
+    the bytes read (io.read_tsv_file), any file from its parsed text."""
+    fmt = sniff_format(path) if fmt == "auto" else fmt
+    text, m = _read(path, read_tsv_file) if fmt == "tsv" else (_read(path), None)
     try:
-        return parse_matrix(_read(path), sniff_format(path) if fmt == "auto" else fmt)
+        return m if m is not None else parse_matrix(text, fmt)
     except ParseError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _temp(path: Path) -> Path:
+    """The temp file beside `path` that _atomic_write has its writer write."""
+    return path.with_name(path.name + f".tmp{os.getpid()}")
 
 
 def _atomic_write(outputs: Iterable[tuple[Path, Callable[[Path], None]]]) -> None:
     """Call each writer on a temp file beside its path; rename all once all are written.
 
+    Writers run in order, so a writer may read an earlier output's temp.
     Prints "wrote <path>" per output on success. On any exception every
     temp is removed, and an OSError becomes a DataError naming the path
     being written or renamed.
@@ -126,7 +149,7 @@ def _atomic_write(outputs: Iterable[tuple[Path, Callable[[Path], None]]]) -> Non
     try:
         for path, write in outputs:
             # registered first, so a half-written temp is removed too
-            temps.append(path.with_name(path.name + f".tmp{os.getpid()}"))
+            temps.append(_temp(path))
             write(temps[-1])
         for tmp, (path, _) in zip(temps, outputs):
             os.replace(tmp, path)
@@ -176,7 +199,10 @@ def _cmd_normalize(args) -> int:
     paths = _outputs(args, ".normalized.tsv")
     m = _read_matrix(args.input, args.format)
     out = normalize(m, method, drop_degenerate=args.drop_degenerate)
-    _atomic_write(zip(paths, [partial(write_tsv, out)]))
+    tsv = paths[0]
+    # the companion holds the digest of the tsv temp's bytes, which are renamed unchanged
+    _atomic_write([(tsv, partial(write_tsv, out)),
+                   (companion_path(tsv), partial(write_companion, out.values, _temp(tsv)))])
     if out.n_genes < m.n_genes:
         _warn(args, f"dropped {m.n_genes - out.n_genes} degenerate gene(s)")
     return EXIT_OK

@@ -25,6 +25,18 @@ that only ``float()`` reads (``1_0``, non-ASCII digits) and names the first
 fault in file order. Values must be finite; NaN or infinite cells are
 rejected with their location rather than imputed, worded by the cell rule
 the centroid reader also uses (``_util.bad_cell``).
+
+A tsv file may have a binary companion beside it, its name plus ``.npy``
+(``companion_path``), which ``write_companion`` writes: the SHA-256 of the
+tsv file's exact bytes, then its values in numpy's ``.npy`` format (float64,
+no pickle). ``read_tsv_file`` takes the values from it in place of the text
+parse only when its digest is that of the bytes read and its shape is the
+(rows, samples) that the structure pass finds in the text; the ids come from
+the text and the ``ExpressionMatrix`` checks still run. Any other companion
+(missing, stale, truncated, of another shape, or unreadable) is ignored, and
+the text is parsed. Since ``write_tsv`` writes each value as its shortest
+round-trip ``repr``, both paths give the same matrix bit for bit. The tsv
+file stays the source of truth: a companion only saves re-parsing it.
 """
 
 from __future__ import annotations
@@ -37,7 +49,10 @@ import numpy as np
 from ._util import bad_cell, opened
 from .matrix import ExpressionMatrix
 
-__all__ = ["ParseError", "parse_matrix", "write_tsv", "sniff_format", "FORMATS"]
+__all__ = [
+    "ParseError", "parse_matrix", "write_tsv", "sniff_format", "FORMATS",
+    "companion_path", "write_companion", "read_tsv_file",
+]
 
 FORMATS = ("tsv", "gct", "res")
 
@@ -131,15 +146,13 @@ def _read_body(
     n_samples = len(sample_ids)
     n_fields = first + step * n_samples
     lines = [line for _, line in rows]
-    values = None
-    if lines and all(ln.count("\t") == n_fields - 1 and "\x1f" not in ln for ln in lines):
-        gene_ids = [ln.split("\t", id_col + 1)[id_col] for ln in lines]
-        if all(gene_ids):
-            try:
-                values = np.loadtxt(lines, delimiter="\t", comments=None, quotechar=None,
-                                    usecols=range(first, n_fields, step), ndmin=2)
-            except ValueError:
-                pass
+    gene_ids, values = _structure(lines, n_fields, id_col), None
+    if gene_ids is not None:
+        try:
+            values = np.loadtxt(lines, delimiter="\t", comments=None, quotechar=None,
+                                usecols=range(first, n_fields, step), ndmin=2)
+        except ValueError:
+            pass
     if values is None or values.shape != (len(rows), n_samples) or not np.isfinite(values).all():
         gene_ids, values = [], np.empty((len(rows), n_samples))
         for i, (line_no, line) in enumerate(rows):
@@ -166,6 +179,17 @@ def _read_body(
         return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), values)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _structure(lines: list[str], n_fields: int, id_col: int) -> list[str] | None:
+    """The structure pass: the ids in field `id_col` if every line has `n_fields`
+    fields (counted first, as a short line has no id field), a non-empty id
+    and no U+001F; else None."""
+    if lines and all(ln.count("\t") == n_fields - 1 and "\x1f" not in ln for ln in lines):
+        ids = [ln.split("\t", id_col + 1)[id_col] for ln in lines]
+        if all(ids):
+            return ids
+    return None
 
 
 def _parse_tsv(lines: list[str]) -> ExpressionMatrix:
@@ -251,3 +275,70 @@ def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None
         lines.append(gene_id + "\t" + "\t".join(map(repr, row.tolist())))
     with opened(dest) as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def companion_path(path: str | Path) -> Path:
+    """The binary companion of the tsv file at `path`: its name plus ".npy"."""
+    path = Path(path)
+    return path.with_name(path.name + ".npy")
+
+
+def _sha256(data: bytes) -> bytes:
+    # imported here, as hashlib loads OpenSSL (about 4 ms and 3.6 MiB of
+    # RSS), which a read with no companion beside its file never needs
+    import hashlib
+
+    return hashlib.sha256(data).digest()
+
+
+def write_companion(values: np.ndarray, tsv: str | Path,
+                    dest: Union[str, Path, IO[bytes]]) -> None:
+    """Write the companion of the tsv file at `tsv`, which holds `values`: the
+    SHA-256 of that file's bytes, then `values` as a float64 .npy array
+    (format 1.0, no pickle). The same file and values give the same bytes."""
+    digest = _sha256(Path(tsv).read_bytes())
+    with opened(dest, "wb") as handle:
+        handle.write(digest)
+        np.lib.format.write_array(handle, np.ascontiguousarray(values, dtype="<f8"),
+                                  version=(1, 0), allow_pickle=False)
+
+
+def read_tsv_file(path: str | Path) -> tuple[str, ExpressionMatrix | None]:
+    """The UTF-8 text of the tsv file at `path`, read as bytes once (an OSError
+    or a decoding error is raised), and its matrix from the companion beside
+    it when that matches (see the module docstring), else None. None also
+    for a text that fails the structure pass or values the matrix refuses:
+    parse_matrix(text) then reads the file and names the fault."""
+    data = Path(path).read_bytes()
+    text = data.decode("utf-8")
+    try:
+        handle = open(companion_path(path), "rb")
+    except OSError:
+        return text, None
+    with handle:
+        digest = _sha256(data)
+        del data  # the text alone is held from here on, as a parse holds it
+        return text, _from_companion(handle, digest, text)
+
+
+def _from_companion(handle: IO[bytes], digest: bytes, text: str) -> ExpressionMatrix | None:
+    try:
+        if handle.read(len(digest)) != digest:
+            return None
+        lines = text.splitlines()
+        sample_ids = lines[0].split("\t") if lines else []
+        gene_ids = _structure(lines[1:], 1 + len(sample_ids), 0)
+        if gene_ids is None or not all(sample_ids):
+            return None
+        if np.lib.format.read_magic(handle) != (1, 0):
+            return None
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+        if shape != (len(gene_ids), len(sample_ids)) or fortran_order or dtype != "<f8":
+            return None
+        values = np.empty(shape, dtype="<f8")
+        # exactly the array's bytes: a short read or a trailing byte is refused
+        if handle.readinto(values) != values.nbytes or handle.read(1):
+            return None
+        return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), values)
+    except (OSError, ValueError):
+        return None

@@ -115,8 +115,7 @@ def kmeans(
         assign = np.argmin(dists, axis=1)
         _repair_empty(assign, dists, k)
         w_new, _ = weighted_means((np.arange(k)[:, None] == assign).T, x)
-        np.take(w_new, assign, axis=0, out=resid)
-        np.subtract(x, resid, out=resid)
+        np.subtract(x, w_new[assign], out=resid)
         sse = float(np.einsum("ij,ij->i", resid, resid).sum())
         iterations += 1
         if not np.isfinite(sse):

@@ -67,7 +67,42 @@ class PartitionFile:
         if k < self.k:
             raise ValueError(
                 f"partition references cluster {self.k - 1} but only {k} centroids given")
+        return self._widened(k)
+
+    def _widened(self, k: int) -> np.ndarray:
         return np.pad(self.memberships, ((0, 0), (0, k - self.k)))
+
+
+class _SetsFile(PartitionFile):
+    """A hard or rough file, kept as its (gene, cluster) rows.
+
+    Its memberships are built only when asked for, k columns wide, so a
+    cluster index near the gene count makes no n x n array before
+    padded_memberships has checked it against k. A gene's row holds
+    1 / (its upper-set size) in each of its clusters, and its assignment is
+    its lowest cluster.
+    """
+
+    def __init__(self, kind: str, gene_ids: tuple[str, ...], g: np.ndarray, c: np.ndarray):
+        assignments = np.full(len(gene_ids), c.max(), dtype=np.intp)
+        np.minimum.at(assignments, g, c)
+        for name, value in (("kind", kind), ("gene_ids", gene_ids),
+                            ("assignments", assignments), ("_rows", (g, c))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def k(self) -> int:
+        return int(self._rows[1].max()) + 1
+
+    @property
+    def memberships(self) -> np.ndarray:
+        return self._widened(self.k)
+
+    def _widened(self, k: int) -> np.ndarray:
+        g, c = self._rows
+        u = np.zeros((len(self.gene_ids), k))
+        u[g, c] = 1.0 / np.bincount(g)[g]
+        return u
 
 
 def write_partition_csv(
@@ -199,12 +234,9 @@ def _sets_from_rows(
             if not 0 <= j < n:
                 high = f"gene {gene!r}: cluster index {j} is not below the gene count {n}"
                 raise ValueError("negative cluster index" if j < 0 else high)
-    member = np.zeros((n, c.max() + 1), dtype=bool)
-    member[g, c] = True
-    if np.count_nonzero(member) != g.size:
+    if np.unique(g * n + c).size != g.size:
         raise ValueError("duplicate (gene id, cluster) row in partition file")
-    u = member / member.sum(axis=1, keepdims=True)
-    return PartitionFile("rough" if rough else "hard", ids, u, np.argmax(member, axis=1))
+    return _SetsFile("rough" if rough else "hard", ids, g, c)
 
 
 def _probability_rows(u: np.ndarray) -> np.ndarray:

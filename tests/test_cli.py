@@ -1,9 +1,12 @@
 import errno
+import hashlib
 import json
 import math
 import os
 import shutil
+import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from pfclust import (
     ExpressionMatrix, evaluate, parse_matrix, read_partition_csv, run_algorithm, write_tsv,
 )
 from pfclust.cli import main
+from pfclust.io import companion_path
 
 
 SMALL_TSV = "s1\ts2\ts3\nga\t0.0\t1.0\t2.0\ngb\t0.5\t1.5\t2.5\ngc\t10.0\t11.0\t12.0\ngd\t10.5\t11.5\t12.5\n"
@@ -942,3 +946,190 @@ def test_cluster_farthest_init_is_usage_error_for_fuzzy(four_tsv, tmp_path, caps
     assert main(args) == 1
     assert "--farthest-init" in capsys.readouterr().err
     assert not list(tmp_path.glob("run.*"))
+
+
+# ---------------------------------------------------------------- companion
+
+def _normalized(source, tmp_path, capsys):
+    """normalize `source` into tmp_path/in/z.tsv; returns that path."""
+    (tmp_path / "in").mkdir(exist_ok=True)
+    path = tmp_path / "in" / "z.tsv"
+    assert main(["normalize", str(source), "--method", "zscore", "-o", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+def test_normalize_writes_its_tsv_and_the_companion(small_tsv, tmp_path, capsys):
+    out = tmp_path / "z.tsv"
+    assert main(["normalize", str(small_tsv), "--method", "zscore", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\nwrote {out}.npy\n"
+    assert sorted(os.listdir(tmp_path)) == ["expr.tsv", "z.tsv", "z.tsv.npy"]
+    assert companion_path(out).read_bytes()[:32] == hashlib.sha256(out.read_bytes()).digest()
+
+
+def test_a_matching_companion_replaces_the_text_parse(bundled_tsv, tmp_path, capsys,
+                                                      monkeypatch):
+    z = _normalized(bundled_tsv, tmp_path, capsys)
+
+    def never(*args):
+        raise AssertionError("the text was parsed")
+
+    monkeypatch.setattr("pfclust.cli.parse_matrix", never)
+    o = tmp_path / "p"
+    assert main(["cluster", str(z), "--alg", "kmeans", "--k", "3", "--out", str(o)]) == 0
+    assert main(["validate", str(z), "--partition", f"{o}.partition.csv",
+                 "--centroids", f"{o}.centroids.csv", "-o", str(tmp_path / "v.json")]) == 0
+    assert main(["heatmap", str(z), "--partition", f"{o}.partition.csv",
+                 "-o", str(tmp_path / "h.ppm")]) == 0
+    assert main(["grid", str(z), "--sizes", "40", "--ks", "3", "--out", str(tmp_path / "g")]) == 0
+
+
+def _pipeline_outputs(z, out):
+    """Run cluster, validate and heatmap on z with outputs under out; their bytes."""
+    p = out / "p"
+    assert main(["cluster", str(z), "--alg", "pfcm", "--k", "3", "--out", str(p)]) == 0
+    assert main(["validate", str(z), "--partition", f"{p}.partition.csv",
+                 "--centroids", f"{p}.centroids.csv", "-o", str(out / "v.json")]) == 0
+    assert main(["heatmap", str(z), "--partition", f"{p}.partition.csv",
+                 "-o", str(out / "h.ppm")]) == 0
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+def test_outputs_are_the_same_with_the_companion_present_deleted_or_stale(bundled_tsv,
+                                                                           tmp_path, capsys):
+    z = _normalized(bundled_tsv, tmp_path, capsys)
+    (tmp_path / "out").mkdir()
+    present = _pipeline_outputs(z, tmp_path / "out")
+    assert len(present) == 5
+    companion = companion_path(z).read_bytes()
+    companion_path(z).unlink()
+    assert _pipeline_outputs(z, tmp_path / "out") == present
+    # CRLF line ends: the same matrix, other bytes, so the companion is stale
+    companion_path(z).write_bytes(companion)
+    z.write_bytes(z.read_bytes().replace(b"\n", b"\r\n"))
+    assert _pipeline_outputs(z, tmp_path / "out") == present
+
+
+def _first_value(text, cell):
+    """text with the first value of its first data row replaced by cell."""
+    header, first, rest = text.split("\n", 2)
+    gene, _, values = first.split("\t", 2)
+    return "\n".join([header, "\t".join([gene, cell, values]), rest])
+
+
+# each edit of a normalized tsv file after its companion was written, and
+# the exit code of a cluster run on the edited file
+_STALE_EDITS = {
+    "edited-value": (lambda text: _first_value(text, "0.25"), 0),
+    "appended-row": (lambda text: text + "gx" + "\t0.5" * 10 + "\n", 0),
+    "bad-cell": (lambda text: _first_value(text, "x"), 2),
+    "appended-newline": (lambda text: text + "\n", 2),
+    "short-row": (lambda text: text + "gx\t0.5\n", 2),
+}
+
+
+@pytest.mark.parametrize("edit, code", list(_STALE_EDITS.values()), ids=list(_STALE_EDITS))
+def test_a_stale_companion_gives_the_text_result_or_message(bundled_tsv, tmp_path, capsys,
+                                                            edit, code):
+    z = _normalized(bundled_tsv, tmp_path, capsys)
+    z.write_text(edit(z.read_text(encoding="utf-8")), encoding="utf-8")
+    p = tmp_path / "p"
+
+    def run():
+        result = main(["cluster", str(z), "--alg", "kmeans", "--k", "3", "--out", str(p)])
+        outputs = [Path(f"{p}{s}") for s in (".partition.csv", ".centroids.csv", ".meta.json")]
+        written = [o.read_bytes() for o in outputs if o.exists()]
+        for o in outputs:
+            o.unlink(missing_ok=True)
+        return result, capsys.readouterr().err, written
+
+    stale = run()
+    companion_path(z).unlink()
+    assert stale == run()
+    assert stale[0] == code
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["missing", "not-utf8"])
+def test_an_unreadable_tsv_beside_a_companion_cannot_be_read(bundled_tsv, tmp_path, capsys,
+                                                             content, reason):
+    z = _normalized(bundled_tsv, tmp_path, capsys)
+    z.unlink()
+    if content is not None:
+        z.write_bytes(content)
+    code = main(["cluster", str(z), "--alg", "kmeans", "--k", "3", "--out", str(tmp_path / "p")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot read {z}: {reason}\n"
+
+
+def test_a_failed_normalize_leaves_neither_file(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "flat.tsv"
+    p.write_text("s1\ts2\nok\t1.0\t2.0\nflat\t3.0\t3.0\n", encoding="utf-8")
+    assert main(["normalize", str(p), "--method", "zscore", "-o", str(tmp_path / "z.tsv")]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["flat.tsv"]
+
+    def half_write(values, tsv, dest):
+        with open(dest, "wb") as handle:
+            handle.write(b"\x93NUMPY")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("pfclust.cli.write_companion", half_write)
+    argv = ["normalize", str(p), "--method", "zscore", "--drop-degenerate",
+            "-o", str(tmp_path / "z.tsv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: cannot write {tmp_path / 'z.tsv.npy'}: No space left on device\n")
+    assert sorted(os.listdir(tmp_path)) == ["flat.tsv"]
+
+
+def test_readers_write_nothing_beside_their_input(bundled_tsv, tmp_path, capsys):
+    z = _normalized(bundled_tsv, tmp_path, capsys)
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    shutil.copy(bundled_tsv, raw / "x.tsv")
+    out = tmp_path / "out"
+    out.mkdir()
+    before = {d: sorted(os.listdir(d)) for d in (z.parent, raw)}
+    for source in (z, raw / "x.tsv"):
+        p = out / "p"
+        assert main(["cluster", str(source), "--alg", "kmeans", "--k", "3", "--out", str(p)]) == 0
+        assert main(["validate", str(source), "--partition", f"{p}.partition.csv",
+                     "--centroids", f"{p}.centroids.csv", "-o", str(out / "v.json")]) == 0
+        assert main(["heatmap", str(source), "-o", str(out / "h.ppm")]) == 0
+        assert main(["grid", str(source), "--sizes", "40", "--ks", "3",
+                     "--out", str(out / "g")]) == 0
+    assert {d: sorted(os.listdir(d)) for d in (z.parent, raw)} == before
+    assert before[z.parent] == ["z.tsv", "z.tsv.npy"]
+
+
+def test_a_cluster_index_near_the_gene_count_builds_no_gene_by_gene_array(tmp_path, capsys):
+    n = 2000
+    matrix = tmp_path / "m.tsv"
+    matrix.write_text("s1\ts2\n" + "".join(f"g{i}\t{i}\t{-i}\n" for i in range(n)),
+                      encoding="utf-8")
+    part = tmp_path / "p.csv"
+    part.write_text("gene_id,cluster\n" + "".join(f"g{i},{i % 2}\n" for i in range(n - 1))
+                    + f"g{n - 1},{n - 1}\n", encoding="utf-8")
+    cent = tmp_path / "c.csv"
+    cent.write_text("s1,s2\n0,0\n1,1\n", encoding="utf-8")
+    calls = [
+        (lambda: read_partition_csv(part), None),
+        (lambda: main(["validate", str(matrix), "--partition", str(part), "--centroids",
+                       str(cent)]), 2),
+        (lambda: main(["heatmap", str(matrix), "--partition", str(part),
+                       "-o", str(tmp_path / "h.ppm")]), 0),
+    ]
+    for call, code in calls:
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an n x n float64 array alone would be 30.5 MiB
+        assert peak < 4 * 2**20
+        assert code is None or result == code
+    assert capsys.readouterr().err == (
+        f"error: partition references cluster {n - 1} but only 2 centroids given\n")

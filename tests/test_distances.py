@@ -1,11 +1,11 @@
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfclust import FuzzyPartition, RoughPartition, evaluate
-from pfclust._util import SqDistances, sq_distances
+from pfclust._util import _RECOMPUTE_FRAC, SqDistances, sq_distances
 from pfclust.fuzzy import compute_alpha, compute_centroids, pfcm_objective, update_memberships
 from pfclust.validity import mae, rmse, xie_beni
 
@@ -44,6 +44,56 @@ def test_sq_distances_matches_loop_oracle(n, k, d, seed, spread, n_dup, n_shared
     assert (np.abs(got - want) <= 1e-12 * scale).all()
     equal = (x[:, None, :] == w[None, :, :]).all(axis=2)
     assert (got[equal] == 0.0).all()
+
+
+def _coincident(seed, n, k, d, spread, offset):
+    """Rows that are copies of centroids, in columns offset far from 0."""
+    rng = np.random.default_rng(seed)
+    w = spread * rng.standard_normal((k, d)) + offset
+    return w[rng.integers(k, size=n)], w
+
+
+def _expansion(x, w):
+    """The kernel's ||a||^2 - 2 a.b + ||b||^2 before any recompute, as it sums
+    it, and the bound at or below which it recomputes an entry."""
+    bound = SqDistances(x)
+    wc = np.ascontiguousarray(w - bound.mu)
+    wn = np.einsum("ij,ij->i", wc, wc)
+    e = (-2.0 * wc) @ bound.xc.T
+    e += bound.xn[None, :]
+    e += wn[:, None]
+    return e.T, (_RECOMPUTE_FRAC * (bound.xn[None, :] + wn[:, None])).T
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    k=st.integers(1, 5),
+    d=st.integers(1, 6),
+    spread=st.sampled_from([1e-6, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+@example(seed=2, n=7, k=3, d=3, spread=1.0, offset=1e6)
+def test_coincident_rows_and_centroids_match_the_row_difference_oracle(seed, n, k, d, spread,
+                                                                       offset):
+    x, w = _coincident(seed, n, k, d, spread, offset)
+    got = sq_distances(x, w)
+    e, bound = _expansion(x, w)
+    # the exact row-difference oracle, summed per row as the recompute sums
+    want = np.array([np.einsum("ij,ij->i", diff, diff) for diff in x[:, None, :] - w[None]])
+    redo = ~(e > bound)
+    # every entry the expansion leaves negative (or small) is the oracle's
+    assert (got[redo] == want[redo]).all()
+    assert (got[~redo] == e[~redo]).all()
+    assert (got >= 0.0).all()
+    assert (got[(x[:, None, :] == w[None]).all(axis=2)] == 0.0).all()
+
+
+def test_the_coincident_cases_drive_the_expansion_negative():
+    # the case the property above covers, and why the kernel needs no clamp at 0
+    assert any((_expansion(*_coincident(seed, 12, 5, 6, 1.0, 1e6))[0] < 0).any()
+               for seed in range(10))
 
 
 def test_distance_kernels_build_no_n_k_d_temporary():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pfclust import ParseError, parse_matrix, sniff_format, write_tsv
+from pfclust.io import companion_path, read_tsv_file, write_companion
 from pfclust.matrix import ExpressionMatrix
 
 TSV = "s1\ts2\ng1\t1.5\t2.5\ng2\t-3\t4e2\n"
@@ -308,3 +310,134 @@ def test_parse_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(text)
+
+
+def _write_with_companion(m, path):
+    """Write m as normalize does: the tsv file, then its companion."""
+    write_tsv(m, path)
+    write_companion(m.values, path, companion_path(path))
+
+
+def _read_from_companion(path):
+    text, m = read_tsv_file(path)
+    assert text == path.read_bytes().decode("utf-8")
+    return m
+
+
+def test_companion_sits_beside_its_tsv_and_starts_with_its_digest(tmp_path):
+    m = ExpressionMatrix(("g1", "g2"), ("s1",), [[1.5], [-2.0]])
+    path = tmp_path / "m.tsv"
+    _write_with_companion(m, path)
+    assert companion_path(path) == tmp_path / "m.tsv.npy"
+    raw = companion_path(path).read_bytes()
+    assert raw[:32] == hashlib.sha256(path.read_bytes()).digest()
+    assert np.array_equal(np.load(io.BytesIO(raw[32:]), allow_pickle=False), m.values)
+    # the same file and values give the same bytes
+    write_companion(m.values, path, tmp_path / "again.npy")
+    assert (tmp_path / "again.npy").read_bytes() == raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                 min_size=3, max_size=3),
+        min_size=1,
+        max_size=6,
+    ),
+    genes=st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+                   .filter(lambda g: "\t" not in g and len(f"{g}.".splitlines()) == 1),
+                   min_size=6, max_size=6, unique=True),
+)
+@example(values=[[-0.0, 5e-324, -2.2250738585072014e-308], [2.225e-308, 0.0, -5e-324]],
+         genes=["a", "b", "c", "d", "e", "f"])
+def test_companion_reads_back_what_the_text_parses(tmp_path_factory, values, genes):
+    m = ExpressionMatrix(tuple(genes[:len(values)]), ("s1", "s2", "s3"), values)
+    path = tmp_path_factory.mktemp("companion") / "m.tsv"
+    _write_with_companion(m, path)
+    got = _read_from_companion(path)
+    want = parse_matrix(path.read_bytes().decode("utf-8"), "tsv")
+    assert got is not None
+    assert (got.gene_ids, got.sample_ids) == (want.gene_ids, want.sample_ids)
+    # bit for bit: -0.0 and subnormals included
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def _npy(values, **header):
+    """An .npy file of `values` whose header entries `header` override."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(values), version=(1, 0), allow_pickle=False)
+    raw = buf.getvalue()
+    if header:
+        d = {"descr": np.lib.format.dtype_to_descr(np.asarray(values).dtype),
+             "fortran_order": False, "shape": np.shape(values), **header}
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buf, d)
+        raw = buf.getvalue() + np.asarray(values).tobytes()
+    return raw
+
+
+_VALUES = np.array([[0.5, -1.0], [2.0, 3.25], [1e-300, 7.0]])
+
+# each a companion body (what follows the digest) that must be ignored
+_BAD_BODIES = {
+    "empty": b"",
+    "garbage": b"not an npy file at all",
+    "magic-only": b"\x93NUMPY\x01\x00",
+    "truncated-header": _npy(_VALUES)[:40],
+    "truncated-values": _npy(_VALUES)[:-1],
+    "trailing-byte": _npy(_VALUES) + b"\0",
+    "fewer-rows": _npy(_VALUES[:2]),
+    "transposed": _npy(_VALUES.T.copy()),
+    "float32": _npy(_VALUES.astype(np.float32)),
+    "big-endian": _npy(_VALUES.astype(">f8")),
+    "fortran-order": _npy(_VALUES, fortran_order=True),
+    "object-header": _npy(_VALUES, descr="|O"),
+    "version-2": b"\x93NUMPY\x02\x00" + _npy(_VALUES)[8:],
+}
+
+
+@pytest.mark.parametrize("body", list(_BAD_BODIES.values()), ids=list(_BAD_BODIES))
+def test_a_companion_that_does_not_match_is_ignored(tmp_path, body):
+    m = ExpressionMatrix(("g1", "g2", "g3"), ("s1", "s2"), _VALUES)
+    path = tmp_path / "m.tsv"
+    _write_with_companion(m, path)
+    assert _read_from_companion(path) is not None
+    digest = companion_path(path).read_bytes()[:32]
+    companion_path(path).write_bytes(digest + body)
+    assert _read_from_companion(path) is None
+
+
+def test_a_stale_or_unreadable_companion_is_ignored(tmp_path):
+    m = ExpressionMatrix(("g1", "g2", "g3"), ("s1", "s2"), _VALUES)
+    path = tmp_path / "m.tsv"
+    _write_with_companion(m, path)
+    companion = companion_path(path).read_bytes()
+    # a digest one bit off
+    companion_path(path).write_bytes(bytes([companion[0] ^ 1]) + companion[1:])
+    assert _read_from_companion(path) is None
+    # a tsv file edited after its companion was written
+    companion_path(path).write_bytes(companion)
+    path.write_text(path.read_text(encoding="utf-8").replace("0.5", "0.25"), encoding="utf-8")
+    assert _read_from_companion(path) is None
+    # a companion that is a directory
+    companion_path(path).unlink()
+    companion_path(path).mkdir()
+    assert _read_from_companion(path) is None
+
+
+@pytest.mark.parametrize("text", [
+    "s1\ts2\ng1\t1\t2\ng1\t3\t4\n",   # a duplicate gene id
+    "s1\ts1\ng1\t1\t2\ng2\t3\t4\n",   # a duplicate sample id
+    "s1\ts2\ng1\t1\t2\n\ng2\t3\t4\n",  # a blank line
+    "s1\t\ng1\t1\t2\ng2\t3\t4\n",     # an empty sample id
+    "s1\ts2\n",                        # no data rows
+], ids=["duplicate-gene", "duplicate-sample", "blank-line", "empty-sample", "header-only"])
+def test_a_companion_never_hides_a_fault_of_its_text(tmp_path, text):
+    # a companion whose digest is that of a faulty text (normalize writes none)
+    path = tmp_path / "m.tsv"
+    path.write_text(text, encoding="utf-8")
+    write_companion(np.zeros((2, 2)), path, companion_path(path))
+    assert _read_from_companion(path) is None
+    with pytest.raises(ParseError):
+        parse_matrix(text, "tsv")
