@@ -12,6 +12,8 @@
 #   grid's m = 1 for a rough file);
 # - a grid refused (exit 2) for its missing output directory before it runs;
 # - a seeded_random grid, whose subsets are keyed by size and seed;
+# - a grid on more worker threads than it has runs, under a timeout so that a
+#   scheduling hang fails fast, whose reports equal its one-worker reports;
 # - a config grid, refused (exit 1) when a field flag comes with it, and
 #   dashed names in a config's overrides and in --policy;
 # - a kmeans run whose squared distances overflow (exit 3, a numerical
@@ -43,6 +45,9 @@ pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/cycle.partiti
 grep -q '"m": 1.0' "$out/cycle.validate.json"
 rc=0; pfclust grid tests/data/synthetic_100x10.tsv --preset --out "$out/missing/g" || rc=$?; test "$rc" -eq 2
 pfclust grid tests/data/synthetic_100x10.tsv --sizes 40,80 --ks 3 --policy seeded_random --seeds 0,1 --workers 2 --out "$out/random"
+pfclust grid tests/data/synthetic_100x10.tsv --sizes 40,80 --ks 3 --algorithms kmeans,fcm --seeds 0,1 --workers 1 --out "$out/serial"
+timeout 120 pfclust grid tests/data/synthetic_100x10.tsv --sizes 40,80 --ks 3 --algorithms kmeans,fcm --seeds 0,1 --workers 12 --out "$out/wide"
+for f in report.csv report.json summary.csv; do cmp "$out/serial.$f" "$out/wide.$f"; done
 printf '{"pairs": [[40, 3], [80, 2]], "algorithms": ["kmeans", "pfcm"], "seeds": [0, 1]}' > "$out/grid.json"
 pfclust grid tests/data/synthetic_100x10.tsv --config "$out/grid.json" --out "$out/config"
 rc=0; pfclust grid tests/data/synthetic_100x10.tsv --config "$out/grid.json" --seeds 1 --out "$out/config" || rc=$?; test "$rc" -eq 1

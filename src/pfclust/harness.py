@@ -9,19 +9,17 @@ Reports never embed wall-clock times; runtimes are kept on the in-memory
 rows and written only by the separate timings writer, so repeated runs of
 the same grid produce byte-identical report files.
 
-A grid builds each distinct normalized gene subset once and shares it
-among the runs that use it, so a row's runtime covers its algorithm run
+A grid builds each distinct normalized gene subset once, as a task on its
+thread pool queued before the runs that wait on it (see run_grid), and
+frees it after the last of them. A row's runtime covers its algorithm run
 and scoring only: building the subset is in no row.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import Counter
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
@@ -394,80 +392,48 @@ def run_algorithm(
     return pfcm(x, cfg) if name == "pfcm" else fcm(x, cfg)
 
 
-class _Subsets:
-    """The normalized gene subsets of one grid run, each built once.
-
-    A subset is keyed by its size and, under seeded_random only, the seed.
-    The first run that needs it builds it, the other runs of its key
-    share it (or the exception building it raised), and it is dropped
-    after the last of them, so a subset is held only while runs of its
-    key remain.
-    """
-
-    def __init__(self, m: ExpressionMatrix, grid: ExperimentGrid, keys: Sequence[tuple[int, int]]):
-        self._m = m
-        self._grid = grid
-        self._left = Counter(keys)
-        self._building = {key: threading.Lock() for key in self._left}
-        self._counting = threading.Lock()
-        self._built: dict = {}
-
-    def _build(self, size: int, seed: int) -> Union[ExpressionMatrix, Exception]:
-        try:
-            sub = subset_genes(self._m, size, self._grid.subset_policy, seed)
-            if self._grid.normalization != "none":
-                sub = normalize(sub, self._grid.normalization, drop_degenerate=True)
-            return sub
-        except Exception as exc:
-            return exc
-
-    @contextmanager
-    def use(self, key: tuple[int, int]):
-        """Yield the subset for key, or the exception building it raised."""
-        try:
-            with self._building[key]:
-                if key not in self._built:
-                    self._built[key] = self._build(*key)
-                sub = self._built[key]
-            yield sub
-        finally:
-            with self._counting:
-                self._left[key] -= 1
-                if not self._left[key]:
-                    del self._built[key]
+def _subset(
+    m: ExpressionMatrix, grid: ExperimentGrid, size: int, seed: int
+) -> Union[ExpressionMatrix, Exception]:
+    """The grid's normalized subset of `size` genes, or the exception building it raised."""
+    try:
+        sub = subset_genes(m, size, grid.subset_policy, seed)
+        if grid.normalization != "none":
+            sub = normalize(sub, grid.normalization, drop_degenerate=True)
+        return sub
+    except Exception as exc:
+        return exc
 
 
 def _run_cell(
-    sub: Union[ExpressionMatrix, Exception],
-    grid: ExperimentGrid, size: int, k: int, algorithm: str, seed: int,
+    build: Future, grid: ExperimentGrid, size: int, k: int, algorithm: str, seed: int,
 ) -> CellResult:
     """Run and score one algorithm on its cell's subset, or report what failed.
 
-    sub is the cell's normalized subset, or the exception building it raised.
+    build is the future of the cell's ``_subset``, awaited before the timer
+    starts; a failed build's exception is formatted into the row, never raised.
     """
+    sub = build.result()
     cfg = grid.config_for(algorithm)
     echo = {**cfg, "normalization": grid.normalization, "subset_policy": grid.subset_policy}
     start = time.perf_counter()
+    part = report = None
     failure = sub if isinstance(sub, Exception) else None
     if failure is None:
         try:
             part = run_algorithm(algorithm, sub, k, seed=seed, **cfg)
             fuzzifier = cfg["m"] if "m" in PARAMS[algorithm] else None
             report = evaluate(sub, part, fuzzifier, algorithm)
-            trace = getattr(part, "objective_trace", getattr(part, "sse_trace", ()))
-            runtime = time.perf_counter() - start
-            return CellResult(
-                size=size, k=k, algorithm=algorithm, seed=seed, report=report,
-                iterations=part.iterations, stop_reason=part.stop_reason, config=echo,
-                runtime=runtime, trace=tuple(float(t) for t in trace),
-            )
         except Exception as exc:
-            failure = exc
-    runtime = time.perf_counter() - start
+            part, failure = None, exc
+    # part is None after a failure: no iterations, stop reason or trace
+    trace = getattr(part, "objective_trace", getattr(part, "sse_trace", ()))
     return CellResult(
-        size=size, k=k, algorithm=algorithm, seed=seed, report=None,
-        iterations=None, stop_reason=None, config=echo,
-        runtime=runtime, trace=(), error=f"{type(failure).__name__}: {failure}",
+        size=size, k=k, algorithm=algorithm, seed=seed, report=report,
+        iterations=getattr(part, "iterations", None),
+        stop_reason=getattr(part, "stop_reason", None), config=echo,
+        runtime=time.perf_counter() - start, trace=tuple(float(t) for t in trace),
+        error=None if failure is None else f"{type(failure).__name__}: {failure}",
     )
 
 
@@ -475,10 +441,17 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
     """Execute every grid cell and collect rows in deterministic order.
 
     Rows are in grid.runs() order. Per-run failures are captured in
-    their row's error field rather than raised; a subset that cannot be built fails
-    every run that uses it. Each distinct subset is built once (see
-    _Subsets). Cells run on a pool of `workers` threads, a ``count`` >= 1;
-    the ordering and all report content are independent of worker count.
+    their row's error field rather than raised; a subset that cannot be
+    built fails every run that uses it. Cells run on a pool of `workers`
+    threads, a ``count`` >= 1; the ordering and all report content are
+    independent of worker count.
+
+    A subset, keyed by its size and, under seeded_random only, the seed,
+    is built once, and its runs share it through the build's future. The
+    pool takes tasks in queue order and a build is queued before its
+    runs, so a run waits only on a build under way (no deadlock at any
+    worker count). Once all is queued only a key's runs hold its future,
+    so the subset is freed after the last of them.
     """
     workers = count(workers, "workers", 1)
     for size, _ in grid.cells():
@@ -486,18 +459,18 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
             raise ValueError(
                 f"subset size {size} exceeds the matrix gene count {m.n_genes}"
             )
-    tasks = grid.runs()
     # subset_genes reads the seed under seeded_random only
     seeded = grid.subset_policy == "seeded_random"
-    keys = [(size, seed if seeded else 0) for size, _, _, seed in tasks]
-    subsets = _Subsets(m, grid, keys)
-
-    def run(key, task):
-        with subsets.use(key) as sub:
-            return _run_cell(sub, grid, *task)
-
+    builds: dict[tuple[int, int], Future] = {}
+    runs = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(run, keys, tasks))
+        for size, k, algorithm, seed in grid.runs():
+            key = (size, seed if seeded else 0)
+            if key not in builds:
+                builds[key] = pool.submit(_subset, m, grid, *key)
+            runs.append(pool.submit(_run_cell, builds[key], grid, size, k, algorithm, seed))
+        del builds
+        rows = [run.result() for run in runs]
     return ExperimentResult(
         grid=grid, n_genes=m.n_genes, n_samples=m.n_samples, rows=tuple(rows)
     )

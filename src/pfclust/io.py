@@ -19,12 +19,13 @@ Python's ``float()`` does. It has two paths with one outcome: numpy's C text
 reader converts a well-formed body in one pass (its ``quotechar`` option,
 numpy >= 1.23, is within the ``numpy>=1.24`` floor), and any other body is
 walked row by row. The C reader runs only after a structure pass has checked
-every line's field count and id, and only on lines without U+001F, which it
-strips as whitespace where ``float()`` refuses it. The walk reads the cells
-that only ``float()`` reads (``1_0``, non-ASCII digits) and names the first
-fault in file order. Values must be finite; NaN or infinite cells are
-rejected with their location rather than imputed, worded by the cell rule
-the centroid reader also uses (``_util.bad_cell``).
+every line's field count and id, and only on bodies whose value fields hold
+no U+001F, which it strips as whitespace where ``float()`` refuses it (an id
+it does not convert may hold one). The walk reads the cells that only
+``float()`` reads (``1_0``, non-ASCII digits) and names the first fault in
+file order. Values must be finite; NaN or infinite cells are rejected with
+their location rather than imputed, worded by the cell rule the centroid
+reader also uses (``_util.bad_cell``).
 
 A tsv file may have a binary companion beside it, its name plus ``.npy``
 (``companion_path``), which ``write_companion`` writes: the SHA-256 of the
@@ -134,19 +135,19 @@ def _read_body(
 
     Two paths give one outcome. A structure pass checks every line's tab
     count (before taking ids, as a short line has no id field), its id, and
-    that it holds no U+001F, which numpy's C reader strips as whitespace and
-    float() refuses. The C reader (whose ``quotechar`` needs numpy >= 1.23)
-    then converts the whole body in one pass. If a check fails, the reader
-    refuses a cell or a value is not finite, the rows are walked one by one:
-    assigning a row of strings converts each cell as float() does (so
-    ``1_0`` and non-ASCII digits, which the C reader refuses, are read), and
-    `bad_cell` names the first bad cell in file order with its line and
-    column.
+    that its fields from `first` on hold no U+001F, which numpy's C reader
+    strips as whitespace and float() refuses (an id, never converted, may).
+    The C reader (whose ``quotechar`` needs numpy >= 1.23) then converts the
+    whole body in one pass. If a check fails, the reader refuses a cell or a
+    value is not finite, the rows are walked one by one: assigning a row of
+    strings converts each cell as float() does (so ``1_0`` and non-ASCII
+    digits, which the C reader refuses, are read), and `bad_cell` names the
+    first bad cell in file order with its line and column.
     """
     n_samples = len(sample_ids)
     n_fields = first + step * n_samples
     lines = [line for _, line in rows]
-    gene_ids, values = _structure(lines, n_fields, id_col), None
+    gene_ids, values = _structure(lines, n_fields, id_col, first), None
     if gene_ids is not None:
         try:
             values = np.loadtxt(lines, delimiter="\t", comments=None, quotechar=None,
@@ -181,13 +182,14 @@ def _read_body(
         raise ParseError(str(exc)) from exc
 
 
-def _structure(lines: list[str], n_fields: int, id_col: int) -> list[str] | None:
+def _structure(lines: list[str], n_fields: int, id_col: int, first: int) -> list[str] | None:
     """The structure pass: the ids in field `id_col` if every line has `n_fields`
     fields (counted first, as a short line has no id field), a non-empty id
-    and no U+001F; else None."""
-    if lines and all(ln.count("\t") == n_fields - 1 and "\x1f" not in ln for ln in lines):
+    and no U+001F from field `first` on; else None."""
+    if lines and all(ln.count("\t") == n_fields - 1 for ln in lines):
         ids = [ln.split("\t", id_col + 1)[id_col] for ln in lines]
-        if all(ids):
+        if all(ids) and not any("\x1f" in ln and "\x1f" in ln.split("\t", first)[first]
+                                for ln in lines):
             return ids
     return None
 
@@ -327,7 +329,7 @@ def _from_companion(handle: IO[bytes], digest: bytes, text: str) -> ExpressionMa
             return None
         lines = text.splitlines()
         sample_ids = lines[0].split("\t") if lines else []
-        gene_ids = _structure(lines[1:], 1 + len(sample_ids), 0)
+        gene_ids = _structure(lines[1:], 1 + len(sample_ids), 0, 1)
         if gene_ids is None or not all(sample_ids):
             return None
         if np.lib.format.read_magic(handle) != (1, 0):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -489,8 +490,20 @@ def _count_subsets(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_grid_builds_each_preset_subset_once(bundled, monkeypatch, workers):
+@pytest.fixture
+def fast_switching():
+    """Switch threads often while the test runs, so that a race between workers shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# 9 workers: more than a key's runs, so idle ones wait on a build under way
+@pytest.mark.parametrize("workers", [1, 2, 9])
+def test_grid_builds_each_preset_subset_once(bundled, monkeypatch, fast_switching, workers):
     calls = _count_subsets(monkeypatch)
     grid = ExperimentGrid(pairs=preset_pairs(bundled.n_genes), seeds=(0, 1))
     res = run_grid(bundled, grid, workers=workers)
@@ -499,8 +512,11 @@ def test_grid_builds_each_preset_subset_once(bundled, monkeypatch, workers):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_grid_builds_one_seeded_random_subset_per_size_and_seed(bundled, monkeypatch, workers):
+# 9 workers: more than a key's runs, so idle ones wait on a build under way
+@pytest.mark.parametrize("workers", [1, 2, 9])
+def test_grid_builds_one_seeded_random_subset_per_size_and_seed(
+    bundled, monkeypatch, fast_switching, workers
+):
     calls = _count_subsets(monkeypatch)
     grid = ExperimentGrid(subset_sizes=(40, 80), ks=(2, 3), seeds=(0, 1),
                           subset_policy="seeded_random")

@@ -351,6 +351,8 @@ def test_companion_sits_beside_its_tsv_and_starts_with_its_digest(tmp_path):
 )
 @example(values=[[-0.0, 5e-324, -2.2250738585072014e-308], [2.225e-308, 0.0, -5e-324]],
          genes=["a", "b", "c", "d", "e", "f"])
+# U+001F in a gene id, which the C reader never converts
+@example(values=[[0.0, 0.0, 0.0]] * 4, genes=["0", "1", "2", "\x1f", "00", "000"])
 def test_companion_reads_back_what_the_text_parses(tmp_path_factory, values, genes):
     m = ExpressionMatrix(tuple(genes[:len(values)]), ("s1", "s2", "s3"), values)
     path = tmp_path_factory.mktemp("companion") / "m.tsv"
@@ -432,7 +434,9 @@ def test_a_stale_or_unreadable_companion_is_ignored(tmp_path):
     "s1\ts2\ng1\t1\t2\n\ng2\t3\t4\n",  # a blank line
     "s1\t\ng1\t1\t2\ng2\t3\t4\n",     # an empty sample id
     "s1\ts2\n",                        # no data rows
-], ids=["duplicate-gene", "duplicate-sample", "blank-line", "empty-sample", "header-only"])
+    "s1\ts2\ng1\t1\x1f\t2\ng2\t3\t4\n",  # a cell float() refuses, the C reader strips
+], ids=["duplicate-gene", "duplicate-sample", "blank-line", "empty-sample", "header-only",
+        "unit-separator"])
 def test_a_companion_never_hides_a_fault_of_its_text(tmp_path, text):
     # a companion whose digest is that of a faulty text (normalize writes none)
     path = tmp_path / "m.tsv"
