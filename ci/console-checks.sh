@@ -5,6 +5,8 @@
 #     bash -eo pipefail ci/console-checks.sh OUT_DIR
 #
 # where OUT_DIR is an existing scratch directory. It checks, in order:
+# - that --version loads neither the grid harness nor the thread pool module
+#   (concurrent.futures), which only the commands that run them import;
 # - JSON to stdout from validate, and the binary PPM writer from heatmap;
 # - the grid's thread pool;
 # - a rough run that stops on a centroid cycle (so its matrix-product
@@ -30,11 +32,14 @@
 # - normalize's binary companion: cluster writes the same partition,
 #   centroids and meta.json from the TSV with its companion and from a copy
 #   of the TSV alone, and again once CRLF line ends make the companion
-#   stale; a stale companion hides no fault (a trailing blank line, exit 2).
+#   stale; a stale companion hides no fault (an appended short row, exit 2).
 set -eo pipefail
 out=${1:?usage: ci/console-checks.sh OUT_DIR}
 
 pfclust --version
+python -X importtime -m pfclust --version 2> "$out/version.importtime"
+grep -q ' pfclust\.cli$' "$out/version.importtime"
+if grep -E ' (pfclust\.harness|concurrent\.futures)$' "$out/version.importtime"; then exit 1; fi
 pfclust cluster tests/data/synthetic_100x10.tsv --alg pfcm --k 3 --out "$out/smoke"
 pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" --centroids "$out/smoke.centroids.csv"
 pfclust heatmap tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" -o "$out/smoke.ppm"
@@ -84,6 +89,6 @@ for f in p.partition.csv p.centroids.csv p.meta.json; do cmp "$out/with/$f" "$ou
 sed -i 's/$/\r/' "$out/with/z.tsv"
 (cd "$out/with" && pfclust cluster z.tsv --alg pfcm --k 3 --out stale)
 for f in partition.csv centroids.csv meta.json; do cmp "$out/with/stale.$f" "$out/alone/p.$f"; done
-printf '\n' >> "$out/alone/z.tsv"
+printf 'gx\t0.5\n' >> "$out/alone/z.tsv"
 cp "$out/with/z.tsv.npy" "$out/alone/"
-rc=0; pfclust cluster "$out/alone/z.tsv" --alg pfcm --k 3 --out "$out/blank" || rc=$?; test "$rc" -eq 2
+rc=0; pfclust cluster "$out/alone/z.tsv" --alg pfcm --k 3 --out "$out/short" || rc=$?; test "$rc" -eq 2

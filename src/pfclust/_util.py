@@ -1,4 +1,4 @@
-"""Internal numeric helpers shared by the clustering modules."""
+"""Internal numeric helpers and name tables shared by the package's modules."""
 
 from __future__ import annotations
 
@@ -26,6 +26,35 @@ PARAMETERS = {
 }
 
 DEFAULTS = {name: default for name, (default, _, _) in PARAMETERS.items()}
+
+# The name tables the CLI's parser and flag checks read, kept here so that a
+# process builds its parser without importing the modules that use them
+# (validity and harness re-export theirs).
+ALGORITHMS = ("kmeans", "rough_kmeans", "fcm", "pfcm")
+
+# the DEFAULTS keys each algorithm reads; every other key is ignored
+PARAMS = {
+    "kmeans": ("eps", "max_iter"),
+    "rough_kmeans": ("zeta", "w_lower", "eps", "max_iter"),
+    "fcm": ("m", "eps", "max_iter"),
+    "pfcm": ("m", "v", "eps", "max_iter"),
+}
+
+NORMALIZATIONS = ("none", "mean_relative", "z_score")
+
+SUBSET_POLICIES = ("first_n", "variance_top_n", "seeded_random")
+
+# the preset (size, k) cells at full size, a 7129-gene matrix like Golub's
+PRESET_PAIRS = ((7129, 7), (5000, 5), (3000, 3), (1000, 7))
+
+# ExperimentGrid's defaults for the fields grid's flags set
+GRID_DEFAULTS = {"algorithms": ALGORITHMS, "normalization": "z_score",
+                 "subset_policy": "variance_top_n", "seeds": (0,)}
+
+
+def default_m(fuzzy: bool) -> float:
+    """The grid's fuzzifier: the default m for fuzzy partitions, 1 for hard and rough ones."""
+    return DEFAULTS["m"] if fuzzy else 1.0
 
 
 def check_params(flags: bool = False, **values) -> None:

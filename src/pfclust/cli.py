@@ -22,6 +22,13 @@ companion (``io.write_companion``). Every subcommand takes a tsv input's
 values from a companion that matches its bytes (``io.read_tsv_file``);
 no other subcommand writes one.
 Reruns with identical flags overwrite byte-identical artifacts.
+
+The module imports at its top only what the parser and every subcommand
+share: numpy, ``_util`` (which holds the parser's name tables), ``io``,
+``matrix``, ``normalize`` and ``heatmap``. Each handler imports the rest:
+``harness`` for cluster and grid, ``serialize`` for cluster, validate and
+heatmap, ``validity`` for validate. So normalize, validate, heatmap and
+--version start without the grid harness, fuzzy, rough or the thread pool.
 """
 
 from __future__ import annotations
@@ -35,21 +42,14 @@ import sys
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from ._util import NumericalError, canonical, check_params, count
-from .harness import (
-    DEFAULTS,
-    NORMALIZATIONS,
-    PARAMS,
-    PRESET_PAIRS,
-    ExperimentGrid,
-    run_algorithm,
-    run_grid,
-    preset_pairs,
+from ._util import (
+    ALGORITHMS, DEFAULTS, GRID_DEFAULTS, NORMALIZATIONS, PARAMS, PRESET_PAIRS, NumericalError,
+    canonical, check_params, count, default_m,
 )
 from .heatmap import cluster_row_order, write_ppm
 from .io import (
@@ -64,15 +64,10 @@ from .io import (
 )
 from .matrix import ExpressionMatrix
 from .normalize import METHODS, DegenerateRowsError, normalize
-from .serialize import (
-    PartitionFile,
-    read_centroids_csv,
-    read_partition_csv,
-    write_centroids_csv,
-    write_metadata_json,
-    write_partition_csv,
-)
-from .validity import ALGORITHMS, default_m, score
+
+if TYPE_CHECKING:
+    from .harness import ExperimentGrid
+    from .serialize import PartitionFile
 
 __all__ = ["main", "entry"]
 
@@ -222,6 +217,9 @@ def _validate_cluster_flags(args) -> str:
 
 
 def _cmd_cluster(args) -> int:
+    from .harness import run_algorithm
+    from .serialize import write_centroids_csv, write_metadata_json, write_partition_csv
+
     alg = _validate_cluster_flags(args)
     method = canonical(args.normalize, NORMALIZATIONS, "normalization")
     paths = _outputs(args, ".partition.csv", ".centroids.csv", ".meta.json")
@@ -277,6 +275,8 @@ def _cmd_cluster(args) -> int:
 
 def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.ndarray]:
     """Read a partition CSV and the row in it of each matrix gene, in matrix order."""
+    from .serialize import read_partition_csv
+
     pf = _read(path, read_partition_csv)
     # both id lists are distinct: equal lengths and no matrix gene missing mean one set
     index = {gid: i for i, gid in enumerate(pf.gene_ids)}
@@ -290,6 +290,9 @@ def _read_partition(path: str, m: ExpressionMatrix) -> tuple[PartitionFile, np.n
 
 
 def _cmd_validate(args) -> int:
+    from .serialize import read_centroids_csv, write_metadata_json
+    from .validity import score
+
     if args.m is not None and not args.m >= 1.0:
         raise UsageError(f"--m must be 1 or greater, got {args.m}")
     algorithm = canonical(args.algorithm, ALGORITHMS, "algorithm") if args.algorithm else None
@@ -334,6 +337,8 @@ _GRID_FIELD_FLAGS = {"algorithms": "algorithms", "normalization": "normalization
 
 def _grid(args) -> ExperimentGrid:
     """The grid that --config or the grid flags describe; errors name the config."""
+    from .harness import ExperimentGrid
+
     given = [flag for flag in _GRID_FIELD_FLAGS if getattr(args, flag) is not None]
     if args.config:
         if args.sizes or args.ks or args.preset:
@@ -370,6 +375,8 @@ def _grid(args) -> ExperimentGrid:
 
 
 def _cmd_grid(args) -> int:
+    from .harness import preset_pairs, run_grid
+
     count(args.workers, "--workers", 1)
     paths = _outputs(args, ".report.csv", ".report.json", ".summary.csv", ".timings.csv")
     grid = _grid(args)
@@ -470,13 +477,13 @@ def _build_parser() -> _Parser:
                    help="use the four preset (size, k) cells scaled to this matrix")
     # no defaults here: ExperimentGrid holds them, and --config excludes these four
     p.add_argument("--algorithms", type=lambda text: text.split(","), help="comma-separated "
-                   f"algorithm subset (default: {','.join(ExperimentGrid.algorithms)})")
+                   f"algorithm subset (default: {','.join(GRID_DEFAULTS['algorithms'])})")
     p.add_argument("--normalization", help="none, mean-relative or z-score (default: "
-                   + ExperimentGrid.normalization.replace("_", "-") + ")")
+                   + GRID_DEFAULTS["normalization"].replace("_", "-") + ")")
     p.add_argument("--policy", help="gene subset policy: first-n, variance-top-n or seeded-"
-                   "random (default: " + ExperimentGrid.subset_policy.replace("_", "-") + ")")
+                   "random (default: " + GRID_DEFAULTS["subset_policy"].replace("_", "-") + ")")
     p.add_argument("--seeds", type=_int_list, help="comma-separated seeds (default: "
-                   + ",".join(map(str, ExperimentGrid.seeds)) + ")")
+                   + ",".join(map(str, GRID_DEFAULTS["seeds"])) + ")")
     p.add_argument("--workers", type=int, default=1, help="worker threads")
     p.add_argument("--timings", action="store_true",
                    help="also write wall-clock timings (not reproducible)")

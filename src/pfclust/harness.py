@@ -19,22 +19,27 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import DEFAULTS, as_values, canonical, check_params, count, write_csv
+from ._util import (
+    ALGORITHMS, DEFAULTS, GRID_DEFAULTS, NORMALIZATIONS, PARAMS, PRESET_PAIRS, SUBSET_POLICIES,
+    as_values, canonical, check_params, count, write_csv,
+)
 from .fuzzy import FuzzyConfig, FuzzyPartition, fcm, pfcm
 from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
-from .normalize import METHODS, normalize
+from .normalize import normalize
 from .rough import RoughPartition, rough_kmeans
 from .serialize import write_metadata_json
-from .validity import ALGORITHMS, ValidityReport, evaluate
+from .validity import ValidityReport, evaluate
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = [
     "DEFAULTS",
@@ -51,22 +56,6 @@ __all__ = [
     "run_grid",
     "generate_synthetic",
 ]
-
-NORMALIZATIONS = ("none",) + METHODS
-
-SUBSET_POLICIES = ("first_n", "variance_top_n", "seeded_random")
-
-# the DEFAULTS keys each algorithm reads; every other key is ignored
-PARAMS = {
-    "kmeans": ("eps", "max_iter"),
-    "rough_kmeans": ("zeta", "w_lower", "eps", "max_iter"),
-    "fcm": ("m", "eps", "max_iter"),
-    "pfcm": ("m", "v", "eps", "max_iter"),
-}
-
-# the preset (size, k) cells at full size, a 7129-gene matrix like Golub's
-PRESET_PAIRS = ((7129, 7), (5000, 5), (3000, 3), (1000, 7))
-
 
 def subset_genes(
     m: ExpressionMatrix, size: int, policy: str = "variance_top_n", seed: int = 0
@@ -152,10 +141,10 @@ class ExperimentGrid:
     subset_sizes: tuple[int, ...] = ()
     ks: tuple[int, ...] = ()
     pairs: Optional[tuple[tuple[int, int], ...]] = None
-    algorithms: tuple[str, ...] = ALGORITHMS
-    normalization: str = "z_score"
-    subset_policy: str = "variance_top_n"
-    seeds: tuple[int, ...] = (0,)
+    algorithms: tuple[str, ...] = GRID_DEFAULTS["algorithms"]
+    normalization: str = GRID_DEFAULTS["normalization"]
+    subset_policy: str = GRID_DEFAULTS["subset_policy"]
+    seeds: tuple[int, ...] = GRID_DEFAULTS["seeds"]
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -453,6 +442,9 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
     worker count). Once all is queued only a key's runs hold its future,
     so the subset is freed after the last of them.
     """
+    # imported here: concurrent.futures loads logging, which only a grid needs
+    from concurrent.futures import ThreadPoolExecutor
+
     workers = count(workers, "workers", 1)
     for size, _ in grid.cells():
         if size > m.n_genes:

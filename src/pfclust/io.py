@@ -3,7 +3,8 @@
 Three tab-delimited input formats are supported:
 
 * ``tsv``  -- line 1 holds the sample ids; every following line is a gene id
-  plus one numeric field per sample.
+  plus one numeric field per sample. Empty lines at the end of the file are
+  dropped (``_tsv_lines``); an empty line followed by data is refused.
 * ``gct``  -- line 1 is the version marker ``#1.2``; line 2 is
   ``<n_genes><TAB><n_samples>``; line 3 is ``Name<TAB>Description`` followed
   by the sample ids; data rows carry name, description and the numeric
@@ -194,7 +195,17 @@ def _structure(lines: list[str], n_fields: int, id_col: int, first: int) -> list
     return None
 
 
+def _tsv_lines(lines: list[str]) -> list[str]:
+    """A tsv file's lines without the empty lines that end it, which an editor
+    or ``echo >>`` may leave; an empty line before a data line stays, and is refused."""
+    end = len(lines)
+    while end and not lines[end - 1]:
+        end -= 1
+    return lines[:end]
+
+
 def _parse_tsv(lines: list[str]) -> ExpressionMatrix:
+    lines = _tsv_lines(lines)
     sample_ids = lines[0].split("\t")
     if any(not s for s in sample_ids):
         raise ParseError("empty sample id in header", 1)
@@ -327,7 +338,7 @@ def _from_companion(handle: IO[bytes], digest: bytes, text: str) -> ExpressionMa
     try:
         if handle.read(len(digest)) != digest:
             return None
-        lines = text.splitlines()
+        lines = _tsv_lines(text.splitlines())
         sample_ids = lines[0].split("\t") if lines else []
         gene_ids = _structure(lines[1:], 1 + len(sample_ids), 0, 1)
         if gene_ids is None or not all(sample_ids):

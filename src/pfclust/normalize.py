@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import canonical
+from ._util import NORMALIZATIONS, canonical
 from .matrix import ExpressionMatrix
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
 
 DEGENERATE_TOL = 1e-12
 
-METHODS = ("mean_relative", "z_score")
+METHODS = NORMALIZATIONS[1:]  # all but "none"
 
 
 class DegenerateRowsError(ValueError):

@@ -27,10 +27,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from ._util import bad_cell, opened, parse_cells, write_csv
-from .fuzzy import FuzzyPartition
-from .kmeans import HardPartition
-from .rough import RoughPartition
+from ._util import Stopped, bad_cell, opened, parse_cells, write_csv
 
 __all__ = [
     "PartitionFile",
@@ -106,11 +103,14 @@ class _SetsFile(PartitionFile):
 
 
 def write_partition_csv(
-    part: Union[HardPartition, RoughPartition, FuzzyPartition],
-    gene_ids: Sequence[str],
-    dest: Union[str, Path, IO[str]],
+    part: Stopped, gene_ids: Sequence[str], dest: Union[str, Path, IO[str]]
 ) -> None:
     """Write any partition kind in its CSV layout, rows in gene order."""
+    # imported here, so that reading a partition loads no algorithm module
+    from .fuzzy import FuzzyPartition
+    from .kmeans import HardPartition
+    from .rough import RoughPartition
+
     genes = range(len(gene_ids))  # row i holds gene i, except in a rough file
     if isinstance(part, HardPartition):
         header = ["gene_id", "cluster"]

@@ -26,14 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from ._util import DEFAULTS, as_values, sq_distances, total
-from .fuzzy import FuzzyPartition
-from .kmeans import HardPartition
-from .rough import RoughPartition
+from ._util import ALGORITHMS, Stopped, as_values, default_m, sq_distances, total
 
 __all__ = [
     "ALGORITHMS",
@@ -47,11 +43,7 @@ __all__ = [
     "evaluate",
 ]
 
-ALGORITHMS = ("kmeans", "rough_kmeans", "fcm", "pfcm")
-
 _SEPARATION_TOL = 1e-12
-
-Partition = Union[HardPartition, RoughPartition, FuzzyPartition]
 
 
 @dataclass(frozen=True)
@@ -73,12 +65,7 @@ class ValidityReport:
             )
 
 
-def default_m(fuzzy: bool) -> float:
-    """The grid's fuzzifier: the default m for fuzzy partitions, 1 for hard and rough ones."""
-    return DEFAULTS["m"] if fuzzy else 1.0
-
-
-def unified_memberships(p: Partition) -> np.ndarray:
+def unified_memberships(p: Stopped) -> np.ndarray:
     """A copy of the partition's (n_genes, k) row-stochastic memberships."""
     return p.memberships.copy()
 
@@ -161,9 +148,14 @@ def score(x, u: np.ndarray, w: np.ndarray, m: float, algorithm: str) -> Validity
     )
 
 
-def evaluate(x, p: Partition, m: float | None = None,
+def evaluate(x, p: Stopped, m: float | None = None,
              algorithm: str | None = None) -> ValidityReport:
     """Score a partition of x: score() on its memberships, at default_m unless m is given."""
+    # imported here, so that scoring a stored partition loads no algorithm module
+    from .fuzzy import FuzzyPartition
+    from .kmeans import HardPartition
+    from .rough import RoughPartition
+
     m = default_m(isinstance(p, FuzzyPartition)) if m is None else m
     if algorithm is None:
         algorithm = {

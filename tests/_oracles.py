@@ -440,6 +440,9 @@ def parse_matrix(source: str, format: str = "tsv") -> ExpressionMatrix:
 
 
 def _parse_tsv(lines: list[str]) -> ExpressionMatrix:
+    # empty lines that end the file are dropped
+    while not lines[-1]:
+        lines = lines[:-1]
     sample_ids = lines[0].split("\t")
     if any(not s for s in sample_ids):
         raise ParseError("empty sample id in header", 1)

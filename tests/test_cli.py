@@ -255,7 +255,7 @@ def test_cluster_disk_full_leaves_nothing(four_tsv, tmp_path, capsys, monkeypatc
             handle.write("{")
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr("pfclust.cli.write_metadata_json", half_write)
+    monkeypatch.setattr("pfclust.serialize.write_metadata_json", half_write)
     out = tmp_path / "x"
     code = main(["cluster", str(four_tsv), "--alg", "kmeans", "--k", "2", "--out", str(out)])
     assert code == 2
@@ -1023,7 +1023,7 @@ _STALE_EDITS = {
     "edited-value": (lambda text: _first_value(text, "0.25"), 0),
     "appended-row": (lambda text: text + "gx" + "\t0.5" * 10 + "\n", 0),
     "bad-cell": (lambda text: _first_value(text, "x"), 2),
-    "appended-newline": (lambda text: text + "\n", 2),
+    "appended-newline": (lambda text: text + "\n", 0),
     "short-row": (lambda text: text + "gx\t0.5\n", 2),
 }
 

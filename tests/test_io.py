@@ -445,3 +445,29 @@ def test_a_companion_never_hides_a_fault_of_its_text(tmp_path, text):
     assert _read_from_companion(path) is None
     with pytest.raises(ParseError):
         parse_matrix(text, "tsv")
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("blank", [1, 2], ids=["one", "two"])
+def test_tsv_empty_lines_at_the_end_are_dropped(tmp_path, eol, blank):
+    clean = "s1\ts2\ng1\t1\t2\ng2\t3\t4\n".replace("\n", eol)
+    text = clean + eol * blank
+    expected = _outcome(parse_matrix, "tsv", clean)
+    assert _outcome(parse_matrix, "tsv", text) == expected
+    assert _outcome(_oracles.parse_matrix, "tsv", text) == expected
+    # the companion check reads the same lines as the text parse
+    path = tmp_path / "m.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    write_companion(parse_matrix(clean, "tsv").values, path, companion_path(path))
+    got = _read_from_companion(path)
+    assert (got.gene_ids, got.sample_ids, got.values.tobytes()) == expected
+
+
+@pytest.mark.parametrize("text, line", [
+    ("s1\ng1\t1\n\ng2\t3\n", 3),
+    ("s1\r\ng1\t1\r\n\r\n\r\ng2\t3\r\n\r\n", 3),
+    ("s1\n\ng1\t1\n\n", 2),
+])
+def test_tsv_empty_line_followed_by_data_is_refused(text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: blank line inside data section$"):
+        parse_matrix(text, "tsv")
