@@ -5,17 +5,20 @@
 #     bash -eo pipefail ci/console-checks.sh OUT_DIR
 #
 # where OUT_DIR is an existing scratch directory. It checks, in order:
-# - that --version loads neither the grid harness nor the thread pool module
-#   (concurrent.futures), which only the commands that run them import;
+# - that --version loads neither the grid harness nor the process pool
+#   modules (concurrent.futures, multiprocessing), which only the commands
+#   that run them import;
 # - JSON to stdout from validate, and the binary PPM writer from heatmap;
-# - the grid's thread pool;
+# - the grid's forked worker processes, whose preset reports equal the
+#   reports of the same grid run in process on one worker;
 # - a rough run that stops on a centroid cycle (so its matrix-product
 #   centroid updates repeat bit for bit), validated without --m (so at the
 #   grid's m = 1 for a rough file);
 # - a grid refused (exit 2) for its missing output directory before it runs;
 # - a seeded_random grid, whose subsets are keyed by size and seed;
-# - a grid on more worker threads than it has runs, under a timeout so that a
-#   scheduling hang fails fast, whose reports equal its one-worker reports;
+# - a grid asking for more workers than it has runs (so it starts at most
+#   one process per run and CPU), under a timeout so that a hang in the
+#   pool fails fast, whose reports equal its one-worker reports;
 # - a config grid, refused (exit 1) when a field flag comes with it, and
 #   dashed names in a config's overrides and in --policy;
 # - a kmeans run whose squared distances overflow (exit 3, a numerical
@@ -39,11 +42,13 @@ out=${1:?usage: ci/console-checks.sh OUT_DIR}
 pfclust --version
 python -X importtime -m pfclust --version 2> "$out/version.importtime"
 grep -q ' pfclust\.cli$' "$out/version.importtime"
-if grep -E ' (pfclust\.harness|concurrent\.futures)$' "$out/version.importtime"; then exit 1; fi
+if grep -E ' (pfclust\.harness|concurrent\.futures|multiprocessing)$' "$out/version.importtime"; then exit 1; fi
 pfclust cluster tests/data/synthetic_100x10.tsv --alg pfcm --k 3 --out "$out/smoke"
 pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" --centroids "$out/smoke.centroids.csv"
 pfclust heatmap tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" -o "$out/smoke.ppm"
 pfclust grid tests/data/synthetic_100x10.tsv --preset --seeds 0,1 --workers 2 --out "$out/g"
+pfclust grid tests/data/synthetic_100x10.tsv --preset --seeds 0,1 --workers 1 --out "$out/g1"
+for f in report.csv report.json summary.csv; do cmp "$out/g.$f" "$out/g1.$f"; done
 pfclust cluster tests/data/synthetic_100x10.tsv --alg rough-kmeans --k 5 --seed 27 --normalize zscore --out "$out/cycle"
 grep -q '"stop_reason": "cycle"' "$out/cycle.meta.json"
 pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/cycle.partition.csv" --centroids "$out/cycle.centroids.csv" -o "$out/cycle.validate.json"

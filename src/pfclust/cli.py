@@ -16,7 +16,8 @@ name rule (``_util.canonical``) does not know and a --k, --seed,
 is read: one that names a directory or lies in a missing one, like one
 that fails at write time, exits 2 with "cannot write <path>: <reason>".
 An unreadable or non-UTF-8 input exits 2 with "cannot read <path>:
-<reason>", and a partition cell that is not a number names its gene.
+<reason>", and a partition cell that is not a number names its gene. A
+grid worker process that dies exits 2 with "a grid worker process died".
 normalize writes its TSV and, in the same atomic write, the TSV's binary
 companion (``io.write_companion``). Every subcommand takes a tsv input's
 values from a companion that matches its bytes (``io.read_tsv_file``);
@@ -28,7 +29,7 @@ share: numpy, ``_util`` (which holds the parser's name tables), ``io``,
 ``matrix``, ``normalize`` and ``heatmap``. Each handler imports the rest:
 ``harness`` for cluster and grid, ``serialize`` for cluster, validate and
 heatmap, ``validity`` for validate. So normalize, validate, heatmap and
---version start without the grid harness, fuzzy, rough or the thread pool.
+--version start without the grid harness, fuzzy, rough or a process pool.
 """
 
 from __future__ import annotations
@@ -484,7 +485,8 @@ def _build_parser() -> _Parser:
                    "random (default: " + GRID_DEFAULTS["subset_policy"].replace("_", "-") + ")")
     p.add_argument("--seeds", type=_int_list, help="comma-separated seeds (default: "
                    + ",".join(map(str, GRID_DEFAULTS["seeds"])) + ")")
-    p.add_argument("--workers", type=int, default=1, help="worker threads")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most one per run and CPU")
     p.add_argument("--timings", action="store_true",
                    help="also write wall-clock timings (not reproducible)")
     p.add_argument("--out", help="output prefix (default: input path without extension)")

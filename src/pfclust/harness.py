@@ -9,20 +9,21 @@ Reports never embed wall-clock times; runtimes are kept on the in-memory
 rows and written only by the separate timings writer, so repeated runs of
 the same grid produce byte-identical report files.
 
-A grid builds each distinct normalized gene subset once, as a task on its
-thread pool queued before the runs that wait on it (see run_grid), and
-frees it after the last of them. A row's runtime covers its algorithm run
-and scoring only: building the subset is in no row.
+A grid builds each distinct normalized gene subset once, in the calling
+process, and runs its runs there or, with two or more workers, in forked
+worker processes that inherit it (see run_grid). A row's runtime covers
+its algorithm run and scoring only: building the subset is in no row.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Optional, Sequence, Union
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,9 +38,6 @@ from .normalize import normalize
 from .rough import RoughPartition, rough_kmeans
 from .serialize import write_metadata_json
 from .validity import ValidityReport, evaluate
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future
 
 __all__ = [
     "DEFAULTS",
@@ -395,14 +393,13 @@ def _subset(
 
 
 def _run_cell(
-    build: Future, grid: ExperimentGrid, size: int, k: int, algorithm: str, seed: int,
+    sub, grid: ExperimentGrid, size: int, k: int, algorithm: str, seed: int,
 ) -> CellResult:
     """Run and score one algorithm on its cell's subset, or report what failed.
 
-    build is the future of the cell's ``_subset``, awaited before the timer
-    starts; a failed build's exception is formatted into the row, never raised.
+    sub is what the cell's ``_subset`` returned; a failed build's exception
+    is formatted into the row, never raised.
     """
-    sub = build.result()
     cfg = grid.config_for(algorithm)
     echo = {**cfg, "normalization": grid.normalization, "subset_policy": grid.subset_policy}
     start = time.perf_counter()
@@ -426,46 +423,67 @@ def _run_cell(
     )
 
 
+_WORK: list = []  # a forked grid worker's grid, runs and run subsets, from its pool
+
+
+def _forked_run(i: int) -> CellResult:
+    grid, runs, subsets = _WORK
+    return _run_cell(subsets[i], grid, *runs[i])
+
+
+def _cpus() -> int:  # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> ExperimentResult:
     """Execute every grid cell and collect rows in deterministic order.
 
     Rows are in grid.runs() order. Per-run failures are captured in
     their row's error field rather than raised; a subset that cannot be
-    built fails every run that uses it. Cells run on a pool of `workers`
-    threads, a ``count`` >= 1; the ordering and all report content are
-    independent of worker count.
+    built fails every run that uses it. The ordering and all report
+    content are independent of `workers`, a ``count`` >= 1.
 
     A subset, keyed by its size and, under seeded_random only, the seed,
-    is built once, and its runs share it through the build's future. The
-    pool takes tasks in queue order and a build is queued before its
-    runs, so a run waits only on a build under way (no deadlock at any
-    worker count). Once all is queued only a key's runs hold its future,
-    so the subset is freed after the last of them.
+    is built once, here. With one worker (or no fork start method) the
+    runs run here in order, each subset built before its key's first run
+    and dropped after its last. Otherwise min(workers, runs, usable CPUs)
+    forked processes run them; they inherit every subset, built up front
+    and held until the pool closes (16129 rows on the preset grid against
+    the matrix's 7129), and a task sends only a run index. A worker that
+    dies raises ChildProcessError once the pool has stopped.
     """
-    # imported here: concurrent.futures loads logging, which only a grid needs
-    from concurrent.futures import ThreadPoolExecutor
-
     workers = count(workers, "workers", 1)
     for size, _ in grid.cells():
         if size > m.n_genes:
-            raise ValueError(
-                f"subset size {size} exceeds the matrix gene count {m.n_genes}"
-            )
+            raise ValueError(f"subset size {size} exceeds the matrix gene count {m.n_genes}")
+    runs = grid.runs()
     # subset_genes reads the seed under seeded_random only
     seeded = grid.subset_policy == "seeded_random"
-    builds: dict[tuple[int, int], Future] = {}
-    runs = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for size, k, algorithm, seed in grid.runs():
-            key = (size, seed if seeded else 0)
-            if key not in builds:
-                builds[key] = pool.submit(_subset, m, grid, *key)
-            runs.append(pool.submit(_run_cell, builds[key], grid, size, k, algorithm, seed))
-        del builds
-        rows = [run.result() for run in runs]
-    return ExperimentResult(
-        grid=grid, n_genes=m.n_genes, n_samples=m.n_samples, rows=tuple(rows)
-    )
+    keys = [(size, seed if seeded else 0) for size, _, _, seed in runs]
+    workers = min(workers, len(runs), _cpus())
+    if workers > 1:  # only a pool loads these, and they load logging and more
+        import multiprocessing
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        built = {key: _subset(m, grid, *key) for key in dict.fromkeys(keys)}
+        work = (grid, runs, [built[key] for key in keys])
+        try:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_WORK.extend, initargs=(work,)) as pool:
+                # last run first: the largest cells, so that none of them ends alone
+                rows = list(pool.map(_forked_run, range(len(runs) - 1, -1, -1)))[::-1]
+        except BrokenExecutor as exc:
+            raise ChildProcessError(f"a grid worker process died: {exc}") from None
+    else:
+        last = {key: i for i, key in enumerate(keys)}
+        built, rows = {}, []
+        for i, (run, key) in enumerate(zip(runs, keys)):
+            if key not in built:
+                built[key] = _subset(m, grid, *key)
+            rows.append(_run_cell(built[key], grid, *run))
+            if last[key] == i:
+                del built[key]
+    return ExperimentResult(grid, m.n_genes, m.n_samples, tuple(rows))
 
 
 def generate_synthetic(

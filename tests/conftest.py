@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import pfclust.harness
 from pfclust import ExpressionMatrix
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -39,3 +42,25 @@ def small_matrix():
 @pytest.fixture
 def bundled_path():
     return DATA_DIR / "synthetic_100x10.tsv"
+
+
+@pytest.fixture(autouse=True)
+def at_most_three_grid_workers(monkeypatch):
+    """Cap a grid's worker processes at three, whatever the host's CPU count."""
+    cpus = pfclust.harness._cpus
+    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: min(3, cpus()))
+
+
+@contextmanager
+def within(seconds: int):
+    """Fail, rather than hang, if the block runs longer than `seconds` (POSIX only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

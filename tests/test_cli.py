@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import tracemalloc
@@ -14,8 +15,11 @@ import pytest
 from pfclust import (
     ExpressionMatrix, evaluate, parse_matrix, read_partition_csv, run_algorithm, write_tsv,
 )
+import pfclust.harness
 from pfclust.cli import main
 from pfclust.io import companion_path
+
+from conftest import within
 
 
 SMALL_TSV = "s1\ts2\ts3\nga\t0.0\t1.0\t2.0\ngb\t0.5\t1.5\t2.5\ngc\t10.0\t11.0\t12.0\ngd\t10.5\t11.5\t12.5\n"
@@ -719,6 +723,28 @@ def test_grid_summary_of_infinite_scores(bundled_tsv, tmp_path):
     got = rows[("14", "7", "rough_kmeans")]
     assert (got["xie_beni_mean"], got["xie_beni_sd"]) == ("inf", "inf")
     assert float(got["xie_beni_best"]) < math.inf
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+def test_grid_whose_worker_dies_exits_2_with_one_line(bundled_tsv, tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    run = pfclust.harness.run_algorithm
+
+    def dying(name, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return run(name, *args, **kwargs)
+
+    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(pfclust.harness, "run_algorithm", dying)
+    with within(60):
+        code = main(["grid", str(bundled_tsv), "--preset", "--workers", "2",
+                     "--out", str(tmp_path / "dead")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a grid worker process died: ") and err.count("\n") == 1
+    assert list(tmp_path.glob("dead*")) == []
 
 
 def test_grid_row_reports_a_cycle(bundled_tsv, tmp_path):

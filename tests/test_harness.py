@@ -1,7 +1,11 @@
+import concurrent.futures
 import io
 import json
 import math
+import multiprocessing
+import os
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -31,7 +35,7 @@ from pfclust.harness import CellResult
 from pfclust.validity import unified_memberships
 
 from _oracles import adjusted_rand
-from conftest import DATA_DIR, SYNTH_CLUSTERS, SYNTH_NOISE, SYNTH_SEED
+from conftest import DATA_DIR, SYNTH_CLUSTERS, SYNTH_NOISE, SYNTH_SEED, within
 
 # iterations, stop reason and hard labels (one digit per gene, the argmax of
 # the unified memberships) of each algorithm at k 3 and 9 and seeds 0-2 on
@@ -492,7 +496,8 @@ def _count_subsets(monkeypatch):
 
 @pytest.fixture
 def fast_switching():
-    """Switch threads often while the test runs, so that a race between workers shows."""
+    """Switch threads often while the test runs, so that a race between the caller and
+    its process pool's manager thread shows."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -501,7 +506,7 @@ def fast_switching():
         sys.setswitchinterval(interval)
 
 
-# 9 workers: more than a key's runs, so idle ones wait on a build under way
+# 9 workers: more than a key's runs and the CPUs, so the pool is capped
 @pytest.mark.parametrize("workers", [1, 2, 9])
 def test_grid_builds_each_preset_subset_once(bundled, monkeypatch, fast_switching, workers):
     calls = _count_subsets(monkeypatch)
@@ -512,7 +517,7 @@ def test_grid_builds_each_preset_subset_once(bundled, monkeypatch, fast_switchin
     assert len(calls) == 4
 
 
-# 9 workers: more than a key's runs, so idle ones wait on a build under way
+# 9 workers: more than a key's runs and the CPUs, so the pool is capped
 @pytest.mark.parametrize("workers", [1, 2, 9])
 def test_grid_builds_one_seeded_random_subset_per_size_and_seed(
     bundled, monkeypatch, fast_switching, workers
@@ -551,6 +556,113 @@ def test_grid_drops_a_subset_after_its_last_run(bundled, monkeypatch):
     assert all(ref() is None for ref in built)
 
 
+_FORKS = "fork" in multiprocessing.get_all_start_methods()
+_SMALL = ExperimentGrid(pairs=((30, 2), (60, 3)), algorithms=("kmeans", "fcm"), seeds=(0, 1))
+
+
+def _texts(res):
+    """A result's report.csv, summary.csv and report.json."""
+    texts = []
+    for write in (res.write_report_csv, res.write_summary_csv, res.write_report_json):
+        buf = io.StringIO()
+        write(buf)
+        texts.append(buf.getvalue())
+    return texts
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool a grid opens while the test runs."""
+    opened = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return opened
+
+
+@pytest.mark.skipif(not _FORKS, reason="no fork start method")
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (2, 8, [2]), (12, 2, [2]), (12, 8, [3]), (3, 1, []), (1, 8, []),
+], ids=["workers", "cpus", "runs", "one-cpu", "one-worker"])
+def test_grid_pool_has_at_most_one_process_per_worker_run_and_cpu(
+    bundled, monkeypatch, pools, workers, cpus, expected
+):
+    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: cpus)
+    grid = ExperimentGrid(pairs=((30, 2),), algorithms=("kmeans",), seeds=(0, 1, 2))
+    assert len(grid.runs()) == 3
+    run_grid(bundled, grid, workers=workers)
+    assert pools == expected
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not _FORKS, reason="no fork start method")
+def test_no_worker_process_outlives_a_grid(bundled, monkeypatch):
+    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    expected = _texts(run_grid(bundled, _SMALL))
+    assert _texts(run_grid(bundled, _SMALL, workers=2)) == expected
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not _FORKS, reason="no fork start method")
+def test_a_run_that_raises_in_a_worker_fills_its_row(bundled, monkeypatch):
+    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    run = pfclust.harness.run_algorithm
+
+    def failing(name, x, k, seed=0, **params):
+        if (name, k, seed) == ("fcm", 3, 1):
+            raise ArithmeticError("injected")
+        return run(name, x, k, seed=seed, **params)
+
+    monkeypatch.setattr(pfclust.harness, "run_algorithm", failing)
+    res = run_grid(bundled, _SMALL, workers=2)
+    assert multiprocessing.active_children() == []
+    errors = [(r.size, r.algorithm, r.seed, r.error) for r in res.rows if r.error]
+    assert errors == [(60, "fcm", 1, "ArithmeticError: injected")]
+
+
+@pytest.mark.skipif(not _FORKS, reason="no fork start method")
+def test_a_worker_that_dies_fails_the_grid_without_a_hang(bundled, monkeypatch):
+    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    parent = os.getpid()
+    run = pfclust.harness.run_algorithm
+
+    def dying(name, x, k, seed=0, **params):
+        if name == "fcm" and os.getpid() != parent:
+            os._exit(1)
+        return run(name, x, k, seed=seed, **params)
+
+    monkeypatch.setattr(pfclust.harness, "run_algorithm", dying)
+    with within(60), pytest.raises(ChildProcessError, match="^a grid worker process died: "):
+        run_grid(bundled, _SMALL, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not _FORKS, reason="no fork start method")
+def test_a_grid_pool_forks_without_a_warning(bundled, monkeypatch):
+    # Python 3.12+ warns on fork once a process has a second thread, so a
+    # pool that started its manager thread before forking would warn here
+    tasks = "/proc/self/task"
+    if sys.version_info >= (3, 12) and os.path.isdir(tasks) and len(os.listdir(tasks)) > 1:
+        pytest.skip("BLAS threads run already, so any fork warns")
+    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_grid(bundled, _SMALL, workers=2)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_a_grid_without_fork_runs_in_process(bundled, monkeypatch, pools):
+    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    expected = _texts(run_grid(bundled, _SMALL))
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _texts(run_grid(bundled, _SMALL, workers=2)) == expected
+    assert pools == []
+
+
 _TINY, _ = generate_synthetic(
     [((0.0, 0.0, 0.0), 0.5, 8), ((4.0, 0.0, 4.0), 0.5, 8), ((0.0, 4.0, 4.0), 0.5, 8)],
     noise_genes=4, seed=7,
@@ -559,12 +671,7 @@ _TINY, _ = generate_synthetic(
 
 def _reports(grid, workers):
     res = run_grid(_TINY, grid, workers=workers)
-    texts = []
-    for write in (res.write_report_csv, res.write_summary_csv, res.write_report_json):
-        buf = io.StringIO()
-        write(buf)
-        texts.append(buf.getvalue())
-    return texts, len(res.rows)
+    return _texts(res), len(res.rows)
 
 
 _ALGORITHMS = ("kmeans", "rough_kmeans", "fcm", "pfcm")

@@ -32,7 +32,7 @@ def _fresh(code: str, *args: str, cwd=None) -> str:
 
 
 # runs `python -m pfclust ARGS`, then prints its exit code and the pfclust
-# modules and thread pool module it loaded, as the last line
+# and process pool modules it loaded, as the last line
 _LOADED = """
     import json, runpy, sys
     sys.argv = ["pfclust", *sys.argv[1:]]
@@ -40,7 +40,8 @@ _LOADED = """
         runpy.run_module("pfclust", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-    names = [m for m in sys.modules if m.startswith("pfclust") or m == "concurrent.futures"]
+    names = [m for m in sys.modules
+             if m.startswith("pfclust") or m in ("concurrent.futures", "multiprocessing")]
     print(json.dumps([code, sorted(names)]))
 """
 
@@ -71,8 +72,9 @@ def test_cluster_loads_every_module_but_no_thread_pool(clustered):
     (["validate", "m.tsv", "--partition", "p.partition.csv", "--centroids", "p.centroids.csv"],
      {"pfclust.serialize", "pfclust.validity"}),
     (["heatmap", "m.tsv", "--partition", "p.partition.csv"], {"pfclust.serialize"}),
+    # one worker runs the grid in process, without a pool
     (["grid", "m.tsv", "--sizes", "40", "--ks", "3", "--algorithms", "kmeans"],
-     CLUSTER_MODULES | {"concurrent.futures"}),
+     CLUSTER_MODULES),
 ], ids=["version", "normalize", "validate", "heatmap", "grid"])
 def test_each_subcommand_loads_only_the_modules_it_runs(clustered, args, loads):
     assert _loaded(*args, cwd=clustered[0]) == BASE | loads
