@@ -35,7 +35,11 @@
 # - normalize's binary companion: cluster writes the same partition,
 #   centroids and meta.json from the TSV with its companion and from a copy
 #   of the TSV alone, and again once CRLF line ends make the companion
-#   stale; a stale companion hides no fault (an appended short row, exit 2).
+#   stale; a stale companion hides no fault (an appended short row, exit 2);
+# - the reader and write_tsv in row parts: on a matrix of 240000 cells,
+#   above the floor at which they fork, normalize and cluster write the same
+#   bytes, the companion included, on one CPU (taskset -c 0, one part) and on
+#   every CPU the runner has.
 set -eo pipefail
 out=${1:?usage: ci/console-checks.sh OUT_DIR}
 
@@ -97,3 +101,18 @@ for f in partition.csv centroids.csv meta.json; do cmp "$out/with/stale.$f" "$ou
 printf 'gx\t0.5\n' >> "$out/alone/z.tsv"
 cp "$out/with/z.tsv.npy" "$out/alone/"
 rc=0; pfclust cluster "$out/alone/z.tsv" --alg pfcm --k 3 --out "$out/short" || rc=$?; test "$rc" -eq 2
+python - "$out/parts.tsv" <<'PY'
+import sys
+import numpy as np
+x = np.random.default_rng(0).normal(size=(4000, 60))
+with open(sys.argv[1], "w", encoding="utf-8") as f:
+    f.write("\t".join(f"s{j}" for j in range(60)) + "\n")
+    f.writelines(f"g{i}\t" + "\t".join(map(repr, row.tolist())) + "\n" for i, row in enumerate(x))
+PY
+for cpus in one all; do
+  run=(); if [ "$cpus" = one ]; then run=(taskset -c 0); fi
+  mkdir -p "$out/$cpus"
+  "${run[@]}" pfclust normalize "$out/parts.tsv" --method zscore -o "$out/$cpus/z.tsv"
+  "${run[@]}" pfclust cluster "$out/parts.tsv" --alg kmeans --k 5 --normalize zscore --out "$out/$cpus/c"
+done
+for f in z.tsv z.tsv.npy c.partition.csv c.centroids.csv c.meta.json; do cmp "$out/one/$f" "$out/all/$f"; done

@@ -5,9 +5,10 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -119,6 +120,60 @@ def bad_cell(cells) -> Optional[tuple[int, str]]:
         if value is None or not np.isfinite(value):
             return j, f"{'non-numeric' if value is None else 'non-finite'} value {cell!r}"
     return None
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# cells a part holds at least: two parts of 20000 cells parse no faster than one process
+PART_CELLS = 100_000
+# whether a child can be forked and moved to a CPU, and this process's CPU read
+_SPREADS = (all(hasattr(os, f) for f in ("fork", "sched_getaffinity", "sched_setaffinity"))
+            and os.path.exists("/proc/self/stat"))
+
+
+def in_parts(part: Callable[[int, int], bytes], n_rows: int, n_cells: int) -> Optional[list]:
+    """part(a, b) for consecutive row ranges covering range(n_rows), in order:
+    min(usable CPUs, n_rows, n_cells // PART_CELLS) parts, or one where a
+    process cannot fork or move to a CPU. The first runs here, each other one
+    in a forked child that moves to a usable CPU other than this process's (a
+    child stays on its parent's CPU, where two parts run slower than one) and
+    sends its bytes through a pipe. None, once every child is reaped, if a
+    part raises or a child fails: the caller then does the work in process."""
+    n = max(1, min(usable_cpus(), n_rows, n_cells // PART_CELLS)) if _SPREADS else 1
+    bounds = [n_rows * i // n for i in range(n + 1)]
+    children, ok = [], False
+    try:
+        if n > 1:
+            with open("/proc/self/stat", "rb") as stat:  # field 39: the CPU this runs on
+                here = int(stat.read().rsplit(b")", 1)[1].split()[36])
+            cpus = [c for c in sorted(os.sched_getaffinity(0)) if c != here] or [here]
+        for i in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit, never into the caller's code
+                try:
+                    os.sched_setaffinity(0, [cpus[(i - 1) % len(cpus)]])
+                    with open(w, "wb") as pipe:
+                        pipe.write(part(bounds[i], bounds[i + 1]))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        parts = [part(0, bounds[1])] + [pipe.read() for _, pipe in children]
+        ok = True
+    except Exception:
+        pass  # the caller does the work again in process, which names any fault
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not ok:  # no part is needed now: SIGKILL the children still at work
+                os.kill(pid, 9)
+            ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and ok
+    return parts if ok else None
 
 
 @contextmanager

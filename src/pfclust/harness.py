@@ -17,7 +17,6 @@ its algorithm run and scoring only: building the subset is in no row.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
@@ -27,6 +26,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
+from . import _util
 from ._util import (
     ALGORITHMS, DEFAULTS, GRID_DEFAULTS, NORMALIZATIONS, PARAMS, PRESET_PAIRS, SUBSET_POLICIES,
     as_values, canonical, check_params, count, write_csv,
@@ -431,10 +431,6 @@ def _forked_run(i: int) -> CellResult:
     return _run_cell(subsets[i], grid, *runs[i])
 
 
-def _cpus() -> int:  # the CPUs this process may run on
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> ExperimentResult:
     """Execute every grid cell and collect rows in deterministic order.
 
@@ -460,7 +456,7 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
     # subset_genes reads the seed under seeded_random only
     seeded = grid.subset_policy == "seeded_random"
     keys = [(size, seed if seeded else 0) for size, _, _, seed in runs]
-    workers = min(workers, len(runs), _cpus())
+    workers = min(workers, len(runs), _util.usable_cpus())
     if workers > 1:  # only a pool loads these, and they load logging and more
         import multiprocessing
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor

@@ -3,8 +3,7 @@
 Three tab-delimited input formats are supported:
 
 * ``tsv``  -- line 1 holds the sample ids; every following line is a gene id
-  plus one numeric field per sample. Empty lines at the end of the file are
-  dropped (``_tsv_lines``); an empty line followed by data is refused.
+  plus one numeric field per sample.
 * ``gct``  -- line 1 is the version marker ``#1.2``; line 2 is
   ``<n_genes><TAB><n_samples>``; line 3 is ``Name<TAB>Description`` followed
   by the sample ids; data rows carry name, description and the numeric
@@ -17,16 +16,20 @@ Three tab-delimited input formats are supported:
 
 One reader builds the matrix for all three formats, and reads each cell as
 Python's ``float()`` does. It has two paths with one outcome: numpy's C text
-reader converts a well-formed body in one pass (its ``quotechar`` option,
-numpy >= 1.23, is within the ``numpy>=1.24`` floor), and any other body is
-walked row by row. The C reader runs only after a structure pass has checked
-every line's field count and id, and only on bodies whose value fields hold
-no U+001F, which it strips as whitespace where ``float()`` refuses it (an id
-it does not convert may hold one). The walk reads the cells that only
-``float()`` reads (``1_0``, non-ASCII digits) and names the first fault in
-file order. Values must be finite; NaN or infinite cells are rejected with
-their location rather than imputed, worded by the cell rule the centroid
-reader also uses (``_util.bad_cell``).
+reader converts a well-formed body (its ``quotechar`` option, numpy >= 1.23,
+is within the ``numpy>=1.24`` floor), and any other body is walked row by
+row. The C reader runs only after a structure pass has checked every line's
+field count and id, and only on bodies whose value fields hold no U+001F,
+which it strips as whitespace where ``float()`` refuses it (an id it does
+not convert may hold one). The walk reads the cells that only ``float()``
+reads (``1_0``, non-ASCII digits) and names the first fault in file order.
+Values must be finite; NaN or infinite cells are rejected with their
+location rather than imputed, worded by the cell rule the centroid reader
+also uses (``_util.bad_cell``).
+
+The C reader converts a large body, and ``write_tsv`` formats a large
+matrix, in row parts across the usable CPUs (``_util.in_parts``); the checks
+and the walk run in the calling process, so no outcome depends on the parts.
 
 A tsv file may have a binary companion beside it, its name plus ``.npy``
 (``companion_path``), which ``write_companion`` writes: the SHA-256 of the
@@ -48,7 +51,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from ._util import bad_cell, opened
+from ._util import bad_cell, in_parts, opened
 from .matrix import ExpressionMatrix
 
 __all__ = [
@@ -128,45 +131,45 @@ def parse_matrix(source: Source, format: str = "tsv") -> ExpressionMatrix:
 
 
 def _read_body(
-    rows: list[tuple[int, str]], sample_ids: list[str], id_col: int, id_name: str,
+    lines: list[str], line0: int, sample_ids: list[str], id_col: int, id_name: str,
     first: int, step: int, layout: str,
 ) -> ExpressionMatrix:
-    """Build the matrix from numbered data lines with the id in field `id_col`
-    and the values in fields `first::step`.
+    """Build the matrix from the data lines, numbered from `line0`, with the id
+    in field `id_col` and the values in fields `first::step`.
 
     Two paths give one outcome. A structure pass checks every line's tab
     count (before taking ids, as a short line has no id field), its id, and
     that its fields from `first` on hold no U+001F, which numpy's C reader
     strips as whitespace and float() refuses (an id, never converted, may).
     The C reader (whose ``quotechar`` needs numpy >= 1.23) then converts the
-    whole body in one pass. If a check fails, the reader refuses a cell or a
-    value is not finite, the rows are walked one by one: assigning a row of
-    strings converts each cell as float() does (so ``1_0`` and non-ASCII
-    digits, which the C reader refuses, are read), and `bad_cell` names the
-    first bad cell in file order with its line and column.
+    body, in row parts (``_util.in_parts``), into one array. If a check fails,
+    a part fails or a value is not finite, the rows are walked one by one:
+    assigning a row of strings converts each cell as float() does (so ``1_0``
+    and non-ASCII digits, which the C reader refuses, are read), and
+    `bad_cell` names the first bad cell in file order with its line and column.
     """
     n_samples = len(sample_ids)
     n_fields = first + step * n_samples
-    lines = [line for _, line in rows]
-    gene_ids, values = _structure(lines, n_fields, id_col, first), None
-    if gene_ids is not None:
-        try:
-            values = np.loadtxt(lines, delimiter="\t", comments=None, quotechar=None,
-                                usecols=range(first, n_fields, step), ndmin=2)
-        except ValueError:
-            pass
-    if values is None or values.shape != (len(rows), n_samples) or not np.isfinite(values).all():
-        gene_ids, values = [], np.empty((len(rows), n_samples))
-        for i, (line_no, line) in enumerate(rows):
-            if not line:
-                raise ParseError("blank line inside data section", line_no)
+    gene_ids, values = _structure(lines, n_fields, id_col, first), np.empty((len(lines), n_samples))
+
+    def convert(a: int, b: int) -> memoryview:
+        values[a:b] = np.loadtxt(lines[a:b], delimiter="\t", comments=None, quotechar=None,
+                                 usecols=range(first, n_fields, step), ndmin=2)
+        return values[a:b].data
+
+    parts = None if gene_ids is None else in_parts(convert, len(lines), values.size)
+    if parts is not None:  # the forked parts' rows into values; the rest are there already
+        np.concatenate([np.frombuffer(data) for data in parts], out=values.reshape(-1))
+    if parts is None or not np.isfinite(values).all():
+        gene_ids = []
+        for i, line in enumerate(lines):
             fields = line.split("\t")
             if len(fields) != n_fields:
                 raise ParseError(
-                    f"expected {n_fields} fields ({layout}), found {len(fields)}", line_no
+                    f"expected {n_fields} fields ({layout}), found {len(fields)}", line0 + i
                 )
             if not fields[id_col]:
-                raise ParseError(f"empty {id_name}", line_no, id_col + 1)
+                raise ParseError(f"empty {id_name}", line0 + i, id_col + 1)
             gene_ids.append(fields[id_col])
             cells = fields[first::step]
             try:
@@ -176,7 +179,7 @@ def _read_body(
                 ok = False
             if not ok:
                 j, what = bad_cell(cells)
-                raise ParseError(what, line_no, first + 1 + step * j)
+                raise ParseError(what, line0 + i, first + 1 + step * j)
     try:
         return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), values)
     except ValueError as exc:
@@ -195,23 +198,27 @@ def _structure(lines: list[str], n_fields: int, id_col: int, first: int) -> list
     return None
 
 
-def _tsv_lines(lines: list[str]) -> list[str]:
-    """A tsv file's lines without the empty lines that end it, which an editor
-    or ``echo >>`` may leave; an empty line before a data line stays, and is refused."""
+def _data_lines(lines: list[str], start: int) -> list[str]:
+    """The data section, lines[start:], without the empty lines that end the
+    file (an editor or ``echo >>`` may leave them); a blank or whitespace-only
+    line left in it is refused before any data line is read."""
     end = len(lines)
-    while end and not lines[end - 1]:
+    while end > start and not lines[end - 1]:
         end -= 1
-    return lines[:end]
+    for i in range(start, end):
+        if not lines[i].strip():
+            raise ParseError("blank line inside data section", i + 1)
+    return lines[start:end]
 
 
 def _parse_tsv(lines: list[str]) -> ExpressionMatrix:
-    lines = _tsv_lines(lines)
     sample_ids = lines[0].split("\t")
     if any(not s for s in sample_ids):
         raise ParseError("empty sample id in header", 1)
-    if len(lines) < 2:
+    data = _data_lines(lines, 1)
+    if not data:
         raise ParseError("no data rows after the header", 1)
-    return _read_body(list(enumerate(lines[1:], start=2)), sample_ids, 0, "gene id", 1, 1,
+    return _read_body(data, 2, sample_ids, 0, "gene id", 1, 1,
                       f"gene id + {len(sample_ids)} values")
 
 
@@ -237,14 +244,11 @@ def _parse_gct(lines: list[str]) -> ExpressionMatrix:
             f"{len(sample_ids)}",
             3,
         )
-    data_lines = [(no, ln) for no, ln in enumerate(lines[3:], start=4) if ln.strip()]
-    if len(data_lines) != n_genes:
-        raise ParseError(
-            f"dimension line declares {n_genes} data rows but file contains "
-            f"{len(data_lines)}",
-            2,
-        )
-    return _read_body(data_lines, sample_ids, 0, "gene name", 2, 1,
+    data = _data_lines(lines, 3)
+    if len(data) != n_genes:
+        raise ParseError(f"dimension line declares {n_genes} data rows but file contains "
+                         f"{len(data)}", 2)
+    return _read_body(data, 4, sample_ids, 0, "gene name", 2, 1,
                       f"name, description, {n_samples} values")
 
 
@@ -264,30 +268,34 @@ def _parse_res(lines: list[str]) -> ExpressionMatrix:
         n_genes = int(lines[2].strip())
     except ValueError:
         raise ParseError(f"gene-count line must be an integer, found {lines[2]!r}", 3) from None
-    data_lines = [(no, ln) for no, ln in enumerate(lines[3:], start=4) if ln.strip()]
-    if len(data_lines) != n_genes:
-        raise ParseError(
-            f"count line declares {n_genes} data rows but file contains {len(data_lines)}",
-            3,
-        )
-    return _read_body(data_lines, sample_ids, 1, "accession", 2, 2,
+    data = _data_lines(lines, 3)
+    if len(data) != n_genes:
+        raise ParseError(f"count line declares {n_genes} data rows but file contains "
+                         f"{len(data)}", 3)
+    return _read_body(data, 4, sample_ids, 1, "accession", 2, 2,
                       f"description, accession and {n_samples} value/call pairs")
 
 
 def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None:
     """Write a matrix in the tsv format; values round-trip bit-exactly. An id
-    holding a tab or a break of str.splitlines(), the reader's line rule, is refused."""
+    holding a tab or a break of str.splitlines(), the reader's line rule, is refused.
+    Rows are formatted in row parts (``_util.in_parts``), written in order."""
     for name in list(matrix.gene_ids) + list(matrix.sample_ids):
         if "\t" in name or len(f"{name}.".splitlines()) > 1:
             raise ValueError(f"id {name!r} contains a tab or newline and cannot be written")
-    lines = ["\t".join(matrix.sample_ids)]
-    # repr of a Python float is the shortest string that round-trips exactly;
-    # rows are converted one at a time, as a whole-matrix tolist() would hold
-    # a Python float per cell at once
-    for gene_id, row in zip(matrix.gene_ids, matrix.values):
-        lines.append(gene_id + "\t" + "\t".join(map(repr, row.tolist())))
+    gene_ids, values = matrix.gene_ids, matrix.values
+
+    def rows(a: int, b: int) -> bytes:
+        # repr is the shortest string that round-trips; a row at a time, as a
+        # whole-matrix tolist() would hold a Python float per cell at once
+        return "".join("\t".join((gene_ids[i], *map(repr, values[i].tolist()))) + "\n"
+                       for i in range(a, b)).encode("utf-8", "surrogatepass")
+
+    parts = in_parts(rows, len(gene_ids), values.size) or [rows(0, len(gene_ids))]
     with opened(dest) as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\t".join(matrix.sample_ids) + "\n")
+        while parts:  # a part's bytes are dropped before its text is written
+            handle.write(parts.pop(0).decode("utf-8", "surrogatepass"))
 
 
 def companion_path(path: str | Path) -> Path:
@@ -338,9 +346,9 @@ def _from_companion(handle: IO[bytes], digest: bytes, text: str) -> ExpressionMa
     try:
         if handle.read(len(digest)) != digest:
             return None
-        lines = _tsv_lines(text.splitlines())
+        lines = text.splitlines()
         sample_ids = lines[0].split("\t") if lines else []
-        gene_ids = _structure(lines[1:], 1 + len(sample_ids), 0, 1)
+        gene_ids = _structure(_data_lines(lines, 1), 1 + len(sample_ids), 0, 1)
         if gene_ids is None or not all(sample_ids):
             return None
         if np.lib.format.read_magic(handle) != (1, 0):

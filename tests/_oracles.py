@@ -439,19 +439,26 @@ def parse_matrix(source: str, format: str = "tsv") -> ExpressionMatrix:
     return _parse_res(lines)
 
 
-def _parse_tsv(lines: list[str]) -> ExpressionMatrix:
-    # empty lines that end the file are dropped
-    while not lines[-1]:
+def _data_lines(lines: list[str], start: int) -> list[tuple[int, str]]:
+    """The numbered lines from index `start` on, after the empty lines that end
+    the file are dropped; any blank or whitespace-only one left is refused."""
+    while len(lines) > start and not lines[-1]:
         lines = lines[:-1]
+    numbered = list(enumerate(lines[start:], start=start + 1))
+    for line_no, line in numbered:
+        if not line.strip():
+            raise ParseError("blank line inside data section", line_no)
+    return numbered
+
+
+def _parse_tsv(lines: list[str]) -> ExpressionMatrix:
     sample_ids = lines[0].split("\t")
     if any(not s for s in sample_ids):
         raise ParseError("empty sample id in header", 1)
     n_samples = len(sample_ids)
     gene_ids: list[str] = []
     rows: list[list[float]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise ParseError("blank line inside data section", line_no)
+    for line_no, line in _data_lines(lines, 1):
         fields = line.split("\t")
         if len(fields) != n_samples + 1:
             raise ParseError(
@@ -490,7 +497,7 @@ def _parse_gct(lines: list[str]) -> ExpressionMatrix:
             f"{len(sample_ids)}",
             3,
         )
-    data_lines = [(no, ln) for no, ln in enumerate(lines[3:], start=4) if ln.strip()]
+    data_lines = _data_lines(lines, 3)
     if len(data_lines) != n_genes:
         raise ParseError(
             f"dimension line declares {n_genes} data rows but file contains "
@@ -530,7 +537,7 @@ def _parse_res(lines: list[str]) -> ExpressionMatrix:
         n_genes = int(lines[2].strip())
     except ValueError:
         raise ParseError(f"gene-count line must be an integer, found {lines[2]!r}", 3) from None
-    data_lines = [(no, ln) for no, ln in enumerate(lines[3:], start=4) if ln.strip()]
+    data_lines = _data_lines(lines, 3)
     if len(data_lines) != n_genes:
         raise ParseError(
             f"count line declares {n_genes} data rows but file contains {len(data_lines)}",

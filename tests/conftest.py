@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import pfclust.harness
+import pfclust._util
 from pfclust import ExpressionMatrix
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -45,10 +45,11 @@ def bundled_path():
 
 
 @pytest.fixture(autouse=True)
-def at_most_three_grid_workers(monkeypatch):
-    """Cap a grid's worker processes at three, whatever the host's CPU count."""
-    cpus = pfclust.harness._cpus
-    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: min(3, cpus()))
+def at_most_three_processes(monkeypatch):
+    """Cap a grid's worker processes, and the processes that read or write a
+    matrix in parts, at three, whatever the host's CPU count."""
+    cpus = pfclust._util.usable_cpus
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: min(3, cpus()))
 
 
 @contextmanager

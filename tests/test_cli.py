@@ -736,7 +736,7 @@ def test_grid_whose_worker_dies_exits_2_with_one_line(bundled_tsv, tmp_path, mon
             os._exit(1)
         return run(name, *args, **kwargs)
 
-    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
     monkeypatch.setattr(pfclust.harness, "run_algorithm", dying)
     with within(60):
         code = main(["grid", str(bundled_tsv), "--preset", "--workers", "2",

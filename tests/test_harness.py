@@ -591,7 +591,7 @@ def pools(monkeypatch):
 def test_grid_pool_has_at_most_one_process_per_worker_run_and_cpu(
     bundled, monkeypatch, pools, workers, cpus, expected
 ):
-    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: cpus)
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: cpus)
     grid = ExperimentGrid(pairs=((30, 2),), algorithms=("kmeans",), seeds=(0, 1, 2))
     assert len(grid.runs()) == 3
     run_grid(bundled, grid, workers=workers)
@@ -601,7 +601,7 @@ def test_grid_pool_has_at_most_one_process_per_worker_run_and_cpu(
 
 @pytest.mark.skipif(not _FORKS, reason="no fork start method")
 def test_no_worker_process_outlives_a_grid(bundled, monkeypatch):
-    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
     expected = _texts(run_grid(bundled, _SMALL))
     assert _texts(run_grid(bundled, _SMALL, workers=2)) == expected
     assert multiprocessing.active_children() == []
@@ -609,7 +609,7 @@ def test_no_worker_process_outlives_a_grid(bundled, monkeypatch):
 
 @pytest.mark.skipif(not _FORKS, reason="no fork start method")
 def test_a_run_that_raises_in_a_worker_fills_its_row(bundled, monkeypatch):
-    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
     run = pfclust.harness.run_algorithm
 
     def failing(name, x, k, seed=0, **params):
@@ -626,7 +626,7 @@ def test_a_run_that_raises_in_a_worker_fills_its_row(bundled, monkeypatch):
 
 @pytest.mark.skipif(not _FORKS, reason="no fork start method")
 def test_a_worker_that_dies_fails_the_grid_without_a_hang(bundled, monkeypatch):
-    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
     parent = os.getpid()
     run = pfclust.harness.run_algorithm
 
@@ -648,7 +648,7 @@ def test_a_grid_pool_forks_without_a_warning(bundled, monkeypatch):
     tasks = "/proc/self/task"
     if sys.version_info >= (3, 12) and os.path.isdir(tasks) and len(os.listdir(tasks)) > 1:
         pytest.skip("BLAS threads run already, so any fork warns")
-    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_grid(bundled, _SMALL, workers=2)
@@ -656,7 +656,7 @@ def test_a_grid_pool_forks_without_a_warning(bundled, monkeypatch):
 
 
 def test_a_grid_without_fork_runs_in_process(bundled, monkeypatch, pools):
-    monkeypatch.setattr(pfclust.harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
     expected = _texts(run_grid(bundled, _SMALL))
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert _texts(run_grid(bundled, _SMALL, workers=2)) == expected

@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
 import io
+import os
+import sys
 import tracemalloc
+import warnings
 
 import _oracles
 import numpy as np
@@ -8,6 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pfclust._util
+import pfclust.io
 from pfclust import ParseError, parse_matrix, sniff_format, write_tsv
 from pfclust.io import companion_path, read_tsv_file, write_companion
 from pfclust.matrix import ExpressionMatrix
@@ -471,3 +477,162 @@ def test_tsv_empty_lines_at_the_end_are_dropped(tmp_path, eol, blank):
 def test_tsv_empty_line_followed_by_data_is_refused(text, line):
     with pytest.raises(ParseError, match=f"^line {line}: blank line inside data section$"):
         parse_matrix(text, "tsv")
+
+
+_BLANK_BODIES = {
+    "gct": "#1.2\n2\t1\nName\tDescription\ts1\ng1\td\t1\n{}\ng2\td\t2\n",
+    "res": "Description\tAccession\ts1\t\n\n2\nd\tg1\t1\tP\n{}\nd\tg2\t2\tP\n",
+    "tsv": "s1\ng1\t1\n{}\ng2\t2\n",
+}
+
+
+@pytest.mark.parametrize("blank", ["", "  ", "\t"], ids=["empty", "spaces", "tab"])
+@pytest.mark.parametrize("fmt", ["tsv", "gct", "res"])
+def test_a_blank_line_inside_the_data_section_is_refused_in_every_format(fmt, blank):
+    text = _BLANK_BODIES[fmt].format(blank)
+    line = text[:text.index("g2")].count("\n")
+    for parse in (parse_matrix, _oracles.parse_matrix):
+        with pytest.raises(ParseError, match=f"^line {line}: blank line inside data section$"):
+            parse(text, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "gct", "res"])
+def test_empty_lines_at_the_end_are_dropped_in_every_format(fmt):
+    clean = _BLANK_BODIES[fmt].replace("{}\n", "")
+    expected = _outcome(parse_matrix, fmt, clean)
+    assert expected[0] == ("g1", "g2")
+    for text in (clean + "\n", clean + "\n\n", clean.replace("\n", "\r\n") + "\r\n"):
+        assert _outcome(parse_matrix, fmt, text) == expected
+        assert _outcome(_oracles.parse_matrix, fmt, text) == expected
+    with pytest.raises(ParseError, match="blank line inside data section$"):
+        parse_matrix(clean + "  \n", fmt)
+
+
+def test_write_peak_memory_is_bounded():
+    values = np.random.default_rng(0).normal(size=(5000, 50))
+    m = ExpressionMatrix([f"g{i}" for i in range(5000)], [f"s{j}" for j in range(50)], values)
+    buf = io.StringIO()
+    write_tsv(m, buf)
+    text = buf.getvalue()
+    tracemalloc.start()
+    try:
+        write_tsv(m, io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
+
+
+# The row parts of the reader and of write_tsv (_util.in_parts). Each test
+# forces them on small inputs, with a cell floor of 1 and a CPU count of at
+# most 3, so that an operation starts at most two child processes.
+
+@contextlib.contextmanager
+def _parts(n):
+    """Read and write in n parts, where the matrix has n rows or more."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfclust._util, "PART_CELLS", 1)
+        mp.setattr(pfclust._util, "usable_cpus", lambda: n)
+        yield mp
+
+
+def _written(m):
+    buf = io.StringIO()
+    write_tsv(m, buf)
+    return buf.getvalue()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_CELL_TEXTS = st.one_of([st.floats(allow_nan=False, allow_infinity=False).map(repr)] * 4
+                        + [st.sampled_from(["1_0", "١٢", "７", "-0.0", "5e-324"])])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.lists(st.lists(_CELL_TEXTS, min_size=2, max_size=2), min_size=3, max_size=8),
+    odd_id=st.sampled_from(["g\x1f", "gé", "١", "g 1"]),
+)
+def test_parts_read_and_write_what_one_process_does(rows, odd_id):
+    ids = [odd_id] + [f"g{i}" for i in range(1, len(rows))]
+    text = "s1\ts2\n" + "".join(f"{g}\t{a}\t{b}\n" for g, (a, b) in zip(ids, rows))
+    with _parts(1):
+        expected = _outcome(parse_matrix, "tsv", text)
+        m = parse_matrix(text, "tsv")
+        written = _written(m)
+    for n in (2, 3):
+        with _parts(n):
+            assert _outcome(parse_matrix, "tsv", text) == expected
+            assert _written(m) == written
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cell", ["foo", "inf", "nan", "1.5\x1f", ""])
+def test_a_bad_cell_in_the_last_part_is_named_as_in_one_part(cell):
+    text = "s1\ts2\n" + "".join(f"g{i}\t{i}\t0.5\n" for i in range(5)) + f"g5\t1\t{cell}\n"
+    with _parts(1):
+        expected = _outcome(parse_matrix, "tsv", text)
+    assert expected[1:] == (7, 3)
+    with _parts(3):
+        assert _outcome(parse_matrix, "tsv", text) == expected
+        # a fault in the first part still comes first
+        first = text.replace("g0\t0\t", "g0\tx\t")
+        assert _outcome(parse_matrix, "tsv", first)[1:] == (2, 2)
+    _no_child_left()
+
+
+def test_a_child_that_dies_leaves_every_outcome_unchanged():
+    parent = os.getpid()
+    real = pfclust.io.in_parts
+
+    def dying(part, *args):
+        def run(a, b):
+            if os.getpid() != parent:
+                os._exit(1)
+            return part(a, b)
+        return real(run, *args)
+
+    texts = [TSV + "g3\t5\t6\ng4\t7\t8\n", TSV + "g3\t5\tx\n", TSV + "g3\t1_0\t6\n"]
+    with _parts(3) as mp:
+        expected = [_outcome(parse_matrix, "tsv", t) for t in texts]
+        m = parse_matrix(texts[0], "tsv")
+        written = _written(m)
+        mp.setattr(pfclust.io, "in_parts", dying)
+        assert [_outcome(parse_matrix, "tsv", t) for t in texts] == expected
+        assert _written(m) == written
+    _no_child_left()
+
+
+def test_parts_fork_without_a_warning():
+    # Python 3.12+ warns on fork once a process has a second thread
+    tasks = "/proc/self/task"
+    if sys.version_info >= (3, 12) and os.path.isdir(tasks) and len(os.listdir(tasks)) > 1:
+        pytest.skip("BLAS threads run already, so any fork warns")
+    text = TSV + "g3\t5\t6\n"
+    with _parts(3), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _written(parse_matrix(text, "tsv"))
+    assert [str(w.message) for w in caught] == []
+
+
+def _stat_cpu():
+    with open("/proc/self/stat", "rb") as stat:
+        return int(stat.read().rsplit(b")", 1)[1].split()[36])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="needs Linux and two usable CPUs")
+def test_a_forked_part_runs_on_another_cpu_than_its_parent():
+    def where(a, b):
+        return f"{os.getpid()} {_stat_cpu()} {sorted(os.sched_getaffinity(0))}".encode()
+
+    with _parts(2):
+        parent, child = [p.decode().split(" ", 2) for p in pfclust._util.in_parts(where, 2, 2)]
+    assert parent[0] == str(os.getpid()) != child[0]
+    assert child[1] != parent[1]
+    assert child[2] == f"[{child[1]}]"
+    _no_child_left()
