@@ -5,10 +5,14 @@
 #     bash -eo pipefail ci/console-checks.sh OUT_DIR
 #
 # where OUT_DIR is an existing scratch directory. It checks, in order:
-# - that --version loads neither the grid harness nor the process pool
+# - that --version prints exactly "pfclust 0.1.0" (the process ends by
+#   os._exit once its output is flushed, skipping the interpreter's
+#   teardown), and loads neither the grid harness nor the process pool
 #   modules (concurrent.futures, multiprocessing), which only the commands
 #   that run them import;
-# - JSON to stdout from validate, and the binary PPM writer from heatmap;
+# - JSON to stdout from validate, piped and byte-equal to its -o file, and
+#   the binary PPM writer from heatmap;
+# - an output path that is a FIFO, refused (exit 2) and left a FIFO;
 # - the grid's forked worker processes, whose preset reports equal the
 #   reports of the same grid run in process on one worker;
 # - a rough run that stops on a centroid cycle (so its matrix-product
@@ -43,12 +47,17 @@
 set -eo pipefail
 out=${1:?usage: ci/console-checks.sh OUT_DIR}
 
-pfclust --version
+test "$(pfclust --version)" = "pfclust 0.1.0"
 python -X importtime -m pfclust --version 2> "$out/version.importtime"
 grep -q ' pfclust\.cli$' "$out/version.importtime"
 if grep -E ' (pfclust\.harness|concurrent\.futures|multiprocessing)$' "$out/version.importtime"; then exit 1; fi
 pfclust cluster tests/data/synthetic_100x10.tsv --alg pfcm --k 3 --out "$out/smoke"
-pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" --centroids "$out/smoke.centroids.csv"
+pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" --centroids "$out/smoke.centroids.csv" | cat > "$out/smoke.piped.json"
+pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" --centroids "$out/smoke.centroids.csv" -o "$out/smoke.validate.json"
+cmp "$out/smoke.piped.json" "$out/smoke.validate.json"
+mkfifo "$out/fifo.json"
+rc=0; pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" --centroids "$out/smoke.centroids.csv" -o "$out/fifo.json" || rc=$?; test "$rc" -eq 2
+test -p "$out/fifo.json"
 pfclust heatmap tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" -o "$out/smoke.ppm"
 pfclust grid tests/data/synthetic_100x10.tsv --preset --seeds 0,1 --workers 2 --out "$out/g"
 pfclust grid tests/data/synthetic_100x10.tsv --preset --seeds 0,1 --workers 1 --out "$out/g1"

@@ -13,8 +13,10 @@ grid flags, a grid ExperimentGrid refuses, a name the library's one
 name rule (``_util.canonical``) does not know and a --k, --seed,
 --workers or --scale its one count rule (``_util.count``) refuses, exit
 1 before the matrix is read. Output paths are checked before any input
-is read: one that names a directory or lies in a missing one, like one
-that fails at write time, exits 2 with "cannot write <path>: <reason>".
+is read: one that names a directory, lies in a missing one or is not a
+regular file (a FIFO or a device, which the rename would replace), like
+one that fails at write time, exits 2 with "cannot write <path>:
+<reason>". A MemoryError exits 2.
 An unreadable or non-UTF-8 input exits 2 with "cannot read <path>:
 <reason>", and a partition cell that is not a number names its gene. A
 grid worker process that dies exits 2 with "a grid worker process died".
@@ -29,7 +31,8 @@ share: numpy, ``_util`` (which holds the parser's name tables), ``io``,
 ``matrix``, ``normalize`` and ``heatmap``. Each handler imports the rest:
 ``harness`` for cluster and grid, ``serialize`` for cluster, validate and
 heatmap, ``validity`` for validate. So normalize, validate, heatmap and
---version start without the grid harness, fuzzy, rough or a process pool.
+--version start without the grid harness, fuzzy, rough or a process pool,
+and ``entry()`` ends each process without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import json
 import os
 import re
 import sys
+import threading
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
@@ -185,17 +189,25 @@ def _outputs(args, *suffixes: str) -> list[Path]:
     if given and not paths[0].parent.is_dir():
         reason = "Not a directory" if paths[0].parent.exists() else "No such file or directory"
         raise DataError(f"cannot write {paths[0]}: {reason}")
+    _regular(paths)
     return paths
+
+
+def _regular(paths: Iterable[Path]) -> None:
+    """Refuse an existing path that is not a regular file, or a symlink to one."""
+    for p in paths:
+        if os.path.exists(p) and not os.path.isfile(p):
+            raise DataError(f"cannot write {p}: not a regular file")
 
 
 # ---------------------------------------------------------------- normalize
 
 def _cmd_normalize(args) -> int:
     method = canonical(args.method, METHODS, "normalization")
-    paths = _outputs(args, ".normalized.tsv")
+    tsv = _outputs(args, ".normalized.tsv")[0]
+    _regular([companion_path(tsv)])
     m = _read_matrix(args.input, args.format)
     out = normalize(m, method, drop_degenerate=args.drop_degenerate)
-    tsv = paths[0]
     # the companion holds the digest of the tsv temp's bytes, which are renamed unchanged
     _atomic_write([(tsv, partial(write_tsv, out)),
                    (companion_path(tsv), partial(write_companion, out.values, _temp(tsv)))])
@@ -379,16 +391,17 @@ def _cmd_grid(args) -> int:
     from .harness import preset_pairs, run_grid
 
     count(args.workers, "--workers", 1)
-    paths = _outputs(args, ".report.csv", ".report.json", ".summary.csv", ".timings.csv")
+    paths = _outputs(args, ".report.csv", ".report.json", ".summary.csv",
+                     *[".timings.csv"] * args.timings)
     grid = _grid(args)
     m = _read_matrix(args.input, args.format)
     if args.preset:
         grid = replace(grid, pairs=preset_pairs(m.n_genes))
     result = run_grid(m, grid, workers=args.workers)
 
-    # zip drops the checked .timings.csv path unless --timings adds its writer
-    writers = [result.write_report_csv, result.write_report_json, result.write_summary_csv]
-    _atomic_write(zip(paths, writers + [result.write_timings_csv] * args.timings))
+    # zip drops the timings writer unless --timings named its path
+    _atomic_write(zip(paths, [result.write_report_csv, result.write_report_json,
+                              result.write_summary_csv, result.write_timings_csv]))
     failed = sum(1 for r in result.rows if r.error is not None)
     if failed:
         _warn(args, f"{failed} of {len(result.rows)} runs failed; see the error column")
@@ -515,6 +528,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(EXIT_DATA, str(exc), json_mode)
     except NumericalError as exc:
         return _fail(EXIT_NUMERIC, str(exc), json_mode)
+    except MemoryError as exc:
+        return _fail(EXIT_DATA, str(exc) or "out of memory", json_mode)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc), json_mode)
 
@@ -528,4 +543,29 @@ def _fail(code: int, message: str, json_mode: bool) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run main() and end the process with its code (argparse's for --help).
+
+    Once stdout and stderr are flushed the process leaves by os._exit: every
+    file pfclust writes is closed by then and it registers no atexit hook,
+    so the interpreter's teardown (about 27 ms, most of it numpy's) has
+    nothing to do for it. It leaves by sys.exit, teardown and all, while
+    another thread is alive, a multiprocessing child is running or a tracer or
+    profiler is set (coverage, cProfile), as any of them may need that
+    teardown. A stdout that cannot be flushed (full, or a closed pipe) is a
+    data error with one error line, whatever the subcommand: the teardown
+    would only flush the same buffer again and exit 120."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        sys.stdout and sys.stdout.flush()  # None if the process started without fd 1
+    except OSError as exc:
+        os._exit(_fail(EXIT_DATA, str(exc), "--json" in sys.argv[1:]))
+    mp = sys.modules.get("multiprocessing")
+    if (threading.active_count() > 1 or mp and mp.active_children()
+            or sys.gettrace() or sys.getprofile()):
+        sys.exit(code)
+    with contextlib.suppress(Exception):  # nothing is left to report a failed stderr on
+        sys.stderr.flush()
+    os._exit(code)

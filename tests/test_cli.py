@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import shutil
+import stat
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -206,6 +207,48 @@ def test_outputs_are_refused_before_the_input_is_read(small_tsv, tmp_path, capsy
     named = given if reason == "Is a directory" else given + suffix
     assert capsys.readouterr().err == f"error: cannot write {named}: {reason}\n"
     assert sorted(os.listdir(tmp_path)) == ["c.csv", "d", "expr.tsv", "p.csv"]
+
+
+# each subcommand's flags, naming the output prefix or file "out", and the
+# output that is made a FIFO
+FIFO_OUTPUTS = {
+    "validate": (["--partition", "p.csv", "--centroids", "c.csv", "-o", "out"], "out"),
+    "heatmap": (["-o", "out"], "out"),
+    "normalize": (["--method", "zscore", "-o", "out"], "out"),
+    "normalize-companion": (["--method", "zscore", "-o", "out"], "out.npy"),
+    "cluster-meta": (["--alg", "kmeans", "--k", "2", "--out", "out"], "out.meta.json"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+@pytest.mark.parametrize("link", [False, True], ids=["fifo", "symlink-to-fifo"])
+@pytest.mark.parametrize("case", list(FIFO_OUTPUTS))
+def test_an_output_that_is_not_a_regular_file_is_refused(small_tsv, tmp_path, capsys, monkeypatch,
+                                                         matrix_never_read, case, link):
+    # the rename into place would replace the FIFO with a regular file
+    monkeypatch.chdir(tmp_path)
+    flags, name = FIFO_OUTPUTS[case]
+    fifo = tmp_path / ("fifo" if link else name)
+    os.mkfifo(fifo)
+    if link:
+        (tmp_path / name).symlink_to(fifo)
+    before = sorted(os.listdir(tmp_path))
+    code = main([case.split("-")[0], str(small_tsv), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {name}: not a regular file\n"
+    assert sorted(os.listdir(tmp_path)) == before
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("target", ["regular", "dangling"])
+def test_a_symlink_output_to_a_regular_file_or_to_nothing_is_replaced(small_tsv, tmp_path, target):
+    dest, link = tmp_path / "dest.tsv", tmp_path / "out.tsv"
+    if target == "regular":
+        dest.write_text("old", encoding="utf-8")
+    link.symlink_to(dest)
+    assert main(["normalize", str(small_tsv), "--method", "zscore", "-o", str(link)]) == 0
+    assert link.is_file() and not link.is_symlink()
+    assert (dest.read_text(encoding="utf-8") == "old") if target == "regular" else not dest.exists()
 
 
 @pytest.mark.parametrize("command", list(OUTPUT_FLAGS))

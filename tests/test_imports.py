@@ -31,13 +31,15 @@ def _fresh(code: str, *args: str, cwd=None) -> str:
     return done.stdout
 
 
-# runs `python -m pfclust ARGS`, then prints its exit code and the pfclust
-# and process pool modules it loaded, as the last line
+# loads `python -m pfclust`'s modules and runs main() on ARGS, then prints
+# its exit code and the pfclust and process pool modules it loaded, as the
+# last line; its run_name keeps entry(), which ends the process, from running
 _LOADED = """
     import json, runpy, sys
     sys.argv = ["pfclust", *sys.argv[1:]]
+    runpy.run_module("pfclust", run_name="pfclust.__main__")
     try:
-        runpy.run_module("pfclust", run_name="__main__", alter_sys=True)
+        code = sys.modules["pfclust.cli"].main()
     except SystemExit as exc:
         code = exc.code
     names = [m for m in sys.modules
