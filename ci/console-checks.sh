@@ -14,15 +14,18 @@
 #   the binary PPM writer from heatmap;
 # - an output path that is a FIFO, refused (exit 2) and left a FIFO;
 # - the grid's forked worker processes, whose preset reports equal the
-#   reports of the same grid run in process on one worker;
+#   reports of the same grid run in process on one worker, and which load
+#   neither concurrent.futures nor multiprocessing (the same -X importtime
+#   check that --version gets: the grid forks by os.fork alone);
 # - a rough run that stops on a centroid cycle (so its matrix-product
 #   centroid updates repeat bit for bit), validated without --m (so at the
 #   grid's m = 1 for a rough file);
 # - a grid refused (exit 2) for its missing output directory before it runs;
 # - a seeded_random grid, whose subsets are keyed by size and seed;
-# - a grid asking for more workers than it has runs (so it starts at most
-#   one process per run and CPU), under a timeout so that a hang in the
-#   pool fails fast, whose reports equal its one-worker reports;
+# - a grid asking for more workers than it has (cell, algorithm) groups (so
+#   it starts at most one process per group and CPU), under a timeout so
+#   that a hang in a worker fails fast, whose reports equal its one-worker
+#   reports;
 # - a config grid, refused (exit 1) when a field flag comes with it, and
 #   dashed names in a config's overrides and in --policy;
 # - a kmeans run whose squared distances overflow (exit 3, a numerical
@@ -59,7 +62,9 @@ mkfifo "$out/fifo.json"
 rc=0; pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" --centroids "$out/smoke.centroids.csv" -o "$out/fifo.json" || rc=$?; test "$rc" -eq 2
 test -p "$out/fifo.json"
 pfclust heatmap tests/data/synthetic_100x10.tsv --partition "$out/smoke.partition.csv" -o "$out/smoke.ppm"
-pfclust grid tests/data/synthetic_100x10.tsv --preset --seeds 0,1 --workers 2 --out "$out/g"
+python -X importtime -m pfclust grid tests/data/synthetic_100x10.tsv --preset --seeds 0,1 --workers 2 --out "$out/g" 2> "$out/grid.importtime"
+grep -q ' pfclust\.harness$' "$out/grid.importtime"
+if grep -E ' (concurrent\.futures|multiprocessing)$' "$out/grid.importtime"; then exit 1; fi
 pfclust grid tests/data/synthetic_100x10.tsv --preset --seeds 0,1 --workers 1 --out "$out/g1"
 for f in report.csv report.json summary.csv; do cmp "$out/g.$f" "$out/g1.$f"; done
 pfclust cluster tests/data/synthetic_100x10.tsv --alg rough-kmeans --k 5 --seed 27 --normalize zscore --out "$out/cycle"

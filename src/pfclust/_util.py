@@ -134,16 +134,15 @@ _SPREADS = (all(hasattr(os, f) for f in ("fork", "sched_getaffinity", "sched_set
             and os.path.exists("/proc/self/stat"))
 
 
-def in_parts(part: Callable[[int, int], bytes], n_rows: int, n_cells: int) -> Optional[list]:
-    """part(a, b) for consecutive row ranges covering range(n_rows), in order:
-    min(usable CPUs, n_rows, n_cells // PART_CELLS) parts, or one where a
-    process cannot fork or move to a CPU. The first runs here, each other one
-    in a forked child that moves to a usable CPU other than this process's (a
-    child stays on its parent's CPU, where two parts run slower than one) and
-    sends its bytes through a pipe. None, once every child is reaped, if a
-    part raises or a child fails: the caller then does the work in process."""
-    n = max(1, min(usable_cpus(), n_rows, n_cells // PART_CELLS)) if _SPREADS else 1
-    bounds = [n_rows * i // n for i in range(n + 1)]
+def in_parts(part: Callable[[int, int], bytes], n_items: int, most: int) -> Optional[list]:
+    """[part(i, n) for i in range(n)], where n = min(usable CPUs, n_items, most),
+    or one where a process cannot fork or move to a CPU; part i of n does its
+    share of n_items. The first runs here, each other one in a forked child
+    that moves to a usable CPU other than this process's (a child stays on
+    its parent's CPU, where two parts run slower than one) and sends its
+    bytes through a pipe. None, once every child is reaped, if a part raises
+    or a child fails: the caller then does the work in process."""
+    n = max(1, min(usable_cpus(), n_items, most)) if _SPREADS else 1
     children, ok = [], False
     try:
         if n > 1:
@@ -157,13 +156,13 @@ def in_parts(part: Callable[[int, int], bytes], n_rows: int, n_cells: int) -> Op
                 try:
                     os.sched_setaffinity(0, [cpus[(i - 1) % len(cpus)]])
                     with open(w, "wb") as pipe:
-                        pipe.write(part(bounds[i], bounds[i + 1]))
+                        pipe.write(part(i, n))
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        parts = [part(0, bounds[1])] + [pipe.read() for _, pipe in children]
+        parts = [part(0, n)] + [pipe.read() for _, pipe in children]
         ok = True
     except Exception:
         pass  # the caller does the work again in process, which names any fault

@@ -19,7 +19,7 @@ one that fails at write time, exits 2 with "cannot write <path>:
 <reason>". A MemoryError exits 2.
 An unreadable or non-UTF-8 input exits 2 with "cannot read <path>:
 <reason>", and a partition cell that is not a number names its gene. A
-grid worker process that dies exits 2 with "a grid worker process died".
+grid whose worker process dies runs again in process, to the same reports.
 normalize writes its TSV and, in the same atomic write, the TSV's binary
 companion (``io.write_companion``). Every subcommand takes a tsv input's
 values from a companion that matches its bytes (``io.read_tsv_file``);
@@ -31,8 +31,8 @@ share: numpy, ``_util`` (which holds the parser's name tables), ``io``,
 ``matrix``, ``normalize`` and ``heatmap``. Each handler imports the rest:
 ``harness`` for cluster and grid, ``serialize`` for cluster, validate and
 heatmap, ``validity`` for validate. So normalize, validate, heatmap and
---version start without the grid harness, fuzzy, rough or a process pool,
-and ``entry()`` ends each process without the interpreter's teardown.
+--version start without the grid harness, fuzzy or rough, and ``entry()``
+ends each process without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -499,7 +499,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seeds", type=_int_list, help="comma-separated seeds (default: "
                    + ",".join(map(str, GRID_DEFAULTS["seeds"])) + ")")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, at most one per run and CPU")
+                   help="worker processes, at most one per (cell, algorithm) group and CPU")
     p.add_argument("--timings", action="store_true",
                    help="also write wall-clock timings (not reproducible)")
     p.add_argument("--out", help="output prefix (default: input path without extension)")

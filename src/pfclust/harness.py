@@ -9,20 +9,22 @@ Reports never embed wall-clock times; runtimes are kept on the in-memory
 rows and written only by the separate timings writer, so repeated runs of
 the same grid produce byte-identical report files.
 
-A grid builds each distinct normalized gene subset once, in the calling
-process, and runs its runs there or, with two or more workers, in forked
-worker processes that inherit it (see run_grid). A row's runtime covers
-its algorithm run and scoring only: building the subset is in no row.
+A grid runs its runs in parts, the first in the calling process and each
+other one in a forked process (see run_grid). A part builds each normalized
+gene subset its runs use before the first of them and drops it after the
+last, so nothing is held up front. A row's runtime covers its algorithm run
+and scoring only: building the subset is in no row.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -234,10 +236,13 @@ class ExperimentResult:
     rows: tuple[CellResult, ...]
 
     def write_report_csv(self, dest: Union[str, Path, IO[str]]) -> None:
-        write_csv(dest, _REPORT_COLUMNS, [_csv_row(r) for r in self.rows])
+        write_csv(dest, [name for name, _ in _REPORT_COLUMNS],
+                  [[cell(r) for _, cell in _REPORT_COLUMNS] for r in self.rows])
 
     def write_summary_csv(self, dest: Union[str, Path, IO[str]]) -> None:
-        write_csv(dest, _SUMMARY_COLUMNS, _summarize(self.rows))
+        stats = [f"{attr}_{stat}" for attr in _SCORES for stat in ("mean", "sd", "best")]
+        write_csv(dest, ["size", "k", "algorithm", "n_runs", "n_errors", *stats],
+                  _summarize(self.rows))
 
     def write_report_json(self, dest: Union[str, Path, IO[str]]) -> None:
         doc = {
@@ -260,44 +265,39 @@ class ExperimentResult:
         write_csv(dest, ["size", "k", "algorithm", "seed", "runtime_s"], rows)
 
 
-_REPORT_COLUMNS = [
-    "size", "k", "algorithm", "seed", "n_genes", "n_samples",
-    "normalization", "subset_policy", "m", "v", "zeta", "w_lower",
-    "iterations", "converged", "rmse", "mae", "xie_beni", "error",
-]
-
-_SUMMARY_COLUMNS = [
-    "size", "k", "algorithm", "n_runs", "n_errors",
-    "rmse_mean", "rmse_sd", "rmse_best",
-    "mae_mean", "mae_sd", "mae_best",
-    "xie_beni_mean", "xie_beni_sd", "xie_beni_best",
-]
-
-
 def _fmt(x: Optional[float]) -> str:
     return "" if x is None else repr(float(x))
 
 
-def _csv_row(r: CellResult) -> list[str]:
-    cfg = r.config
-    read = PARAMS[r.algorithm]
-    return [
-        str(r.size),
-        str(r.k),
-        r.algorithm,
-        str(r.seed),
-        "" if r.report is None else str(r.report.n_genes),
-        "" if r.report is None else str(r.report.n_samples),
-        cfg["normalization"],
-        cfg["subset_policy"],
-        *(_fmt(cfg[key]) if key in read else "" for key in ("m", "v", "zeta", "w_lower")),
-        "" if r.iterations is None else str(r.iterations),
-        "" if r.converged is None else ("true" if r.converged else "false"),
-        "" if r.report is None else _fmt(r.report.rmse),
-        "" if r.report is None else _fmt(r.report.mae),
-        "" if r.report is None else _fmt(r.report.xie_beni),
-        "" if r.error is None else r.error.replace("\n", " "),
-    ]
+def _scored(attr: str, fmt: Callable[[object], str] = str) -> Callable[[CellResult], str]:
+    """A column's cell: the row's validity report's `attr`, or "" where the run failed."""
+    return lambda r: "" if r.report is None else fmt(getattr(r.report, attr))
+
+
+def _param(key: str) -> Callable[[CellResult], str]:
+    """A column's cell: the run's `key` parameter, or "" where its algorithm does not read it."""
+    return lambda r: _fmt(r.config[key]) if key in PARAMS[r.algorithm] else ""
+
+
+# the validity scores of a row; summary.csv gives the mean, sd and best of each
+_SCORES = ("rmse", "mae", "xie_beni")
+
+# report.csv's columns in order: (header, the cell of a row)
+_REPORT_COLUMNS = (
+    ("size", lambda r: str(r.size)),
+    ("k", lambda r: str(r.k)),
+    ("algorithm", lambda r: r.algorithm),
+    ("seed", lambda r: str(r.seed)),
+    ("n_genes", _scored("n_genes")),
+    ("n_samples", _scored("n_samples")),
+    ("normalization", lambda r: r.config["normalization"]),
+    ("subset_policy", lambda r: r.config["subset_policy"]),
+    *((key, _param(key)) for key in ("m", "v", "zeta", "w_lower")),
+    ("iterations", lambda r: "" if r.iterations is None else str(r.iterations)),
+    ("converged", lambda r: "" if r.converged is None else ("true" if r.converged else "false")),
+    *((attr, _scored(attr, _fmt)) for attr in _SCORES),
+    ("error", lambda r: "" if r.error is None else r.error.replace("\n", " ")),
+)
 
 
 def _json_row(r: CellResult) -> dict:
@@ -340,7 +340,7 @@ def _summarize(rows: Sequence[CellResult]) -> list[list[str]]:
     for (size, k, algorithm), members in groups.items():
         ok = [r.report for r in members if r.report is not None]
         line = [str(size), str(k), algorithm, str(len(members)), str(len(members) - len(ok))]
-        for attr in ("rmse", "mae", "xie_beni"):
+        for attr in _SCORES:
             line.extend(_stats([getattr(rep, attr) for rep in ok]))
         out.append(line)
     return out
@@ -423,14 +423,6 @@ def _run_cell(
     )
 
 
-_WORK: list = []  # a forked grid worker's grid, runs and run subsets, from its pool
-
-
-def _forked_run(i: int) -> CellResult:
-    grid, runs, subsets = _WORK
-    return _run_cell(subsets[i], grid, *runs[i])
-
-
 def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> ExperimentResult:
     """Execute every grid cell and collect rows in deterministic order.
 
@@ -439,47 +431,40 @@ def run_grid(m: ExpressionMatrix, grid: ExperimentGrid, workers: int = 1) -> Exp
     built fails every run that uses it. The ordering and all report
     content are independent of `workers`, a ``count`` >= 1.
 
-    A subset, keyed by its size and, under seeded_random only, the seed,
-    is built once, here. With one worker (or no fork start method) the
-    runs run here in order, each subset built before its key's first run
-    and dropped after its last. Otherwise min(workers, runs, usable CPUs)
-    forked processes run them; they inherit every subset, built up front
-    and held until the pool closes (16129 rows on the preset grid against
-    the matrix's 7129), and a task sends only a run index. A worker that
-    dies raises ChildProcessError once the pool has stopped.
+    The runs of one (cell, algorithm) pair are a group. Part i of
+    min(workers, groups, usable CPUs) parts runs groups[i::n], so the parts
+    share the cells' sizes alike (``_util.in_parts``: the first part here,
+    each other one in a forked process on another CPU). A part runs its runs
+    in order, building a subset (keyed by its size and, under seeded_random
+    only, the seed) before its key's first run there and dropping it after
+    its last. If a part fails or its process dies, the whole grid runs
+    again here, to the same rows.
     """
     workers = count(workers, "workers", 1)
     for size, _ in grid.cells():
         if size > m.n_genes:
             raise ValueError(f"subset size {size} exceeds the matrix gene count {m.n_genes}")
     runs = grid.runs()
+    groups = [list(g) for _, g in groupby(range(len(runs)), key=lambda j: runs[j][:3])]
     # subset_genes reads the seed under seeded_random only
     seeded = grid.subset_policy == "seeded_random"
-    keys = [(size, seed if seeded else 0) for size, _, _, seed in runs]
-    workers = min(workers, len(runs), _util.usable_cpus())
-    if workers > 1:  # only a pool loads these, and they load logging and more
-        import multiprocessing
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        built = {key: _subset(m, grid, *key) for key in dict.fromkeys(keys)}
-        work = (grid, runs, [built[key] for key in keys])
-        try:
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_WORK.extend, initargs=(work,)) as pool:
-                # last run first: the largest cells, so that none of them ends alone
-                rows = list(pool.map(_forked_run, range(len(runs) - 1, -1, -1)))[::-1]
-        except BrokenExecutor as exc:
-            raise ChildProcessError(f"a grid worker process died: {exc}") from None
-    else:
-        last = {key: i for i, key in enumerate(keys)}
+
+    def part(i: int, n: int) -> bytes:
+        mine = [j for g in groups[i::n] for j in g]
+        keys = [(runs[j][0], runs[j][3] if seeded else 0) for j in mine]
+        last = {key: at for at, key in enumerate(keys)}
         built, rows = {}, []
-        for i, (run, key) in enumerate(zip(runs, keys)):
+        for at, (j, key) in enumerate(zip(mine, keys)):
             if key not in built:
                 built[key] = _subset(m, grid, *key)
-            rows.append(_run_cell(built[key], grid, *run))
-            if last[key] == i:
+            rows.append((j, _run_cell(built[key], grid, *runs[j])))
+            if last[key] == at:
                 del built[key]
-    return ExperimentResult(grid, m.n_genes, m.n_samples, tuple(rows))
+        return pickle.dumps(rows)
+
+    parts = _util.in_parts(part, len(groups), workers) or [part(0, 1)]
+    rows = dict(row for data in parts for row in pickle.loads(data))
+    return ExperimentResult(grid, m.n_genes, m.n_samples, tuple(rows[j] for j in range(len(runs))))
 
 
 def generate_synthetic(

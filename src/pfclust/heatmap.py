@@ -62,8 +62,11 @@ def render_ppm(
     """Binary PPM (P6, maxval 255) of the heatmap, one scale x scale block per cell."""
     scale = count(scale, "scale", 1)
     rgb = render_rgb(matrix, row_order)
-    if scale > 1:
-        rgb = np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1)
+    if scale > 1:  # built at its final size, so an image too large fails at its first allocation
+        n, d = rgb.shape[:2]
+        scaled = np.empty((n, scale, d, scale, 3), dtype=np.uint8)
+        scaled[...] = rgb[:, None, :, None, :]
+        rgb = scaled.reshape(n * scale, d * scale, 3)
     height, width = rgb.shape[:2]
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     return header + rgb.tobytes()

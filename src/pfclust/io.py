@@ -51,6 +51,7 @@ from typing import IO, Union
 
 import numpy as np
 
+from . import _util
 from ._util import bad_cell, in_parts, opened
 from .matrix import ExpressionMatrix
 
@@ -152,12 +153,14 @@ def _read_body(
     n_fields = first + step * n_samples
     gene_ids, values = _structure(lines, n_fields, id_col, first), np.empty((len(lines), n_samples))
 
-    def convert(a: int, b: int) -> memoryview:
+    def convert(i: int, n: int) -> memoryview:
+        a, b = len(lines) * i // n, len(lines) * (i + 1) // n
         values[a:b] = np.loadtxt(lines[a:b], delimiter="\t", comments=None, quotechar=None,
                                  usecols=range(first, n_fields, step), ndmin=2)
         return values[a:b].data
 
-    parts = None if gene_ids is None else in_parts(convert, len(lines), values.size)
+    most = values.size // _util.PART_CELLS
+    parts = None if gene_ids is None else in_parts(convert, len(lines), most)
     if parts is not None:  # the forked parts' rows into values; the rest are there already
         np.concatenate([np.frombuffer(data) for data in parts], out=values.reshape(-1))
     if parts is None or not np.isfinite(values).all():
@@ -285,13 +288,14 @@ def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None
             raise ValueError(f"id {name!r} contains a tab or newline and cannot be written")
     gene_ids, values = matrix.gene_ids, matrix.values
 
-    def rows(a: int, b: int) -> bytes:
+    def rows(i: int, n: int) -> bytes:
+        a, b = len(gene_ids) * i // n, len(gene_ids) * (i + 1) // n
         # repr is the shortest string that round-trips; a row at a time, as a
         # whole-matrix tolist() would hold a Python float per cell at once
-        return "".join("\t".join((gene_ids[i], *map(repr, values[i].tolist()))) + "\n"
-                       for i in range(a, b)).encode("utf-8", "surrogatepass")
+        return "".join("\t".join((gene_ids[g], *map(repr, values[g].tolist()))) + "\n"
+                       for g in range(a, b)).encode("utf-8", "surrogatepass")
 
-    parts = in_parts(rows, len(gene_ids), values.size) or [rows(0, len(gene_ids))]
+    parts = in_parts(rows, len(gene_ids), values.size // _util.PART_CELLS) or [rows(0, 1)]
     with opened(dest) as handle:
         handle.write("\t".join(matrix.sample_ids) + "\n")
         while parts:  # a part's bytes are dropped before its text is written

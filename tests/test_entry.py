@@ -168,18 +168,28 @@ def test_a_profiled_process_gets_the_interpreter_teardown(tmp_path):
 
 def test_an_image_too_large_to_allocate_is_one_error_line(tmp_path):
     # 10^7 x 10^6 pixels, 27.3 TiB; the address-space cap makes its
-    # allocation fail whatever the host's overcommit policy
+    # allocation fail whatever the host's overcommit policy. The heatmap runs
+    # in a forked child of a small process, which prints the child's peak RSS
+    # in KiB: a process started from this one would carry this one's peak.
     pytest.importorskip("resource")
     done = _run("heatmap", str(DATA), "--scale", "100000", "-o", "x.ppm", cwd=tmp_path, code="""
-        import resource, sys
+        import os, resource, sys
         cap = 64 << 30
         soft, hard = resource.getrlimit(resource.RLIMIT_AS)
         if soft == resource.RLIM_INFINITY or soft > cap:
             resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-        from pfclust.cli import entry
-        sys.argv[0] = "pfclust"
-        entry()
+        pid = os.fork()
+        if pid == 0:
+            from pfclust.cli import entry
+            sys.argv[0] = "pfclust"
+            entry()
+        _, status, usage = os.wait4(pid, 0)
+        print(usage.ru_maxrss)
+        sys.exit(os.waitstatus_to_exitcode(status))
     """)
     assert done.returncode == 2
-    assert _error_line(done).startswith("error: Unable to allocate 27.3 TiB")
+    assert done.stderr.startswith("error: Unable to allocate 27.3 TiB")
+    assert done.stderr.count("\n") == 1, done.stderr
+    # refused at its first allocation, before any array of the image's size is built
+    assert int(done.stdout) < 150 * 1024
     assert os.listdir(tmp_path) == []

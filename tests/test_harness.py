@@ -1,8 +1,6 @@
-import concurrent.futures
 import io
 import json
 import math
-import multiprocessing
 import os
 import sys
 import warnings
@@ -494,21 +492,10 @@ def _count_subsets(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def fast_switching():
-    """Switch threads often while the test runs, so that a race between the caller and
-    its process pool's manager thread shows."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-# 9 workers: more than a key's runs and the CPUs, so the pool is capped
+# 9 workers: more than the CPUs, so the parts are capped; each part builds the
+# subsets its own runs use, and these count the calls in this process
 @pytest.mark.parametrize("workers", [1, 2, 9])
-def test_grid_builds_each_preset_subset_once(bundled, monkeypatch, fast_switching, workers):
+def test_grid_builds_each_preset_subset_once(bundled, monkeypatch, workers):
     calls = _count_subsets(monkeypatch)
     grid = ExperimentGrid(pairs=preset_pairs(bundled.n_genes), seeds=(0, 1))
     res = run_grid(bundled, grid, workers=workers)
@@ -517,11 +504,10 @@ def test_grid_builds_each_preset_subset_once(bundled, monkeypatch, fast_switchin
     assert len(calls) == 4
 
 
-# 9 workers: more than a key's runs and the CPUs, so the pool is capped
+# 9 workers: more than the CPUs, so the parts are capped; each part builds the
+# subsets its own runs use, and these count the calls in this process
 @pytest.mark.parametrize("workers", [1, 2, 9])
-def test_grid_builds_one_seeded_random_subset_per_size_and_seed(
-    bundled, monkeypatch, fast_switching, workers
-):
+def test_grid_builds_one_seeded_random_subset_per_size_and_seed(bundled, monkeypatch, workers):
     calls = _count_subsets(monkeypatch)
     grid = ExperimentGrid(subset_sizes=(40, 80), ks=(2, 3), seeds=(0, 1),
                           subset_policy="seeded_random")
@@ -556,7 +542,7 @@ def test_grid_drops_a_subset_after_its_last_run(bundled, monkeypatch):
     assert all(ref() is None for ref in built)
 
 
-_FORKS = "fork" in multiprocessing.get_all_start_methods()
+_SPLITS = pytest.mark.skipif(not pfclust._util._SPREADS, reason="cannot fork or move to a CPU")
 _SMALL = ExperimentGrid(pairs=((30, 2), (60, 3)), algorithms=("kmeans", "fcm"), seeds=(0, 1))
 
 
@@ -571,43 +557,50 @@ def _texts(res):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The max_workers of every process pool a grid opens while the test runs."""
-    opened = []
+def forks(monkeypatch):
+    """One entry per process this process forks while the test runs."""
+    forked = []
+    fork = os.fork
 
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def counted():
+        forked.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-    return opened
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
 
 
-@pytest.mark.skipif(not _FORKS, reason="no fork start method")
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# min(workers, groups, CPUs) parts, the first of them in process
+@_SPLITS
 @pytest.mark.parametrize("workers, cpus, expected", [
-    (2, 8, [2]), (12, 2, [2]), (12, 8, [3]), (3, 1, []), (1, 8, []),
+    (2, 8, 1), (12, 2, 1), (12, 8, 2), (3, 1, 0), (1, 8, 0),
 ], ids=["workers", "cpus", "runs", "one-cpu", "one-worker"])
 def test_grid_pool_has_at_most_one_process_per_worker_run_and_cpu(
-    bundled, monkeypatch, pools, workers, cpus, expected
+    bundled, monkeypatch, forks, workers, cpus, expected
 ):
     monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: cpus)
-    grid = ExperimentGrid(pairs=((30, 2),), algorithms=("kmeans",), seeds=(0, 1, 2))
-    assert len(grid.runs()) == 3
+    grid = ExperimentGrid(pairs=((30, 2),), algorithms=("kmeans", "fcm", "pfcm"), seeds=(0, 1))
+    assert len(grid.runs()) == 6  # in three (cell, algorithm) groups
     run_grid(bundled, grid, workers=workers)
-    assert pools == expected
-    assert multiprocessing.active_children() == []
+    assert len(forks) == expected
+    _no_child_left()
 
 
-@pytest.mark.skipif(not _FORKS, reason="no fork start method")
-def test_no_worker_process_outlives_a_grid(bundled, monkeypatch):
+@_SPLITS
+def test_no_worker_process_outlives_a_grid(bundled, monkeypatch, forks):
     monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
     expected = _texts(run_grid(bundled, _SMALL))
     assert _texts(run_grid(bundled, _SMALL, workers=2)) == expected
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1
+    _no_child_left()
 
 
-@pytest.mark.skipif(not _FORKS, reason="no fork start method")
+@_SPLITS
 def test_a_run_that_raises_in_a_worker_fills_its_row(bundled, monkeypatch):
     monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
     run = pfclust.harness.run_algorithm
@@ -619,14 +612,15 @@ def test_a_run_that_raises_in_a_worker_fills_its_row(bundled, monkeypatch):
 
     monkeypatch.setattr(pfclust.harness, "run_algorithm", failing)
     res = run_grid(bundled, _SMALL, workers=2)
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     errors = [(r.size, r.algorithm, r.seed, r.error) for r in res.rows if r.error]
     assert errors == [(60, "fcm", 1, "ArithmeticError: injected")]
 
 
-@pytest.mark.skipif(not _FORKS, reason="no fork start method")
-def test_a_worker_that_dies_fails_the_grid_without_a_hang(bundled, monkeypatch):
+@_SPLITS
+def test_a_worker_that_dies_has_the_grid_run_again_in_process(bundled, monkeypatch, forks):
     monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
+    expected = _texts(run_grid(bundled, _SMALL))
     parent = os.getpid()
     run = pfclust.harness.run_algorithm
 
@@ -636,15 +630,15 @@ def test_a_worker_that_dies_fails_the_grid_without_a_hang(bundled, monkeypatch):
         return run(name, x, k, seed=seed, **params)
 
     monkeypatch.setattr(pfclust.harness, "run_algorithm", dying)
-    with within(60), pytest.raises(ChildProcessError, match="^a grid worker process died: "):
-        run_grid(bundled, _SMALL, workers=2)
-    assert multiprocessing.active_children() == []
+    with within(60):
+        assert _texts(run_grid(bundled, _SMALL, workers=2)) == expected
+    assert len(forks) == 1
+    _no_child_left()
 
 
-@pytest.mark.skipif(not _FORKS, reason="no fork start method")
+@_SPLITS
 def test_a_grid_pool_forks_without_a_warning(bundled, monkeypatch):
-    # Python 3.12+ warns on fork once a process has a second thread, so a
-    # pool that started its manager thread before forking would warn here
+    # Python 3.12+ warns on fork once a process has a second thread
     tasks = "/proc/self/task"
     if sys.version_info >= (3, 12) and os.path.isdir(tasks) and len(os.listdir(tasks)) > 1:
         pytest.skip("BLAS threads run already, so any fork warns")
@@ -655,12 +649,27 @@ def test_a_grid_pool_forks_without_a_warning(bundled, monkeypatch):
     assert [str(w.message) for w in caught] == []
 
 
-def test_a_grid_without_fork_runs_in_process(bundled, monkeypatch, pools):
+def test_a_grid_without_fork_runs_in_process(bundled, monkeypatch, forks):
     monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 2)
     expected = _texts(run_grid(bundled, _SMALL))
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(pfclust._util, "_SPREADS", False)
     assert _texts(run_grid(bundled, _SMALL, workers=2)) == expected
-    assert pools == []
+    assert forks == []
+
+
+@_SPLITS
+def test_groups_that_do_not_divide_into_the_parts_keep_the_runs_order(
+    bundled, monkeypatch, forks
+):
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 3)
+    grid = ExperimentGrid(pairs=((20, 2), (30, 2), (40, 3), (50, 2), (60, 3)),
+                          algorithms=("kmeans",), seeds=(0, 1))
+    expected = _texts(run_grid(bundled, grid))
+    res = run_grid(bundled, grid, workers=3)
+    assert len(forks) == 2
+    assert [(r.size, r.k, r.algorithm, r.seed) for r in res.rows] == list(grid.runs())
+    assert _texts(res) == expected
+    _no_child_left()
 
 
 _TINY, _ = generate_synthetic(

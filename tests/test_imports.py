@@ -74,10 +74,12 @@ def test_cluster_loads_every_module_but_no_thread_pool(clustered):
     (["validate", "m.tsv", "--partition", "p.partition.csv", "--centroids", "p.centroids.csv"],
      {"pfclust.serialize", "pfclust.validity"}),
     (["heatmap", "m.tsv", "--partition", "p.partition.csv"], {"pfclust.serialize"}),
-    # one worker runs the grid in process, without a pool
     (["grid", "m.tsv", "--sizes", "40", "--ks", "3", "--algorithms", "kmeans"],
      CLUSTER_MODULES),
-], ids=["version", "normalize", "validate", "heatmap", "grid"])
+    # two groups on two workers: forked by os.fork, with no process pool module
+    (["grid", "m.tsv", "--sizes", "40", "--ks", "3", "--algorithms", "kmeans,fcm",
+      "--workers", "2"], CLUSTER_MODULES),
+], ids=["version", "normalize", "validate", "heatmap", "grid", "grid-workers"])
 def test_each_subcommand_loads_only_the_modules_it_runs(clustered, args, loads):
     assert _loaded(*args, cwd=clustered[0]) == BASE | loads
 
