@@ -46,7 +46,12 @@
 # - the reader and write_tsv in row parts: on a matrix of 240000 cells,
 #   above the floor at which they fork, normalize and cluster write the same
 #   bytes, the companion included, on one CPU (taskset -c 0, one part) and on
-#   every CPU the runner has.
+#   every CPU the runner has;
+# - the reader's byte-range parts on that matrix: written with CRLF line
+#   ends and a trailing empty line, it clusters to the bytes the LF file
+#   gives; with the byte 0xff on its last data line it exits 2 with "cannot
+#   read" (the whole file is decoded before any fault is named); written as
+#   a gct file, it clusters to the same partition and centroids.
 set -eo pipefail
 out=${1:?usage: ci/console-checks.sh OUT_DIR}
 
@@ -130,3 +135,26 @@ for cpus in one all; do
   "${run[@]}" pfclust cluster "$out/parts.tsv" --alg kmeans --k 5 --normalize zscore --out "$out/$cpus/c"
 done
 for f in z.tsv z.tsv.npy c.partition.csv c.centroids.csv c.meta.json; do cmp "$out/one/$f" "$out/all/$f"; done
+python - "$out" <<'PY'
+import os
+import sys
+out = sys.argv[1]
+data = open(f"{out}/parts.tsv", "rb").read()
+head, *rows = data.split(b"\n")[:-1]
+files = {
+    "lf/m.tsv": data,
+    "crlf/m.tsv": data.replace(b"\n", b"\r\n") + b"\r\n",
+    "bad/m.tsv": data[:-1] + b"\xff\n",
+    "gct/m.gct": b"#1.2\n%d\t%d\nName\tDescription\t%s\n" % (len(rows), head.count(b"\t") + 1, head)
+                 + b"".join(r.replace(b"\t", b"\td\t", 1) + b"\n" for r in rows),
+}
+for name, body in files.items():
+    os.makedirs(os.path.dirname(f"{out}/{name}"), exist_ok=True)
+    with open(f"{out}/{name}", "wb") as f:
+        f.write(body)
+PY
+for d in lf crlf gct; do (cd "$out/$d" && pfclust cluster m.* --alg kmeans --k 5 --out c); done
+for f in c.partition.csv c.centroids.csv c.meta.json; do cmp "$out/lf/$f" "$out/crlf/$f"; done
+for f in c.partition.csv c.centroids.csv; do cmp "$out/lf/$f" "$out/gct/$f"; done
+rc=0; pfclust cluster "$out/bad/m.tsv" --alg kmeans --k 5 2> "$out/bad/err" || rc=$?; test "$rc" -eq 2
+grep -q "^error: cannot read $out/bad/m.tsv: 'utf-8' codec can't decode byte 0xff" "$out/bad/err"

@@ -28,7 +28,7 @@ _EXPORTS = {
     "harness": ("ExperimentGrid", "ExperimentResult", "generate_synthetic", "preset_pairs",
                 "run_algorithm", "run_grid", "subset_genes"),
     "heatmap": ("cluster_row_order", "render_ppm", "render_rgb", "write_ppm"),
-    "io": ("ParseError", "parse_matrix", "sniff_format", "write_tsv"),
+    "io": ("ParseError", "parse_matrix", "read_matrix", "sniff_format", "write_tsv"),
     "kmeans": ("HardPartition", "kmeans"),
     "matrix": ("ExpressionMatrix",),
     "normalize": ("DegenerateRowsError", "mean_relative", "normalize", "z_score"),

@@ -127,8 +127,11 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# cells a part holds at least: two parts of 20000 cells parse no faster than one process
+# cells a write_tsv part holds at least: two parts of 20000 cells run no faster than one process
 PART_CELLS = 100_000
+# text a reading part holds at least (bytes of a file, characters of a str): about
+# 100000 cells of 19 characters, shortest-repr floats
+PART_BYTES = 2_000_000
 # whether a child can be forked and moved to a CPU, and this process's CPU read
 _SPREADS = (all(hasattr(os, f) for f in ("fork", "sched_getaffinity", "sched_setaffinity"))
             and os.path.exists("/proc/self/stat"))

@@ -20,10 +20,13 @@ one that fails at write time, exits 2 with "cannot write <path>:
 An unreadable or non-UTF-8 input exits 2 with "cannot read <path>:
 <reason>", and a partition cell that is not a number names its gene. A
 grid whose worker process dies runs again in process, to the same reports.
+Every subcommand reads its matrix with one call, ``io.read_matrix``: the
+file in byte-range parts, a block at a time, with one fallback, the
+whole-text parse, which names the first fault in file order (see ``io``).
 normalize writes its TSV and, in the same atomic write, the TSV's binary
 companion (``io.write_companion``). Every subcommand takes a tsv input's
-values from a companion that matches its bytes (``io.read_tsv_file``);
-no other subcommand writes one.
+values from a companion that matches its bytes; no other subcommand writes
+one.
 Reruns with identical flags overwrite byte-identical artifacts.
 
 The module imports at its top only what the parser and every subcommand
@@ -61,8 +64,7 @@ from .io import (
     FORMATS,
     ParseError,
     companion_path,
-    parse_matrix,
-    read_tsv_file,
+    read_matrix,
     sniff_format,
     write_companion,
     write_tsv,
@@ -111,24 +113,22 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _read(path: str, read: Optional[Callable] = None):
-    """read(path), by default the file's UTF-8 text, with any failure as a DataError."""
+    """read(path), by default the file's UTF-8 text, with any failure as a
+    DataError; a matrix's parse fault names the file."""
     try:
         return read(path) if read else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    except ParseError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
 
 def _read_matrix(path: str, fmt: str) -> ExpressionMatrix:
-    """The matrix at `path`: a tsv file from its companion when that matches
-    the bytes read (io.read_tsv_file), any file from its parsed text."""
-    fmt = sniff_format(path) if fmt == "auto" else fmt
-    text, m = _read(path, read_tsv_file) if fmt == "tsv" else (_read(path), None)
-    try:
-        return m if m is not None else parse_matrix(text, fmt)
-    except ParseError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    """The matrix at `path`, read by io.read_matrix in the format `fmt` names
+    or, for "auto", its extension names."""
+    return _read(path, partial(read_matrix, format=sniff_format(path) if fmt == "auto" else fmt))
 
 
 def _temp(path: Path) -> Path:

@@ -15,39 +15,56 @@ Three tab-delimited input formats are supported:
   the gene id.
 
 One reader builds the matrix for all three formats, and reads each cell as
-Python's ``float()`` does. It has two paths with one outcome: numpy's C text
-reader converts a well-formed body (its ``quotechar`` option, numpy >= 1.23,
-is within the ``numpy>=1.24`` floor), and any other body is walked row by
-row. The C reader runs only after a structure pass has checked every line's
-field count and id, and only on bodies whose value fields hold no U+001F,
-which it strips as whitespace where ``float()`` refuses it (an id it does
-not convert may hold one). The walk reads the cells that only ``float()``
-reads (``1_0``, non-ASCII digits) and names the first fault in file order.
-Values must be finite; NaN or infinite cells are rejected with their
-location rather than imputed, worded by the cell rule the centroid reader
-also uses (``_util.bad_cell``).
+Python's ``float()`` does. It has two paths with one outcome.
 
-The C reader converts a large body, and ``write_tsv`` formats a large
-matrix, in row parts across the usable CPUs (``_util.in_parts``); the checks
-and the walk run in the calling process, so no outcome depends on the parts.
+The block path reads the body, everything after the header lines, in ranges
+that start just after a ``\n``: byte ranges of a file (``read_matrix``, by
+``os.pread``) or character ranges of a text (``parse_matrix``). Each range is
+one ``_util.in_parts`` part: the first in the calling process, each other one
+in a forked child. A part takes its range in blocks of about 256 KiB, each cut
+just after its last ``\n``. For each block it decodes the bytes, splits the
+lines, runs the structure pass (every line's field count, a non-empty id and
+no U+001F in a value field, which numpy's C reader strips as whitespace
+where ``float()`` refuses it) and converts the values with numpy's C text
+reader (its ``quotechar`` option, numpy >= 1.23, is within the
+``numpy>=1.24`` floor). So no process holds more than one block of text. The
+cuts are safe: the byte 0x0A never occurs inside a multi-byte UTF-8
+sequence, so each block decodes on its own, and as every block ends in
+``\n`` (so ``\r\n`` is never split), ``str.splitlines`` of the blocks gives
+exactly the lines it gives of the whole text, ``\x0b``, U+0085 and U+2028
+breaks included. Only the empty lines that end the last part are dropped.
+
+Any failure of the block path sends the read to the whole-text path, the
+one fallback: a decode error, a structure fault, a blank line other than the
+empty lines that end the file, a cell the C reader refuses, a non-finite
+value, a failed part or dead child, a gct or res row count that does not
+match, or values the matrix refuses. That path decodes the whole file at
+once, so a byte that is not UTF-8 is reported before any fault of the text,
+checks its lines and walks every row with ``float()``'s rule: it reads the
+cells that only ``float()`` reads (``1_0``, non-ASCII digits), and names the
+first fault in file order. Values must be finite; NaN or infinite cells are
+rejected with their location rather than imputed, worded by the cell rule
+the centroid reader also uses (``_util.bad_cell``). ``write_tsv`` formats a
+large matrix in row parts the same way (``_util.in_parts``).
 
 A tsv file may have a binary companion beside it, its name plus ``.npy``
 (``companion_path``), which ``write_companion`` writes: the SHA-256 of the
 tsv file's exact bytes, then its values in numpy's ``.npy`` format (float64,
-no pickle). ``read_tsv_file`` takes the values from it in place of the text
-parse only when its digest is that of the bytes read and its shape is the
-(rows, samples) that the structure pass finds in the text; the ids come from
-the text and the ``ExpressionMatrix`` checks still run. Any other companion
-(missing, stale, truncated, of another shape, or unreadable) is ignored, and
-the text is parsed. Since ``write_tsv`` writes each value as its shortest
-round-trip ``repr``, both paths give the same matrix bit for bit. The tsv
-file stays the source of truth: a companion only saves re-parsing it.
+no pickle). ``read_matrix`` hashes the file a block at a time, and when that
+digest matches and the companion holds a (rows, samples) array, the parts
+run only the structure pass and the values come from the companion; the ids
+come from the text and the ``ExpressionMatrix`` checks still run. Any other
+companion (missing, stale, truncated, of another shape, or unreadable) is
+ignored, and the text is parsed. Since ``write_tsv`` writes each value as its
+shortest round-trip ``repr``, both paths give the same matrix bit for bit.
+The tsv file stays the source of truth: a companion only saves re-parsing it.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -56,13 +73,24 @@ from ._util import bad_cell, in_parts, opened
 from .matrix import ExpressionMatrix
 
 __all__ = [
-    "ParseError", "parse_matrix", "write_tsv", "sniff_format", "FORMATS",
-    "companion_path", "write_companion", "read_tsv_file",
+    "ParseError", "parse_matrix", "read_matrix", "write_tsv", "sniff_format", "FORMATS",
+    "companion_path", "write_companion",
 ]
 
 FORMATS = ("tsv", "gct", "res")
 
+# the header lines of each format, which the calling process reads
+_HEAD = {"tsv": 1, "gct": 3, "res": 3}
+
+# the text a part reads, decodes and converts at a time, cut after its last "\n":
+# 256 KiB left less freed heap behind than 1 MiB at the same speed
+_BLOCK = 1 << 18
+# the newline in a file's bytes and in a text
+_NL = {bytes: b"\n", str: "\n"}
+
 Source = Union[str, bytes, IO[str], IO[bytes]]
+# read(a, b): the file's bytes, or the text's characters, from a to b
+Read = Callable[[int, int], Union[str, bytes]]
 
 
 class ParseError(ValueError):
@@ -90,16 +118,9 @@ def sniff_format(path: str | Path) -> str:
     return "tsv"
 
 
-def _read_lines(source: Source) -> list[str]:
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    # Trailing newline at EOF does not count as an extra (empty) line.
-    return text.splitlines()
+def _check_format(format: str) -> None:
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
 
 
 def parse_matrix(source: Source, format: str = "tsv") -> ExpressionMatrix:
@@ -119,74 +140,194 @@ def parse_matrix(source: Source, format: str = "tsv") -> ExpressionMatrix:
         ids, or non-numeric cells; the message names the offending line
         and column.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    lines = _read_lines(source)
-    if not lines or all(not ln.strip() for ln in lines):
-        raise ParseError("empty file")
+    _check_format(format)
+    if isinstance(source, bytes):
+        text = source.decode("utf-8")
+    elif isinstance(source, str):
+        text = source
+    else:
+        raw = source.read()
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    m = _read_blocks(lambda a, b: text[a:b], len(text), format)
+    return m if m is not None else _parse_lines(text.splitlines(), format)
+
+
+def read_matrix(path: str | Path, format: str = "tsv") -> ExpressionMatrix:
+    """Read the matrix file at `path` in blocks (see the module docstring); a
+    tsv file's values come from its companion when that matches. Raises
+    OSError if the file cannot be read, UnicodeDecodeError if it is not
+    UTF-8, and ParseError for the first fault of its text, as parse_matrix of
+    its whole text does."""
+    _check_format(format)
+    with open(path, "rb") as handle:
+        fd = handle.fileno()
+
+        def read(a: int, b: int) -> bytes:
+            data = os.pread(fd, b - a, a)
+            if len(data) != b - a:
+                raise OSError(f"{path} changed while it was read")
+            return data
+
+        end = os.fstat(fd).st_size
+        m = _read_blocks(read, end, format, companion_path(path) if format == "tsv" else None)
+    if m is not None:
+        return m
+    text = Path(path).read_bytes().decode("utf-8")
+    return _parse_lines(text.splitlines(), format)
+
+
+class _Layout(NamedTuple):
+    """What a header says of the data lines: the sample ids, the id in field
+    `id_col`, the values in fields `first::step`, the row count the header
+    declares (None for tsv), and the names its walk errors use."""
+
+    sample_ids: list[str]
+    rows: Optional[int]
+    id_col: int
+    first: int
+    step: int
+    id_name: str
+    fields: str
+
+    @property
+    def n_fields(self) -> int:
+        return self.first + self.step * len(self.sample_ids)
+
+
+def _header(head: list[str], format: str, n_lines: int) -> _Layout:
+    """Check the header lines `head` of a text of `n_lines` lines."""
     if format == "tsv":
-        return _parse_tsv(lines)
+        sample_ids = head[0].split("\t")
+        if any(not s for s in sample_ids):
+            raise ParseError("empty sample id in header", 1)
+        return _Layout(sample_ids, None, 0, 1, 1, "gene id", f"gene id + {len(sample_ids)} values")
     if format == "gct":
-        return _parse_gct(lines)
-    return _parse_res(lines)
+        if head[0].strip() != "#1.2":
+            raise ParseError(f"unsupported GCT version marker {head[0]!r} (expected '#1.2')", 1)
+        if n_lines < 3:
+            raise ParseError("truncated GCT file: missing dimension or header line", n_lines)
+        dims = head[1].split("\t")
+        if len(dims) < 2:
+            raise ParseError("dimension line must hold gene and sample counts", 2)
+        try:
+            n_genes, n_samples = int(dims[0]), int(dims[1])
+        except ValueError:
+            raise ParseError(f"non-integer dimensions {head[1]!r}", 2) from None
+        header = head[2].split("\t")
+        if len(header) < 2 or header[0].lower() != "name" or header[1].lower() != "description":
+            raise ParseError("header must start with 'Name<TAB>Description'", 3)
+        if len(header) - 2 != n_samples:
+            raise ParseError(
+                f"dimension line declares {n_samples} samples but header names "
+                f"{len(header) - 2}",
+                3,
+            )
+        return _Layout(header[2:], n_genes, 0, 2, 1, "gene name",
+                       f"name, description, {n_samples} values")
+    header = head[0].split("\t")
+    if len(header) < 3:
+        raise ParseError("header must hold two labels plus at least one sample id", 1)
+    sample_ids = header[2::2]
+    if any(not s for s in sample_ids):
+        raise ParseError("empty sample id in header", 1)
+    if n_lines < 4:
+        raise ParseError("truncated RES file: missing count line or data rows", n_lines)
+    # head[1] is the sample-description line and is intentionally skipped.
+    try:
+        n_genes = int(head[2].strip())
+    except ValueError:
+        raise ParseError(f"gene-count line must be an integer, found {head[2]!r}", 3) from None
+    return _Layout(sample_ids, n_genes, 1, 2, 2, "accession",
+                   f"description, accession and {len(sample_ids)} value/call pairs")
 
 
-def _read_body(
-    lines: list[str], line0: int, sample_ids: list[str], id_col: int, id_name: str,
-    first: int, step: int, layout: str,
-) -> ExpressionMatrix:
-    """Build the matrix from the data lines, numbered from `line0`, with the id
-    in field `id_col` and the values in fields `first::step`.
+def _check_rows(format: str, layout: _Layout, n: int) -> None:
+    """Refuse `n` data rows where the header declares another count, or none in a tsv file."""
+    if layout.rows is None:
+        if not n:
+            raise ParseError("no data rows after the header", 1)
+    elif n != layout.rows:
+        what, line = ("dimension", 2) if format == "gct" else ("count", 3)
+        raise ParseError(f"{what} line declares {layout.rows} data rows but file contains {n}",
+                         line)
 
-    Two paths give one outcome. A structure pass checks every line's tab
-    count (before taking ids, as a short line has no id field), its id, and
-    that its fields from `first` on hold no U+001F, which numpy's C reader
-    strips as whitespace and float() refuses (an id, never converted, may).
-    The C reader (whose ``quotechar`` needs numpy >= 1.23) then converts the
-    body, in row parts (``_util.in_parts``), into one array. If a check fails,
-    a part fails or a value is not finite, the rows are walked one by one:
-    assigning a row of strings converts each cell as float() does (so ``1_0``
-    and non-ASCII digits, which the C reader refuses, are read), and
-    `bad_cell` names the first bad cell in file order with its line and column.
-    """
-    n_samples = len(sample_ids)
-    n_fields = first + step * n_samples
-    gene_ids, values = _structure(lines, n_fields, id_col, first), np.empty((len(lines), n_samples))
 
-    def convert(i: int, n: int) -> memoryview:
-        a, b = len(lines) * i // n, len(lines) * (i + 1) // n
-        values[a:b] = np.loadtxt(lines[a:b], delimiter="\t", comments=None, quotechar=None,
-                                 usecols=range(first, n_fields, step), ndmin=2)
-        return values[a:b].data
-
-    most = values.size // _util.PART_CELLS
-    parts = None if gene_ids is None else in_parts(convert, len(lines), most)
-    if parts is not None:  # the forked parts' rows into values; the rest are there already
-        np.concatenate([np.frombuffer(data) for data in parts], out=values.reshape(-1))
-    if parts is None or not np.isfinite(values).all():
-        gene_ids = []
-        for i, line in enumerate(lines):
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise ParseError(
-                    f"expected {n_fields} fields ({layout}), found {len(fields)}", line0 + i
-                )
-            if not fields[id_col]:
-                raise ParseError(f"empty {id_name}", line0 + i, id_col + 1)
-            gene_ids.append(fields[id_col])
-            cells = fields[first::step]
-            try:
-                values[i] = cells
-                ok = np.isfinite(values[i]).all()
-            except ValueError:
-                ok = False
-            if not ok:
-                j, what = bad_cell(cells)
-                raise ParseError(what, line0 + i, first + 1 + step * j)
+def _matrix(gene_ids: list[str], sample_ids: list[str], values: np.ndarray) -> ExpressionMatrix:
     try:
         return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), values)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+# ------------------------------------------------------------ whole-text path
+
+def _parse_lines(lines: list[str], format: str) -> ExpressionMatrix:
+    """The whole-text path: check the lines, then walk every data row, so the
+    first fault in file order is the one named. The empty lines that end the
+    file (an editor or ``echo >>`` may leave them) are dropped; a blank or
+    whitespace-only line left in the data section is refused before any data
+    line is read."""
+    if not lines or all(not ln.strip() for ln in lines):
+        raise ParseError("empty file")
+    h = _HEAD[format]
+    layout = _header(lines[:h], format, len(lines))
+    end = len(lines)
+    while end > h and not lines[end - 1]:
+        end -= 1
+    for i in range(h, end):
+        if not lines[i].strip():
+            raise ParseError("blank line inside data section", i + 1)
+    _check_rows(format, layout, end - h)
+    n_fields, id_col, first, step = layout.n_fields, layout.id_col, layout.first, layout.step
+    gene_ids, values = [], np.empty((end - h, len(layout.sample_ids)))
+    for i in range(h, end):
+        fields = lines[i].split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(f"expected {n_fields} fields ({layout.fields}), found {len(fields)}",
+                             i + 1)
+        if not fields[id_col]:
+            raise ParseError(f"empty {layout.id_name}", i + 1, id_col + 1)
+        gene_ids.append(fields[id_col])
+        # a row of strings converts each cell as float() does
+        cells = fields[first::step]
+        try:
+            values[i - h] = cells
+            ok = np.isfinite(values[i - h]).all()
+        except ValueError:
+            ok = False
+        if not ok:
+            j, what = bad_cell(cells)
+            raise ParseError(what, i + 1, first + 1 + step * j)
+    return _matrix(gene_ids, layout.sample_ids, values)
+
+
+# ----------------------------------------------------------------- block path
+
+def _decode(piece: Union[str, bytes]) -> str:
+    return piece if isinstance(piece, str) else piece.decode("utf-8")
+
+
+def _line_end(read: Read, pos: int, end: int) -> int:
+    """The position just after the first "\n" at or after `pos`, else `end`."""
+    while pos < end:
+        chunk = read(pos, min(pos + _BLOCK, end))
+        k = chunk.find(_NL[type(chunk)])
+        if k >= 0:
+            return pos + k + 1
+        pos += len(chunk)
+    return end
+
+
+def _blocks(read: Read, a: int, b: int):
+    """[a, b) in consecutive blocks of about _BLOCK, each but the last cut just
+    after its last "\n" (or its first, for a line longer than a block)."""
+    while a < b:
+        chunk = read(a, min(a + _BLOCK, b))
+        if a + len(chunk) < b:
+            k = chunk.rfind(_NL[type(chunk)]) + 1
+            chunk = chunk[:k] if k else read(a, _line_end(read, a + len(chunk), b))
+        yield chunk
+        a += len(chunk)
 
 
 def _structure(lines: list[str], n_fields: int, id_col: int, first: int) -> list[str] | None:
@@ -201,82 +342,98 @@ def _structure(lines: list[str], n_fields: int, id_col: int, first: int) -> list
     return None
 
 
-def _data_lines(lines: list[str], start: int) -> list[str]:
-    """The data section, lines[start:], without the empty lines that end the
-    file (an editor or ``echo >>`` may leave them); a blank or whitespace-only
-    line left in it is refused before any data line is read."""
-    end = len(lines)
-    while end > start and not lines[end - 1]:
-        end -= 1
-    for i in range(start, end):
-        if not lines[i].strip():
-            raise ParseError("blank line inside data section", i + 1)
-    return lines[start:end]
+def _part(read: Read, a: int, b: int, layout: _Layout, convert: bool) -> bytearray:
+    """One part's rows, from [a, b) read a block at a time: the values' bytes
+    (if `convert`), the ids joined by "\n", then the row count and the number
+    of empty lines that end the range, 8 bytes each. Raises ValueError on a
+    block the block path does not read."""
+    n_fields, first, step = layout.n_fields, layout.first, layout.step
+    out, ids, empty = bytearray(), [], 0
+    for piece in _blocks(read, a, b):
+        lines = _decode(piece).splitlines()
+        n = rows = len(lines)
+        while rows and not lines[rows - 1]:
+            rows -= 1
+        if not rows:
+            empty += n
+            continue
+        del lines[rows:]
+        got = _structure(lines, n_fields, layout.id_col, first)
+        if empty or got is None or not all(ln.strip() for ln in lines):
+            raise ValueError("a blank line or a structure fault")
+        ids += got
+        empty = n - rows
+        if convert:
+            out += np.loadtxt(lines, delimiter="\t", comments=None, quotechar=None,
+                              usecols=range(first, n_fields, step), ndmin=2).data
+    out += "\n".join(ids).encode("utf-8", "surrogatepass")
+    out += len(ids).to_bytes(8, "little") + empty.to_bytes(8, "little")
+    return out
 
 
-def _parse_tsv(lines: list[str]) -> ExpressionMatrix:
-    sample_ids = lines[0].split("\t")
-    if any(not s for s in sample_ids):
-        raise ParseError("empty sample id in header", 1)
-    data = _data_lines(lines, 1)
-    if not data:
-        raise ParseError("no data rows after the header", 1)
-    return _read_body(data, 2, sample_ids, 0, "gene id", 1, 1,
-                      f"gene id + {len(sample_ids)} values")
+def _gather(parts: list, n_samples: int, convert: bool) -> tuple[list[str], list[np.ndarray]]:
+    """The parts' ids and (if `convert`) value arrays, in order. Raises
+    ValueError where empty lines that end a part come before rows."""
+    ids, arrays, ended = [], [], False
+    while parts:  # each part's bytes are dropped once its arrays are taken
+        data = memoryview(parts.pop(0))
+        rows, empty = int.from_bytes(data[-16:-8], "little"), int.from_bytes(data[-8:], "little")
+        if rows and ended:
+            raise ValueError("an empty line before data")
+        ended = ended or empty > 0
+        size = 8 * rows * n_samples if convert else 0
+        if rows:
+            ids += str(data[size:-16], "utf-8", "surrogatepass").split("\n")
+        if rows and convert:
+            arrays.append(np.frombuffer(data[:size]).reshape(rows, n_samples))
+    return ids, arrays
 
 
-def _parse_gct(lines: list[str]) -> ExpressionMatrix:
-    if lines[0].strip() != "#1.2":
-        raise ParseError(f"unsupported GCT version marker {lines[0]!r} (expected '#1.2')", 1)
-    if len(lines) < 3:
-        raise ParseError("truncated GCT file: missing dimension or header line", len(lines))
-    dims = lines[1].split("\t")
-    if len(dims) < 2:
-        raise ParseError("dimension line must hold gene and sample counts", 2)
+def _head(read: Read, end: int, format: str) -> Optional[tuple[list[str], int]]:
+    """The header lines and the position of the body after them, if the text
+    up to its _HEAD[format]-th "\n" splits into that many lines and a body
+    follows; else None."""
+    pos = 0
+    for _ in range(_HEAD[format]):
+        pos = _line_end(read, pos, end)
+    head = _decode(read(0, pos)).splitlines()
+    return (head, pos) if pos < end and len(head) == _HEAD[format] else None
+
+
+def _read_blocks(read: Read, end: int, format: str,
+                 companion: Optional[Path] = None) -> Optional[ExpressionMatrix]:
+    """The block path: the matrix of the text that read(0, end) gives, or None
+    for any failure, where the whole-text path must read it."""
     try:
-        n_genes, n_samples = int(dims[0]), int(dims[1])
-    except ValueError:
-        raise ParseError(f"non-integer dimensions {lines[1]!r}", 2) from None
-    header = lines[2].split("\t")
-    if len(header) < 2 or header[0].lower() != "name" or header[1].lower() != "description":
-        raise ParseError("header must start with 'Name<TAB>Description'", 3)
-    sample_ids = header[2:]
-    if len(sample_ids) != n_samples:
-        raise ParseError(
-            f"dimension line declares {n_samples} samples but header names "
-            f"{len(sample_ids)}",
-            3,
-        )
-    data = _data_lines(lines, 3)
-    if len(data) != n_genes:
-        raise ParseError(f"dimension line declares {n_genes} data rows but file contains "
-                         f"{len(data)}", 2)
-    return _read_body(data, 4, sample_ids, 0, "gene name", 2, 1,
-                      f"name, description, {n_samples} values")
+        found = _head(read, end, format)
+        if found is None:
+            return None
+        head, start = found
+        layout = _header(head, format, len(head) + 1)  # the matrix needs a data line
+        n_samples = len(layout.sample_ids)
+        values = _from_companion(companion, read, start, end, n_samples) if companion else None
+        convert = values is None
 
+        def part(i: int, n: int) -> bytearray:
+            a, b = (start if j == 0 else end if j == n else
+                    _line_end(read, start + (end - start) * j // n - 1, end) for j in (i, i + 1))
+            return _part(read, a, b, layout, convert)
 
-def _parse_res(lines: list[str]) -> ExpressionMatrix:
-    header = lines[0].split("\t")
-    if len(header) < 3:
-        raise ParseError("header must hold two labels plus at least one sample id", 1)
-    rest = header[2:]
-    sample_ids = rest[0::2]
-    if any(not s for s in sample_ids):
-        raise ParseError("empty sample id in header", 1)
-    n_samples = len(sample_ids)
-    if len(lines) < 4:
-        raise ParseError("truncated RES file: missing count line or data rows", len(lines))
-    # lines[1] is the sample-description line and is intentionally skipped.
-    try:
-        n_genes = int(lines[2].strip())
-    except ValueError:
-        raise ParseError(f"gene-count line must be an integer, found {lines[2]!r}", 3) from None
-    data = _data_lines(lines, 3)
-    if len(data) != n_genes:
-        raise ParseError(f"count line declares {n_genes} data rows but file contains "
-                         f"{len(data)}", 3)
-    return _read_body(data, 4, sample_ids, 1, "accession", 2, 2,
-                      f"description, accession and {n_samples} value/call pairs")
+        # the structure pass alone runs in one part: a fork costs more than it saves
+        most = (end - start) // _util.PART_BYTES if convert else 1
+        parts = in_parts(part, end - start, most)
+        if parts is None:
+            return None
+        ids, arrays = _gather(parts, n_samples, convert)
+        _check_rows(format, layout, len(ids))
+        if convert:
+            values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        elif len(ids) != len(values):
+            return None
+        del arrays  # the parts' bytes go before the matrix copies the values
+        return _matrix(ids, layout.sample_ids, values)
+    except (OSError, ValueError):
+        return None
 
 
 def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None:
@@ -308,62 +465,51 @@ def companion_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".npy")
 
 
-def _sha256(data: bytes) -> bytes:
-    # imported here, as hashlib loads OpenSSL (about 4 ms and 3.6 MiB of
-    # RSS), which a read with no companion beside its file never needs
-    import hashlib
-
-    return hashlib.sha256(data).digest()
-
-
 def write_companion(values: np.ndarray, tsv: str | Path,
                     dest: Union[str, Path, IO[bytes]]) -> None:
     """Write the companion of the tsv file at `tsv`, which holds `values`: the
     SHA-256 of that file's bytes, then `values` as a float64 .npy array
     (format 1.0, no pickle). The same file and values give the same bytes."""
-    digest = _sha256(Path(tsv).read_bytes())
+    with open(tsv, "rb") as text:
+        digest = _digest(lambda a, b: text.read(b - a), os.fstat(text.fileno()).st_size)
     with opened(dest, "wb") as handle:
         handle.write(digest)
         np.lib.format.write_array(handle, np.ascontiguousarray(values, dtype="<f8"),
                                   version=(1, 0), allow_pickle=False)
 
 
-def read_tsv_file(path: str | Path) -> tuple[str, ExpressionMatrix | None]:
-    """The UTF-8 text of the tsv file at `path`, read as bytes once (an OSError
-    or a decoding error is raised), and its matrix from the companion beside
-    it when that matches (see the module docstring), else None. None also
-    for a text that fails the structure pass or values the matrix refuses:
-    parse_matrix(text) then reads the file and names the fault."""
-    data = Path(path).read_bytes()
-    text = data.decode("utf-8")
-    try:
-        handle = open(companion_path(path), "rb")
-    except OSError:
-        return text, None
-    with handle:
-        digest = _sha256(data)
-        del data  # the text alone is held from here on, as a parse holds it
-        return text, _from_companion(handle, digest, text)
+def _digest(read: Read, end: int) -> bytes:
+    """The SHA-256 of read(0, end), hashed a block at a time."""
+    # imported here, as hashlib loads OpenSSL (about 4 ms and 3.6 MiB of
+    # RSS), which a read with no companion beside its file never needs
+    import hashlib
+
+    sha = hashlib.sha256()
+    for a in range(0, end, _BLOCK):
+        sha.update(read(a, min(a + _BLOCK, end)))
+    return sha.digest()
 
 
-def _from_companion(handle: IO[bytes], digest: bytes, text: str) -> ExpressionMatrix | None:
+def _from_companion(path: Path, read: Read, start: int, end: int,
+                    n_samples: int) -> Optional[np.ndarray]:
+    """The values in the companion at `path` if its digest is that of read(0,
+    end) and it holds a float64 (rows, n_samples) array whose rows fit in the
+    body, read(start, end) (a tsv row takes 2 * n_samples + 1 bytes or more);
+    else None."""
     try:
-        if handle.read(len(digest)) != digest:
-            return None
-        lines = text.splitlines()
-        sample_ids = lines[0].split("\t") if lines else []
-        gene_ids = _structure(_data_lines(lines, 1), 1 + len(sample_ids), 0, 1)
-        if gene_ids is None or not all(sample_ids):
-            return None
-        if np.lib.format.read_magic(handle) != (1, 0):
-            return None
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
-        if shape != (len(gene_ids), len(sample_ids)) or fortran_order or dtype != "<f8":
-            return None
-        values = np.empty(shape, dtype="<f8")
-        # exactly the array's bytes: a short read or a trailing byte is refused
-        if handle.readinto(values) != values.nbytes or handle.read(1):
-            return None
-        return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), values)
+        with open(path, "rb") as handle:
+            if (handle.read(32) != _digest(read, end)
+                    or np.lib.format.read_magic(handle) != (1, 0)):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+            if (len(shape) != 2 or shape[1] != n_samples
+                    or shape[0] * (2 * n_samples + 1) > end - start
+                    or fortran_order or dtype != "<f8"):
+                return None
+            values = np.empty(shape, dtype="<f8")
+            # exactly the array's bytes: a short read or a trailing byte is refused
+            if handle.readinto(values) != values.nbytes or handle.read(1):
+                return None
+            return values
     except (OSError, ValueError):
         return None

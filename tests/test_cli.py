@@ -1039,10 +1039,12 @@ def test_a_matching_companion_replaces_the_text_parse(bundled_tsv, tmp_path, cap
                                                       monkeypatch):
     z = _normalized(bundled_tsv, tmp_path, capsys)
 
-    def never(*args):
+    def never(*args, **kwargs):
         raise AssertionError("the text was parsed")
 
-    monkeypatch.setattr("pfclust.cli.parse_matrix", never)
+    # the block path's conversion and the whole-text path
+    monkeypatch.setattr("pfclust.io.np.loadtxt", never)
+    monkeypatch.setattr("pfclust.io._parse_lines", never)
     o = tmp_path / "p"
     assert main(["cluster", str(z), "--alg", "kmeans", "--k", "3", "--out", str(o)]) == 0
     assert main(["validate", str(z), "--partition", f"{o}.partition.csv",

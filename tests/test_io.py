@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import pfclust._util
 import pfclust.io
 from pfclust import ParseError, parse_matrix, sniff_format, write_tsv
-from pfclust.io import companion_path, read_tsv_file, write_companion
+from pfclust.io import companion_path, read_matrix, write_companion
 from pfclust.matrix import ExpressionMatrix
 
 TSV = "s1\ts2\ng1\t1.5\t2.5\ng2\t-3\t4e2\n"
@@ -256,6 +256,8 @@ def _outcome(parse, fmt, text):
         m = parse(text, fmt)
     except ParseError as exc:
         return str(exc), exc.line, exc.column
+    except UnicodeDecodeError as exc:
+        return str(exc)
     return m.gene_ids, m.sample_ids, m.values.tobytes()
 
 
@@ -325,9 +327,13 @@ def _write_with_companion(m, path):
 
 
 def _read_from_companion(path):
-    text, m = read_tsv_file(path)
-    assert text == path.read_bytes().decode("utf-8")
-    return m
+    """read_matrix(path, "tsv") if it took its values from the companion beside
+    the tsv file at `path`, else None. Each caller's companion holds values
+    other than the text's, which is what tells the two sources apart."""
+    m = read_matrix(path, "tsv")
+    text = parse_matrix(path.read_bytes(), "tsv")
+    assert (m.gene_ids, m.sample_ids) == (text.gene_ids, text.sample_ids)
+    return None if m.values.tobytes() == text.values.tobytes() else m
 
 
 def test_companion_sits_beside_its_tsv_and_starts_with_its_digest(tmp_path):
@@ -363,12 +369,14 @@ def test_companion_reads_back_what_the_text_parses(tmp_path_factory, values, gen
     m = ExpressionMatrix(tuple(genes[:len(values)]), ("s1", "s2", "s3"), values)
     path = tmp_path_factory.mktemp("companion") / "m.tsv"
     _write_with_companion(m, path)
-    got = _read_from_companion(path)
+    got = read_matrix(path, "tsv")
     want = parse_matrix(path.read_bytes().decode("utf-8"), "tsv")
-    assert got is not None
     assert (got.gene_ids, got.sample_ids) == (want.gene_ids, want.sample_ids)
     # bit for bit: -0.0 and subnormals included
     assert got.values.tobytes() == want.values.tobytes()
+    # and from the companion: other values under the same digest are read back
+    write_companion(-m.values, path, companion_path(path))
+    assert _read_from_companion(path).values.tobytes() == (-m.values).tobytes()
 
 
 def _npy(values, **header):
@@ -387,6 +395,12 @@ def _npy(values, **header):
 
 _VALUES = np.array([[0.5, -1.0], [2.0, 3.25], [1e-300, 7.0]])
 
+
+def _write_with_other_companion(path):
+    """A tsv file of _VALUES + 1 and a companion of _VALUES under its digest."""
+    write_tsv(ExpressionMatrix(("g1", "g2", "g3"), ("s1", "s2"), _VALUES + 1), path)
+    write_companion(_VALUES, path, companion_path(path))
+
 # each a companion body (what follows the digest) that must be ignored
 _BAD_BODIES = {
     "empty": b"",
@@ -396,6 +410,7 @@ _BAD_BODIES = {
     "truncated-values": _npy(_VALUES)[:-1],
     "trailing-byte": _npy(_VALUES) + b"\0",
     "fewer-rows": _npy(_VALUES[:2]),
+    "too-many-rows-to-allocate": _npy(_VALUES, shape=(10**12, 2)),
     "transposed": _npy(_VALUES.T.copy()),
     "float32": _npy(_VALUES.astype(np.float32)),
     "big-endian": _npy(_VALUES.astype(">f8")),
@@ -407,26 +422,25 @@ _BAD_BODIES = {
 
 @pytest.mark.parametrize("body", list(_BAD_BODIES.values()), ids=list(_BAD_BODIES))
 def test_a_companion_that_does_not_match_is_ignored(tmp_path, body):
-    m = ExpressionMatrix(("g1", "g2", "g3"), ("s1", "s2"), _VALUES)
     path = tmp_path / "m.tsv"
-    _write_with_companion(m, path)
-    assert _read_from_companion(path) is not None
+    _write_with_other_companion(path)
+    assert _read_from_companion(path).values.tobytes() == _VALUES.tobytes()
     digest = companion_path(path).read_bytes()[:32]
     companion_path(path).write_bytes(digest + body)
     assert _read_from_companion(path) is None
 
 
 def test_a_stale_or_unreadable_companion_is_ignored(tmp_path):
-    m = ExpressionMatrix(("g1", "g2", "g3"), ("s1", "s2"), _VALUES)
     path = tmp_path / "m.tsv"
-    _write_with_companion(m, path)
+    _write_with_other_companion(path)
+    assert _read_from_companion(path) is not None
     companion = companion_path(path).read_bytes()
     # a digest one bit off
     companion_path(path).write_bytes(bytes([companion[0] ^ 1]) + companion[1:])
     assert _read_from_companion(path) is None
     # a tsv file edited after its companion was written
     companion_path(path).write_bytes(companion)
-    path.write_text(path.read_text(encoding="utf-8").replace("0.5", "0.25"), encoding="utf-8")
+    path.write_text(path.read_text(encoding="utf-8").replace("1.5", "1.25"), encoding="utf-8")
     assert _read_from_companion(path) is None
     # a companion that is a directory
     companion_path(path).unlink()
@@ -438,19 +452,22 @@ def test_a_stale_or_unreadable_companion_is_ignored(tmp_path):
     "s1\ts2\ng1\t1\t2\ng1\t3\t4\n",   # a duplicate gene id
     "s1\ts1\ng1\t1\t2\ng2\t3\t4\n",   # a duplicate sample id
     "s1\ts2\ng1\t1\t2\n\ng2\t3\t4\n",  # a blank line
+    "s1\ts2\ng1\t1\t2\n \t \t \ng2\t3\t4\n",  # a whitespace-only line of three fields
     "s1\t\ng1\t1\t2\ng2\t3\t4\n",     # an empty sample id
     "s1\ts2\n",                        # no data rows
     "s1\ts2\ng1\t1\x1f\t2\ng2\t3\t4\n",  # a cell float() refuses, the C reader strips
-], ids=["duplicate-gene", "duplicate-sample", "blank-line", "empty-sample", "header-only",
-        "unit-separator"])
+], ids=["duplicate-gene", "duplicate-sample", "blank-line", "whitespace-line", "empty-sample",
+        "header-only", "unit-separator"])
 def test_a_companion_never_hides_a_fault_of_its_text(tmp_path, text):
-    # a companion whose digest is that of a faulty text (normalize writes none)
+    # a companion whose digest is that of a faulty text (normalize writes none),
+    # with a row for each line after the header
     path = tmp_path / "m.tsv"
     path.write_text(text, encoding="utf-8")
-    write_companion(np.zeros((2, 2)), path, companion_path(path))
-    assert _read_from_companion(path) is None
+    write_companion(np.zeros((text.count("\n") - 1, 2)), path, companion_path(path))
     with pytest.raises(ParseError):
         parse_matrix(text, "tsv")
+    assert _outcome(lambda _, fmt: read_matrix(path, fmt), "tsv", text) == \
+        _outcome(parse_matrix, "tsv", text)
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -464,9 +481,10 @@ def test_tsv_empty_lines_at_the_end_are_dropped(tmp_path, eol, blank):
     # the companion check reads the same lines as the text parse
     path = tmp_path / "m.tsv"
     path.write_bytes(text.encode("utf-8"))
-    write_companion(parse_matrix(clean, "tsv").values, path, companion_path(path))
+    other = -parse_matrix(clean, "tsv").values
+    write_companion(other, path, companion_path(path))
     got = _read_from_companion(path)
-    assert (got.gene_ids, got.sample_ids, got.values.tobytes()) == expected
+    assert (got.gene_ids, got.sample_ids, got.values.tobytes()) == (*expected[:2], other.tobytes())
 
 
 @pytest.mark.parametrize("text, line", [
@@ -529,9 +547,11 @@ def test_write_peak_memory_is_bounded():
 
 @contextlib.contextmanager
 def _parts(n):
-    """Read and write in n parts, where the matrix has n rows or more."""
+    """Read and write in n parts, where the matrix has n rows (n characters of
+    body text) or more."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pfclust._util, "PART_CELLS", 1)
+        mp.setattr(pfclust._util, "PART_BYTES", 1)
         mp.setattr(pfclust._util, "usable_cpus", lambda: n)
         yield mp
 
@@ -604,6 +624,93 @@ def test_a_child_that_dies_leaves_every_outcome_unchanged():
         assert [_outcome(parse_matrix, "tsv", t) for t in texts] == expected
         assert _written(m) == written
     _no_child_left()
+
+
+# line breaks of str.splitlines() other than "\n"
+_BREAKS = ["\r\n", "\r", "\x0b", "\x85", "\u2028"]
+
+
+@st.composite
+def trap_files(draw):
+    """A file drawn by matrix_texts, as (format, bytes), with the reader's traps
+    drawn in: other line breaks ending lines or inside them, U+001F inside a
+    line, empty and whitespace-only lines at the end, a BOM, and a byte that is
+    not UTF-8 on the first or the last data line."""
+    fmt, text = draw(matrix_texts())
+    lines = text.split("\n")[:-1]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(_BREAKS + ["\x1f"])) + lines[i][at:]
+    first = {"tsv": 1, "gct": 3, "res": 3}[fmt]
+    bad = draw(st.sampled_from([None, None, None, first, len(lines) - 1]))
+    if bad is not None:  # "\udcff" is written as the byte 0xff
+        at = draw(st.integers(0, len(lines[bad])))
+        lines[bad] = lines[bad][:at] + "\udcff" + lines[bad][at:]
+    ends = [draw(st.sampled_from(["\n"] * 4 + _BREAKS)) for _ in lines]
+    tail = draw(st.sampled_from(["", "", "\n", "\n\n", "\r\n\r\n", "\u2028\n", "  \n",
+                                 "\n \t\n"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, ends)) + tail
+    return fmt, text.encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=trap_files(), block=st.integers(1, 40))
+@example(case=("tsv", b"s1\ts2\r\ng1\t1\t2\r\ng2\t3\t4\r\n\r\n"), block=5)
+@example(case=("tsv", b"s1\ts2\ng1\t1\r\t2\ng2\t3\t4\r"), block=3)
+@example(case=("tsv", "s1\ng1\t1\x0bg2\t2\x85g3\t3\u2028".encode()), block=2)
+@example(case=("tsv", "s1\ng1\t1\u2028x\t2\ng2\t\x853\n".encode()), block=4)
+@example(case=("tsv", b"s1\ng1\t1\ng2\t2\n\n\n\n"), block=1)
+@example(case=("tsv", b"s1\ng1\t1\n\n\n\n\ng2\t2\n"), block=1)
+@example(case=("tsv", b"s1\ng1\t1\n\ng2\t2\n"), block=6)
+@example(case=("tsv", b"s1\rg0\t1\ng1\t2\n"), block=3)
+@example(case=("tsv", b"s1\ng1\t1\n\t\ng2\t2\n"), block=3)
+@example(case=("tsv", b"s1\ng1\t1\ng2\t2\n  \n"), block=3)
+@example(case=("tsv", "\ufeffs1\ng1\t1\ng2\t2\n".encode()), block=2)
+@example(case=("tsv", b"s1\ng1\t\xff1\ng2\tx\ng3\t3\n"), block=2)
+@example(case=("tsv", b"s1\ng1\tx\ng2\t2\ng3\t3\xff\n"), block=2)
+@example(case=("tsv", "s1\ts2\ng1\t1_0\t١٢\ng2\t７\t4\n".encode()), block=6)
+@example(case=("tsv", b"s1\ng1\t1\ng2\t2\x1f\ng3\t3\n"), block=4)
+@example(case=("tsv", b"s1\ng1\t1\ng2\t2\ng3\t3\ng4\t4\ng1\t5\n"), block=4)
+@example(case=("gct", b"#1.2\r\n2\t1\r\nName\tDescription\ts1\r\ng1\td\t1\r\ng2\td\t2\r\n\r\n"),
+         block=3)
+@example(case=("gct", b"#1.2\n3\t1\nName\tDescription\ts1\ng1\td\t1\ng2\td\t2\n"), block=3)
+@example(case=("res", "Description\tAccession\ts1\t\n\u2028\n2\nd\tg1\t1\tP\u2028"
+                      "d\tg2\t2\tA\n\n".encode()), block=5)
+@example(case=("res", b"Description\tAccession\ts1\t\n\n2\nd\tg1\t1_0\tP\nd\tg1\t2\tA\n"),
+         block=2)
+def test_blocks_and_parts_read_what_the_whole_text_gives(tmp_path_factory, case, block):
+    fmt, data = case
+    path = tmp_path_factory.mktemp("blocks") / "m"
+    path.write_bytes(data)
+    expected = _outcome(parse_matrix, fmt, data)
+    if b"\xff" not in data:
+        assert _outcome(_oracles.parse_matrix, fmt, data.decode("utf-8")) == expected
+    for n in (1, 2, 3):
+        with _parts(n) as mp:
+            mp.setattr(pfclust.io, "_BLOCK", block)
+            assert _outcome(lambda _, f: read_matrix(path, f), fmt, data) == expected
+            assert _outcome(parse_matrix, fmt, data) == expected
+    _no_child_left()
+
+
+def test_read_peak_memory_is_bounded(tmp_path, monkeypatch):
+    # the file's text is never held whole: one block of it, the values and
+    # the matrix's own copy of them
+    values = np.random.default_rng(0).normal(size=(5000, 50))
+    path = tmp_path / "m.tsv"
+    write_tsv(ExpressionMatrix([f"g{i}" for i in range(5000)],
+                               [f"s{j}" for j in range(50)], values), path)
+    monkeypatch.setattr(pfclust.io, "_BLOCK", 1 << 16)
+    monkeypatch.setattr(pfclust._util, "usable_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        m = read_matrix(path, "tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.values.tobytes() == values.tobytes()
+    assert peak < 2.5 * values.nbytes + 8 * pfclust.io._BLOCK
 
 
 def test_parts_fork_without_a_warning():
