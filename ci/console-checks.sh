@@ -51,7 +51,11 @@
 #   ends and a trailing empty line, it clusters to the bytes the LF file
 #   gives; with the byte 0xff on its last data line it exits 2 with "cannot
 #   read" (the whole file is decoded before any fault is named); written as
-#   a gct file, it clusters to the same partition and centroids.
+#   a gct file, it clusters to the same partition and centroids;
+# - the run record: the meta.json of a kmeans, rough-kmeans, fcm and pfcm
+#   run each holds iterations, stop_reason, converged and a trace list, and
+#   only pfcm's holds alpha; and cluster --normalize --drop-degenerate warns
+#   of the gene it drops, as normalize does.
 set -eo pipefail
 out=${1:?usage: ci/console-checks.sh OUT_DIR}
 
@@ -158,3 +162,15 @@ for f in c.partition.csv c.centroids.csv c.meta.json; do cmp "$out/lf/$f" "$out/
 for f in c.partition.csv c.centroids.csv; do cmp "$out/lf/$f" "$out/gct/$f"; done
 rc=0; pfclust cluster "$out/bad/m.tsv" --alg kmeans --k 5 2> "$out/bad/err" || rc=$?; test "$rc" -eq 2
 grep -q "^error: cannot read $out/bad/m.tsv: 'utf-8' codec can't decode byte 0xff" "$out/bad/err"
+for alg in kmeans rough-kmeans fcm pfcm; do
+  pfclust cluster tests/data/synthetic_100x10.tsv --alg "$alg" --k 3 --normalize zscore --out "$out/record-$alg"
+done
+python3 -c 'import json, sys
+for alg in sys.argv[2:]:
+    meta = json.load(open(f"{sys.argv[1]}/record-{alg}.meta.json"))
+    assert {"iterations", "stop_reason", "converged"} <= meta.keys(), alg
+    assert isinstance(meta["trace"], list), alg
+    assert ("alpha" in meta) == (alg == "pfcm"), alg' "$out" kmeans rough-kmeans fcm pfcm
+printf 's1\ts2\ng1\t1\t2\ng2\t3\t3\ng3\t2\t1\ng4\t0\t5\n' > "$out/flat.tsv"
+pfclust cluster "$out/flat.tsv" --alg kmeans --k 2 --normalize zscore --drop-degenerate --out "$out/flat" 2> "$out/flat.err"
+grep -qx 'warning: dropped 1 degenerate gene(s)' "$out/flat.err"

@@ -207,17 +207,20 @@ class NumericalError(RuntimeError):
 
 
 class Stopped:
-    """Base of the partitions: k, and converged derived from stop_reason.
+    """Base of the partitions: k, converged derived from stop_reason, and record().
 
     Every partition also has assignments, one cluster in [0, k) per gene,
     and memberships, an (n_genes, k) row-stochastic matrix, with the one
     label rule assignments == argmax(memberships), lowest index on ties.
     stop_reason is "tolerance" (the stop test fired), "cycle" (rough
-    k-means only: the centroids repeated) or "max_iter".
+    k-means only: the centroids repeated) or "max_iter". trace is the
+    run's objective after each iteration, () where it has none.
     """
 
     stop_reason: str
     centroids: np.ndarray
+    iterations: int
+    trace: tuple[float, ...]
 
     @property
     def k(self) -> int:
@@ -226,6 +229,12 @@ class Stopped:
     @property
     def converged(self) -> bool:
         return self.stop_reason == "tolerance"
+
+    def record(self) -> dict:
+        """What the finished run reports about itself: `cluster` writes it
+        into meta.json and the grid into each report.json row."""
+        return {"iterations": self.iterations, "stop_reason": self.stop_reason,
+                "converged": self.converged, "trace": self.trace}
 
 
 def as_values(data) -> np.ndarray:

@@ -206,14 +206,20 @@ def _cmd_normalize(args) -> int:
     method = canonical(args.method, METHODS, "normalization")
     tsv = _outputs(args, ".normalized.tsv")[0]
     _regular([companion_path(tsv)])
-    m = _read_matrix(args.input, args.format)
-    out = normalize(m, method, drop_degenerate=args.drop_degenerate)
+    out = _normalize(args, _read_matrix(args.input, args.format), method)
     # the companion holds the digest of the tsv temp's bytes, which are renamed unchanged
     _atomic_write([(tsv, partial(write_tsv, out)),
                    (companion_path(tsv), partial(write_companion, out.values, _temp(tsv)))])
+    return EXIT_OK
+
+
+def _normalize(args, m: ExpressionMatrix, method: str) -> ExpressionMatrix:
+    """m normalized by `method` for normalize and cluster, with one warning
+    line when --drop-degenerate dropped genes."""
+    out = normalize(m, method, drop_degenerate=args.drop_degenerate)
     if out.n_genes < m.n_genes:
         _warn(args, f"dropped {m.n_genes - out.n_genes} degenerate gene(s)")
-    return EXIT_OK
+    return out
 
 
 # ------------------------------------------------------------------ cluster
@@ -238,13 +244,13 @@ def _cmd_cluster(args) -> int:
     paths = _outputs(args, ".partition.csv", ".centroids.csv", ".meta.json")
     m = _read_matrix(args.input, args.format)
     if method != "none":
-        m = normalize(m, method, drop_degenerate=args.drop_degenerate)
+        m = _normalize(args, m, method)
 
     params = {key: getattr(args, key) for key in PARAMS[alg]}
     part = run_algorithm(
         alg, m, args.k, seed=args.seed, farthest_init=args.farthest_init, **params
     )
-    meta: dict = {
+    meta = {
         "command": "cluster",
         "input": args.input,
         "algorithm": alg,
@@ -255,21 +261,9 @@ def _cmd_cluster(args) -> int:
         "n_genes": m.n_genes,
         "n_samples": m.n_samples,
         **params,
-        "iterations": part.iterations,
-        "converged": part.converged,
-        "stop_reason": part.stop_reason,
+        "farthest_init": bool(args.farthest_init),
+        **part.record(),
     }
-    if alg == "kmeans":
-        meta.update(sse=part.sse, sse_trace=list(part.sse_trace))
-    if alg in ("fcm", "pfcm"):
-        meta.update(
-            objective=part.objective_trace[-1],
-            objective_trace=list(part.objective_trace),
-        )
-        if alg == "pfcm":
-            meta["alpha"] = list(part.alpha)
-    else:
-        meta["farthest_init"] = bool(args.farthest_init)
 
     _atomic_write(zip(paths, [
         partial(write_partition_csv, part, m.gene_ids),
@@ -437,12 +431,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pfclust", description="Expression-matrix clustering toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+    drop_help = "drop rows that cannot be normalized instead of failing"
 
     p = sub.add_parser("normalize", help="row-normalize a matrix and write TSV")
     _add_common(p)
     p.add_argument("--method", required=True, help="mean-relative or zscore")
-    p.add_argument("--drop-degenerate", action="store_true",
-                   help="drop rows that cannot be normalized instead of failing")
+    p.add_argument("--drop-degenerate", action="store_true", help=drop_help)
     p.add_argument("-o", "--output", help="output TSV path (default: <input>.normalized.tsv)")
     p.set_defaults(func=_cmd_normalize)
 
@@ -466,7 +460,7 @@ def _build_parser() -> _Parser:
                    help="greedy farthest-point initialization (kmeans/rough-kmeans)")
     p.add_argument("--normalize", default="none",
                    help="normalize first: none, mean-relative or zscore")
-    p.add_argument("--drop-degenerate", action="store_true")
+    p.add_argument("--drop-degenerate", action="store_true", help=drop_help)
     p.add_argument("--out", help="output prefix (default: input path without extension)")
     p.set_defaults(func=_cmd_cluster)
 

@@ -103,7 +103,7 @@ class FuzzyPartition(Stopped):
         Final centroids, recomputed from the final memberships.
     alpha : ndarray or None
         Cluster proportions (None for plain fuzzy c-means).
-    objective_trace : tuple of float
+    trace : tuple of float
         J of the initial state and of each fitted state after a
         membership update, so iterations + 1 entries; non-increasing.
     iterations : int
@@ -111,12 +111,14 @@ class FuzzyPartition(Stopped):
     stop_reason : str
         "tolerance" when the max membership change reached eps within
         max_iter, else "max_iter"; converged is true for "tolerance" only.
+
+    record() gives iterations, stop_reason, converged, trace and, for pfcm, alpha.
     """
 
     memberships: np.ndarray
     centroids: np.ndarray
     alpha: Optional[np.ndarray]
-    objective_trace: tuple[float, ...]
+    trace: tuple[float, ...]
     iterations: int
     stop_reason: str
 
@@ -124,6 +126,12 @@ class FuzzyPartition(Stopped):
     def assignments(self) -> np.ndarray:
         """Index of each gene's largest membership."""
         return np.argmax(self.memberships, axis=1)
+
+    def record(self) -> dict:
+        record = super().record()
+        if self.alpha is not None:
+            record["alpha"] = self.alpha.tolist()
+        return record
 
 
 def compute_alpha(um: np.ndarray) -> np.ndarray:
@@ -274,7 +282,7 @@ def _run(
         memberships=u,
         centroids=w,
         alpha=alpha,
-        objective_trace=tuple(trace),
+        trace=tuple(trace),
         iterations=iterations,
         stop_reason=stop_reason,
     )
@@ -307,7 +315,7 @@ def pfcm(
     Returns
     -------
     FuzzyPartition
-        With alpha set and objective_trace of the penalized objective.
+        With alpha set and trace of the penalized objective.
     """
     return _run(m_x, cfg, cfg.v, u_init, on_iteration)
 

@@ -205,25 +205,35 @@ class ExperimentGrid:
         return {**DEFAULTS, **self.overrides.get(algorithm, {})}
 
 
+# the record of a run that failed: it reports no iterations, stop reason or trace
+_NO_RUN = {"iterations": None, "stop_reason": None, "converged": None, "trace": ()}
+
+
 @dataclass(frozen=True)
 class CellResult:
-    """One algorithm run on one grid cell with one seed."""
+    """One algorithm run on one grid cell with one seed.
+
+    run is the partition's record (``Stopped.record``), or _NO_RUN's
+    null record where the run failed; iterations and converged read it.
+    """
 
     size: int
     k: int
     algorithm: str
     seed: int
     report: Optional[ValidityReport]
-    iterations: Optional[int]
-    stop_reason: Optional[str]
+    run: dict
     config: dict
     runtime: float
-    trace: tuple[float, ...]
     error: Optional[str] = None
 
     @property
+    def iterations(self) -> Optional[int]:
+        return self.run["iterations"]
+
+    @property
     def converged(self) -> Optional[bool]:
-        return None if self.stop_reason is None else self.stop_reason == "tolerance"
+        return self.run["converged"]
 
 
 @dataclass(frozen=True)
@@ -307,10 +317,7 @@ def _json_row(r: CellResult) -> dict:
         "algorithm": r.algorithm,
         "seed": r.seed,
         "config": r.config,
-        "iterations": r.iterations,
-        "converged": r.converged,
-        "stop_reason": r.stop_reason,
-        "trace": r.trace,
+        **r.run,
         "error": r.error,
         "validity": None if r.report is None else {
             key: value for key, value in asdict(r.report).items() if key != "algorithm"
@@ -361,7 +368,7 @@ def run_algorithm(
     random one included). farthest_init applies to kmeans and
     rough_kmeans only, and is a ValueError for fcm and pfcm. Returns the
     algorithm's own partition, which carries `iterations`,
-    `stop_reason` and `converged`.
+    `stop_reason`, `converged` and `trace`, and gives them as record().
     """
     name = canonical(name, ALGORITHMS, "algorithm")
     unknown = set(params) - set(DEFAULTS)
@@ -412,13 +419,10 @@ def _run_cell(
             report = evaluate(sub, part, fuzzifier, algorithm)
         except Exception as exc:
             part, failure = None, exc
-    # part is None after a failure: no iterations, stop reason or trace
-    trace = getattr(part, "objective_trace", getattr(part, "sse_trace", ()))
     return CellResult(
         size=size, k=k, algorithm=algorithm, seed=seed, report=report,
-        iterations=getattr(part, "iterations", None),
-        stop_reason=getattr(part, "stop_reason", None), config=echo,
-        runtime=time.perf_counter() - start, trace=tuple(float(t) for t in trace),
+        run=dict(_NO_RUN) if part is None else part.record(), config=echo,
+        runtime=time.perf_counter() - start,
         error=None if failure is None else f"{type(failure).__name__}: {failure}",
     )
 

@@ -27,18 +27,21 @@ class HardPartition(Stopped):
         Sum of squared distances from every gene to its assigned centroid.
     iterations : int
         Number of assign/update rounds performed.
-    sse_trace : tuple of float
-        SSE after each round's centroid update; non-increasing.
+    trace : tuple of float
+        SSE after each round's centroid update, so iterations entries;
+        non-increasing.
     stop_reason : str
         "tolerance" when no centroid moved eps, else "max_iter";
         converged is true for "tolerance" only.
+
+    record() gives iterations, stop_reason, converged and trace.
     """
 
     assignments: np.ndarray
     centroids: np.ndarray
     sse: float
     iterations: int
-    sse_trace: tuple[float, ...]
+    trace: tuple[float, ...]
     stop_reason: str = "max_iter"
 
     @property
@@ -135,6 +138,6 @@ def kmeans(
         centroids=w,
         sse=trace[-1],
         iterations=iterations,
-        sse_trace=tuple(trace),
+        trace=tuple(trace),
         stop_reason=stop_reason,
     )

@@ -53,6 +53,8 @@ class RoughPartition(Stopped):
     centroids: np.ndarray
     iterations: int
     stop_reason: str = "max_iter"
+    # not a field: rough k-means has no objective to trace
+    trace = ()
 
     @property
     def assignments(self) -> np.ndarray:

@@ -270,7 +270,7 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
         memberships=u,
         centroids=w,
         alpha=alpha,
-        objective_trace=tuple(trace),
+        trace=tuple(trace),
         iterations=iterations,
         stop_reason=stop_reason,
     )

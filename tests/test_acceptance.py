@@ -85,7 +85,7 @@ def test_criterion_02_objective_monotonicity(emit):
             for m in (1.5, 2.0, 3.0):
                 for alg in (fcm, pfcm):
                     part = alg(x, FuzzyConfig(c=3, m=m, v=v, seed=seed))
-                    worst_rise = max(worst_rise, float(np.diff(part.objective_trace).max()))
+                    worst_rise = max(worst_rise, float(np.diff(part.trace).max()))
                     runs += 1
     elapsed = time.perf_counter() - start
     ok = worst_rise <= 1e-9 and elapsed < 30.0

@@ -88,15 +88,21 @@ def test_normalize_degenerate_row_fails_with_gene_name(tmp_path, capsys):
     assert not (tmp_path / "flat.normalized.tsv").exists()
 
 
-def test_normalize_drop_degenerate_warns(tmp_path, capsys):
+@pytest.mark.parametrize("subcommand, flags", [
+    ("normalize", ["--method", "zscore"]),
+    ("cluster", ["--alg", "kmeans", "--k", "2", "--normalize", "zscore"]),
+], ids=["normalize", "cluster"])
+def test_drop_degenerate_warns(tmp_path, capsys, subcommand, flags):
     p = tmp_path / "flat.tsv"
-    p.write_text("s1\ts2\nok\t1.0\t2.0\nflat\t3.0\t3.0\n", encoding="utf-8")
-    code = main(["normalize", str(p), "--method", "zscore", "--drop-degenerate"])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "dropped 1 degenerate" in err
-    m = parse_matrix((tmp_path / "flat.normalized.tsv").read_text(), "tsv")
-    assert m.gene_ids == ("ok",)
+    p.write_text("s1\ts2\nga\t1.0\t2.0\nflat\t3.0\t3.0\ngb\t2.0\t1.0\ngc\t0.0\t5.0\n",
+                 encoding="utf-8")
+    assert main([subcommand, str(p), *flags, "--drop-degenerate"]) == 0
+    assert capsys.readouterr().err == "warning: dropped 1 degenerate gene(s)\n"
+    if subcommand == "normalize":
+        ids = parse_matrix((tmp_path / "flat.normalized.tsv").read_text(), "tsv").gene_ids
+    else:
+        ids = read_partition_csv(tmp_path / "flat.partition.csv").gene_ids
+    assert ids == ("ga", "gb", "gc")
 
 
 def test_cluster_kmeans_writes_three_files(four_tsv, tmp_path, capsys):
@@ -112,8 +118,8 @@ def test_cluster_kmeans_writes_three_files(four_tsv, tmp_path, capsys):
     assert meta["algorithm"] == "kmeans"
     assert meta["k"] == 2
     assert meta["converged"] is True
-    assert meta["sse"] == pytest.approx(1.0, abs=1e-12)
-    assert isinstance(meta["sse_trace"], list)
+    assert meta["trace"][-1] == pytest.approx(1.0, abs=1e-12)
+    assert len(meta["trace"]) == meta["iterations"]
     pf = read_partition_csv(tmp_path / "four.partition.csv")
     assert pf.kind == "hard"
     assert pf.gene_ids == ("ga", "gb", "gc", "gd")
@@ -331,6 +337,8 @@ def test_grid_rows_word_a_k_above_the_genes_alike(tmp_path):
     rows = json.loads((tmp_path / "g.report.json").read_text())["rows"]
     assert [r["algorithm"] for r in rows] == ["kmeans", "rough_kmeans", "fcm", "pfcm"]
     assert {r["error"] for r in rows} == {"ValueError: k must be in [1, 2], got 3"}
+    assert all((r["iterations"], r["stop_reason"], r["converged"], r["trace"])
+               == (None, None, None, []) for r in rows)
 
 
 def test_cluster_pfcm_meta_has_alpha(four_tsv, tmp_path):
@@ -340,10 +348,33 @@ def test_cluster_pfcm_meta_has_alpha(four_tsv, tmp_path):
     assert meta["algorithm"] == "pfcm"
     assert len(meta["alpha"]) == 2
     assert sum(meta["alpha"]) == pytest.approx(1.0, abs=1e-9)
-    trace = meta["objective_trace"]
+    trace = meta["trace"]
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
     pf = read_partition_csv(tmp_path / "four.partition.csv")
     assert pf.kind == "fuzzy"
+
+
+def test_meta_json_and_the_report_json_row_write_one_record(bundled_tsv, tmp_path):
+    # at a size equal to the gene count the grid's subset is the whole matrix,
+    # so each grid row is the run that cluster makes with the same flags
+    assert main(["grid", str(bundled_tsv), "--sizes", "100", "--ks", "3", "--seeds", "2",
+                 "--normalization", "z-score", "--out", str(tmp_path / "g")]) == 0
+    rows = json.loads((tmp_path / "g.report.json").read_text())["rows"]
+    assert [r["algorithm"] for r in rows] == ["kmeans", "rough_kmeans", "fcm", "pfcm"]
+    for row in rows:
+        alg = row["algorithm"]
+        out = tmp_path / alg
+        assert main(["cluster", str(bundled_tsv), "--alg", alg, "--k", "3", "--seed", "2",
+                     "--normalize", "zscore", "--drop-degenerate", "--out", str(out)]) == 0
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+        assert ("alpha" in meta) == ("alpha" in row) == (alg == "pfcm")
+        keys = ["iterations", "stop_reason", "converged", "trace"] + ["alpha"] * (alg == "pfcm")
+        assert {key: meta[key] for key in keys} == {key: row[key] for key in keys}, alg
+        # kmeans traces each round's SSE, fcm and pfcm the start's J too, rough nothing
+        if alg == "rough_kmeans":
+            assert meta["trace"] == []
+        else:
+            assert len(meta["trace"]) == meta["iterations"] + (alg != "kmeans"), alg
 
 
 def test_cluster_fcm_equals_pfcm_at_v_zero(four_tsv, tmp_path):

@@ -235,7 +235,7 @@ def test_fcm_is_pfcm_at_zero_penalty():
     b = fcm(x, FuzzyConfig(c=3, v=7.5, seed=5))
     assert np.array_equal(a.memberships, b.memberships)
     assert np.array_equal(a.centroids, b.centroids)
-    assert a.objective_trace == b.objective_trace
+    assert a.trace == b.trace
     assert b.alpha is None
     assert a.alpha is not None
 
@@ -265,9 +265,9 @@ def test_objective_trace_non_increasing():
         for v in (0.0, 0.5, 2.0):
             for m in (1.5, 2.0, 3.0):
                 part = pfcm(x, FuzzyConfig(c=3, m=m, v=v, seed=seed))
-                diffs = np.diff(part.objective_trace)
-                assert (diffs <= 1e-9).all(), (seed, v, m, part.objective_trace)
-                assert len(part.objective_trace) == part.iterations + 1
+                diffs = np.diff(part.trace)
+                assert (diffs <= 1e-9).all(), (seed, v, m, part.trace)
+                assert len(part.trace) == part.iterations + 1
 
 
 def test_trace_final_entry_matches_returned_state():
@@ -277,7 +277,7 @@ def test_trace_final_entry_matches_returned_state():
     j = pfcm_objective(
         part.memberships ** 2.0, sq_distances(x, part.centroids), part.alpha, 1.0
     )
-    assert part.objective_trace[-1] == pytest.approx(j, rel=1e-12)
+    assert part.trace[-1] == pytest.approx(j, rel=1e-12)
 
 
 def test_column_permutation_equivariance():
@@ -341,7 +341,7 @@ def test_deterministic_per_seed():
     a = pfcm(x, FuzzyConfig(c=3, seed=11))
     b = pfcm(x, FuzzyConfig(c=3, seed=11))
     assert np.array_equal(a.memberships, b.memberships)
-    assert a.objective_trace == b.objective_trace
+    assert a.trace == b.trace
 
 
 @st.composite
@@ -403,7 +403,7 @@ def test_matches_parent_loop_oracle(case, plain):
             assert got.alpha is None
         else:
             assert np.array_equal(got.alpha, want.alpha)
-        assert got.objective_trace == want.objective_trace
+        assert got.trace == want.trace
         assert got.iterations == want.iterations
         assert got.converged == want.converged
     assert len(got_states) == len(want_states)

@@ -358,9 +358,9 @@ def test_summary_of_infinite_scores_is_infinite():
     def row(seed, xie_beni):
         report = ValidityReport(rmse=1.0 + seed, mae=0.5, xie_beni=xie_beni,
                                 n_genes=14, n_samples=10, k=7, algorithm="fcm")
+        run = {"iterations": 3, "stop_reason": "tolerance", "converged": True, "trace": ()}
         return CellResult(size=14, k=7, algorithm="fcm", seed=seed, report=report,
-                          iterations=3, stop_reason="tolerance", config={},
-                          runtime=0.0, trace=())
+                          run=run, config={}, runtime=0.0)
 
     grid = ExperimentGrid(pairs=((14, 7),), algorithms=("fcm",), seeds=(0, 1, 2))
     res = ExperimentResult(grid, 14, 10, (row(0, 0.5), row(1, math.inf), row(2, 0.25)))

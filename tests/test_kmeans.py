@@ -56,8 +56,8 @@ def test_sse_trace_non_increasing():
         k = int(rng.integers(1, min(6, n) + 1))
         x = rng.normal(size=(n, int(rng.integers(1, 4))))
         part = kmeans(x, k, seed=trial)
-        diffs = np.diff(part.sse_trace)
-        assert (diffs <= 1e-9).all(), (trial, part.sse_trace)
+        diffs = np.diff(part.trace)
+        assert (diffs <= 1e-9).all(), (trial, part.trace)
 
 
 def test_sse_matches_recomputation():
@@ -86,7 +86,7 @@ def test_empty_cluster_repair_with_coincident_init():
     init = np.array([[5.0], [5.0]])
     part = kmeans(x, 2, init_centroids=init)
     assert len(set(part.assignments.tolist())) == 2
-    assert (np.diff(part.sse_trace) <= 1e-9).all()
+    assert (np.diff(part.trace) <= 1e-9).all()
 
 
 def test_matches_exhaustive_optimum_best_of_ten():
@@ -105,7 +105,7 @@ def test_deterministic_per_seed():
     b = kmeans(x, 3, seed=9)
     assert np.array_equal(a.assignments, b.assignments)
     assert np.array_equal(a.centroids, b.centroids)
-    assert a.sse_trace == b.sse_trace
+    assert a.trace == b.trace
 
 
 def test_init_centroids_override():
@@ -139,7 +139,7 @@ def test_sse_is_sum_of_assigned_squared_residuals(bundled_path):
     d2 = sq_distances(x, part.centroids)
     want = sum(d2[i, part.assignments[i]] for i in range(x.shape[0]))
     assert part.sse == pytest.approx(want, rel=1e-12)
-    assert part.sse_trace[-1] == part.sse
+    assert part.trace[-1] == part.sse
 
 
 # awkward small inputs: lattice data with distance ties, duplicate rows,
@@ -186,7 +186,7 @@ def test_matches_loop_oracle_with_stability_stop(
     assert np.array_equal(part.centroids, w)
     assert part.iterations == iterations
     assert part.converged == converged
-    assert part.sse_trace == trace
+    assert part.trace == trace
 
 
 def _set_mean(x, rows):

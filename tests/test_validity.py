@@ -31,7 +31,7 @@ def _hard(assignments, centroids):
     a = np.asarray(assignments)
     w = np.asarray(centroids, dtype=float)
     return HardPartition(
-        assignments=a, centroids=w, sse=0.0, iterations=1, sse_trace=(0.0,)
+        assignments=a, centroids=w, sse=0.0, iterations=1, trace=(0.0,)
     )
 
 
@@ -47,7 +47,7 @@ def test_unified_fuzzy_is_a_copy():
         memberships=mem,
         centroids=np.zeros((2, 1)),
         alpha=None,
-        objective_trace=(0.0,),
+        trace=(0.0,),
         iterations=1,
         stop_reason="tolerance",
     )
