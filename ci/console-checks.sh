@@ -55,7 +55,9 @@
 # - the run record: the meta.json of a kmeans, rough-kmeans, fcm and pfcm
 #   run each holds iterations, stop_reason, converged and a trace list, and
 #   only pfcm's holds alpha; and cluster --normalize --drop-degenerate warns
-#   of the gene it drops, as normalize does.
+#   of the gene it drops, as normalize does;
+# - cluster ... --drop-degenerate without --normalize, refused (exit 1) with
+#   one error: line, writing no output.
 set -eo pipefail
 out=${1:?usage: ci/console-checks.sh OUT_DIR}
 
@@ -174,3 +176,7 @@ for alg in sys.argv[2:]:
 printf 's1\ts2\ng1\t1\t2\ng2\t3\t3\ng3\t2\t1\ng4\t0\t5\n' > "$out/flat.tsv"
 pfclust cluster "$out/flat.tsv" --alg kmeans --k 2 --normalize zscore --drop-degenerate --out "$out/flat" 2> "$out/flat.err"
 grep -qx 'warning: dropped 1 degenerate gene(s)' "$out/flat.err"
+rc=0; pfclust cluster "$out/flat.tsv" --alg kmeans --k 2 --drop-degenerate --out "$out/nodrop" 2> "$out/nodrop.err" || rc=$?; test "$rc" -eq 1
+test "$(wc -l < "$out/nodrop.err")" -eq 1
+grep -q '^error: ' "$out/nodrop.err"
+test "$(ls "$out"/nodrop.*)" = "$out/nodrop.err"

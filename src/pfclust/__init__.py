@@ -23,7 +23,7 @@ from .normalize import normalize
 # each home module and the public names it defines
 _EXPORTS = {
     "_util": ("ALGORITHMS", "DEFAULTS", "NumericalError", "PARAMS"),
-    "fuzzy": ("ALPHA_FLOOR", "FuzzyConfig", "FuzzyPartition", "compute_alpha",
+    "fuzzy": ("ALPHA_FLOOR", "FuzzyPartition", "compute_alpha",
               "compute_centroids", "fcm", "pfcm", "pfcm_objective", "update_memberships"),
     "harness": ("ExperimentGrid", "ExperimentResult", "generate_synthetic", "preset_pairs",
                 "run_algorithm", "run_grid", "subset_genes"),

@@ -241,6 +241,8 @@ def _cmd_cluster(args) -> int:
 
     alg = _validate_cluster_flags(args)
     method = canonical(args.normalize, NORMALIZATIONS, "normalization")
+    if args.drop_degenerate and method == "none":
+        raise UsageError("--drop-degenerate applies with --normalize mean-relative or zscore only")
     paths = _outputs(args, ".partition.csv", ".centroids.csv", ".meta.json")
     m = _read_matrix(args.input, args.format)
     if method != "none":

@@ -39,7 +39,6 @@ from ._util import count, initial_centroids, total, weighted_means
 
 __all__ = [
     "ALPHA_FLOOR",
-    "FuzzyConfig",
     "FuzzyPartition",
     "NumericalError",
     "compute_alpha",
@@ -53,42 +52,6 @@ __all__ = [
 ALPHA_FLOOR = 1e-12
 
 _SINGULARITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FuzzyConfig:
-    """Settings for a fuzzy clustering run.
-
-    Attributes
-    ----------
-    c : int
-        Cluster count; an integral float such as 2.0 is stored as an int.
-    m : float
-        Fuzzifier, strictly greater than 1. Values near 1 give nearly
-        crisp memberships, large values push every membership toward 1/c.
-    v : float
-        Penalty weight >= 0. Zero recovers plain fuzzy c-means.
-    eps : float
-        Convergence tolerance on the max membership change.
-    max_iter : int
-        Iteration cap; an integral float such as 50.0 is stored as an int.
-    seed : int
-        Picks the c distinct data rows the run starts from, as
-        ``initial_centroids`` does for kmeans and rough_kmeans; the
-        starting memberships are one update at v = 0 from those rows.
-    """
-
-    c: int
-    m: float = DEFAULTS["m"]
-    v: float = DEFAULTS["v"]
-    eps: float = DEFAULTS["eps"]
-    max_iter: int = DEFAULTS["max_iter"]
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", count(self.c, "c", 1))
-        check_params(m=self.m, v=self.v, eps=self.eps, max_iter=self.max_iter)
-        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 @dataclass(frozen=True)
@@ -212,16 +175,17 @@ def pfcm_objective(um: np.ndarray, d2: np.ndarray, alpha: Optional[np.ndarray], 
     return scatter - penalty
 
 
-def _run(
-    m_x,
-    cfg: FuzzyConfig,
-    v: float,
-    u_init: Optional[np.ndarray],
-    on_iteration: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]],
-) -> FuzzyPartition:
+def _run(m_x, c, m, v, seed, max_iter, eps, u_init, on_iteration) -> FuzzyPartition:
+    """The one fuzzy loop behind pfcm and fcm; fcm runs it at v = 0.
+
+    Checks m, v, eps and max_iter by ``check_params`` and c by ``count``,
+    as kmeans and rough_kmeans check theirs, and runs max_iter as an int.
+    """
     x = as_values(m_x)
     n = x.shape[0]
-    c = count(cfg.c, "c", 1, n)
+    check_params(m=m, v=v, eps=eps, max_iter=max_iter)
+    max_iter = int(max_iter)
+    c = count(c, "c", 1, n)
 
     distances = SqDistances(x)
     if u_init is not None:
@@ -232,19 +196,19 @@ def _run(
     else:
         # the start the crisp algorithms use: seeded rows as centroids, then
         # one membership update at v = 0, so U does not depend on v
-        d2 = distances(initial_centroids(x, c, cfg.seed, False))
+        d2 = distances(initial_centroids(x, c, seed, False))
         if not np.isfinite(d2).all():
             raise NumericalError(
                 f"squared distances to the starting centroids are non-finite; "
-                f"c={c} m={cfg.m} v={v} seed={cfg.seed}"
+                f"c={c} m={m} v={v} seed={seed}"
             )
-        u = update_memberships(d2, np.full(c, 1.0 / c), cfg.m, 0.0)
+        u = update_memberships(d2, np.full(c, 1.0 / c), m, 0.0)
 
     trace: list[float] = []
 
     def fit(u):
         # alpha, W and d^2 of the state U, and its J appended to the trace
-        um = u ** cfg.m
+        um = u ** m
         alpha = compute_alpha(um)
         w = compute_centroids(um, x)
         d2 = distances(w)
@@ -252,7 +216,7 @@ def _run(
         if not np.isfinite(j_val):
             raise NumericalError(
                 f"objective became non-finite at iteration {len(trace)} (J={j_val!r}); "
-                f"c={c} m={cfg.m} v={v} seed={cfg.seed}"
+                f"c={c} m={m} v={v} seed={seed}"
             )
         trace.append(j_val)
         return alpha, w, d2
@@ -261,21 +225,21 @@ def _run(
     stop_reason = "max_iter"
     try:
         alpha, w, d2 = fit(u)
-        for t in range(cfg.max_iter):
-            u_new = update_memberships(d2, alpha, cfg.m, v)
+        for t in range(max_iter):
+            u_new = update_memberships(d2, alpha, m, v)
             delta = float(np.abs(u_new - u).max())
             u = u_new
             iterations = t + 1
             if on_iteration is not None:
                 on_iteration(u.copy(), w.copy(), alpha.copy())
             alpha, w, d2 = fit(u)
-            if delta <= cfg.eps:
+            if delta <= eps:
                 stop_reason = "tolerance"
                 break
     except ValueError as exc:
         # u**m underflowing to zero mass is a numerical failure of the run
         raise NumericalError(
-            f"{exc} at iteration {iterations}; c={c} m={cfg.m} v={v} seed={cfg.seed}"
+            f"{exc} at iteration {iterations}; c={c} m={m} v={v} seed={seed}"
         ) from exc
 
     return FuzzyPartition(
@@ -290,7 +254,12 @@ def _run(
 
 def pfcm(
     m_x,
-    cfg: FuzzyConfig,
+    c: int,
+    m: float = DEFAULTS["m"],
+    v: float = DEFAULTS["v"],
+    seed: int = 0,
+    max_iter: int = DEFAULTS["max_iter"],
+    eps: float = DEFAULTS["eps"],
     u_init: Optional[np.ndarray] = None,
     on_iteration: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> FuzzyPartition:
@@ -299,13 +268,27 @@ def pfcm(
     Starts from one membership update at v = 0 from c seeded data rows
     (``initial_centroids``, the start of kmeans and rough_kmeans), or
     from u_init, then iterates alpha/centroid/membership updates until
-    the max membership change is at most cfg.eps or cfg.max_iter is hit.
-    Deterministic given cfg.seed.
+    the max membership change is at most eps or max_iter is hit.
+    Deterministic given seed. Takes its parameters as kmeans and
+    rough_kmeans take theirs, with the defaults of DEFAULTS.
 
     Parameters
     ----------
     m_x : ExpressionMatrix or array-like, shape (n_genes, n_samples)
-    cfg : FuzzyConfig
+    c : int
+        Cluster count, 1 <= c <= n_genes; c and seed follow ``count``'s rule.
+    m : float
+        Fuzzifier, strictly greater than 1. Values near 1 give nearly
+        crisp memberships, large values push every membership toward 1/c.
+    v : float
+        Penalty weight >= 0. Zero recovers plain fuzzy c-means.
+    seed : int
+        Picks the c distinct data rows the run starts from, as
+        ``initial_centroids`` does for kmeans and rough_kmeans.
+    max_iter : int
+        Iteration cap; an integral float such as 50.0 runs as its int.
+    eps : float
+        Convergence tolerance on the max membership change.
     u_init : ndarray, optional
         Explicit (n_genes, c) starting memberships, any start at all (a
         random matrix included); rows are renormalized.
@@ -317,17 +300,21 @@ def pfcm(
     FuzzyPartition
         With alpha set and trace of the penalized objective.
     """
-    return _run(m_x, cfg, cfg.v, u_init, on_iteration)
+    return _run(m_x, c, m, v, seed, max_iter, eps, u_init, on_iteration)
 
 
 def fcm(
     m_x,
-    cfg: FuzzyConfig,
+    c: int,
+    m: float = DEFAULTS["m"],
+    seed: int = 0,
+    max_iter: int = DEFAULTS["max_iter"],
+    eps: float = DEFAULTS["eps"],
     u_init: Optional[np.ndarray] = None,
     on_iteration: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> FuzzyPartition:
-    """Plain fuzzy c-means: the same iteration with the penalty weight at 0.
+    """Plain fuzzy c-means: pfcm's iteration with the penalty weight at 0.
 
-    cfg.v is ignored and the result carries alpha=None.
+    Takes pfcm's parameters but v; the result carries alpha=None.
     """
-    return replace(_run(m_x, cfg, 0.0, u_init, on_iteration), alpha=None)
+    return replace(_run(m_x, c, m, 0.0, seed, max_iter, eps, u_init, on_iteration), alpha=None)

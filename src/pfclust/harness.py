@@ -33,7 +33,8 @@ from ._util import (
     ALGORITHMS, DEFAULTS, GRID_DEFAULTS, NORMALIZATIONS, PARAMS, PRESET_PAIRS, SUBSET_POLICIES,
     as_values, canonical, check_params, count, write_csv,
 )
-from .fuzzy import FuzzyConfig, FuzzyPartition, fcm, pfcm
+# kmeans, rough_kmeans, fcm and pfcm: run_algorithm calls them by these names
+from .fuzzy import FuzzyPartition, fcm, pfcm
 from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
 from .normalize import normalize
@@ -361,7 +362,9 @@ def run_algorithm(
     `name` follows ``canonical``'s name rule; k follows ``count``'s and is
     checked against the rows here, for all four alike. `params` may hold
     any DEFAULTS key; the algorithm reads and checks the keys PARAMS[name]
-    lists, falling back to DEFAULTS, and ignores the rest.
+    lists, falling back to DEFAULTS, and ignores the rest. All four take
+    one call shape, ``alg(x, k, seed=seed, **params)``, and are reached by
+    one call to the function this module holds under `name`.
     All four start from the seeded rows `initial_centroids` picks; fcm
     and pfcm take their starting memberships from one v = 0 update at
     those rows (call `pfcm`/`fcm` with `u_init` for any other start, a
@@ -377,13 +380,13 @@ def run_algorithm(
     if farthest_init and name in ("fcm", "pfcm"):
         raise ValueError(f"farthest_init applies to kmeans and rough_kmeans, not {name}")
     p = {key: params.get(key, DEFAULTS[key]) for key in PARAMS[name]}
+    if farthest_init:
+        p["farthest_init"] = True
     k = count(k, "k", 1, as_values(x).shape[0])
-    if name == "kmeans":
-        return kmeans(x, k, seed=seed, farthest_init=farthest_init, **p)
-    if name == "rough_kmeans":
-        return rough_kmeans(x, k, seed=seed, farthest_init=farthest_init, **p)
-    cfg = FuzzyConfig(c=k, seed=seed, **p)
-    return pfcm(x, cfg) if name == "pfcm" else fcm(x, cfg)
+    # the module's own name, looked up at each call: a tracer that swaps
+    # the names for wrappers then sees every run
+    run = globals()[name]
+    return run(x, k, seed=seed, **p)
 
 
 def _subset(

@@ -23,13 +23,12 @@ class HardPartition(Stopped):
         Cluster index per gene, each in [0, k).
     centroids : ndarray, shape (k, n_samples)
         Per-cluster mean vectors.
-    sse : float
-        Sum of squared distances from every gene to its assigned centroid.
     iterations : int
         Number of assign/update rounds performed.
     trace : tuple of float
         SSE after each round's centroid update, so iterations entries;
-        non-increasing.
+        non-increasing. The SSE is the sum of squared distances from every
+        gene to its assigned centroid; trace[-1] is the returned state's.
     stop_reason : str
         "tolerance" when no centroid moved eps, else "max_iter";
         converged is true for "tolerance" only.
@@ -39,7 +38,6 @@ class HardPartition(Stopped):
 
     assignments: np.ndarray
     centroids: np.ndarray
-    sse: float
     iterations: int
     trace: tuple[float, ...]
     stop_reason: str = "max_iter"
@@ -136,7 +134,6 @@ def kmeans(
     return HardPartition(
         assignments=assign,
         centroids=w,
-        sse=trace[-1],
         iterations=iterations,
         trace=tuple(trace),
         stop_reason=stop_reason,

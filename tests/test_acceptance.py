@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from pfclust import (
-    FuzzyConfig,
     fcm,
     generate_synthetic,
     kmeans,
@@ -65,8 +64,8 @@ def test_criterion_01_zero_penalty_equivalence(emit):
         d = int(rng.integers(2, 11))
         c = int(rng.integers(2, 6))
         x = rng.normal(size=(n, d))
-        a = pfcm(x, FuzzyConfig(c=c, v=0.0, seed=i))
-        b = fcm(x, FuzzyConfig(c=c, v=3.0, seed=i))
+        a = pfcm(x, c, v=0.0, seed=i)
+        b = fcm(x, c, seed=i)
         worst = max(worst, float(np.abs(a.memberships - b.memberships).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 10.0
@@ -83,8 +82,8 @@ def test_criterion_02_objective_monotonicity(emit):
         x = np.random.default_rng(200 + seed).normal(size=(50 + 10 * seed, 3 + seed))
         for v in (0.0, 0.5, 1.0, 2.0):
             for m in (1.5, 2.0, 3.0):
-                for alg in (fcm, pfcm):
-                    part = alg(x, FuzzyConfig(c=3, m=m, v=v, seed=seed))
+                for alg, penalty in ((fcm, {}), (pfcm, {"v": v})):
+                    part = alg(x, 3, m=m, seed=seed, **penalty)
                     worst_rise = max(worst_rise, float(np.diff(part.trace).max()))
                     runs += 1
     elapsed = time.perf_counter() - start
@@ -106,7 +105,7 @@ def test_criterion_03_stationarity_under_perturbation(emit):
         c = int(rng.integers(2, 4))
         v = float(rng.choice([0.5, 1.0]))
         x = rng.normal(size=(n, d))
-        part = pfcm(x, FuzzyConfig(c=c, v=v, eps=1e-10, max_iter=3000, seed=i))
+        part = pfcm(x, c, v=v, eps=1e-10, max_iter=3000, seed=i)
         u0 = part.memberships
         j0 = induced_objective(u0, x, 2.0, v)
         for gi in range(n):
@@ -137,7 +136,7 @@ def test_criterion_04_small_instance_oracles(emit):
         k = min(k, n)
         x = gen.normal(size=(n, d))
         opt = enumerate_kmeans_sse(x, k)
-        best = min(kmeans(x, k, seed=s).sse for s in range(10))
+        best = min(kmeans(x, k, seed=s).trace[-1] for s in range(10))
         km_worst = max(km_worst, best - opt)
         if best > opt + 1e-9:
             km_ok = False
@@ -151,7 +150,7 @@ def test_criterion_04_small_instance_oracles(emit):
         x = rng.normal(size=(4, d))
         j_fix = min(
             induced_objective(
-                pfcm(x, FuzzyConfig(c=2, v=v, eps=1e-10, max_iter=3000, seed=s)).memberships,
+                pfcm(x, 2, v=v, eps=1e-10, max_iter=3000, seed=s).memberships,
                 x, 2.0, v,
             )
             for s in range(5)
@@ -187,8 +186,11 @@ def test_criterion_05_row_and_proportion_normalization(emit):
         states = []
         part = alg(
             x,
-            FuzzyConfig(c=c, m=m, v=v, seed=seed),
+            c,
+            m=m,
+            seed=seed,
             on_iteration=lambda u, w, alpha: states.append((u, alpha)),
+            **({"v": v} if alg is pfcm else {}),
         )
         states.append((part.memberships, part.alpha))
         for u, alpha in states:
@@ -222,9 +224,9 @@ def test_criterion_06_model_selection_recovers_cluster_count(emit):
         scores_f = {}
         scores_p = {}
         for k in range(2, 7):
-            part_f = fcm(x, FuzzyConfig(c=k, seed=seed))
+            part_f = fcm(x, k, seed=seed)
             scores_f[k] = xie_beni(x, part_f.memberships, part_f.centroids)
-            part_p = pfcm(x, FuzzyConfig(c=k, seed=seed))
+            part_p = pfcm(x, k, seed=seed)
             scores_p[k] = xie_beni(x, part_p.memberships, part_p.centroids)
         hits_fcm += min(scores_f, key=scores_f.get) == 3
         hits_pfcm += min(scores_p, key=scores_p.get) == 3

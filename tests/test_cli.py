@@ -105,6 +105,21 @@ def test_drop_degenerate_warns(tmp_path, capsys, subcommand, flags):
     assert ids == ("ga", "gb", "gc")
 
 
+@pytest.mark.parametrize("flags", [[], ["--normalize", "none"]], ids=["default", "none"])
+def test_cluster_drop_degenerate_without_normalize_is_usage_error(tmp_path, capsys, flags):
+    p = tmp_path / "flat.tsv"
+    p.write_text("s1\ts2\nga\t1.0\t2.0\nflat\t3.0\t3.0\ngb\t2.0\t1.0\ngc\t0.0\t5.0\n",
+                 encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    # refused before the input is read: a missing input is not reported
+    for source in (p, tmp_path / "missing.tsv"):
+        args = ["cluster", str(source), "--alg", "kmeans", "--k", "2", *flags, "--drop-degenerate"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --drop-degenerate applies with --normalize mean-relative or zscore only\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_cluster_kmeans_writes_three_files(four_tsv, tmp_path, capsys):
     code = main(["cluster", str(four_tsv), "--alg", "kmeans", "--k", "2"])
     assert code == 0

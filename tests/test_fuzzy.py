@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import pfclust.fuzzy
 from pfclust import (
-    FuzzyConfig,
     NumericalError,
     compute_alpha,
     compute_centroids,
@@ -204,7 +203,7 @@ def test_objective_matches_loop_oracle():
 def test_pfcm_single_cluster_trivial():
     rng = np.random.default_rng(41)
     x = rng.normal(size=(5, 2))
-    part = pfcm(x, FuzzyConfig(c=1, seed=0))
+    part = pfcm(x, 1, seed=0)
     assert part.memberships.tolist() == [[1.0]] * 5
     assert part.alpha.tolist() == [1.0]
     assert np.allclose(part.centroids[0], x.mean(axis=0), atol=1e-12)
@@ -217,7 +216,7 @@ def test_pfcm_separated_bumps_near_crisp():
     x = np.vstack(
         [rng.normal(0.0, 0.1, size=(15, 2)), rng.normal(20.0, 0.1, size=(15, 2))]
     )
-    part = pfcm(x, FuzzyConfig(c=2, seed=1))
+    part = pfcm(x, 2, seed=1)
     assert part.converged
     top = part.memberships.max(axis=1)
     assert (top > 0.99).all()
@@ -231,8 +230,8 @@ def test_pfcm_separated_bumps_near_crisp():
 def test_fcm_is_pfcm_at_zero_penalty():
     rng = np.random.default_rng(47)
     x = rng.normal(size=(30, 4))
-    a = pfcm(x, FuzzyConfig(c=3, v=0.0, seed=5))
-    b = fcm(x, FuzzyConfig(c=3, v=7.5, seed=5))
+    a = pfcm(x, 3, v=0.0, seed=5)
+    b = fcm(x, 3, seed=5)
     assert np.array_equal(a.memberships, b.memberships)
     assert np.array_equal(a.centroids, b.centroids)
     assert a.trace == b.trace
@@ -247,7 +246,10 @@ def test_row_sums_and_alpha_every_iteration():
         states = []
         pfcm(
             x,
-            FuzzyConfig(c=4, m=m, v=v, seed=trial),
+            4,
+            m=m,
+            v=v,
+            seed=trial,
             on_iteration=lambda u, w, alpha: states.append((u, alpha)),
         )
         assert states
@@ -264,7 +266,7 @@ def test_objective_trace_non_increasing():
         x = rng.normal(size=(40, 3))
         for v in (0.0, 0.5, 2.0):
             for m in (1.5, 2.0, 3.0):
-                part = pfcm(x, FuzzyConfig(c=3, m=m, v=v, seed=seed))
+                part = pfcm(x, 3, m=m, v=v, seed=seed)
                 diffs = np.diff(part.trace)
                 assert (diffs <= 1e-9).all(), (seed, v, m, part.trace)
                 assert len(part.trace) == part.iterations + 1
@@ -273,7 +275,7 @@ def test_objective_trace_non_increasing():
 def test_trace_final_entry_matches_returned_state():
     rng = np.random.default_rng(61)
     x = rng.normal(size=(20, 2))
-    part = pfcm(x, FuzzyConfig(c=2, seed=3))
+    part = pfcm(x, 2, seed=3)
     j = pfcm_objective(
         part.memberships ** 2.0, sq_distances(x, part.centroids), part.alpha, 1.0
     )
@@ -285,9 +287,8 @@ def test_column_permutation_equivariance():
     x = rng.normal(size=(18, 2))
     u0 = rng.random((18, 3))
     perm = [2, 0, 1]
-    cfg = FuzzyConfig(c=3, eps=1e-12, max_iter=5, seed=0)
-    base = pfcm(x, cfg, u_init=u0)
-    permuted = pfcm(x, cfg, u_init=u0[:, perm])
+    base = pfcm(x, 3, eps=1e-12, max_iter=5, seed=0, u_init=u0)
+    permuted = pfcm(x, 3, eps=1e-12, max_iter=5, seed=0, u_init=u0[:, perm])
     assert np.allclose(permuted.memberships, base.memberships[:, perm], atol=1e-9)
     assert np.allclose(permuted.alpha, base.alpha[perm], atol=1e-9)
 
@@ -296,35 +297,35 @@ def test_u_init_rows_renormalized():
     rng = np.random.default_rng(71)
     x = rng.normal(size=(10, 2))
     u0 = rng.random((10, 2))
-    cfg = FuzzyConfig(c=2, seed=0)
-    a = pfcm(x, cfg, u_init=u0)
-    b = pfcm(x, cfg, u_init=u0 * 2.0)
+    a = pfcm(x, 2, seed=0, u_init=u0)
+    b = pfcm(x, 2, seed=0, u_init=u0 * 2.0)
     assert np.array_equal(a.memberships, b.memberships)
 
 
 def test_u_init_shape_checked():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError, match="shape"):
-        pfcm(x, FuzzyConfig(c=2), u_init=np.full((3, 2), 0.5))
+        pfcm(x, 2, u_init=np.full((3, 2), 0.5))
 
 
 def test_c_out_of_range():
     x = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        pfcm(x, FuzzyConfig(c=4))
+        pfcm(x, 4)
 
 
 def test_config_validation():
+    x = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        FuzzyConfig(c=0)
+        pfcm(x, 0)
     with pytest.raises(ValueError):
-        FuzzyConfig(c=2, m=1.0)
+        pfcm(x, 2, m=1.0)
     with pytest.raises(ValueError):
-        FuzzyConfig(c=2, v=-0.1)
+        pfcm(x, 2, v=-0.1)
     with pytest.raises(ValueError):
-        FuzzyConfig(c=2, eps=0.0)
+        pfcm(x, 2, eps=0.0)
     with pytest.raises(ValueError):
-        FuzzyConfig(c=2, max_iter=0)
+        pfcm(x, 2, max_iter=0)
 
 
 @pytest.mark.parametrize("alg", ["kmeans", "rough_kmeans", "fcm", "pfcm"])
@@ -338,8 +339,8 @@ def test_overflowing_data_raises_numerical_error(alg):
 def test_deterministic_per_seed():
     rng = np.random.default_rng(73)
     x = rng.normal(size=(22, 3))
-    a = pfcm(x, FuzzyConfig(c=3, seed=11))
-    b = pfcm(x, FuzzyConfig(c=3, seed=11))
+    a = pfcm(x, 3, seed=11)
+    b = pfcm(x, 3, seed=11)
     assert np.array_equal(a.memberships, b.memberships)
     assert a.trace == b.trace
 
@@ -365,21 +366,20 @@ def fuzzy_cases(draw):
         if draw(st.booleans())
         else None
     )
-    cfg = FuzzyConfig(
-        c=c,
+    params = dict(
         m=draw(st.sampled_from([1.5, 2.0, 3.0])),
         v=draw(st.sampled_from([0.0, 0.5, 2.0])),
         eps=draw(st.sampled_from([1e-9, 1e-5, 1e-2])),
         max_iter=draw(st.integers(1, 30)),
         seed=seed,
     )
-    return x, cfg, u_init
+    return x, c, params, u_init
 
 
-def _recorded_run(run, *args):
+def _recorded_run(run, *args, **kwargs):
     states = []
     try:
-        part = run(*args, on_iteration=lambda u, w, alpha: states.append((u, w, alpha)))
+        part = run(*args, on_iteration=lambda u, w, alpha: states.append((u, w, alpha)), **kwargs)
     except NumericalError as exc:
         return str(exc), states
     return part, states
@@ -388,11 +388,13 @@ def _recorded_run(run, *args):
 @settings(max_examples=120, deadline=None)
 @given(case=fuzzy_cases(), plain=st.booleans())
 def test_matches_parent_loop_oracle(case, plain):
-    x, cfg, u_init = case
-    v = 0.0 if plain else cfg.v
-    got, got_states = _recorded_run(fcm if plain else pfcm, x, cfg, u_init)
+    x, c, params, u_init = case
+    v = 0.0 if plain else params["v"]
+    kwargs = {key: value for key, value in params.items() if not (plain and key == "v")}
+    got, got_states = _recorded_run(fcm if plain else pfcm, x, c, u_init=u_init, **kwargs)
     want, want_states = _recorded_run(
-        _oracles.pfcm, x, cfg.c, cfg.m, v, cfg.eps, cfg.max_iter, cfg.seed, u_init
+        _oracles.pfcm, x, c, params["m"], v, params["eps"], params["max_iter"], params["seed"],
+        u_init,
     )
     if isinstance(want, str):
         assert got == want
@@ -427,7 +429,7 @@ def test_one_distance_kernel_call_per_state(monkeypatch):
 
     monkeypatch.setattr(pfclust.fuzzy, "SqDistances", Counted)
     x = np.random.default_rng(79).normal(size=(30, 3))
-    part = pfcm(x, FuzzyConfig(c=3, v=0.5, seed=2))
+    part = pfcm(x, 3, v=0.5, seed=2)
     assert part.iterations > 1
     # the data is bound once; the kernel is applied once for the start,
     # then once per fitted state
@@ -442,7 +444,7 @@ def test_default_start_recovers_separated_bumps(run, seed):
     # centre of gravity, so each row ends with memberships of about 1/7
     centres = np.random.default_rng(0).normal(0.0, 3.0, size=(7, 38))
     matrix, labels = generate_synthetic([(c, 1.0, 40) for c in centres], seed=0)
-    part = run(z_score(matrix), FuzzyConfig(c=7, seed=seed))
+    part = run(z_score(matrix), 7, seed=seed)
     hard = part.assignments
     per_bump = [set(hard[labels == b].tolist()) for b in range(7)]
     assert all(len(found) == 1 for found in per_bump)

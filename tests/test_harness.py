@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import pickle
 import sys
 import warnings
 import weakref
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 
 import pfclust.harness
 from pfclust import (
+    ALGORITHMS,
+    DEFAULTS,
+    PARAMS,
     ExperimentGrid,
     ExperimentResult,
     ExpressionMatrix,
-    FuzzyConfig,
     generate_synthetic,
     kmeans,
     normalize,
@@ -239,6 +242,26 @@ def test_run_algorithm_reads_only_its_params(bundled):
         run_algorithm("pfcm", x, 2, mm=3.0)
 
 
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_each_algorithm_takes_the_call_run_algorithm_makes(bundled, name):
+    x = bundled.values[:40]
+    alg = getattr(pfclust, name)
+    for seed in (0, 1):
+        direct = alg(x, 3, seed=seed, **{key: DEFAULTS[key] for key in PARAMS[name]})
+        assert pickle.dumps(direct) == pickle.dumps(run_algorithm(name, x, 3, seed=seed))
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_run_algorithm_runs_the_function_the_harness_names(bundled, monkeypatch, name):
+    # a tracer sees the runs by swapping these names for wrappers, so a
+    # table of the functions built at import would hide every run from it
+    ran = []
+    result = object()
+    monkeypatch.setattr(pfclust.harness, name, lambda *args, **kwargs: ran.append(kwargs) or result)
+    assert run_algorithm(name, bundled.values[:30], 2, seed=1) is result
+    assert ran == [{"seed": 1, **{key: DEFAULTS[key] for key in PARAMS[name]}}]
+
+
 def test_run_grid_row_count_and_order(bundled):
     grid = ExperimentGrid(
         subset_sizes=(30, 40), ks=(2, 3), seeds=(0, 1), subset_policy="first_n"
@@ -385,7 +408,7 @@ def test_fuzzy_validity_uses_run_fuzzifier(bundled):
     from pfclust import evaluate, normalize
 
     sub = normalize(subset_genes(bundled, 20, "first_n", 0), "z_score", drop_degenerate=True)
-    part = __import__("pfclust").fcm(sub, FuzzyConfig(c=2, m=3.0, seed=0))
+    part = __import__("pfclust").fcm(sub, 2, m=3.0, seed=0)
     want = evaluate(sub, part, m=3.0)
     assert row.report.rmse == pytest.approx(want.rmse, rel=1e-12)
 
@@ -456,7 +479,7 @@ def test_cluster_recovery_across_seeds():
         for s in range(10)
     )
     pf_hits = sum(
-        adjusted_rand(pfcm(x, FuzzyConfig(c=3, seed=s)).assignments, labels) == 1.0
+        adjusted_rand(pfcm(x, 3, seed=s).assignments, labels) == 1.0
         for s in range(10)
     )
     assert km_hits >= 8

@@ -13,7 +13,7 @@ from _oracles import enumerate_kmeans_sse, sq_distances
 def test_four_point_fixture(four_points):
     part = kmeans(four_points, 2, seed=3)
     assert sorted(part.centroids.ravel().tolist()) == [0.5, 10.5]
-    assert part.sse == pytest.approx(1.0, abs=1e-12)
+    assert part.trace[-1] == pytest.approx(1.0, abs=1e-12)
     assert sorted(np.bincount(part.assignments).tolist()) == [2, 2]
 
 
@@ -21,7 +21,7 @@ def test_k_equals_n_zero_sse():
     rng = np.random.default_rng(5)
     x = rng.random((6, 3))
     part = kmeans(x, 6, seed=0)
-    assert part.sse == pytest.approx(0.0, abs=1e-18)
+    assert part.trace[-1] == pytest.approx(0.0, abs=1e-18)
     assert sorted(part.assignments.tolist()) == list(range(6))
 
 
@@ -68,7 +68,7 @@ def test_sse_matches_recomputation():
         float(((x[i] - part.centroids[part.assignments[i]]) ** 2).sum())
         for i in range(30)
     )
-    assert part.sse == pytest.approx(recomputed, rel=1e-9)
+    assert part.trace[-1] == pytest.approx(recomputed, rel=1e-9)
 
 
 def test_no_empty_clusters():
@@ -94,7 +94,7 @@ def test_matches_exhaustive_optimum_best_of_ten():
     for n, k, d in [(4, 2, 1), (6, 2, 2), (7, 3, 2), (8, 3, 1), (8, 2, 2)]:
         x = rng.normal(size=(n, d))
         opt = enumerate_kmeans_sse(x, k)
-        best = min(kmeans(x, k, seed=s).sse for s in range(10))
+        best = min(kmeans(x, k, seed=s).trace[-1] for s in range(10))
         assert best <= opt + 1e-9, (n, k, best, opt)
 
 
@@ -121,7 +121,7 @@ def test_farthest_init_spreads_centroids():
     # from each bump, so a single iteration lands the right split
     x = np.vstack([np.zeros((5, 2)), np.full((5, 2), 100.0)])
     part = kmeans(x, 2, seed=0, farthest_init=True)
-    assert part.sse == pytest.approx(0.0, abs=1e-18)
+    assert part.trace[-1] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_iteration_callback_sees_progress():
@@ -138,8 +138,7 @@ def test_sse_is_sum_of_assigned_squared_residuals(bundled_path):
     part = kmeans(x, 4, seed=2)
     d2 = sq_distances(x, part.centroids)
     want = sum(d2[i, part.assignments[i]] for i in range(x.shape[0]))
-    assert part.sse == pytest.approx(want, rel=1e-12)
-    assert part.trace[-1] == part.sse
+    assert part.trace[-1] == pytest.approx(want, rel=1e-12)
 
 
 # awkward small inputs: lattice data with distance ties, duplicate rows,

@@ -2,7 +2,6 @@
 enforced alike by the algorithms, the CLI and grid overrides; and the one
 count rule every k, seed, size, worker count and scale follows."""
 
-import dataclasses
 import inspect
 import io
 import json
@@ -18,7 +17,6 @@ from pfclust import (
     PARAMS,
     ExperimentGrid,
     ExpressionMatrix,
-    FuzzyConfig,
     fcm,
     generate_synthetic,
     kmeans,
@@ -44,13 +42,12 @@ RULES = {
 
 X = np.arange(12.0).reshape(6, 2)
 
-# the library entries that read each algorithm's parameters; the fuzzy
-# ones check theirs in FuzzyConfig
+# the library entries that read each algorithm's parameters
 ENTRIES = {
     "kmeans": lambda **kw: kmeans(X, 2, **kw),
     "rough_kmeans": lambda **kw: rough_kmeans(X, 2, **kw),
-    "fcm": lambda **kw: fcm(X, FuzzyConfig(c=2, **kw)),
-    "pfcm": lambda **kw: pfcm(X, FuzzyConfig(c=2, **kw)),
+    "fcm": lambda **kw: fcm(X, 2, **kw),
+    "pfcm": lambda **kw: pfcm(X, 2, **kw),
 }
 
 
@@ -99,7 +96,8 @@ def test_max_iter_is_checked_before_it_is_converted(tmp_path, capsys, bad):
         # an integral float, as JSON may give it, is still a cap
         assert run_algorithm(alg, X, 2, max_iter=50.0).iterations <= 50
         assert ENTRIES[alg](max_iter=50.0).iterations <= 50
-    assert type(FuzzyConfig(c=2, max_iter=50.0).max_iter) is int
+        # and runs as its int, bit for bit
+        assert pickle.dumps(ENTRIES[alg](max_iter=50.0)) == pickle.dumps(ENTRIES[alg](max_iter=50))
 
     inp = tmp_path / "x.tsv"
     inp.write_text("s1\ts2\n" + "".join(f"g{i}\t{a}\t{b}\n" for i, (a, b) in enumerate(X)))
@@ -122,14 +120,14 @@ def test_grid_override_must_be_a_number(alg, name, value):
 
 
 def test_signature_defaults_are_the_table():
-    for func, alg in ((kmeans, "kmeans"), (rough_kmeans, "rough_kmeans")):
+    for func, alg in ((kmeans, "kmeans"), (rough_kmeans, "rough_kmeans"), (fcm, "fcm"),
+                      (pfcm, "pfcm")):
         params = inspect.signature(func).parameters
-        # the matrix argument is also called m, but has no default
+        # kmeans' matrix argument is also called m, but has no default
         defaults = {key: p.default for key, p in params.items()
                     if key in DEFAULTS and p.default is not p.empty}
         assert defaults == {key: DEFAULTS[key] for key in PARAMS[alg]}
-    fields = {f.name: f.default for f in dataclasses.fields(FuzzyConfig) if f.name in DEFAULTS}
-    assert fields == {key: DEFAULTS[key] for key in PARAMS["pfcm"]}
+        assert params["seed"].default == 0
     assert DEFAULTS == {"m": 2.0, "v": 1.0, "zeta": 1.3, "w_lower": 0.7, "eps": 1e-5,
                         "max_iter": 300}
 
@@ -137,7 +135,7 @@ def test_signature_defaults_are_the_table():
 @pytest.mark.parametrize("run", [
     lambda seed: kmeans(X, 2, seed=seed),
     lambda seed: rough_kmeans(X, 2, seed=seed),
-    lambda seed: pfcm(X, FuzzyConfig(c=2, seed=seed)),
+    lambda seed: pfcm(X, 2, seed=seed),
     lambda seed: run_algorithm("fcm", X, 2, seed=seed),
     lambda seed: subset_genes(M, 3, "seeded_random", seed=seed),
     lambda seed: generate_synthetic([((0.0, 0.0), 1.0, 3)], seed=seed),
@@ -162,9 +160,9 @@ COUNTS = {
     "kmeans-k": ("k", lambda n: kmeans(X, n)),
     "kmeans-seed": ("seed", lambda n: kmeans(X, 2, seed=n)),
     "rough_kmeans-k": ("k", lambda n: rough_kmeans(X, n)),
-    "FuzzyConfig-c": ("c", lambda n: FuzzyConfig(c=n)),
-    "fcm-c": ("c", lambda n: fcm(X, FuzzyConfig(c=n))),
-    "FuzzyConfig-seed": ("seed", lambda n: pfcm(X, FuzzyConfig(c=2, seed=n))),
+    "pfcm-c": ("c", lambda n: pfcm(X, n)),
+    "fcm-c": ("c", lambda n: fcm(X, n)),
+    "pfcm-seed": ("seed", lambda n: pfcm(X, 2, seed=n)),
     "run_algorithm-fcm-k": ("k", lambda n: run_algorithm("fcm", X, n)),
     "subset_genes-size": ("subset size", lambda n: subset_genes(M, n)),
     "subset_genes-seed": ("seed", lambda n: subset_genes(M, 3, "seeded_random", seed=n)),

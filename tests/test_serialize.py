@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from test_io import ODD_CELLS
 
 from pfclust import (
-    FuzzyConfig,
     NumericalError,
     FuzzyPartition,
     HardPartition,
@@ -55,7 +54,7 @@ def test_hard_round_trip(four_points):
 def test_fuzzy_round_trip_exact_floats():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(10, 2))
-    part = pfcm(x, FuzzyConfig(c=3, seed=0))
+    part = pfcm(x, 3, seed=0)
     gene_ids = tuple(f"g{i}" for i in range(10))
     text, back = _roundtrip(part, gene_ids)
     assert text.splitlines()[0] == "gene_id,u0,u1,u2"
@@ -116,9 +115,11 @@ def test_written_fuzzy_partitions_read_back(n, c, seed, lattice, m, v, penalized
     if lattice:
         # duplicate and coincident rows give singular membership rows
         x = np.round(x)
-    cfg = FuzzyConfig(c=c, m=m, v=v, seed=seed, max_iter=max_iter)
     try:
-        part = (pfcm if penalized else fcm)(x, cfg)
+        if penalized:
+            part = pfcm(x, c, m=m, v=v, seed=seed, max_iter=max_iter)
+        else:
+            part = fcm(x, c, m=m, seed=seed, max_iter=max_iter)
     except NumericalError:
         return
     gene_ids = tuple(f"g{i}" for i in range(n))
@@ -271,7 +272,7 @@ def test_gene_id_count_checked_for_every_kind(tmp_path, kind, n_ids):
     part = {
         "hard": lambda: kmeans(x, 2, seed=0),
         "rough": lambda: rough_kmeans(x, 2, seed=0),
-        "fuzzy": lambda: pfcm(x, FuzzyConfig(c=2, seed=0)),
+        "fuzzy": lambda: pfcm(x, 2, seed=0),
     }[kind]()
     dest = tmp_path / "part.csv"
     with pytest.raises(ValueError, match="gene id count"):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pfclust import (
     DEFAULTS,
-    FuzzyConfig,
     FuzzyPartition,
     HardPartition,
     RoughPartition,
@@ -31,7 +30,7 @@ def _hard(assignments, centroids):
     a = np.asarray(assignments)
     w = np.asarray(centroids, dtype=float)
     return HardPartition(
-        assignments=a, centroids=w, sse=0.0, iterations=1, trace=(0.0,)
+        assignments=a, centroids=w, iterations=1, trace=(0.0,)
     )
 
 
@@ -199,7 +198,7 @@ def test_xie_beni_picks_true_cluster_count():
     x = np.vstack([rng.normal(c, 0.5, size=(25, 2)) for c in centers])
     scores = {}
     for k in range(2, 6):
-        part = fcm(x, FuzzyConfig(c=k, seed=1))
+        part = fcm(x, k, seed=1)
         scores[k] = xie_beni(x, part.memberships, part.centroids)
     assert min(scores, key=scores.get) == 3, scores
 
@@ -207,13 +206,12 @@ def test_xie_beni_picks_true_cluster_count():
 def test_evaluate_infers_algorithm():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(12, 2))
-    cfg = FuzzyConfig(c=2, seed=0)
     assert evaluate(x, kmeans(x, 2)).algorithm == "kmeans"
     assert evaluate(x, rough_kmeans(x, 2)).algorithm == "rough_kmeans"
     from pfclust import pfcm
 
-    assert evaluate(x, pfcm(x, cfg)).algorithm == "pfcm"
-    assert evaluate(x, fcm(x, cfg)).algorithm == "fcm"
+    assert evaluate(x, pfcm(x, 2, seed=0)).algorithm == "pfcm"
+    assert evaluate(x, fcm(x, 2, seed=0)).algorithm == "fcm"
     assert evaluate(x, kmeans(x, 2), algorithm="rough_kmeans").algorithm == "rough_kmeans"
 
 
