@@ -47,6 +47,9 @@
 #   above the floor at which they fork, normalize and cluster write the same
 #   bytes, the companion included, on one CPU (taskset -c 0, one part) and on
 #   every CPU the runner has;
+# - write_tsv's streamed text: on that matrix, normalize's TSV equals
+#   write_tsv of the same normalized matrix into a StringIO, on one CPU and on
+#   every CPU;
 # - the reader's byte-range parts on that matrix: written with CRLF line
 #   ends and a trailing empty line, it clusters to the bytes the LF file
 #   gives; with the byte 0xff on its last data line it exits 2 with "cannot
@@ -139,6 +142,15 @@ for cpus in one all; do
   mkdir -p "$out/$cpus"
   "${run[@]}" pfclust normalize "$out/parts.tsv" --method zscore -o "$out/$cpus/z.tsv"
   "${run[@]}" pfclust cluster "$out/parts.tsv" --alg kmeans --k 5 --normalize zscore --out "$out/$cpus/c"
+  "${run[@]}" python - "$out/parts.tsv" "$out/$cpus/z.tsv" <<'PY'
+import io
+import sys
+from pfclust import normalize, read_matrix, write_tsv
+text = io.StringIO()
+write_tsv(normalize(read_matrix(sys.argv[1]), "zscore"), text)
+with open(sys.argv[2], "rb") as f:
+    assert text.getvalue().encode("utf-8") == f.read()
+PY
 done
 for f in z.tsv z.tsv.npy c.partition.csv c.centroids.csv c.meta.json; do cmp "$out/one/$f" "$out/all/$f"; done
 python - "$out" <<'PY'

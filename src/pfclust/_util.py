@@ -7,8 +7,9 @@ import math
 import numbers
 import os
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -137,16 +138,29 @@ _SPREADS = (all(hasattr(os, f) for f in ("fork", "sched_getaffinity", "sched_set
             and os.path.exists("/proc/self/stat"))
 
 
-def in_parts(part: Callable[[int, int], bytes], n_items: int, most: int) -> Optional[list]:
+def in_parts(part: Callable[[int, int], Any], n_items: int, most: int,
+             sink: Optional[Callable[[bytes], Any]] = None, block: int = 1 << 16) -> Optional[list]:
     """[part(i, n) for i in range(n)], where n = min(usable CPUs, n_items, most),
     or one where a process cannot fork or move to a CPU; part i of n does its
     share of n_items. The first runs here, each other one in a forked child
     that moves to a usable CPU other than this process's (a child stays on
     its parent's CPU, where two parts run slower than one) and sends its
     bytes through a pipe. None, once every child is reaped, if a part raises
-    or a child fails: the caller then does the work in process."""
+    or a child fails: the caller then does the work in process.
+
+    With a sink, part(i, n) gives its bytes in pieces, and the parts' bytes
+    go to sink in order instead of back to the caller: the first part's
+    pieces as it makes them, then each child's bytes as read from its pipe,
+    `block` bytes a read. A child makes its whole part before it sends it,
+    so the parts still run at once, and its part counts as sent once its
+    pipe ends and it exits with 0. If a part raises or a child fails, every
+    child is reaped, and the parts from that one on are made again here,
+    sink getting only the bytes it has not had: so it gets the bytes of one
+    process, and an error of a part made here is raised. An error of sink
+    is raised at once. Returns None."""
     n = max(1, min(usable_cpus(), n_items, most)) if _SPREADS else 1
-    children, ok = [], False
+    children, ok, sinking = [], False, False
+    done = sent = 0  # with a sink: the parts it has had whole, and the bytes of the next one
     try:
         if n > 1:
             with open("/proc/self/stat", "rb") as stat:  # field 39: the CPU this runs on
@@ -158,24 +172,53 @@ def in_parts(part: Callable[[int, int], bytes], n_items: int, most: int) -> Opti
             if pid == 0:  # the child leaves by os._exit, never into the caller's code
                 try:
                     os.sched_setaffinity(0, [cpus[(i - 1) % len(cpus)]])
+                    pieces = [part(i, n)] if sink is None else list(part(i, n))
                     with open(w, "wb") as pipe:
-                        pipe.write(part(i, n))
+                        pipe.writelines(pieces)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        parts = [part(0, n)] + [pipe.read() for _, pipe in children]
+        if sink is None:
+            parts = [part(0, n)] + [pipe.read() for _, pipe in children]
+        else:
+            sources = [part(0, n)] + [iter(partial(pipe.read, block), b"") for _, pipe in children]
+            for i, source in enumerate(sources):
+                for piece in source:
+                    sinking = True
+                    sink(piece)
+                    sinking, sent = False, sent + len(piece)
+                if i:
+                    pid, pipe = children.pop(0)
+                    pipe.close()
+                    if not _exited(pid):
+                        raise ChildProcessError(f"part {i} of {n} failed")
+                done, sent = i + 1, 0
         ok = True
     except Exception:
-        pass  # the caller does the work again in process, which names any fault
+        if sinking:
+            raise
     finally:
         for pid, pipe in children:
             pipe.close()
             if not ok:  # no part is needed now: SIGKILL the children still at work
                 os.kill(pid, 9)
-            ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and ok
-    return parts if ok else None
+            ok = _exited(pid) and ok
+    if sink is None:
+        return parts if ok else None
+    if not ok:  # the parts from `done` on, made here, past the `sent` bytes sink has had
+        for i in range(done, n):
+            for piece in part(i, n):
+                if sent < len(piece):
+                    sink(piece[sent:])
+                sent = max(0, sent - len(piece))
+    return None
+
+
+def _exited(pid: int) -> bool:
+    """Reap the child `pid`; whether it exited with 0."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 @contextmanager

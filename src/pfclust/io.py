@@ -44,8 +44,18 @@ checks its lines and walks every row with ``float()``'s rule: it reads the
 cells that only ``float()`` reads (``1_0``, non-ASCII digits), and names the
 first fault in file order. Values must be finite; NaN or infinite cells are
 rejected with their location rather than imputed, worded by the cell rule
-the centroid reader also uses (``_util.bad_cell``). ``write_tsv`` formats a
-large matrix in row parts the same way (``_util.in_parts``).
+the centroid reader also uses (``_util.bad_cell``).
+
+``write_tsv`` formats a large matrix in row parts the same way
+(``_util.in_parts``) and streams them: the calling process formats its own
+rows in blocks of about 256 KiB and writes each block once it is made, then
+copies each forked part's bytes from that part's pipe, a block at a time, in
+row order. A forked part formats its whole range before it sends it, so the
+parts run at once. If a part fails or a child dies, the calling process
+formats the rows from that part on and writes them past the bytes already
+written, so the bytes are always those of one process. A path gets the text
+encoded once, as strict UTF-8; an open text handle gets it decoded again,
+cut where no UTF-8 sequence is split.
 
 A tsv file may have a binary companion beside it, its name plus ``.npy``
 (``companion_path``), which ``write_companion`` writes: the SHA-256 of the
@@ -62,6 +72,7 @@ The tsv file stays the source of truth: a companion only saves re-parsing it.
 
 from __future__ import annotations
 
+import codecs
 import os
 from pathlib import Path
 from typing import IO, Callable, NamedTuple, Optional, Union
@@ -82,8 +93,9 @@ FORMATS = ("tsv", "gct", "res")
 # the header lines of each format, which the calling process reads
 _HEAD = {"tsv": 1, "gct": 3, "res": 3}
 
-# the text a part reads, decodes and converts at a time, cut after its last "\n":
-# 256 KiB left less freed heap behind than 1 MiB at the same speed
+# the text a part reads, decodes and converts at a time, cut after its last "\n"
+# (256 KiB left less freed heap behind than 1 MiB at the same speed), and the
+# text write_tsv formats and writes at a time
 _BLOCK = 1 << 18
 # the newline in a file's bytes and in a text
 _NL = {bytes: b"\n", str: "\n"}
@@ -254,7 +266,7 @@ def _check_rows(format: str, layout: _Layout, n: int) -> None:
 
 def _matrix(gene_ids: list[str], sample_ids: list[str], values: np.ndarray) -> ExpressionMatrix:
     try:
-        return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), values)
+        return ExpressionMatrix._taking(gene_ids, sample_ids, values)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -430,7 +442,7 @@ def _read_blocks(read: Read, end: int, format: str,
             values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         elif len(ids) != len(values):
             return None
-        del arrays  # the parts' bytes go before the matrix copies the values
+        del arrays  # the parts' bytes go before the matrix checks the values
         return _matrix(ids, layout.sample_ids, values)
     except (OSError, ValueError):
         return None
@@ -439,24 +451,44 @@ def _read_blocks(read: Read, end: int, format: str,
 def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None:
     """Write a matrix in the tsv format; values round-trip bit-exactly. An id
     holding a tab or a break of str.splitlines(), the reader's line rule, is refused.
-    Rows are formatted in row parts (``_util.in_parts``), written in order."""
+
+    Rows are formatted in row parts (``_util.in_parts``), each in blocks of
+    about _BLOCK bytes, and streamed in row order (see the module docstring).
+    A path is written in binary as strict UTF-8, so an id UTF-8 cannot
+    encode (a lone surrogate) raises UnicodeEncodeError; an open text handle
+    is given the text, decoded so that no UTF-8 sequence is cut."""
     for name in list(matrix.gene_ids) + list(matrix.sample_ids):
         if "\t" in name or len(f"{name}.".splitlines()) > 1:
             raise ValueError(f"id {name!r} contains a tab or newline and cannot be written")
     gene_ids, values = matrix.gene_ids, matrix.values
+    binary = isinstance(dest, (str, Path))
+    errors = "strict" if binary else "surrogatepass"
 
-    def rows(i: int, n: int) -> bytes:
-        a, b = len(gene_ids) * i // n, len(gene_ids) * (i + 1) // n
-        # repr is the shortest string that round-trips; a row at a time, as a
-        # whole-matrix tolist() would hold a Python float per cell at once
-        return "".join("\t".join((gene_ids[g], *map(repr, values[g].tolist()))) + "\n"
-                       for g in range(a, b)).encode("utf-8", "surrogatepass")
+    def rows(i: int, n: int):
+        lines, size = [], 0
+        for g in range(len(gene_ids) * i // n, len(gene_ids) * (i + 1) // n):
+            # repr is the shortest string that round-trips; a row at a time, as a
+            # whole-matrix tolist() would hold a Python float per cell at once
+            lines.append("\t".join((gene_ids[g], *map(repr, values[g].tolist()))) + "\n")
+            size += len(lines[-1])
+            if size >= _BLOCK:
+                yield "".join(lines).encode("utf-8", errors)
+                lines, size = [], 0
+        if lines:
+            yield "".join(lines).encode("utf-8", errors)
 
-    parts = in_parts(rows, len(gene_ids), values.size // _util.PART_CELLS) or [rows(0, 1)]
-    with opened(dest) as handle:
-        handle.write("\t".join(matrix.sample_ids) + "\n")
-        while parts:  # a part's bytes are dropped before its text is written
-            handle.write(parts.pop(0).decode("utf-8", "surrogatepass"))
+    with opened(dest, "wb" if binary else "w") as handle:
+        header = "\t".join(matrix.sample_ids) + "\n"
+        if binary:
+            handle.write(header.encode("utf-8"))
+            sink = handle.write
+        else:
+            handle.write(header)
+            decode = codecs.getincrementaldecoder("utf-8")(errors).decode
+
+            def sink(data: bytes) -> None:
+                handle.write(decode(data))
+        in_parts(rows, len(gene_ids), values.size // _util.PART_CELLS, sink, _BLOCK)
 
 
 def companion_path(path: str | Path) -> Path:

@@ -12,6 +12,9 @@ from ._util import initial_centroids, weighted_means
 
 __all__ = ["HardPartition", "kmeans"]
 
+# the residual bytes a round holds at a time while it sums its SSE
+_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class HardPartition(Stopped):
@@ -106,8 +109,12 @@ def kmeans(
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
     k = w.shape[0]
     distances = SqDistances(x)
-    # the residuals x - w[assign] of every round, in one buffer per run
-    resid = np.empty(x.shape)
+    # the residuals x - w[assign] of a block of rows, in one buffer per run,
+    # and each row's squared residual, summed whole so the SSE's order is the
+    # one a whole-matrix residual gives
+    n, d = x.shape
+    rows = min(n, max(1, _BLOCK // (8 * d)))
+    resid, sq = np.empty((rows, d)), np.empty(n)
     trace: list[float] = []
     iterations = 0
     stop_reason = "max_iter"
@@ -116,8 +123,13 @@ def kmeans(
         assign = np.argmin(dists, axis=1)
         _repair_empty(assign, dists, k)
         w_new, _ = weighted_means((np.arange(k)[:, None] == assign).T, x)
-        np.subtract(x, w_new[assign], out=resid)
-        sse = float(np.einsum("ij,ij->i", resid, resid).sum())
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            r = resid[:b - a]
+            np.take(w_new, assign[a:b], axis=0, out=r)
+            np.subtract(x[a:b], r, out=r)
+            np.einsum("ij,ij->i", r, r, out=sq[a:b])
+        sse = float(sq.sum())
         iterations += 1
         if not np.isfinite(sse):
             raise NumericalError(f"sse became non-finite at iteration {iterations} "

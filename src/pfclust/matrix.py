@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +20,12 @@ def _check_unique(ids: Sequence[str], kind: str) -> None:
         seen[name] = pos
 
 
+class _Taken(NamedTuple):
+    """An array handed to ExpressionMatrix to keep as its values, uncopied."""
+
+    array: np.ndarray
+
+
 @dataclass(frozen=True)
 class ExpressionMatrix:
     """A genes-by-samples matrix of finite expression values.
@@ -27,6 +33,8 @@ class ExpressionMatrix:
     Rows are genes and columns are samples. The value array is copied on
     construction, coerced to float64 and marked read-only, so one matrix can
     be shared between concurrent clustering runs without defensive copies.
+    An array the package has just built for a matrix, and holds no other
+    reference to, becomes its values without that copy (``_taking``).
 
     Attributes
     ----------
@@ -46,7 +54,11 @@ class ExpressionMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        values = np.array(self.values, dtype=np.float64, copy=True)
+        values = self.values
+        if isinstance(values, _Taken):
+            values = values.array
+        else:
+            values = np.array(values, dtype=np.float64, copy=True)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got a {values.ndim}-D array")
         n_genes, n_samples = values.shape
@@ -66,6 +78,14 @@ class ExpressionMatrix:
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _taking(cls, gene_ids: Sequence[str], sample_ids: Sequence[str],
+                values: np.ndarray) -> "ExpressionMatrix":
+        """A matrix whose values are `values` itself, a float64 array that the
+        caller built for it and keeps no other reference to: the matrix
+        checks it and marks it read-only, and copies nothing."""
+        return cls(tuple(gene_ids), tuple(sample_ids), _Taken(values))
 
     @property
     def n_genes(self) -> int:
@@ -94,11 +114,8 @@ class ExpressionMatrix:
     def take_genes(self, indices: Sequence[int]) -> "ExpressionMatrix":
         """New matrix containing the given rows, in the given order."""
         idx = list(indices)
-        return ExpressionMatrix(
-            gene_ids=tuple(self.gene_ids[i] for i in idx),
-            sample_ids=self.sample_ids,
-            values=self.values[idx],
-        )
+        return ExpressionMatrix._taking([self.gene_ids[i] for i in idx], self.sample_ids,
+                                        self.values[idx])
 
     def with_values(self, values: np.ndarray) -> "ExpressionMatrix":
         """New matrix with the same identifiers and replaced values."""

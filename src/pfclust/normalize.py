@@ -61,9 +61,9 @@ def _apply(
             raise DegenerateRowsError(method, bad_ids)
         matrix = matrix.take_genes(keep)
         divisor = divisor[keep]
-    means = matrix.row_means()
-    values = (matrix.values - means[:, None]) / divisor[:, None]
-    return matrix.with_values(values)
+    values = matrix.values - matrix.row_means()[:, None]
+    values /= divisor[:, None]
+    return ExpressionMatrix._taking(matrix.gene_ids, matrix.sample_ids, values)
 
 
 def mean_relative(matrix: ExpressionMatrix, drop_degenerate: bool = False) -> ExpressionMatrix:

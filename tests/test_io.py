@@ -541,6 +541,21 @@ def test_write_peak_memory_is_bounded():
     assert peak < 2.5 * len(text)
 
 
+def test_write_to_a_path_holds_a_few_blocks(tmp_path):
+    # the text is streamed a block at a time: gathering every part's text
+    # first peaked at 1.50x the 4.9 MB text, about 28 blocks
+    values = np.random.default_rng(0).normal(size=(5000, 50))
+    m = ExpressionMatrix([f"g{i}" for i in range(5000)], [f"s{j}" for j in range(50)], values)
+    tracemalloc.start()
+    try:
+        write_tsv(m, tmp_path / "m.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "m.tsv").read_text() == _written(m)
+    assert peak < 6 * pfclust.io._BLOCK
+
+
 # The row parts of the reader and of write_tsv (_util.in_parts). Each test
 # forces them on small inputs, with a cell floor of 1 and a CPU count of at
 # most 3, so that an operation starts at most two child processes.
@@ -604,7 +619,7 @@ def test_a_bad_cell_in_the_last_part_is_named_as_in_one_part(cell):
     _no_child_left()
 
 
-def test_a_child_that_dies_leaves_every_outcome_unchanged():
+def test_a_child_that_dies_leaves_every_outcome_unchanged(tmp_path):
     parent = os.getpid()
     real = pfclust.io.in_parts
 
@@ -623,6 +638,111 @@ def test_a_child_that_dies_leaves_every_outcome_unchanged():
         mp.setattr(pfclust.io, "in_parts", dying)
         assert [_outcome(parse_matrix, "tsv", t) for t in texts] == expected
         assert _written(m) == written
+        write_tsv(m, tmp_path / "m.tsv")
+        assert (tmp_path / "m.tsv").read_bytes() == written.encode()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("dest", ["path", "text"])
+def test_a_child_killed_after_sending_part_of_its_bytes_leaves_the_bytes_unchanged(
+        tmp_path, dest):
+    # each part's text (about 270 KB) overfills its pipe, so the first child
+    # is still sending when the sink, past the parent's own part and one
+    # 4 KiB read of the child's, kills it
+    values = np.random.default_rng(0).normal(size=(3000, 12))
+    m = ExpressionMatrix([f"g{i}" for i in range(3000)], [f"s{j}" for j in range(12)], values)
+    written = _written(m)
+    own = len("".join(written.splitlines(keepends=True)[1:1001]))
+    parent, pids, made_here = os.getpid(), [], []
+    real_fork, real_in_parts = os.fork, pfclust.io.in_parts
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def killing(part, n_items, most, sink, block):
+        got = 0
+
+        def run(i, n):
+            if os.getpid() == parent:
+                made_here.append(i)
+            return part(i, n)
+
+        def kill_first_child(data):
+            nonlocal got
+            got += len(data)
+            if own < got <= own + len(data):
+                os.kill(pids[0], 9)
+            sink(data)
+
+        return real_in_parts(run, n_items, most, kill_first_child, block)
+
+    with _parts(3) as mp:
+        mp.setattr(pfclust._util.os, "fork", fork)
+        mp.setattr(pfclust.io, "in_parts", killing)
+        mp.setattr(pfclust.io, "_BLOCK", 4096)
+        if dest == "path":
+            write_tsv(m, tmp_path / "m.tsv")
+            assert (tmp_path / "m.tsv").read_bytes() == written.encode()
+        else:
+            assert _written(m) == written
+    # the first child's part and the one after it were made again here
+    assert len(pids) == 2 and made_here == [0, 1, 2]
+    _no_child_left()
+
+
+def test_an_error_of_the_destination_is_raised_at_once():
+    class Full(io.StringIO):
+        calls = 0
+
+        def write(self, text):
+            self.calls += 1
+            if self.calls > 1:
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+
+    m = ExpressionMatrix([f"g{i}" for i in range(30)], ["s1", "s2"], np.ones((30, 2)))
+    handle = Full()
+    with _parts(3), pytest.raises(OSError, match="No space left"):
+        write_tsv(m, handle)
+    # the header, then the first block: no part is made again to write it twice
+    assert handle.calls == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("where", ["first gene", "last gene", "sample"])
+def test_a_lone_surrogate_is_refused_in_a_file_and_kept_in_a_text(tmp_path, where):
+    genes, samples = [f"g{i}" for i in range(6)], ["s1", "s2"]
+    if where == "sample":
+        samples[1] = "s\udc80"
+    else:
+        genes[0 if where == "first gene" else -1] = "g\udc80"
+    m = ExpressionMatrix(genes, samples, np.arange(12.0).reshape(6, 2))
+    text = "\t".join(samples) + "\n" + "".join(
+        f"{g}\t{2.0 * i}\t{2.0 * i + 1}\n" for i, g in enumerate(genes))
+    for n in (1, 2, 3):
+        with _parts(n):
+            assert _written(m) == text
+            with pytest.raises(UnicodeEncodeError) as caught:
+                write_tsv(m, tmp_path / "m.tsv")
+        assert caught.value.reason == "surrogates not allowed"
+        assert caught.value.object[caught.value.start:caught.value.end] == "\udc80"
+    _no_child_left()
+
+
+def test_short_pipe_reads_cut_no_character_of_a_text():
+    # with 1-byte blocks every pipe read of a child's part cuts a multi-byte
+    # character, which the text handle must still receive whole
+    genes = ["gé", "١٢", "g\U0001f600", "g\u20ac", "g4", "\u00e9\u00e9"]
+    m = ExpressionMatrix(genes, ["s\u2603", "s2"], np.arange(12.0).reshape(6, 2) / 7)
+    with _parts(1):
+        text = _written(m)
+    for n in (2, 3):
+        with _parts(n) as mp:
+            mp.setattr(pfclust.io, "_BLOCK", 1)
+            assert _written(m) == text
     _no_child_left()
 
 

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +180,10 @@ def test_matches_loop_oracle_with_stability_stop(
     # the oracle also stops on a repeated assignment; the package relies on
     # the movement test alone, so equal results show that stop never decides
     x, k, init = _awkward(n, k, d, seed, lattice, n_dup, n_shared)
+    _assert_matches_loop_oracle(x, k, init, eps, max_iter)
+
+
+def _assert_matches_loop_oracle(x, k, init, eps, max_iter):
     part = kmeans(x, k, max_iter=max_iter, eps=eps, init_centroids=init)
     assign, w, iterations, converged, trace = _oracles.kmeans(
         x, k, init, max_iter=max_iter, eps=eps
@@ -186,6 +193,32 @@ def test_matches_loop_oracle_with_stability_stop(
     assert part.iterations == iterations
     assert part.converged == converged
     assert part.trace == trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_AWKWARD, eps=st.sampled_from([1e-5, 1e-2, 1.0]), max_iter=st.integers(1, 25),
+       rows=st.integers(1, 4), order=st.sampled_from("CF"))
+def test_sse_summed_in_row_blocks_matches_the_loop_oracle(
+    n, k, d, seed, lattice, n_dup, n_shared, eps, max_iter, rows, order
+):
+    # blocks of a few rows, so that a round sums several, of C- or F-ordered x
+    x, k, init = _awkward(n, k, d, seed, lattice, n_dup, n_shared)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["pfclust.kmeans"], "_BLOCK", 8 * d * rows)
+        _assert_matches_loop_oracle(np.asarray(x, order=order), k, init, eps, max_iter)
+
+
+def test_peak_memory_is_bounded():
+    # a round holds one block of residuals, not an n x d gather and buffer
+    # (3.3 x.nbytes); SqDistances' centred copy of x is the rest
+    x = np.random.default_rng(0).normal(size=(20000, 72))
+    tracemalloc.start()
+    try:
+        kmeans(x, 20, seed=0, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * x.nbytes
 
 
 def _set_mean(x, rows):

@@ -69,6 +69,18 @@ def test_take_genes(small_matrix):
     assert sub.gene_ids == ("g3", "g1")
     assert np.array_equal(sub.values[1], small_matrix.values[0])
     assert sub.sample_ids == small_matrix.sample_ids
+    assert not sub.values.flags.writeable
+    assert not np.shares_memory(sub.values, small_matrix.values)
+
+
+def test_a_taken_array_is_checked_like_a_copied_one():
+    values = np.array([[1.0], [np.inf]])
+    with pytest.raises(ValueError, match="non-finite value for gene 'b'"):
+        ExpressionMatrix._taking(("a", "b"), ("x",), values)
+    with pytest.raises(ValueError, match="duplicate gene id"):
+        ExpressionMatrix._taking(("a", "a"), ("x",), np.ones((2, 1)))
+    m = ExpressionMatrix._taking(["a"], ["x"], np.ones((1, 1)))
+    assert m.gene_ids == ("a",) and not m.values.flags.writeable
 
 
 def test_with_values(small_matrix):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,3 +120,20 @@ def test_row_permutation_commutes(rows, perm_seed):
         assert set(direct_map) == set(swapped_map)
         for gid in direct_map:
             assert np.array_equal(direct_map[gid], swapped_map[gid])
+
+
+def test_peak_memory_is_bounded():
+    # the result is divided in place and becomes the matrix's values uncopied
+    # (2.16x values.nbytes when the matrix copied it)
+    values = np.random.default_rng(0).normal(size=(20000, 72))
+    m = ExpressionMatrix([f"g{i}" for i in range(20000)], [f"s{j}" for j in range(72)], values)
+    tracemalloc.start()
+    try:
+        out = normalize(m, "zscore")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mean = values.mean(axis=1)[:, None]
+    assert out.values.tobytes() == ((values - mean) / values.std(axis=1, ddof=1)[:, None]).tobytes()
+    assert not out.values.flags.writeable and not np.shares_memory(out.values, m.values)
+    assert peak < 1.5 * values.nbytes
