@@ -20,6 +20,9 @@
 # - a rough run that stops on a centroid cycle (so its matrix-product
 #   centroid updates repeat bit for bit), validated without --m (so at the
 #   grid's m = 1 for a rough file);
+# - a kmeans run with more clusters than distinct rows, whose empty-cluster
+#   repair makes its centroids cycle: exit 0, the cycle warning, and
+#   "stop_reason": "cycle" in meta.json;
 # - a grid refused (exit 2) for its missing output directory before it runs;
 # - a seeded_random grid, whose subsets are keyed by size and seed;
 # - a grid asking for more workers than it has (cell, algorithm) groups (so
@@ -56,9 +59,10 @@
 #   read" (the whole file is decoded before any fault is named); written as
 #   a gct file, it clusters to the same partition and centroids;
 # - the run record: the meta.json of a kmeans, rough-kmeans, fcm and pfcm
-#   run each holds iterations, stop_reason, converged and a trace list, and
-#   only pfcm's holds alpha; and cluster --normalize --drop-degenerate warns
-#   of the gene it drops, as normalize does;
+#   run each holds iterations, stop_reason, converged, a trace list and a
+#   delta list with one entry per iteration, and only pfcm's holds alpha;
+#   and cluster --normalize --drop-degenerate warns of the gene it drops, as
+#   normalize does;
 # - cluster ... --drop-degenerate without --normalize, refused (exit 1) with
 #   one error: line, writing no output.
 set -eo pipefail
@@ -85,6 +89,10 @@ pfclust cluster tests/data/synthetic_100x10.tsv --alg rough-kmeans --k 5 --seed 
 grep -q '"stop_reason": "cycle"' "$out/cycle.meta.json"
 pfclust validate tests/data/synthetic_100x10.tsv --partition "$out/cycle.partition.csv" --centroids "$out/cycle.centroids.csv" -o "$out/cycle.validate.json"
 grep -q '"m": 1.0' "$out/cycle.validate.json"
+printf 's1\ng1\t-1.93746318743253\ng2\t-1.1809254487794874\ng3\t2.139255412850659\ng4\t0.9365148280171314\ng5\t-1.1809254487794874\ng6\t0.9365148280171314\ng7\t0.9365148280171314\n' > "$out/line.tsv"
+pfclust cluster "$out/line.tsv" --alg kmeans --k 5 --seed 0 --out "$out/kcycle" 2> "$out/kcycle.err"
+grep -q 'the centroids cycle' "$out/kcycle.err"
+grep -q '"stop_reason": "cycle"' "$out/kcycle.meta.json"
 rc=0; pfclust grid tests/data/synthetic_100x10.tsv --preset --out "$out/missing/g" || rc=$?; test "$rc" -eq 2
 pfclust grid tests/data/synthetic_100x10.tsv --sizes 40,80 --ks 3 --policy seeded_random --seeds 0,1 --workers 2 --out "$out/random"
 pfclust grid tests/data/synthetic_100x10.tsv --sizes 40,80 --ks 3 --algorithms kmeans,fcm --seeds 0,1 --workers 1 --out "$out/serial"
@@ -184,6 +192,7 @@ for alg in sys.argv[2:]:
     meta = json.load(open(f"{sys.argv[1]}/record-{alg}.meta.json"))
     assert {"iterations", "stop_reason", "converged"} <= meta.keys(), alg
     assert isinstance(meta["trace"], list), alg
+    assert isinstance(meta["delta"], list) and len(meta["delta"]) == meta["iterations"], alg
     assert ("alpha" in meta) == (alg == "pfcm"), alg' "$out" kmeans rough-kmeans fcm pfcm
 printf 's1\ts2\ng1\t1\t2\ng2\t3\t3\ng3\t2\t1\ng4\t0\t5\n' > "$out/flat.tsv"
 pfclust cluster "$out/flat.tsv" --alg kmeans --k 2 --normalize zscore --drop-degenerate --out "$out/flat" 2> "$out/flat.err"

@@ -6,6 +6,7 @@ import csv
 import math
 import numbers
 import os
+from collections import deque
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -255,15 +256,20 @@ class Stopped:
     Every partition also has assignments, one cluster in [0, k) per gene,
     and memberships, an (n_genes, k) row-stochastic matrix, with the one
     label rule assignments == argmax(memberships), lowest index on ties.
-    stop_reason is "tolerance" (the stop test fired), "cycle" (rough
-    k-means only: the centroids repeated) or "max_iter". trace is the
-    run's objective after each iteration, () where it has none.
+    iterations counts the rounds run and delta holds each round's change.
+    stop_reason says why the run ended: "tolerance" when the last delta
+    fell below eps, "cycle" (kmeans and rough k-means) when the centroids
+    repeated an earlier round's, the state returned then being the one
+    the cycle reaches at max_iter (``iterate``), and "max_iter"
+    otherwise; converged is true for "tolerance" only. trace is the
+    run's objective after each round, () where it has none.
     """
 
     stop_reason: str
     centroids: np.ndarray
     iterations: int
     trace: tuple[float, ...]
+    delta: tuple[float, ...]
 
     @property
     def k(self) -> int:
@@ -277,7 +283,49 @@ class Stopped:
         """What the finished run reports about itself: `cluster` writes it
         into meta.json and the grid into each report.json row."""
         return {"iterations": self.iterations, "stop_reason": self.stop_reason,
-                "converged": self.converged, "trace": self.trace}
+                "converged": self.converged, "trace": self.trace, "delta": self.delta}
+
+
+# rounds whose centroids a new round's are compared with; longer cycles run to max_iter
+_CYCLE_WINDOW = 8
+
+
+def iterate(step: Callable, state, max_iter: int, eps: float) -> tuple[Any, int, str, tuple]:
+    """The one iteration driver of the four algorithms.
+
+    Runs ``state, w, delta = step(state, t)`` for the rounds t = 1, 2, ...
+    and returns (state, rounds, stop_reason, deltas), deltas holding each
+    round's delta, by the one stop rule: "tolerance" after the first round
+    whose delta is below eps, else "max_iter" after round max_iter.
+
+    A step that gives its centroids as w, not None, promises that the next
+    round is a function of w alone (kmeans and rough k-means; the delta of
+    fcm and pfcm reads the previous U too). Then a w bit-equal to one of
+    the last _CYCLE_WINDOW rounds' proves that every later round repeats,
+    each moving eps or more, so the run would go on to max_iter. It stops
+    with "cycle" instead and returns the cycle's state that max_iter falls
+    on, the one a run without this test would end on; rounds counts the
+    rounds run. Centroids are compared, not labels: a rough cluster with an
+    empty upper set keeps its previous centroid, so equal labels can come
+    with unequal centroids. Longer cycles run to max_iter.
+    """
+    # (state, w) of recent rounds; a step builds both anew each round
+    ring: deque = deque(maxlen=_CYCLE_WINDOW)
+    deltas: list[float] = []
+    for t in range(1, max_iter + 1):
+        state, w, delta = step(state, t)
+        deltas.append(delta)
+        if delta < eps:
+            return state, t, "tolerance", tuple(deltas)
+        if w is None:
+            continue
+        period = next((p for p, (_, old) in enumerate(reversed(ring), 1)
+                       if np.array_equal(old, w)), 0)
+        ring.append((state, w))
+        if period and t < max_iter:
+            # rounds repeat with this period, so max_iter lands on this ring entry
+            return ring[-1 - (t - max_iter) % period][0], t, "cycle", tuple(deltas)
+    return state, len(deltas), "max_iter", tuple(deltas)
 
 
 def as_values(data) -> np.ndarray:

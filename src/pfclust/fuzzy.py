@@ -17,7 +17,7 @@ One iteration updates, in order: alpha from U, W from U, then U from
     u_ij = [ sum_l (D_ij / D_il)^(1/(m-1)) ]^(-1),
     D_ij = d_ij^2 - v ln(alpha_j)
 
-and stops when the elementwise max change of U falls to eps or below.
+and stops when the elementwise max change of U falls below eps.
 
 Each state of U is fitted once: u**m and the squared distances d^2 are
 computed once and passed to the step functions, which take those arrays.
@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
-from ._util import count, initial_centroids, total, weighted_means
+from ._util import count, initial_centroids, iterate, total, weighted_means
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -71,11 +71,11 @@ class FuzzyPartition(Stopped):
         membership update, so iterations + 1 entries; non-increasing.
     iterations : int
         Number of membership updates performed.
-    stop_reason : str
-        "tolerance" when the max membership change reached eps within
-        max_iter, else "max_iter"; converged is true for "tolerance" only.
+    stop_reason, delta
+        As ``Stopped`` defines them; delta is each update's max |Δu|.
 
-    record() gives iterations, stop_reason, converged, trace and, for pfcm, alpha.
+    record() gives iterations, stop_reason, converged, trace, delta and,
+    for pfcm, alpha.
     """
 
     memberships: np.ndarray
@@ -84,6 +84,7 @@ class FuzzyPartition(Stopped):
     trace: tuple[float, ...]
     iterations: int
     stop_reason: str
+    delta: tuple[float, ...] = ()
 
     @property
     def assignments(self) -> np.ndarray:
@@ -175,25 +176,26 @@ def pfcm_objective(um: np.ndarray, d2: np.ndarray, alpha: Optional[np.ndarray], 
     return scatter - penalty
 
 
-def _run(m_x, c, m, v, seed, max_iter, eps, u_init, on_iteration) -> FuzzyPartition:
+def _run(x, c, m, v, seed, max_iter, eps, u_init, on_iteration) -> FuzzyPartition:
     """The one fuzzy loop behind pfcm and fcm; fcm runs it at v = 0.
 
     Checks m, v, eps and max_iter by ``check_params`` and c by ``count``,
     as kmeans and rough_kmeans check theirs, and runs max_iter as an int.
     """
-    x = as_values(m_x)
+    x = as_values(x)
     n = x.shape[0]
     check_params(m=m, v=v, eps=eps, max_iter=max_iter)
-    max_iter = int(max_iter)
     c = count(c, "c", 1, n)
 
     distances = SqDistances(x)
-    if u_init is not None:
-        u = np.array(u_init, dtype=np.float64, order="F")
-        if u.shape != (n, c):
-            raise ValueError(f"u_init must have shape {(n, c)}, got {u.shape}")
-        u = u / u.sum(axis=1, keepdims=True)
-    else:
+
+    def start():
+        # U before the first update; the driver alone holds it, so round 1 frees it
+        if u_init is not None:
+            u = np.array(u_init, dtype=np.float64, order="F")
+            if u.shape != (n, c):
+                raise ValueError(f"u_init must have shape {(n, c)}, got {u.shape}")
+            return u / u.sum(axis=1, keepdims=True)
         # the start the crisp algorithms use: seeded rows as centroids, then
         # one membership update at v = 0, so U does not depend on v
         d2 = distances(initial_centroids(x, c, seed, False))
@@ -202,59 +204,48 @@ def _run(m_x, c, m, v, seed, max_iter, eps, u_init, on_iteration) -> FuzzyPartit
                 f"squared distances to the starting centroids are non-finite; "
                 f"c={c} m={m} v={v} seed={seed}"
             )
-        u = update_memberships(d2, np.full(c, 1.0 / c), m, 0.0)
+        return update_memberships(d2, np.full(c, 1.0 / c), m, 0.0)
 
     trace: list[float] = []
 
-    def fit(u):
-        # alpha, W and d^2 of the state U, and its J appended to the trace
-        um = u ** m
-        alpha = compute_alpha(um)
-        w = compute_centroids(um, x)
+    def fit(u, t):
+        # alpha, W and d^2 of U after t updates, and its J appended to the trace
+        try:
+            um = u ** m
+            alpha = compute_alpha(um)
+            w = compute_centroids(um, x)
+        except ValueError as exc:
+            # u**m underflowing to zero mass is a numerical failure of the run
+            raise NumericalError(f"{exc} at iteration {t}; c={c} m={m} v={v} seed={seed}") from exc
         d2 = distances(w)
         j_val = pfcm_objective(um, d2, alpha, v)
         if not np.isfinite(j_val):
             raise NumericalError(
-                f"objective became non-finite at iteration {len(trace)} (J={j_val!r}); "
+                f"objective became non-finite at iteration {t} (J={j_val!r}); "
                 f"c={c} m={m} v={v} seed={seed}"
             )
         trace.append(j_val)
         return alpha, w, d2
 
-    iterations = 0
-    stop_reason = "max_iter"
-    try:
-        alpha, w, d2 = fit(u)
-        for t in range(max_iter):
-            u_new = update_memberships(d2, alpha, m, v)
-            delta = float(np.abs(u_new - u).max())
-            u = u_new
-            iterations = t + 1
-            if on_iteration is not None:
-                on_iteration(u.copy(), w.copy(), alpha.copy())
-            alpha, w, d2 = fit(u)
-            if delta <= eps:
-                stop_reason = "tolerance"
-                break
-    except ValueError as exc:
-        # u**m underflowing to zero mass is a numerical failure of the run
-        raise NumericalError(
-            f"{exc} at iteration {iterations}; c={c} m={m} v={v} seed={seed}"
-        ) from exc
+    def step(u, t):
+        # fit U, the state after t - 1 updates, then update it; the fit's
+        # arrays are freed before the next round's fit
+        alpha, w, d2 = fit(u, t - 1)
+        u_new = update_memberships(d2, alpha, m, v)
+        delta = float(np.abs(u_new - u).max())
+        if on_iteration is not None:
+            on_iteration(u_new.copy(), w.copy(), alpha.copy())
+        return u_new, None, delta
 
-    return FuzzyPartition(
-        memberships=u,
-        centroids=w,
-        alpha=alpha,
-        trace=tuple(trace),
-        iterations=iterations,
-        stop_reason=stop_reason,
-    )
+    u, iterations, stop_reason, delta = iterate(step, start(), int(max_iter), eps)
+    alpha, w, _ = fit(u, iterations)
+    return FuzzyPartition(u, w, alpha, tuple(trace), iterations, stop_reason, delta)
 
 
 def pfcm(
-    m_x,
+    x,
     c: int,
+    *,
     m: float = DEFAULTS["m"],
     v: float = DEFAULTS["v"],
     seed: int = 0,
@@ -268,15 +259,16 @@ def pfcm(
     Starts from one membership update at v = 0 from c seeded data rows
     (``initial_centroids``, the start of kmeans and rough_kmeans), or
     from u_init, then iterates alpha/centroid/membership updates until
-    the max membership change is at most eps or max_iter is hit.
+    the max membership change is below eps or max_iter is hit.
     Deterministic given seed. Takes its parameters as kmeans and
     rough_kmeans take theirs, with the defaults of DEFAULTS.
 
     Parameters
     ----------
-    m_x : ExpressionMatrix or array-like, shape (n_genes, n_samples)
+    x : ExpressionMatrix or array-like, shape (n_genes, n_samples)
     c : int
         Cluster count, 1 <= c <= n_genes; c and seed follow ``count``'s rule.
+        Every parameter after c is keyword-only.
     m : float
         Fuzzifier, strictly greater than 1. Values near 1 give nearly
         crisp memberships, large values push every membership toward 1/c.
@@ -300,12 +292,13 @@ def pfcm(
     FuzzyPartition
         With alpha set and trace of the penalized objective.
     """
-    return _run(m_x, c, m, v, seed, max_iter, eps, u_init, on_iteration)
+    return _run(x, c, m, v, seed, max_iter, eps, u_init, on_iteration)
 
 
 def fcm(
-    m_x,
+    x,
     c: int,
+    *,
     m: float = DEFAULTS["m"],
     seed: int = 0,
     max_iter: int = DEFAULTS["max_iter"],
@@ -317,4 +310,4 @@ def fcm(
 
     Takes pfcm's parameters but v; the result carries alpha=None.
     """
-    return replace(_run(m_x, c, m, 0.0, seed, max_iter, eps, u_init, on_iteration), alpha=None)
+    return replace(_run(x, c, m, 0.0, seed, max_iter, eps, u_init, on_iteration), alpha=None)

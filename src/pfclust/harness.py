@@ -206,8 +206,9 @@ class ExperimentGrid:
         return {**DEFAULTS, **self.overrides.get(algorithm, {})}
 
 
-# the record of a run that failed: it reports no iterations, stop reason or trace
-_NO_RUN = {"iterations": None, "stop_reason": None, "converged": None, "trace": ()}
+# the record of a run that failed: no iterations, stop reason, trace or deltas
+_NO_RUN = {"iterations": None, "stop_reason": None, "converged": None, "trace": (),
+           "delta": ()}
 
 
 @dataclass(frozen=True)
@@ -370,8 +371,7 @@ def run_algorithm(
     those rows (call `pfcm`/`fcm` with `u_init` for any other start, a
     random one included). farthest_init applies to kmeans and
     rough_kmeans only, and is a ValueError for fcm and pfcm. Returns the
-    algorithm's own partition, which carries `iterations`,
-    `stop_reason`, `converged` and `trace`, and gives them as record().
+    algorithm's own partition, whose record() (``Stopped``) is the run's.
     """
     name = canonical(name, ALGORITHMS, "algorithm")
     unknown = set(params) - set(DEFAULTS)

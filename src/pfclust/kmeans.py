@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
-from ._util import initial_centroids, weighted_means
+from ._util import initial_centroids, iterate, weighted_means
 
 __all__ = ["HardPartition", "kmeans"]
 
@@ -30,13 +30,14 @@ class HardPartition(Stopped):
         Number of assign/update rounds performed.
     trace : tuple of float
         SSE after each round's centroid update, so iterations entries;
-        non-increasing. The SSE is the sum of squared distances from every
-        gene to its assigned centroid; trace[-1] is the returned state's.
-    stop_reason : str
-        "tolerance" when no centroid moved eps, else "max_iter";
-        converged is true for "tolerance" only.
+        non-increasing up to rounding. The SSE is the sum of squared
+        distances from every gene to its assigned centroid; trace[-1] is
+        the returned state's, except after a cycle, where it is the last
+        round run's.
+    stop_reason, delta
+        As ``Stopped`` defines them; delta is each round's largest centroid move.
 
-    record() gives iterations, stop_reason, converged and trace.
+    record() gives iterations, stop_reason, converged, trace and delta.
     """
 
     assignments: np.ndarray
@@ -44,6 +45,7 @@ class HardPartition(Stopped):
     iterations: int
     trace: tuple[float, ...]
     stop_reason: str = "max_iter"
+    delta: tuple[float, ...] = ()
 
     @property
     def memberships(self) -> np.ndarray:
@@ -65,8 +67,9 @@ def _repair_empty(assign: np.ndarray, dists: np.ndarray, k: int) -> None:
 
 
 def kmeans(
-    m,
+    x,
     k: int,
+    *,
     seed: int = 0,
     max_iter: int = DEFAULTS["max_iter"],
     eps: float = DEFAULTS["eps"],
@@ -81,14 +84,17 @@ def kmeans(
     rounds have run. A repeated assignment gives bit-equal centroids, so it
     stops the run in the round it repeats. A cluster left empty by an
     assignment step is repaired by moving in the point farthest from its own
-    centroid, so every returned cluster is non-empty. Deterministic for a given
-    seed. A non-finite SSE (squared distances overflowed) raises NumericalError.
+    centroid, so every returned cluster is non-empty; the repair can make
+    the assignments alternate, and centroids that repeat an earlier round's
+    stop the run with "cycle" (``iterate``). Deterministic for a given seed.
+    A non-finite SSE (squared distances overflowed) raises NumericalError.
 
     Parameters
     ----------
-    m : ExpressionMatrix or array-like, shape (n_genes, n_samples)
+    x : ExpressionMatrix or array-like, shape (n_genes, n_samples)
     k : int
         Cluster count, 1 <= k <= n_genes; k and seed follow ``count``'s rule.
+        Every parameter after k is keyword-only.
     seed : int
         Seeds the row sample used for the initial centroids.
     farthest_init : bool
@@ -103,9 +109,8 @@ def kmeans(
     -------
     HardPartition
     """
-    x = as_values(m)
+    x = as_values(x)
     check_params(max_iter=max_iter, eps=eps)
-    max_iter = int(max_iter)
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
     k = w.shape[0]
     distances = SqDistances(x)
@@ -116,9 +121,10 @@ def kmeans(
     rows = min(n, max(1, _BLOCK // (8 * d)))
     resid, sq = np.empty((rows, d)), np.empty(n)
     trace: list[float] = []
-    iterations = 0
-    stop_reason = "max_iter"
-    for _ in range(max_iter):
+
+    def step(state, t):
+        # one round, from the last round's (assignments, centroids)
+        w = state[1]
         dists = distances(w)
         assign = np.argmin(dists, axis=1)
         _repair_empty(assign, dists, k)
@@ -130,23 +136,13 @@ def kmeans(
             np.subtract(x[a:b], r, out=r)
             np.einsum("ij,ij->i", r, r, out=sq[a:b])
         sse = float(sq.sum())
-        iterations += 1
         if not np.isfinite(sse):
-            raise NumericalError(f"sse became non-finite at iteration {iterations} "
+            raise NumericalError(f"sse became non-finite at iteration {t} "
                                  f"(sse={sse!r}); k={k} seed={seed}")
-        movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
-        w = w_new
         trace.append(sse)
         if on_iteration is not None:
-            on_iteration(assign.copy(), w.copy())
-        if movement < eps:
-            stop_reason = "tolerance"
-            break
+            on_iteration(assign.copy(), w_new.copy())
+        return (assign, w_new), w_new, float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
 
-    return HardPartition(
-        assignments=assign,
-        centroids=w,
-        iterations=iterations,
-        trace=tuple(trace),
-        stop_reason=stop_reason,
-    )
+    (assign, w), iterations, stop_reason, delta = iterate(step, (None, w), int(max_iter), eps)
+    return HardPartition(assign, w, iterations, tuple(trace), stop_reason, delta)

@@ -5,31 +5,21 @@ upper set of any other cluster whose distance is within a ratio threshold
 zeta of the nearest distance. A partition is one boolean (n_genes, k)
 upper-set matrix. Genes claimed by exactly one upper set form that
 cluster's lower set; the rest sit in boundary regions. Centroids are
-weighted combinations of lower and boundary means.
-
-Rough k-means need not converge: its centroids can cycle, so that the
-movement never falls below eps. A round is a function of the previous
-round's centroids alone, so centroids bit-equal to those of one of the
-last eight rounds prove that every later round repeats. The run then
-stops with stop_reason "cycle" and returns the state the cycle reaches
-at max_iter, the state a run that did not look for cycles would end on.
+weighted combinations of lower and boundary means. Rough k-means need
+not converge: its centroids can cycle (see ``iterate``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._util import DEFAULTS, NumericalError, SqDistances, Stopped, as_values, check_params
-from ._util import initial_centroids, weighted_means
+from ._util import initial_centroids, iterate, weighted_means
 
 __all__ = ["RoughPartition", "rough_kmeans"]
-
-# rounds whose centroids a new round is compared with; longer cycles run to max_iter
-_CYCLE_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -41,18 +31,16 @@ class RoughPartition(Stopped):
     gene in exactly one upper set (the lone mask) is in that cluster's
     lower set; a gene in two or more is in no lower set and sits in the
     boundary of each. lower, upper and boundary(j) give the same
-    structure as frozensets of gene indices. iterations counts the rounds
-    run. stop_reason is "tolerance" when no centroid moved eps, "cycle"
-    when the centroids repeated those of an earlier round before
-    max_iter, and "max_iter" otherwise; converged is true for
-    "tolerance" only. After a cycle, member and centroids are those of
-    the round the cycle reaches at max_iter.
+    structure as frozensets of gene indices. iterations, stop_reason and
+    delta, each round's largest centroid move, are as ``Stopped`` defines
+    them.
     """
 
     member: np.ndarray
     centroids: np.ndarray
     iterations: int
     stop_reason: str = "max_iter"
+    delta: tuple[float, ...] = ()
     # not a field: rough k-means has no objective to trace
     trace = ()
 
@@ -90,8 +78,9 @@ def _lone(member: np.ndarray) -> np.ndarray:
 
 
 def rough_kmeans(
-    m,
+    x,
     k: int,
+    *,
     zeta: float = DEFAULTS["zeta"],
     w_lower: float = DEFAULTS["w_lower"],
     seed: int = 0,
@@ -103,11 +92,14 @@ def rough_kmeans(
 ) -> RoughPartition:
     """Cluster gene rows into k rough clusters.
 
+    A non-finite nearest distance raises NumericalError.
+
     Parameters
     ----------
-    m : ExpressionMatrix or array-like, shape (n_genes, n_samples)
+    x : ExpressionMatrix or array-like, shape (n_genes, n_samples)
     k : int
         Cluster count, 1 <= k <= n_genes; k and seed follow ``count``'s rule.
+        Every parameter after k is keyword-only.
     zeta : float
         Ratio threshold >= 1; a gene joins every upper set whose centroid
         distance is within zeta times its nearest centroid distance.
@@ -125,37 +117,21 @@ def rough_kmeans(
     Returns
     -------
     RoughPartition
-
-    Notes
-    -----
-    The run stops when no centroid moves eps or more ("tolerance"), or
-    when a round's centroids are bit-equal to those of one of the last
-    eight rounds ("cycle"). Centroids are compared, not upper sets: the
-    next round depends on the centroids alone, while a cluster with an
-    empty upper set keeps its previous centroid, so equal upper sets
-    can come with unequal centroids. Every round of a cycle moved eps or
-    more, so without the cycle test the run would go on to max_iter;
-    the partition returned is the cycle's round that max_iter falls on,
-    and iterations counts the rounds actually run. Cycles longer than
-    eight rounds run to max_iter. A non-finite nearest distance raises NumericalError.
     """
-    x = as_values(m)
+    x = as_values(x)
     check_params(zeta=zeta, w_lower=w_lower, max_iter=max_iter, eps=eps)
-    max_iter = int(max_iter)
     w = initial_centroids(x, k, seed, farthest_init, init_centroids)
     k = w.shape[0]
     distances = SqDistances(x)
-    # (member, centroids) of recent rounds; both are built anew each round
-    ring: deque = deque(maxlen=_CYCLE_WINDOW)
-    iterations = 0
-    stop_reason = "max_iter"
-    for _ in range(max_iter):
+
+    def step(state, t):
+        # one round, from the last round's (member, centroids)
+        w = state[1]
         d = np.sqrt(distances(w))
         d_near = d.min(axis=1)[:, None]
         if not np.isfinite(d_near).all():
             raise NumericalError(f"a nearest distance became non-finite at iteration "
-                                 f"{iterations + 1}; k={k} zeta={zeta} w_lower={w_lower} "
-                                 f"seed={seed}")
+                                 f"{t}; k={k} zeta={zeta} w_lower={w_lower} seed={seed}")
         # exact coincidence with a centroid pins the gene to its nearest cluster only
         member = (d <= zeta * d_near) & (d_near > 0.0)
         member[np.arange(d.shape[0]), np.argmin(d, axis=1)] = True
@@ -165,22 +141,9 @@ def rough_kmeans(
         has_low, has_bound = n_low[:, None] > 0, n_bound[:, None] > 0
         w_new = np.select([has_low & has_bound, has_low, has_bound],
                           [w_lower * low + (1.0 - w_lower) * bound, low, bound], w)
-        movement = float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
-        w = w_new
-        iterations += 1
         if on_iteration is not None:
-            on_iteration(RoughPartition(member, w.copy(), iterations))
-        if movement < eps:
-            stop_reason = "tolerance"
-            break
-        period = next(
-            (p for p, (_, old) in enumerate(reversed(ring), 1) if np.array_equal(old, w)), 0
-        )
-        ring.append((member, w))
-        if period and iterations < max_iter:
-            # rounds repeat with this period, so max_iter lands on this ring entry
-            member, w = ring[-1 - (iterations - max_iter) % period]
-            stop_reason = "cycle"
-            break
+            on_iteration(RoughPartition(member, w_new.copy(), t))
+        return (member, w_new), w_new, float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
 
-    return RoughPartition(member, w, iterations, stop_reason)
+    (member, w), iterations, stop_reason, delta = iterate(step, (None, w), int(max_iter), eps)
+    return RoughPartition(member, w, iterations, stop_reason, delta)

@@ -254,7 +254,7 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
             iterations = t + 1
             if on_iteration is not None:
                 on_iteration(u.copy(), w.copy(), alpha.copy())
-            if delta <= eps:
+            if delta < eps:
                 stop_reason = "tolerance"
                 break
 

@@ -352,8 +352,8 @@ def test_grid_rows_word_a_k_above_the_genes_alike(tmp_path):
     rows = json.loads((tmp_path / "g.report.json").read_text())["rows"]
     assert [r["algorithm"] for r in rows] == ["kmeans", "rough_kmeans", "fcm", "pfcm"]
     assert {r["error"] for r in rows} == {"ValueError: k must be in [1, 2], got 3"}
-    assert all((r["iterations"], r["stop_reason"], r["converged"], r["trace"])
-               == (None, None, None, []) for r in rows)
+    assert all((r["iterations"], r["stop_reason"], r["converged"], r["trace"], r["delta"])
+               == (None, None, None, [], []) for r in rows)
 
 
 def test_cluster_pfcm_meta_has_alpha(four_tsv, tmp_path):
@@ -383,8 +383,10 @@ def test_meta_json_and_the_report_json_row_write_one_record(bundled_tsv, tmp_pat
                      "--normalize", "zscore", "--drop-degenerate", "--out", str(out)]) == 0
         meta = json.loads(Path(f"{out}.meta.json").read_text())
         assert ("alpha" in meta) == ("alpha" in row) == (alg == "pfcm")
-        keys = ["iterations", "stop_reason", "converged", "trace"] + ["alpha"] * (alg == "pfcm")
+        keys = ["iterations", "stop_reason", "converged", "trace", "delta"]
+        keys += ["alpha"] * (alg == "pfcm")
         assert {key: meta[key] for key in keys} == {key: row[key] for key in keys}, alg
+        assert len(meta["delta"]) == meta["iterations"], alg
         # kmeans traces each round's SSE, fcm and pfcm the start's J too, rough nothing
         if alg == "rough_kmeans":
             assert meta["trace"] == []
@@ -437,6 +439,20 @@ def test_cluster_converged_on_last_allowed_iteration(bundled_tsv, tmp_path, caps
     meta = json.loads((tmp_path / "synth.meta.json").read_text())
     assert meta["iterations"] == stop
     assert meta["converged"] is True
+
+
+def test_cluster_kmeans_cycle_is_named(tmp_path, capsys):
+    # k 5 on 4 distinct rows: the empty-cluster repair alternates from round 1
+    x = [-1.93746318743253, -1.1809254487794874, 2.139255412850659, 0.9365148280171314,
+         -1.1809254487794874, 0.9365148280171314, 0.9365148280171314]
+    p = tmp_path / "line.tsv"
+    p.write_text("s1\n" + "".join(f"g{i}\t{v!r}\n" for i, v in enumerate(x)))
+    assert main(["cluster", str(p), "--alg", "kmeans", "--k", "5", "--seed", "0"]) == 0
+    assert capsys.readouterr().err.endswith(
+        "warning: did not converge: the centroids cycle; stopped after 3 iterations\n")
+    meta = json.loads((tmp_path / "line.meta.json").read_text())
+    assert (meta["stop_reason"], meta["iterations"], meta["converged"]) == ("cycle", 3, False)
+    assert len(meta["delta"]) == len(meta["trace"]) == 3
 
 
 def test_cluster_rough_cycle_stops_with_the_max_iter_state(bundled_tsv, tmp_path, capsys):

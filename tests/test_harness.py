@@ -59,6 +59,25 @@ def test_runs_on_the_bundled_matrix_keep_their_pinned_outcome(bundled, run):
     assert [p.iterations, p.stop_reason, labels] == PINNED_RUNS[run]
 
 
+@settings(max_examples=200, deadline=None)
+@given(alg=st.sampled_from(ALGORITHMS), n=st.integers(1, 12), k=st.integers(1, 5),
+       d=st.integers(1, 3), distinct=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([1e-5, 1e-2, 0.5]), max_iter=st.integers(1, 25))
+def test_delta_has_one_entry_a_round_and_decides_the_stop(
+    alg, n, k, d, distinct, seed, eps, max_iter
+):
+    # the one stop rule of all four: a run stops with "tolerance" exactly
+    # when its last round's delta is below eps. Rows drawn from a few
+    # distinct ones, with k above their count, leave kmeans clusters to
+    # repair, which can make it cycle.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))[rng.integers(min(n, distinct), size=n)]
+    p = run_algorithm(alg, x, min(k, n), seed=int(rng.integers(100)), eps=eps, max_iter=max_iter)
+    assert len(p.delta) == p.iterations
+    assert (p.delta[-1] < eps) == (p.stop_reason == "tolerance")
+    assert p.record()["delta"] == p.delta
+
+
 def _varied_matrix():
     return ExpressionMatrix(
         ("a", "b", "c", "d", "e"),

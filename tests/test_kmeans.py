@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfclust import kmeans, parse_matrix, rough_kmeans
-from pfclust._util import weighted_means
+from pfclust._util import initial_centroids, weighted_means
 
 import _oracles
 from _oracles import enumerate_kmeans_sse, sq_distances
@@ -183,16 +183,52 @@ def test_matches_loop_oracle_with_stability_stop(
     _assert_matches_loop_oracle(x, k, init, eps, max_iter)
 
 
-def _assert_matches_loop_oracle(x, k, init, eps, max_iter):
-    part = kmeans(x, k, max_iter=max_iter, eps=eps, init_centroids=init)
+def _assert_matches_loop_oracle(x, k, init, eps, max_iter, seed=0):
+    part = kmeans(x, k, seed=seed, max_iter=max_iter, eps=eps, init_centroids=init)
+    if init is None:
+        init = initial_centroids(x, k, seed, False)
     assign, w, iterations, converged, trace = _oracles.kmeans(
         x, k, init, max_iter=max_iter, eps=eps
     )
     assert np.array_equal(part.assignments, assign)
     assert np.array_equal(part.centroids, w)
-    assert part.iterations == iterations
+    if part.stop_reason == "cycle":
+        # the oracle has no cycle test, so it runs every round
+        assert iterations == max_iter and not converged
+        assert part.iterations < max_iter
+    else:
+        assert part.iterations == iterations
     assert part.converged == converged
-    assert part.trace == trace
+    assert part.trace == trace[:part.iterations]
+    return part
+
+
+# one column with 4 distinct rows, clustered into 5: the empty-cluster repair
+# makes the assignments alternate with period 2 from the first round
+_CYCLING = np.array([-1.93746318743253, -1.1809254487794874, 2.139255412850659,
+                     0.9365148280171314, -1.1809254487794874, 0.9365148280171314,
+                     0.9365148280171314])[:, None]
+
+
+@pytest.mark.parametrize("max_iter", [3, 4, 300, 301])
+def test_cycle_stop_returns_the_max_iter_state(max_iter):
+    # round 3's centroids equal round 1's, so the run stops there; 300 and
+    # 301 end on different states of the cycle, which the oracle reaches
+    # by running every round
+    part = _assert_matches_loop_oracle(_CYCLING, 5, None, 1e-5, max_iter)
+    assert (part.stop_reason, part.iterations) == ("max_iter" if max_iter == 3 else "cycle", 3)
+    assert len(set(part.delta)) == 1 and part.delta[0] > 2.0
+    # the trace holds the rounds run: after a cycle its last entry is round
+    # 3's SSE, not the SSE of the state returned (0 on an even cap)
+    assert part.trace == (3.697785493223493e-32, 0.0, 3.697785493223493e-32)
+    want = 0.0 if max_iter % 2 == 0 else 3.697785493223493e-32
+    assert ((_CYCLING[:, 0] - part.centroids[part.assignments, 0]) ** 2).sum() == want
+
+
+def test_cycles_stop_before_max_iter_for_every_seed():
+    # 40 of these 50 seeds ran all 300 rounds before kmeans looked for cycles
+    reasons = [kmeans(_CYCLING, 5, seed=seed).stop_reason for seed in range(50)]
+    assert reasons.count("cycle") == 40 and "max_iter" not in reasons
 
 
 @settings(max_examples=60, deadline=None)

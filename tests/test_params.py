@@ -123,11 +123,17 @@ def test_signature_defaults_are_the_table():
     for func, alg in ((kmeans, "kmeans"), (rough_kmeans, "rough_kmeans"), (fcm, "fcm"),
                       (pfcm, "pfcm")):
         params = inspect.signature(func).parameters
-        # kmeans' matrix argument is also called m, but has no default
-        defaults = {key: p.default for key, p in params.items()
-                    if key in DEFAULTS and p.default is not p.empty}
+        defaults = {key: p.default for key, p in params.items() if key in DEFAULTS}
         assert defaults == {key: DEFAULTS[key] for key in PARAMS[alg]}
         assert params["seed"].default == 0
+        # one call shape: the data x and the count, then keywords only
+        kind = inspect.Parameter
+        kinds = [(key, p.kind) for key, p in params.items()]
+        assert kinds[:2] == [("x", kind.POSITIONAL_OR_KEYWORD),
+                             ("c" if "fcm" in alg else "k", kind.POSITIONAL_OR_KEYWORD)]
+        assert {k for _, k in kinds[2:]} == {kind.KEYWORD_ONLY}
+        with pytest.raises(TypeError, match="positional argument"):
+            func(X, 2, 1)
     assert DEFAULTS == {"m": 2.0, "v": 1.0, "zeta": 1.3, "w_lower": 0.7, "eps": 1e-5,
                         "max_iter": 300}
 
