@@ -64,7 +64,10 @@
 #   and cluster --normalize --drop-degenerate warns of the gene it drops, as
 #   normalize does;
 # - cluster ... --drop-degenerate without --normalize, refused (exit 1) with
-#   one error: line, writing no output.
+#   one error: line, writing no output;
+# - README's "Library quick start" block, cut out between its python fence
+#   and the closing fence and run against the installed package in OUT_DIR,
+#   with expr.tsv a copy of tests/data/synthetic_100x10.tsv.
 set -eo pipefail
 out=${1:?usage: ci/console-checks.sh OUT_DIR}
 
@@ -201,3 +204,7 @@ rc=0; pfclust cluster "$out/flat.tsv" --alg kmeans --k 2 --drop-degenerate --out
 test "$(wc -l < "$out/nodrop.err")" -eq 1
 grep -q '^error: ' "$out/nodrop.err"
 test "$(ls "$out"/nodrop.*)" = "$out/nodrop.err"
+cp tests/data/synthetic_100x10.tsv "$out/expr.tsv"
+awk '/^## Library quick start/ {q = 1} q && /^```$/ {exit} q && p {print} q && /^```python$/ {p = 1}' README.md > "$out/quickstart.py"
+grep -q '^from pfclust import' "$out/quickstart.py"
+(cd "$out" && python quickstart.py)

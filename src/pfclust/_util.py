@@ -433,11 +433,11 @@ def initial_centroids(
 ) -> np.ndarray:
     """Starting centroids for k clusters, 1 <= k <= n_rows.
 
-    `init`, when given, is copied after its (k, n_cols) shape is checked;
-    otherwise k distinct rows are picked by a seeded uniform sample or by
-    greedy farthest-point selection. The seed must be >= 0 either way; all
-    four algorithms start here, so this is where the API checks k and the
-    seed, by ``count``; callers take k as an int from the result's rows.
+    `init`, when given, is copied once its (k, n_cols) shape and finite
+    cells are checked; otherwise k distinct rows are picked by a seeded
+    uniform sample or by greedy farthest-point selection. k and the seed,
+    >= 0 either way, are checked by ``count``; kmeans and rough_kmeans take
+    k as an int from the result's rows.
     """
     n, d = x.shape
     k = count(k, "k", 1, n)
@@ -446,6 +446,8 @@ def initial_centroids(
         w = np.array(init, dtype=np.float64)
         if w.shape != (k, d):
             raise ValueError(f"init_centroids must have shape {(k, d)}, got {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("init_centroids must be finite")
         return w
     rng = np.random.default_rng(seed)
     if farthest:

@@ -30,7 +30,7 @@ copy, and a gene's sum over clusters adds them in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -176,16 +176,17 @@ def pfcm_objective(um: np.ndarray, d2: np.ndarray, alpha: Optional[np.ndarray], 
     return scatter - penalty
 
 
-def _run(x, c, m, v, seed, max_iter, eps, u_init, on_iteration) -> FuzzyPartition:
+def _run(x, c, m, v, seed, max_iter, eps, u_init) -> FuzzyPartition:
     """The one fuzzy loop behind pfcm and fcm; fcm runs it at v = 0.
 
-    Checks m, v, eps and max_iter by ``check_params`` and c by ``count``,
-    as kmeans and rough_kmeans check theirs, and runs max_iter as an int.
+    Checks m, v, eps and max_iter by ``check_params``, and c and the seed
+    by ``count`` whichever start is used, as kmeans and rough_kmeans do.
     """
     x = as_values(x)
     n = x.shape[0]
     check_params(m=m, v=v, eps=eps, max_iter=max_iter)
     c = count(c, "c", 1, n)
+    seed = count(seed, "seed", 0)
 
     distances = SqDistances(x)
 
@@ -195,7 +196,10 @@ def _run(x, c, m, v, seed, max_iter, eps, u_init, on_iteration) -> FuzzyPartitio
             u = np.array(u_init, dtype=np.float64, order="F")
             if u.shape != (n, c):
                 raise ValueError(f"u_init must have shape {(n, c)}, got {u.shape}")
-            return u / u.sum(axis=1, keepdims=True)
+            sums = u.sum(axis=1, keepdims=True)
+            if not ((u >= 0.0).all() and (sums > 0.0).all() and (sums < np.inf).all()):
+                raise ValueError("u_init must be finite and >= 0 with no all-zero row")
+            return u / sums
         # the start the crisp algorithms use: seeded rows as centroids, then
         # one membership update at v = 0, so U does not depend on v
         d2 = distances(initial_centroids(x, c, seed, False))
@@ -233,8 +237,6 @@ def _run(x, c, m, v, seed, max_iter, eps, u_init, on_iteration) -> FuzzyPartitio
         alpha, w, d2 = fit(u, t - 1)
         u_new = update_memberships(d2, alpha, m, v)
         delta = float(np.abs(u_new - u).max())
-        if on_iteration is not None:
-            on_iteration(u_new.copy(), w.copy(), alpha.copy())
         return u_new, None, delta
 
     u, iterations, stop_reason, delta = iterate(step, start(), int(max_iter), eps)
@@ -252,7 +254,6 @@ def pfcm(
     max_iter: int = DEFAULTS["max_iter"],
     eps: float = DEFAULTS["eps"],
     u_init: Optional[np.ndarray] = None,
-    on_iteration: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> FuzzyPartition:
     """Penalized fuzzy c-means.
 
@@ -282,17 +283,16 @@ def pfcm(
     eps : float
         Convergence tolerance on the max membership change.
     u_init : ndarray, optional
-        Explicit (n_genes, c) starting memberships, any start at all (a
-        random matrix included); rows are renormalized.
-    on_iteration : callable, optional
-        Called with (U, W, alpha) after each membership update.
+        Explicit (n_genes, c) starting memberships, finite and >= 0 with a
+        positive sum in every row (a random matrix will do); renormalized.
 
     Returns
     -------
     FuzzyPartition
-        With alpha set and trace of the penalized objective.
+        With alpha set and trace of the penalized objective. Read progress
+        from trace and delta, update t's state from max_iter=t.
     """
-    return _run(x, c, m, v, seed, max_iter, eps, u_init, on_iteration)
+    return _run(x, c, m, v, seed, max_iter, eps, u_init)
 
 
 def fcm(
@@ -304,10 +304,9 @@ def fcm(
     max_iter: int = DEFAULTS["max_iter"],
     eps: float = DEFAULTS["eps"],
     u_init: Optional[np.ndarray] = None,
-    on_iteration: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> FuzzyPartition:
     """Plain fuzzy c-means: pfcm's iteration with the penalty weight at 0.
 
     Takes pfcm's parameters but v; the result carries alpha=None.
     """
-    return replace(_run(x, c, m, 0.0, seed, max_iter, eps, u_init, on_iteration), alpha=None)
+    return replace(_run(x, c, m, 0.0, seed, max_iter, eps, u_init), alpha=None)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -75,7 +75,6 @@ def kmeans(
     eps: float = DEFAULTS["eps"],
     farthest_init: bool = False,
     init_centroids: Optional[np.ndarray] = None,
-    on_iteration: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> HardPartition:
     """Cluster gene rows into k groups minimizing the sum of squared distances.
 
@@ -98,16 +97,14 @@ def kmeans(
     seed : int
         Seeds the row sample used for the initial centroids.
     farthest_init : bool
-        Use greedy farthest-point initialization instead of a uniform
-        row sample.
+        Use greedy farthest-point initialization, not a uniform row sample.
     init_centroids : ndarray, optional
-        Explicit (k, n_samples) starting centroids; overrides seeding.
-    on_iteration : callable, optional
-        Called with (assignments, centroids) after each round.
+        Explicit finite (k, n_samples) starting centroids; overrides seeding.
 
     Returns
     -------
     HardPartition
+        Read progress from trace and delta, round t's state from max_iter=t.
     """
     x = as_values(x)
     check_params(max_iter=max_iter, eps=eps)
@@ -140,8 +137,6 @@ def kmeans(
             raise NumericalError(f"sse became non-finite at iteration {t} "
                                  f"(sse={sse!r}); k={k} seed={seed}")
         trace.append(sse)
-        if on_iteration is not None:
-            on_iteration(assign.copy(), w_new.copy())
         return (assign, w_new), w_new, float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
 
     (assign, w), iterations, stop_reason, delta = iterate(step, (None, w), int(max_iter), eps)

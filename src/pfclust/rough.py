@@ -12,7 +12,7 @@ not converge: its centroids can cycle (see ``iterate``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -88,7 +88,6 @@ def rough_kmeans(
     eps: float = DEFAULTS["eps"],
     farthest_init: bool = False,
     init_centroids: Optional[np.ndarray] = None,
-    on_iteration: Optional[Callable[[RoughPartition], None]] = None,
 ) -> RoughPartition:
     """Cluster gene rows into k rough clusters.
 
@@ -111,12 +110,11 @@ def rough_kmeans(
         empty upper set keeps its previous centroid.
     seed : int
         Seeds the row sample used for the initial centroids.
-    on_iteration : callable, optional
-        Called with the in-progress RoughPartition after each round.
 
     Returns
     -------
     RoughPartition
+        Read progress from delta, round t's state from max_iter=t.
     """
     x = as_values(x)
     check_params(zeta=zeta, w_lower=w_lower, max_iter=max_iter, eps=eps)
@@ -141,8 +139,6 @@ def rough_kmeans(
         has_low, has_bound = n_low[:, None] > 0, n_bound[:, None] > 0
         w_new = np.select([has_low & has_bound, has_low, has_bound],
                           [w_lower * low + (1.0 - w_lower) * bound, low, bound], w)
-        if on_iteration is not None:
-            on_iteration(RoughPartition(member, w_new.copy(), t))
         return (member, w_new), w_new, float(np.sqrt(((w_new - w) ** 2).sum(axis=1)).max())
 
     (member, w), iterations, stop_reason, delta = iterate(step, (None, w), int(max_iter), eps)

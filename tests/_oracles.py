@@ -179,6 +179,14 @@ def update_memberships(d2, alpha, m, v):
     return u
 
 
+def fuzzy_start(x, c, m, seed):
+    """U before the first update when no u_init is given, as the package
+    starts: seeded rows as centroids, then one membership update at v = 0."""
+    x = np.asarray(x, dtype=np.float64)
+    w = initial_centroids(x, c, seed, False)
+    return update_memberships(kernel_sq_distances(x, w), np.full(c, 1.0 / c), m, 0.0)
+
+
 def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
     """The fuzzy loop as it stood before each state was fitted once.
 
@@ -230,9 +238,7 @@ def pfcm(x, c, m, v, eps, max_iter, seed, u_init=None, on_iteration=None):
         u = np.array(u_init, dtype=np.float64, order="F")
         u = u / u.sum(axis=1, keepdims=True)
     else:
-        # the package's start: seeded rows as centroids, one update at v = 0
-        w = initial_centroids(x, c, seed, False)
-        u = memberships(x, w, np.full(c, 1.0 / c), m, 0.0)
+        u = fuzzy_start(x, c, m, seed)
 
     trace = []
     iterations = 0

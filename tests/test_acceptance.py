@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pfclust import (
+    compute_alpha,
     fcm,
     generate_synthetic,
     kmeans,
@@ -32,7 +33,8 @@ from pfclust import (
 )
 from pfclust.cli import main as cli_main
 
-from _oracles import enumerate_kmeans_sse, grid_min_induced_objective, induced_objective
+from _oracles import enumerate_kmeans_sse, fuzzy_start, grid_min_induced_objective
+from _oracles import induced_objective
 from conftest import DATA_DIR
 
 
@@ -173,6 +175,7 @@ def test_criterion_05_row_and_proportion_normalization(emit):
     worst_row = 0.0
     worst_alpha = 0.0
     iterations = 0
+    replays_differ = 0
     configs = [
         (fcm, 1, 2.0, 0.0), (pfcm, 1, 2.0, 1.0),
         (fcm, 2, 1.2, 0.0), (pfcm, 2, 1.2, 3.0),
@@ -183,22 +186,23 @@ def test_criterion_05_row_and_proportion_normalization(emit):
     rng = np.random.default_rng(505)
     for seed, (alg, c, m, v) in enumerate(configs):
         x = rng.normal(size=(int(rng.integers(20, 60)), int(rng.integers(2, 5))))
-        states = []
-        part = alg(
-            x,
-            c,
-            m=m,
-            seed=seed,
-            on_iteration=lambda u, w, alpha: states.append((u, alpha)),
-            **({"v": v} if alg is pfcm else {}),
-        )
-        states.append((part.memberships, part.alpha))
+        params = dict(m=m, seed=seed, **({"v": v} if alg is pfcm else {}))
+        run = alg(x, c, **params)
+        # the start, then the state after update t: the same call's result
+        # with max_iter=t, whose updates are the run's first t. The start and
+        # fcm report no proportions (fcm fits them, then drops them), so
+        # theirs are fitted from u**m as a run does.
+        states = [(fuzzy_start(x, c, m, seed), None)]
+        for t in range(1, run.iterations + 1):
+            part = alg(x, c, max_iter=t, **params)
+            replays_differ += part.delta != run.delta[:t]
+            states.append((part.memberships, part.alpha))
         for u, alpha in states:
             iterations += 1
             worst_row = max(worst_row, float(np.abs(u.sum(axis=1) - 1.0).max()))
-            if alpha is not None:
-                worst_alpha = max(worst_alpha, abs(float(alpha.sum()) - 1.0))
-    ok = worst_row <= 1e-9 and worst_alpha <= 1e-9
+            alpha = compute_alpha(u ** m) if alpha is None else alpha
+            worst_alpha = max(worst_alpha, abs(float(alpha.sum()) - 1.0))
+    ok = worst_row <= 1e-9 and worst_alpha <= 1e-9 and replays_differ == 0
     _verdict(
         emit, 5, ok,
         f"{iterations} iterations, row-sum err {worst_row:.1e}, "
@@ -206,6 +210,7 @@ def test_criterion_05_row_and_proportion_normalization(emit):
     )
     assert worst_row <= 1e-9
     assert worst_alpha <= 1e-9
+    assert replays_differ == 0
 
 
 def test_criterion_06_model_selection_recovers_cluster_count(emit):
@@ -253,12 +258,15 @@ def test_criterion_07_rough_structure_invariants(emit):
         zeta = float(rng.uniform(1.0, 2.5))
         w_lower = float(rng.uniform(0.51, 1.0))
         x = rng.normal(size=(n, d))
-        snaps = []
-        rough_kmeans(
-            x, k, zeta=zeta, w_lower=w_lower, seed=trial, on_iteration=snaps.append
-        )
-        for p in snaps:
+        params = dict(zeta=zeta, w_lower=w_lower, seed=trial)
+        # the state after round t is the result of the same call with
+        # max_iter=t, whose rounds are the run's first t
+        delta = rough_kmeans(x, k, **params).delta
+        for t in range(1, len(delta) + 1):
+            p = rough_kmeans(x, k, max_iter=t, **params)
             checked += 1
+            if p.delta != delta[:t]:
+                violations += 1
             counts = np.zeros(n, dtype=int)
             for j in range(p.k):
                 if not p.lower[j] <= p.upper[j]:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -243,16 +244,17 @@ def test_row_sums_and_alpha_every_iteration():
     rng = np.random.default_rng(53)
     for trial, (m, v) in enumerate([(1.5, 0.0), (2.0, 1.0), (3.0, 0.5)]):
         x = rng.normal(size=(25, 3))
-        states = []
-        pfcm(
-            x,
-            4,
-            m=m,
-            v=v,
-            seed=trial,
-            on_iteration=lambda u, w, alpha: states.append((u, alpha)),
-        )
-        assert states
+        run = pfcm(x, 4, m=m, v=v, seed=trial)
+        assert run.iterations
+        # the start, whose proportions are fitted from u**m as the run fits
+        # them, then the state after update t: the same call with
+        # max_iter=t, whose updates are the run's first t
+        u0 = _oracles.fuzzy_start(x, 4, m, trial)
+        states = [(u0, compute_alpha(u0 ** m))]
+        for t in range(1, run.iterations + 1):
+            part = pfcm(x, 4, m=m, v=v, seed=trial, max_iter=t)
+            assert part.delta == run.delta[:t]
+            states.append((part.memberships, part.alpha))
         for u, alpha in states:
             assert np.abs(u.sum(axis=1) - 1.0).max() <= 1e-9
             assert abs(float(alpha.sum()) - 1.0) <= 1e-12
@@ -297,6 +299,11 @@ def test_u_init_rows_renormalized():
     rng = np.random.default_rng(71)
     x = rng.normal(size=(10, 2))
     u0 = rng.random((10, 2))
+    a = pfcm(x, 2, seed=0, u_init=u0)
+    b = pfcm(x, 2, seed=0, u_init=u0 * 2.0)
+    assert np.array_equal(a.memberships, b.memberships)
+    # a zero cell is a start too, in a row with mass
+    u0[3, 1] = 0.0
     a = pfcm(x, 2, seed=0, u_init=u0)
     b = pfcm(x, 2, seed=0, u_init=u0 * 2.0)
     assert np.array_equal(a.memberships, b.memberships)
@@ -376,10 +383,30 @@ def fuzzy_cases(draw):
     return x, c, params, u_init
 
 
-def _recorded_run(run, *args, **kwargs):
+def _replayed_run(run, x, c, max_iter, **kwargs):
+    """The run's result or its NumericalError text, and the state after each
+    update t: the same call's result with max_iter=t, replayed until one
+    stops by tolerance or raises (that one raises the run's text)."""
+    try:
+        part = run(x, c, max_iter=max_iter, **kwargs)
+    except NumericalError as exc:
+        part = str(exc)
+    states = []
+    for t in range(1, max_iter + 1):
+        try:
+            states.append(run(x, c, max_iter=t, **kwargs))
+        except NumericalError as exc:
+            assert str(exc) == part
+            break
+        if states[-1].converged:
+            break
+    return part, states
+
+
+def _oracle_run(*args):
     states = []
     try:
-        part = run(*args, on_iteration=lambda u, w, alpha: states.append((u, w, alpha)), **kwargs)
+        part = _oracles.pfcm(*args, on_iteration=lambda u, w, alpha: states.append((u, w, alpha)))
     except NumericalError as exc:
         return str(exc), states
     return part, states
@@ -391,13 +418,16 @@ def test_matches_parent_loop_oracle(case, plain):
     x, c, params, u_init = case
     v = 0.0 if plain else params["v"]
     kwargs = {key: value for key, value in params.items() if not (plain and key == "v")}
-    got, got_states = _recorded_run(fcm if plain else pfcm, x, c, u_init=u_init, **kwargs)
-    want, want_states = _recorded_run(
-        _oracles.pfcm, x, c, params["m"], v, params["eps"], params["max_iter"], params["seed"],
-        u_init,
+    got, got_states = _replayed_run(fcm if plain else pfcm, x, c, u_init=u_init, **kwargs)
+    want, want_states = _oracle_run(
+        x, c, params["m"], v, params["eps"], params["max_iter"], params["seed"], u_init
     )
+    replayed = len(want_states)
     if isinstance(want, str):
         assert got == want
+        # the last U of a run that raised is the one its own fit raised on,
+        # so its replay raised the run's text instead of returning a state
+        replayed = max(replayed - 1, 0)
     else:
         assert np.array_equal(got.memberships, want.memberships)
         assert np.array_equal(got.centroids, want.centroids)
@@ -408,10 +438,20 @@ def test_matches_parent_loop_oracle(case, plain):
         assert got.trace == want.trace
         assert got.iterations == want.iterations
         assert got.converged == want.converged
-    assert len(got_states) == len(want_states)
-    for got_state, want_state in zip(got_states, want_states):
-        for a, b in zip(got_state, want_state):
-            assert np.array_equal(a, b)
+        assert pickle.dumps(got_states[-1]) == pickle.dumps(got)
+    # the oracle reports U after update t with the W and alpha fitted to U
+    # after t - 1 updates, which a replay gives as the state before; fcm
+    # fits alpha too but drops it, so its alpha is fitted from u**m as the
+    # run fits it
+    assert len(got_states) == replayed
+    for t, (u, w, alpha) in enumerate(want_states, 1):
+        if t <= replayed:
+            assert np.array_equal(got_states[t - 1].memberships, u)
+        if t > 1:
+            before = got_states[t - 2]
+            assert np.array_equal(before.centroids, w)
+            fitted = compute_alpha(before.memberships ** params["m"]) if plain else before.alpha
+            assert np.array_equal(fitted, alpha)
 
 
 def test_one_distance_kernel_call_per_state(monkeypatch):

@@ -127,15 +127,6 @@ def test_farthest_init_spreads_centroids():
     assert part.trace[-1] == pytest.approx(0.0, abs=1e-18)
 
 
-def test_iteration_callback_sees_progress():
-    rng = np.random.default_rng(29)
-    x = rng.normal(size=(20, 2))
-    seen = []
-    part = kmeans(x, 3, seed=1, on_iteration=lambda a, w: seen.append((a, w)))
-    assert len(seen) == part.iterations
-    assert np.array_equal(seen[-1][0], part.assignments)
-
-
 def test_sse_is_sum_of_assigned_squared_residuals(bundled_path):
     x = parse_matrix(bundled_path.read_text(), "tsv").values
     part = kmeans(x, 4, seed=2)

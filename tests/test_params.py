@@ -134,6 +134,10 @@ def test_signature_defaults_are_the_table():
         assert {k for _, k in kinds[2:]} == {kind.KEYWORD_ONLY}
         with pytest.raises(TypeError, match="positional argument"):
             func(X, 2, 1)
+        # and nothing else: the data, the count, the seed, the table's keys
+        # and an explicit start; a run reports its progress in its result
+        start = {"u_init"} if "fcm" in alg else {"init_centroids", "farthest_init"}
+        assert set(params) == {"x", kinds[1][0], "seed", *PARAMS[alg], *start}
     assert DEFAULTS == {"m": 2.0, "v": 1.0, "zeta": 1.3, "w_lower": 0.7, "eps": 1e-5,
                         "max_iter": 300}
 
@@ -145,8 +149,14 @@ def test_signature_defaults_are_the_table():
     lambda seed: run_algorithm("fcm", X, 2, seed=seed),
     lambda seed: subset_genes(M, 3, "seeded_random", seed=seed),
     lambda seed: generate_synthetic([((0.0, 0.0), 1.0, 3)], seed=seed),
+    # an explicit start leaves the seed unused, and the seed is still checked
+    lambda seed: kmeans(X, 2, seed=seed, init_centroids=X[:2]),
+    lambda seed: rough_kmeans(X, 2, seed=seed, init_centroids=X[:2]),
+    lambda seed: fcm(X, 2, seed=seed, u_init=np.ones((6, 2))),
+    lambda seed: pfcm(X, 2, seed=seed, u_init=np.ones((6, 2))),
 ], ids=["kmeans", "rough_kmeans", "pfcm", "run_algorithm-fcm", "subset_genes-seeded_random",
-        "generate_synthetic"])
+        "generate_synthetic", "kmeans-init_centroids", "rough_kmeans-init_centroids",
+        "fcm-u_init", "pfcm-u_init"])
 def test_negative_seed_is_named_by_the_api(run):
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         run(-1)
@@ -155,6 +165,31 @@ def test_negative_seed_is_named_by_the_api(run):
         message = f"^seed must be an integer, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
             run(bad)
+
+
+# explicit starts that must fail before any round runs, without a numpy
+# warning, with a ValueError naming their argument: whole init_centroids,
+# and the last row of a u_init of ones. The row [2, -1] sums to 1, so
+# renormalizing would keep its negative cell.
+BAD_STARTS = {
+    "init_centroids": {"nan": [[0.0, 1.0], [math.nan, 3.0]],
+                       "inf": [[0.0, 1.0], [2.0, -math.inf]]},
+    "u_init": {"zero_row": [0.0, 0.0], "nan": [math.nan, 1.0], "inf": [1.0, math.inf],
+               "negative": [2.0, -1.0]},
+}
+
+
+@pytest.mark.parametrize("alg, name, case", [
+    (alg, name, case) for alg in PARAMS for name in BAD_STARTS
+    if (name == "u_init") == ("fcm" in alg) for case in BAD_STARTS[name]
+])
+def test_explicit_start_is_checked(alg, name, case):
+    start = BAD_STARTS[name][case]
+    if name == "u_init":
+        start = np.vstack([np.ones((5, 2)), [start]])
+    rule = "finite" if name == "init_centroids" else "finite and >= 0 with no all-zero row"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}$"):
+        ENTRIES[alg](**{name: start})
 
 
 M = ExpressionMatrix(tuple(f"g{i}" for i in range(6)), ("s1", "s2"), X)

@@ -60,12 +60,13 @@ def test_structure_invariants_every_iteration():
         k = int(rng.integers(2, min(5, n) + 1))
         x = rng.normal(size=(n, int(rng.integers(1, 4))))
         zeta = float(rng.uniform(1.0, 2.0))
-        snapshots = []
-        part = rough_kmeans(
-            x, k, zeta=zeta, seed=trial, on_iteration=snapshots.append
-        )
-        assert snapshots, "no iterations ran"
-        for snap in snapshots:
+        part = rough_kmeans(x, k, zeta=zeta, seed=trial)
+        assert part.iterations, "no iterations ran"
+        # the state after round t is the result of the same call with
+        # max_iter=t, whose rounds are the run's first t
+        for t in range(1, part.iterations + 1):
+            snap = rough_kmeans(x, k, zeta=zeta, seed=trial, max_iter=t)
+            assert snap.delta == part.delta[:t]
             _check_structure(snap)
         _check_structure(part)
 
