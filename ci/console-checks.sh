@@ -65,6 +65,12 @@
 #   normalize does;
 # - cluster ... --drop-degenerate without --normalize, refused (exit 1) with
 #   one error: line, writing no output;
+# - partition CSVs whose gene ids hold a comma and a quote, which csv.writer
+#   quotes and only the csv walk reads (the block path leaves any quote to
+#   it): a kmeans and a pfcm run on such a copy of the test matrix are
+#   validated and drawn, to the report and heatmap the plain ids give;
+# - heatmap --scale 3, whose streamed image is 27014 bytes (header and
+#   300 x 30 pixels);
 # - README's "Library quick start" block, cut out between its python fence
 #   and the closing fence and run against the installed package in OUT_DIR,
 #   with expr.tsv a copy of tests/data/synthetic_100x10.tsv.
@@ -204,6 +210,21 @@ rc=0; pfclust cluster "$out/flat.tsv" --alg kmeans --k 2 --drop-degenerate --out
 test "$(wc -l < "$out/nodrop.err")" -eq 1
 grep -q '^error: ' "$out/nodrop.err"
 test "$(ls "$out"/nodrop.*)" = "$out/nodrop.err"
+sed '2,$s/^g/g,"/' tests/data/synthetic_100x10.tsv > "$out/quoted.tsv"
+grep -q '^g,"00000'"$(printf '\t')" "$out/quoted.tsv"
+for alg in kmeans pfcm; do
+  for ids in plain quoted; do
+    input=tests/data/synthetic_100x10.tsv; if [ "$ids" = quoted ]; then input="$out/quoted.tsv"; fi
+    pfclust cluster "$input" --alg "$alg" --k 3 --out "$out/$ids-$alg"
+    pfclust validate "$input" --partition "$out/$ids-$alg.partition.csv" --centroids "$out/$ids-$alg.centroids.csv" -o "$out/$ids-$alg.validate.json"
+    pfclust heatmap "$input" --partition "$out/$ids-$alg.partition.csv" -o "$out/$ids-$alg.ppm"
+  done
+  grep -q '^"g,""00000",' "$out/quoted-$alg.partition.csv"
+  cmp "$out/plain-$alg.ppm" "$out/quoted-$alg.ppm"
+  cmp <(grep -v '"input"\|_file"' "$out/plain-$alg.validate.json") <(grep -v '"input"\|_file"' "$out/quoted-$alg.validate.json")
+done
+pfclust heatmap tests/data/synthetic_100x10.tsv --scale 3 -o "$out/scale3.ppm"
+test "$(wc -c < "$out/scale3.ppm")" -eq 27014
 cp tests/data/synthetic_100x10.tsv "$out/expr.tsv"
 awk '/^## Library quick start/ {q = 1} q && /^```$/ {exit} q && p {print} q && /^```python$/ {p = 1}' README.md > "$out/quickstart.py"
 grep -q '^from pfclust import' "$out/quickstart.py"

@@ -39,7 +39,6 @@ from .kmeans import HardPartition, kmeans
 from .matrix import ExpressionMatrix
 from .normalize import normalize
 from .rough import RoughPartition, rough_kmeans
-from .serialize import write_metadata_json
 from .validity import ValidityReport, evaluate
 
 __all__ = [
@@ -262,6 +261,10 @@ class ExperimentResult:
             "matrix": {"n_genes": self.n_genes, "n_samples": self.n_samples},
             "rows": [_json_row(r) for r in self.rows],
         }
+        # imported on first use, as the CLI's handlers import theirs, so that
+        # a process that imports the harness only to build data loads no serialize
+        from .serialize import write_metadata_json
+
         write_metadata_json(doc, dest)
 
     def write_timings_csv(self, dest: Union[str, Path, IO[str]]) -> None:

@@ -46,9 +46,14 @@ first fault in file order. Values must be finite; NaN or infinite cells are
 rejected with their location rather than imputed, worded by the cell rule
 the centroid reader also uses (``_util.bad_cell``).
 
+The block path also reads hard and fuzzy partition CSVs (``serialize``),
+in the calling process, with their own separator, line rule and value type
+in the ``_Layout``.
+
 ``write_tsv`` formats a large matrix in row parts the same way
 (``_util.in_parts``) and streams them: the calling process formats its own
-rows in blocks of about 256 KiB and writes each block once it is made, then
+rows in blocks of about 256 KiB (``_format_rows``, which also formats the
+partition and centroid CSVs) and writes each block once it is made, then
 copies each forked part's bytes from that part's pipe, a block at a time, in
 row order. A forked part formats its whole range before it sends it, so the
 parts run at once. If a part fails or a child dies, the calling process
@@ -74,8 +79,9 @@ from __future__ import annotations
 
 import codecs
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Callable, NamedTuple, Optional, Union
+from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -97,6 +103,8 @@ _HEAD = {"tsv": 1, "gct": 3, "res": 3}
 # (256 KiB left less freed heap behind than 1 MiB at the same speed), and the
 # text write_tsv formats and writes at a time
 _BLOCK = 1 << 18
+# the cells _format_rows converts to Python objects at a time
+_CELLS = 1024
 # the newline in a file's bytes and in a text
 _NL = {bytes: b"\n", str: "\n"}
 
@@ -171,6 +179,17 @@ def read_matrix(path: str | Path, format: str = "tsv") -> ExpressionMatrix:
     UTF-8, and ParseError for the first fault of its text, as parse_matrix of
     its whole text does."""
     _check_format(format)
+    with _preading(path) as (read, end):
+        m = _read_blocks(read, end, format, companion_path(path) if format == "tsv" else None)
+    if m is not None:
+        return m
+    text = Path(path).read_bytes().decode("utf-8")
+    return _parse_lines(text.splitlines(), format)
+
+
+@contextmanager
+def _preading(path: str | Path) -> Iterator[tuple[Read, int]]:
+    """read(a, b), the bytes a to b of the file at `path` by os.pread, and its size."""
     with open(path, "rb") as handle:
         fd = handle.fileno()
 
@@ -180,18 +199,15 @@ def read_matrix(path: str | Path, format: str = "tsv") -> ExpressionMatrix:
                 raise OSError(f"{path} changed while it was read")
             return data
 
-        end = os.fstat(fd).st_size
-        m = _read_blocks(read, end, format, companion_path(path) if format == "tsv" else None)
-    if m is not None:
-        return m
-    text = Path(path).read_bytes().decode("utf-8")
-    return _parse_lines(text.splitlines(), format)
+        yield read, os.fstat(fd).st_size
 
 
 class _Layout(NamedTuple):
     """What a header says of the data lines: the sample ids, the id in field
     `id_col`, the values in fields `first::step`, the row count the header
-    declares (None for tsv), and the names its walk errors use."""
+    declares (None for tsv), and the names its walk errors use. A matrix's
+    lines are split by str.splitlines and their fields by tabs, its values
+    read as float64; a partition CSV (``serialize``) sets its own rules."""
 
     sample_ids: list[str]
     rows: Optional[int]
@@ -200,6 +216,9 @@ class _Layout(NamedTuple):
     step: int
     id_name: str
     fields: str
+    sep: str = "\t"
+    split: Callable[[str], list[str]] = str.splitlines
+    dtype: type = np.float64
 
     @property
     def n_fields(self) -> int:
@@ -342,13 +361,14 @@ def _blocks(read: Read, a: int, b: int):
         a += len(chunk)
 
 
-def _structure(lines: list[str], n_fields: int, id_col: int, first: int) -> list[str] | None:
+def _structure(lines: list[str], layout: _Layout) -> list[str] | None:
     """The structure pass: the ids in field `id_col` if every line has `n_fields`
     fields (counted first, as a short line has no id field), a non-empty id
     and no U+001F from field `first` on; else None."""
-    if lines and all(ln.count("\t") == n_fields - 1 for ln in lines):
-        ids = [ln.split("\t", id_col + 1)[id_col] for ln in lines]
-        if all(ids) and not any("\x1f" in ln and "\x1f" in ln.split("\t", first)[first]
+    sep, id_col, first = layout.sep, layout.id_col, layout.first
+    if lines and all(ln.count(sep) == layout.n_fields - 1 for ln in lines):
+        ids = [ln.split(sep, id_col + 1)[id_col] for ln in lines]
+        if all(ids) and not any("\x1f" in ln and "\x1f" in ln.split(sep, first)[first]
                                 for ln in lines):
             return ids
     return None
@@ -362,7 +382,7 @@ def _part(read: Read, a: int, b: int, layout: _Layout, convert: bool) -> bytearr
     n_fields, first, step = layout.n_fields, layout.first, layout.step
     out, ids, empty = bytearray(), [], 0
     for piece in _blocks(read, a, b):
-        lines = _decode(piece).splitlines()
+        lines = layout.split(_decode(piece))
         n = rows = len(lines)
         while rows and not lines[rows - 1]:
             rows -= 1
@@ -370,22 +390,24 @@ def _part(read: Read, a: int, b: int, layout: _Layout, convert: bool) -> bytearr
             empty += n
             continue
         del lines[rows:]
-        got = _structure(lines, n_fields, layout.id_col, first)
+        got = _structure(lines, layout)
         if empty or got is None or not all(ln.strip() for ln in lines):
             raise ValueError("a blank line or a structure fault")
         ids += got
         empty = n - rows
         if convert:
-            out += np.loadtxt(lines, delimiter="\t", comments=None, quotechar=None,
-                              usecols=range(first, n_fields, step), ndmin=2).data
+            out += np.loadtxt(lines, delimiter=layout.sep, comments=None, quotechar=None,
+                              usecols=range(first, n_fields, step), dtype=layout.dtype,
+                              ndmin=2).data
     out += "\n".join(ids).encode("utf-8", "surrogatepass")
     out += len(ids).to_bytes(8, "little") + empty.to_bytes(8, "little")
     return out
 
 
-def _gather(parts: list, n_samples: int, convert: bool) -> tuple[list[str], list[np.ndarray]]:
-    """The parts' ids and (if `convert`) value arrays, in order. Raises
-    ValueError where empty lines that end a part come before rows."""
+def _gather(parts: list, n_samples: int, convert: bool,
+            dtype: type = np.float64) -> tuple[list[str], list[np.ndarray]]:
+    """The parts' ids and (if `convert`) value arrays of `dtype`, in order.
+    Raises ValueError where empty lines that end a part come before rows."""
     ids, arrays, ended = [], [], False
     while parts:  # each part's bytes are dropped once its arrays are taken
         data = memoryview(parts.pop(0))
@@ -393,11 +415,11 @@ def _gather(parts: list, n_samples: int, convert: bool) -> tuple[list[str], list
         if rows and ended:
             raise ValueError("an empty line before data")
         ended = ended or empty > 0
-        size = 8 * rows * n_samples if convert else 0
+        size = np.dtype(dtype).itemsize * rows * n_samples if convert else 0
         if rows:
             ids += str(data[size:-16], "utf-8", "surrogatepass").split("\n")
         if rows and convert:
-            arrays.append(np.frombuffer(data[:size]).reshape(rows, n_samples))
+            arrays.append(np.frombuffer(data[:size], dtype).reshape(rows, n_samples))
     return ids, arrays
 
 
@@ -448,6 +470,28 @@ def _read_blocks(read: Read, end: int, format: str,
         return None
 
 
+def _format_rows(ids: Optional[Sequence[str]], values: np.ndarray, sep: str,
+                lo: int = 0, hi: Optional[int] = None) -> Iterator[str]:
+    """Rows lo to hi of `values` as text lines, in blocks of about _BLOCK
+    characters: the row's id first (unless `ids` is None), then each cell's
+    repr, the shortest string that round-trips, joined by `sep`."""
+    hi = len(values) if hi is None else hi
+    # about _CELLS cells at a time: a whole-matrix tolist() would hold a
+    # Python object per cell at once, and a row at a time costs a numpy call per row
+    step = max(1, _CELLS // max(1, values.shape[1]))
+    lines, size = [], 0
+    for a in range(lo, hi, step):
+        for g, row in enumerate(values[a:min(a + step, hi)].tolist(), a):
+            cells = map(repr, row)
+            lines.append(sep.join(cells if ids is None else (ids[g], *cells)) + "\n")
+            size += len(lines[-1])
+            if size >= _BLOCK:
+                yield "".join(lines)
+                lines, size = [], 0
+    if lines:
+        yield "".join(lines)
+
+
 def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None:
     """Write a matrix in the tsv format; values round-trip bit-exactly. An id
     holding a tab or a break of str.splitlines(), the reader's line rule, is refused.
@@ -465,17 +509,9 @@ def write_tsv(matrix: ExpressionMatrix, dest: Union[str, Path, IO[str]]) -> None
     errors = "strict" if binary else "surrogatepass"
 
     def rows(i: int, n: int):
-        lines, size = [], 0
-        for g in range(len(gene_ids) * i // n, len(gene_ids) * (i + 1) // n):
-            # repr is the shortest string that round-trips; a row at a time, as a
-            # whole-matrix tolist() would hold a Python float per cell at once
-            lines.append("\t".join((gene_ids[g], *map(repr, values[g].tolist()))) + "\n")
-            size += len(lines[-1])
-            if size >= _BLOCK:
-                yield "".join(lines).encode("utf-8", errors)
-                lines, size = [], 0
-        if lines:
-            yield "".join(lines).encode("utf-8", errors)
+        lo, hi = len(gene_ids) * i // n, len(gene_ids) * (i + 1) // n
+        for block in _format_rows(gene_ids, values, "\t", lo, hi):
+            yield block.encode("utf-8", errors)
 
     with opened(dest, "wb" if binary else "w") as handle:
         header = "\t".join(matrix.sample_ids) + "\n"

@@ -91,7 +91,12 @@ def rough_kmeans(
 ) -> RoughPartition:
     """Cluster gene rows into k rough clusters.
 
-    A non-finite nearest distance raises NumericalError.
+    Alternates upper-set membership by the zeta distance ratio with centroid
+    updates until no centroid moves by eps or more (a round's delta is its
+    largest Euclidean centroid move), or max_iter rounds have run; centroids
+    that repeat an earlier round's stop the run with "cycle" (``iterate``).
+    Deterministic for a given seed. A non-finite nearest distance raises
+    NumericalError.
 
     Parameters
     ----------
@@ -110,6 +115,16 @@ def rough_kmeans(
         empty upper set keeps its previous centroid.
     seed : int
         Seeds the row sample used for the initial centroids.
+    max_iter : int
+        Round cap, an integer >= 1.
+    eps : float
+        Convergence tolerance > 0 on a round's largest centroid move.
+    farthest_init : bool
+        Use greedy farthest-point initialization, not a uniform row sample.
+    init_centroids : ndarray, optional
+        Explicit finite (k, n_samples) starting centroids; overrides seeding.
+        A start of another shape, or with a NaN or infinite cell, raises
+        ValueError.
 
     Returns
     -------

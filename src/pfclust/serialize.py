@@ -10,24 +10,47 @@ Three partition layouts share one reader, distinguished by header:
 A hard file is read as a rough file whose genes each sit in one lower set;
 a cluster index must be in [0, n_genes). Centroids are a separate CSV whose
 header holds the sample ids and whose k data rows hold one centroid each.
-Floats are written with repr so values round-trip exactly. One cell rule
-reads every number (``_util.parse_cells``, as ``float()``/``int()`` do): a
-file's cells convert in one numpy pass, and are walked only to name the
-first bad gene or cell when that pass or its range test fails.
+
+Hard and fuzzy partitions and centroids are written through the row
+formatter ``write_tsv`` uses (``io._format_rows``): values as their repr, so
+they round-trip exactly, in blocks of about 256 KiB, each written once it is
+made. A gene or sample id is quoted as ``csv.writer`` quotes it (its
+QUOTE_MINIMAL rule), and only an id holding a comma, a quote or a line end
+goes through ``csv.writer``, so the bytes are those csv.writer writes.
+Rough partitions are written by ``csv.writer`` row by row.
+
+A hard or fuzzy file is read by the matrix reader's block path (``io``): a
+block of about 256 KiB at a time, the structure pass (every line's field
+count, a non-empty id and no U+001F in a value field) and numpy's C text
+reader, so no Python string is held per cell. A file that path does not read
+whole goes to the csv walk, the one place that names a fault: a quote or a
+line end other than ``\n`` and ``\r\n``, a structure fault, a blank line
+other than those that end the file, a cell the C reader refuses, a
+duplicate gene, a cluster index outside [0, n_genes) or a membership row
+that is not probabilities. Rough files and centroids are read by the walk.
+It reads the rows with ``csv.reader``, and one cell rule reads every number
+(``_util.parse_cells``, as ``float()``/``int()`` do): a file's cells convert
+in one numpy pass, and are walked only to name the first bad gene or cell
+when that pass or its range test fails. So both paths give the same
+partition, and every message is the walk's.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
 from ._util import Stopped, bad_cell, opened, parse_cells, write_csv
+from .io import Read, _decode, _format_rows, _gather, _Layout, _line_end, _part, _preading
 
 __all__ = [
     "PartitionFile",
@@ -111,25 +134,23 @@ def write_partition_csv(
     from .kmeans import HardPartition
     from .rough import RoughPartition
 
-    genes = range(len(gene_ids))  # row i holds gene i, except in a rough file
-    if isinstance(part, HardPartition):
-        header = ["gene_id", "cluster"]
-        cells = part.assignments[:, None].tolist()
-    elif isinstance(part, RoughPartition):
-        header = ["gene_id", "cluster", "membership_kind"]
-        # nonzero walks the matrix row-major: gene order, then cluster order
-        rows, clusters = np.nonzero(part.member)
-        kinds = np.where(part.lone[rows], "lower", "boundary")
-        genes = rows.tolist()
-        cells = zip(clusters.tolist(), kinds.tolist())
-    elif isinstance(part, FuzzyPartition):
-        header = ["gene_id"] + [f"u{j}" for j in range(part.k)]
-        cells = [[repr(v) for v in row] for row in part.memberships.tolist()]
-    else:
+    if not isinstance(part, (HardPartition, RoughPartition, FuzzyPartition)):
         raise TypeError(f"unsupported partition type {type(part).__name__}")
     if len(gene_ids) != part.assignments.size:
         raise ValueError("gene id count does not match the partition")
-    write_csv(dest, header, ([gene_ids[i], *c] for i, c in zip(genes, cells)))
+    if isinstance(part, RoughPartition):
+        # nonzero walks the matrix row-major: gene order, then cluster order
+        rows, clusters = np.nonzero(part.member)
+        kinds = np.where(part.lone[rows], "lower", "boundary")
+        write_csv(dest, ["gene_id", "cluster", "membership_kind"],
+                  ([gene_ids[g], c, kind] for g, c, kind in
+                   zip(rows.tolist(), clusters.tolist(), kinds.tolist())))
+        return
+    if isinstance(part, HardPartition):
+        header, cells = ["gene_id", "cluster"], part.assignments[:, None]
+    else:
+        header, cells = ["gene_id"] + [f"u{j}" for j in range(part.k)], part.memberships
+    _write_rows(dest, header, _csv_fields(gene_ids), cells)
 
 
 def write_centroids_csv(
@@ -141,7 +162,41 @@ def write_centroids_csv(
             f"centroids have {centroids.shape[1]} columns but {len(sample_ids)} "
             f"sample ids were given"
         )
-    write_csv(dest, list(sample_ids), (map(repr, row) for row in centroids.tolist()))
+    _write_rows(dest, list(sample_ids), None, centroids)
+
+
+# a field csv.writer's QUOTE_MINIMAL rule may quote: one holding a comma, a
+# quote or a line end (it leaves a "\r" alone where lineterminator is "\n")
+_QUOTABLE = re.compile('[,"\r\n]')
+
+
+def _csv_fields(values: Sequence[str]) -> Sequence[str]:
+    """`values` as csv.writer writes each among other fields: as they are,
+    unless one is not a str or holds a character its rule may quote."""
+    try:
+        if not _QUOTABLE.search("".join(values)):
+            return values
+    except TypeError:
+        pass
+    return [_csv_field(value) for value in values]
+
+
+def _csv_field(value: str) -> str:
+    """`value` as csv.writer writes it among other fields, quoted where its rule says."""
+    if isinstance(value, str) and not _QUOTABLE.search(value):
+        return value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
+
+
+def _write_rows(dest: Union[str, Path, IO[str]], header: Sequence[str],
+                ids: Optional[Sequence[str]], values: np.ndarray) -> None:
+    """A CSV of the header row, written by csv.writer, and a row per row of
+    `values`, its id (if `ids`) before its cells, formatted a block at a time."""
+    with opened(dest) as handle:
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        handle.writelines(_format_rows(ids, values, ","))
 
 
 def _jsonable(obj):
@@ -175,24 +230,91 @@ def _read_rows(source: Union[str, Path, IO[str]]) -> list[list[str]]:
         return [row for row in csv.reader(handle) if row]
 
 
+def _kind(header: list[str]) -> Optional[str]:
+    """The partition layout `header` names, if any."""
+    if header == ["gene_id", "cluster"]:
+        return "hard"
+    if header == ["gene_id", "cluster", "membership_kind"]:
+        return "rough"
+    if len(header) > 1 and header == ["gene_id"] + [f"u{j}" for j in range(len(header) - 1)]:
+        return "fuzzy"
+    return None
+
+
+def _csv_lines(text: str) -> list[str]:
+    """The lines of `text`, which are the rows csv.reader reads if it holds no
+    quote and no line end but "\n" and "\r\n"; ValueError otherwise."""
+    lines = text.splitlines()
+    if '"' in text or len(lines) != text.count("\n") + (not text.endswith("\n")):
+        raise ValueError("a quote, or a line end that csv.reader does not read as str.splitlines")
+    return lines
+
+
+def _from_blocks(read: Read, end: int) -> Optional[PartitionFile]:
+    """The hard or fuzzy partition in read(0, end) by the block path, or None
+    where the csv walk must read it (see the module docstring)."""
+    try:
+        start = _line_end(read, 0, end)
+        header = _csv_lines(_decode(read(0, start)))[0].split(",")
+        kind = _kind(header)
+        if kind not in ("hard", "fuzzy"):
+            return None
+        # the id in field 0, a value in each field after it; the walk names faults
+        layout = _Layout(header[1:], rows=None, id_col=0, first=1, step=1, id_name="", fields="",
+                         sep=",", split=_csv_lines, dtype=np.intp if kind == "hard" else np.float64)
+        with warnings.catch_warnings():
+            # an older numpy reads "1.0" as an integer, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            ids, arrays = _gather([_part(read, start, end, layout, True)], len(header) - 1,
+                                  True, layout.dtype)
+    except (OSError, ValueError, DeprecationWarning):
+        return None
+    n = len(ids)
+    if not n or len(set(ids)) != n:
+        return None
+    values = arrays[0]
+    if kind == "fuzzy":
+        if not _probability_rows(values).all():
+            return None
+        return PartitionFile("fuzzy", tuple(ids), values, np.argmax(values, axis=1))
+    c = values[:, 0]
+    if not ((c >= 0) & (c < n)).all():
+        return None
+    return _SetsFile("hard", tuple(ids), np.arange(n, dtype=np.intp), c)
+
+
 def read_partition_csv(source: Union[str, Path, IO[str]]) -> PartitionFile:
     """Read any of the three partition layouts, sniffing by header.
 
-    Of several faults the first found is reported: field counts, then the
-    id and kind columns (a duplicate gene in a hard or fuzzy file; in a rough
-    file an unknown kind or a lower row beside other rows of its gene), then
-    numbers, then a repeated (gene, cluster) row.
+    A hard or fuzzy file is read a block at a time where it can be (see the
+    module docstring), else by the csv walk. Of several faults the first
+    found is reported: field counts, then the id and kind columns (a
+    duplicate gene in a hard or fuzzy file; in a rough file an unknown kind
+    or a lower row beside other rows of its gene), then numbers, then a
+    repeated (gene, cluster) row.
     """
+    if isinstance(source, (str, Path)):
+        try:
+            with _preading(source) as (read, end):
+                found = _from_blocks(read, end)
+        except OSError:
+            found = None  # the walk names the fault
+    else:
+        text = source.read()
+        found = _from_blocks(lambda a, b: text[a:b], len(text))
+        source = io.StringIO(text)
+    if found is not None:
+        return found
     rows = _read_rows(source)
     if not rows:
         raise ValueError("empty partition file")
     header, body = rows[0], rows[1:]
     if not body:
         raise ValueError("partition file has no data rows")
-    rough = header == ["gene_id", "cluster", "membership_kind"]
-    fuzzy = len(header) > 1 and header == ["gene_id"] + [f"u{j}" for j in range(len(header) - 1)]
-    if not (rough or fuzzy or header == ["gene_id", "cluster"]):
+    kind = _kind(header)
+    if kind is None:
         raise ValueError(f"unrecognized partition header {header!r}")
+    rough, fuzzy = kind == "rough", kind == "fuzzy"
     bad = next((row for row in body if len(row) != len(header)), None)
     if bad is not None:
         raise ValueError(f"expected {len(header)} fields per row, found {len(bad)}: {bad!r}")

@@ -1104,8 +1104,16 @@ def test_a_matching_companion_replaces_the_text_parse(bundled_tsv, tmp_path, cap
     def never(*args, **kwargs):
         raise AssertionError("the text was parsed")
 
+    loadtxt = np.loadtxt
+
+    def no_tsv(lines, delimiter, **kwargs):
+        # a partition CSV is read by the same C reader, with commas
+        if delimiter == "\t":
+            never()
+        return loadtxt(lines, delimiter=delimiter, **kwargs)
+
     # the block path's conversion and the whole-text path
-    monkeypatch.setattr("pfclust.io.np.loadtxt", never)
+    monkeypatch.setattr("pfclust.io.np.loadtxt", no_tsv)
     monkeypatch.setattr("pfclust.io._parse_lines", never)
     o = tmp_path / "p"
     assert main(["cluster", str(z), "--alg", "kmeans", "--k", "3", "--out", str(o)]) == 0

@@ -5,6 +5,7 @@ tracer or profiler is set, and with exit 2 when stdout cannot be flushed."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -167,10 +168,12 @@ def test_a_profiled_process_gets_the_interpreter_teardown(tmp_path):
 
 
 def test_an_image_too_large_to_allocate_is_one_error_line(tmp_path):
-    # 10^7 x 10^6 pixels, 27.3 TiB; the address-space cap makes its
-    # allocation fail whatever the host's overcommit policy. The heatmap runs
-    # in a forked child of a small process, which prints the child's peak RSS
-    # in KiB: a process started from this one would carry this one's peak.
+    # 10^7 x 10^6 pixels, 27.3 TiB, more than any test host's file system
+    # holds: the streamed writer refuses it before its first byte, and the
+    # address-space cap makes any allocation of its size fail whatever the
+    # host's overcommit policy. The heatmap runs in a forked child of a small
+    # process, which prints the child's peak RSS in KiB: a process started
+    # from this one would carry this one's peak.
     pytest.importorskip("resource")
     done = _run("heatmap", str(DATA), "--scale", "100000", "-o", "x.ppm", cwd=tmp_path, code="""
         import os, resource, sys
@@ -188,8 +191,8 @@ def test_an_image_too_large_to_allocate_is_one_error_line(tmp_path):
         sys.exit(os.waitstatus_to_exitcode(status))
     """)
     assert done.returncode == 2
-    assert done.stderr.startswith("error: Unable to allocate 27.3 TiB")
-    assert done.stderr.count("\n") == 1, done.stderr
-    # refused at its first allocation, before any array of the image's size is built
+    assert re.fullmatch(r"error: cannot write x\.ppm: the image takes 27\.3 TiB but its file "
+                        r"system has [0-9.]+ (bytes|[KMGTPE]iB) free\n", done.stderr), done.stderr
+    # refused before any array of the image's size is built
     assert int(done.stdout) < 150 * 1024
     assert os.listdir(tmp_path) == []

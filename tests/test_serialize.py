@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import _oracles
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_io import ODD_CELLS
+
+from pfclust.io import _BLOCK
 
 from pfclust import (
     NumericalError,
@@ -224,6 +227,94 @@ def test_gene_ids_with_commas_quoted():
     assert 'g,with,commas' in text or '"g,with,commas"' in text
 
 
+# ids csv.writer quotes (a comma, a quote, a line end), and ones it writes as they are
+_ODD_IDS = ["a,b", 'say "hi"', "cr\rx", "nl\nx", "  lead", "", "plain", "\x0bvt", "é ", '"', ","]
+
+
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["hard", "fuzzy", "centroids"])
+def test_writers_write_what_csv_writer_writes(kind):
+    x = np.random.default_rng(2).normal(size=(len(_ODD_IDS), 3))
+    buf = io.StringIO()
+    if kind == "centroids":
+        w = np.array([[0.1, -2.5e-300, 3.0], [1e300, -0.0, 7.0]])
+        write_centroids_csv(w, _ODD_IDS[:3], buf)
+        expected = _csv_writer_text(_ODD_IDS[:3], [[repr(v) for v in row] for row in w.tolist()])
+    else:
+        part = kmeans(x, 3, seed=0) if kind == "hard" else pfcm(x, 3, seed=0)
+        write_partition_csv(part, _ODD_IDS, buf)
+        if kind == "hard":
+            header, cells = ["gene_id", "cluster"], part.assignments[:, None].tolist()
+        else:
+            header = ["gene_id", "u0", "u1", "u2"]
+            cells = [[repr(v) for v in row] for row in part.memberships.tolist()]
+        expected = _csv_writer_text(header, [[g, *c] for g, c in zip(_ODD_IDS, cells)])
+    assert buf.getvalue() == expected
+    # a lone empty sample id is a row csv.writer quotes
+    buf = io.StringIO()
+    write_centroids_csv(np.array([[0.5]]), [""], buf)
+    assert buf.getvalue() == '""\n0.5\n'
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+                                  "\u2028", "\r", "\r\n", '"', " ", "\t", "\ufeff"])
+@pytest.mark.parametrize("where", ["id", "before", "after", "line"])
+@pytest.mark.parametrize("layout", ["hard", "fuzzy"])
+def test_odd_characters_read_as_the_csv_walk_reads_them(tmp_path, monkeypatch, layout, where,
+                                                        char):
+    # the block path reads what csv.reader and float()/int() read the same
+    # way, and leaves every other text to the walk
+    head, cell, rest = {"hard": ("gene_id,cluster", "1", ""),
+                        "fuzzy": ("gene_id,u0,u1", "0.5", ",0.5")}[layout]
+    row = {"id": f"a{char}b,{cell}{rest}", "before": f"a,{char}{cell}{rest}",
+           "after": f"a,{cell}{char}{rest}", "line": f"a,{cell}{rest}{char}"}[where]
+    text = f"{head}\nz,0{',1.0' if layout == 'fuzzy' else ''}\n{row}\nq,1{rest}\n"
+    path = tmp_path / "p.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def outcome(source):
+        try:
+            return read_partition_csv(source)
+        except (ValueError, csv.Error) as exc:  # a lone "\r" in a field is a csv.Error
+            return f"{type(exc).__name__}: {exc}"
+
+    # a path is opened with newline="", so csv.reader ends a row at a lone "\r" there
+    read = [outcome(io.StringIO(text)), outcome(path)]
+    with monkeypatch.context() as patch:
+        patch.setattr("pfclust.serialize._from_blocks", lambda read, end: None)
+        walked = [outcome(io.StringIO(text)), outcome(path)]
+    for new, old in zip(read, walked):
+        _same_outcome(new, old)
+
+
+def test_partition_files_are_written_and_read_a_few_blocks_at_a_time(tmp_path):
+    # 5000 genes x 20 clusters, a 2.0 MB file: holding it as csv rows of
+    # Python strings peaked at 44 blocks to write and 41 to read
+    x = np.random.default_rng(0).normal(size=(5000, 2))
+    part = pfcm(x, 20, seed=0, max_iter=2)
+    gene_ids = [f"g{i}" for i in range(5000)]
+    path = tmp_path / "p.csv"
+    tracemalloc.start()
+    try:
+        write_partition_csv(part, gene_ids, path)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_partition_csv(path)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 7 * _BLOCK
+    assert np.array_equal(back.memberships, part.memberships)
+    assert written < 6 * _BLOCK
+    # the memberships and ids it returns, and a few blocks
+    assert read < part.memberships.nbytes + 6 * _BLOCK
+
+
 def test_padded_memberships():
     pf = read_partition_csv(io.StringIO("gene_id,cluster\na,0\nb,1\n"))
     wide = pf.padded_memberships(4)
@@ -415,11 +506,20 @@ def reader_texts(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(case=reader_texts())
-def test_readers_match_the_per_cell_readers(case):
+def test_readers_match_the_per_cell_readers(case, tmp_path_factory):
     kind, text = case
     new, old = ((read_centroids_csv, _oracles.read_centroids_csv) if kind == "centroids"
                 else (read_partition_csv, _oracles.read_partition_csv))
-    _same_outcome(_read_outcome(new, text), _read_outcome(old, text))
+    expected = _read_outcome(old, text)
+    _same_outcome(_read_outcome(new, text), expected)
+    # a path is read a block at a time by os.pread, a handle from its text
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        from_path = new(path)
+    except ValueError as exc:
+        from_path = str(exc)
+    _same_outcome(from_path, expected)
 
 
 def _float_or_none(cell):
